@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterator
 
 from .hadamard import (
   cube_root_classes,
@@ -40,7 +42,6 @@ from .linalg import (
   intersect,
   kernel_basis,
   primitive_integer_vector,
-  rank,
   solve,
   solve_affine_in_subspace,
   subspace_image,
@@ -182,13 +183,70 @@ class NormalizedKernel:
   support_size: int
 
 
-def gram_image(A: RatMatrix) -> Subspace:
+@dataclass(frozen=True)
+class Analysis:
+  """The per-matrix data the decision steps share, each part computed once.
+
+  `certify` and `verify_certificate` build one per call and hand it to every
+  step; the public steps also accept a bare matrix and then build their own.
+  Nothing outlives the object, so no state is shared between calls.
+  """
+
+  A: RatMatrix
+  # box -> (kernel candidates, their directions computed so far)
+  _enumerations: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+  @cached_property
+  def kernel(self) -> Subspace:
+    return kernel_basis(self.A)
+
+  @cached_property
+  def rank(self) -> int:
+    return self.A.n_cols - self.kernel.dim
+
+  @cached_property
+  def image(self) -> Subspace:
+    return image_basis(self.A)
+
+  @cached_property
+  def row_space(self) -> Subspace:
+    return image_basis(self.A.transpose())
+
+  @cached_property
+  def gram(self) -> RatMatrix:
+    return self.A.gram()
+
+  @cached_property
+  def gram_image(self) -> Subspace:
+    return image_basis(self.gram)
+
+  def kernel_directions(self, box: int, count: int
+                        ) -> Iterator[RatVector | None]:
+    """Rational cube-root directions of the first `count` kernel candidates
+    of `_ordered_candidates`, None where irrational, in candidate order.
+
+    The enumeration runs once per box and each direction is computed once,
+    when a caller first reaches it.
+    """
+    if box not in self._enumerations:
+      vectors, _ = _ordered_candidates(list(self.kernel.basis), box)
+      self._enumerations[box] = (vectors, [])
+    vectors, done = self._enumerations[box]
+    for i, w in enumerate(vectors[:count]):
+      if i == len(done):
+        done.append(rational_cube_root_direction(
+          RatVector(tuple(Fraction(x) for x in w))))
+      yield done[i]
+
+
+def _analysis(A: RatMatrix | Analysis) -> Analysis:
+  return A if isinstance(A, Analysis) else Analysis(A)
+
+
+def gram_image(A: RatMatrix | Analysis) -> Subspace:
   """Image of A A^T, the subspace the properness question reduces to."""
-  return image_basis(A.gram())
-
-
-def _row_space(A: RatMatrix) -> Subspace:
-  return image_basis(A.transpose())
+  return _analysis(A).gram_image
 
 
 def _indicator_matrix(m: int, indices) -> RatMatrix:
@@ -309,29 +367,40 @@ def _coeff_enumeration(dim: int, box: int = 3, cap: int = 3000) -> list[tuple[in
   return out
 
 
-def _ordered_candidates(basis_vectors: list[RatVector], box: int = 3,
-                        cap: int = 400) -> list[RatVector]:
-  """Nonzero rational combinations, widest support first, small first."""
+def _ordered_candidates(basis_vectors: list[RatVector], box: int = 3
+                        ) -> tuple[list[tuple[int, ...]], int]:
+  """Nonzero small-coefficient combinations of a basis, one per line,
+  widest support first, then smallest coefficients.
+
+  The work is in integers: the basis is scaled by the common denominator D
+  of its entries, which is returned with the list.  The scale keeps every
+  combination's line, support and place in the order, so dividing an entry
+  by D gives back the rational combination.
+  """
   if not basis_vectors:
-    return []
-  combos = _coeff_enumeration(len(basis_vectors), box=box)
+    return [], 1
+  scale = math.lcm(*(a.denominator for b in basis_vectors for a in b))
+  basis = [[a.numerator * (scale // a.denominator) for a in b]
+           for b in basis_vectors]
   scored = []
   seen = set()
-  for c in combos:
-    v = RatVector.zero(len(basis_vectors[0]))
-    for coef, b in zip(c, basis_vectors):
-      if coef:
-        v = v + b.scale(Fraction(coef))
-    if v.is_zero():
+  for c in _coeff_enumeration(len(basis), box=box):
+    terms = [(coef, b) for coef, b in zip(c, basis) if coef]
+    v = tuple(sum(coef * b[i] for coef, b in terms)
+              for i in range(len(basis[0])))
+    g = math.gcd(*v)
+    if g == 0:
       continue
-    key = tuple(primitive_integer_vector(v).entries)
+    lead = next(x for x in v if x != 0)
+    key = tuple(x // g for x in v) if lead > 0 else tuple(-x // g for x in v)
     if key in seen:
       continue
     seen.add(key)
     mixed = 1 if any(x < 0 for x in c) else 0
-    scored.append((-len(v.support()), sum(abs(x) for x in c), mixed, c, v))
-  scored.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-  return [v for *_, v in scored[:cap]]
+    support = sum(1 for x in v if x != 0)
+    scored.append((-support, sum(abs(x) for x in c), mixed, c, v))
+  scored.sort(key=lambda t: t[:4])
+  return [t[4] for t in scored], scale
 
 
 def _disjoint_supports(vectors) -> bool:
@@ -344,7 +413,7 @@ def _disjoint_supports(vectors) -> bool:
   return True
 
 
-def necessary_escape_search(A: RatMatrix) -> EscapeSearch:
+def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
   """Look for x in the row space with Ax != 0 and A((Ax)^3) = 0.
 
   Any unbounded sequence with bounded images has, after normalization, a
@@ -354,13 +423,13 @@ def necessary_escape_search(A: RatMatrix) -> EscapeSearch:
   root is irrational), and kernels with a disjoint-support basis of
   rational cube-root directions.
   """
+  an = _analysis(A)
+  A = an.A
   m = A.m
-  if rank(A) == m:
+  if an.rank == m:
     return EscapeSearch(None, None, True,
                         "matrix invertible: only Ax = 0 solves A((Ax)^3) = 0")
-  K = kernel_basis(A)
-  Im = image_basis(A)
-  rowspace = _row_space(A)
+  K, Im, rowspace = an.kernel, an.image, an.row_space
 
   def found(y: RatVector) -> EscapeSearch:
     x = solve_affine_in_subspace(A, y, rowspace)
@@ -378,8 +447,8 @@ def necessary_escape_search(A: RatMatrix) -> EscapeSearch:
     if meet.dim == 0:
       return EscapeSearch(None, None, True,
                           "no cube root of a kernel vector lies in the image")
-    for y in _ordered_candidates(list(meet.basis)):
-      return found(y)
+    vectors, scale = _ordered_candidates(list(meet.basis))
+    return found(RatVector(tuple(Fraction(x, scale) for x in vectors[0])))
   if K.dim == 1:
     g = primitive_integer_vector(K.basis[0])
     if not cube_root_in_subspace(g, Im):
@@ -390,8 +459,7 @@ def necessary_escape_search(A: RatMatrix) -> EscapeSearch:
       return found(d)
     return EscapeSearch(None, None, False,
                         "an escape image vector exists but is irrational")
-  for w in _ordered_candidates(basis):
-    d = rational_cube_root_direction(w)
+  for d in an.kernel_directions(box=3, count=400):
     if d is None:
       continue
     x = solve_affine_in_subspace(A, d, rowspace)
@@ -411,30 +479,25 @@ def _float_escape_probe(A: RatMatrix, K: Subspace, Im: Subspace,
     return ""
   import numpy as np
   rng = np.random.default_rng(seed)
-  kb = np.array([[float(x) for x in b] for b in K.basis]).T
+  kb = np.array([[float(x) for x in b] for b in K.basis])
   ib = np.array([[float(x) for x in b] for b in Im.basis]).T
   q, _ = np.linalg.qr(ib)
-  best = float("inf")
-  for _ in range(samples):
-    c = rng.uniform(-1.0, 1.0, K.dim)
-    w = kb @ c
-    if np.linalg.norm(w) < 1e-12:
-      continue
-    y = np.cbrt(w)
-    y /= np.linalg.norm(y)
-    resid = np.linalg.norm(y - q @ (q.T @ y))
-    best = min(best, float(resid))
-  if best < 1e-7:
+  # one row per sample, drawn in the order single draws would take them
+  w = rng.uniform(-1.0, 1.0, (samples, K.dim)) @ kb
+  w = w[np.linalg.norm(w, axis=1) >= 1e-12]
+  y = np.cbrt(w)
+  y /= np.linalg.norm(y, axis=1, keepdims=True)
+  resid = np.linalg.norm(y - (y @ q) @ q.T, axis=1)
+  if resid.size and resid.min() < 1e-7:
     return "a float scan suggests an irrational escape direction may exist"
   return ""
 
 
-def _kernel_in_gram_kernel(A: RatMatrix) -> bool:
-  G = A.gram()
-  return all(G.apply(b).is_zero() for b in kernel_basis(A).basis)
+def _kernel_in_gram_kernel(an: Analysis) -> bool:
+  return all(an.gram.apply(b).is_zero() for b in an.kernel.basis)
 
 
-def sufficient_screens(A: RatMatrix, zeta: RatVector | None = None
+def sufficient_screens(A: RatMatrix | Analysis, zeta: RatVector | None = None
                        ) -> tuple[Certificate | None, list[AuditEntry]]:
   """Structural conditions, each alone implying properness, tried in order.
 
@@ -445,10 +508,12 @@ def sufficient_screens(A: RatMatrix, zeta: RatVector | None = None
   only when that subspace is a line); the kernel is the all-ones line and
   the ones vector misses the reduced subspace or its image.
   """
+  an = _analysis(A)
+  A = an.A
   audit: list[AuditEntry] = []
 
-  if _kernel_in_gram_kernel(A):
-    kdim = kernel_basis(A).dim
+  if _kernel_in_gram_kernel(an):
+    kdim = an.kernel.dim
     detail = ("matrix invertible" if kdim == 0 else
               f"all {kdim} kernel direction(s) also kill the Gram matrix")
     audit.append(AuditEntry("screen:kernel-in-gram-kernel", "fires", detail))
@@ -457,7 +522,7 @@ def sufficient_screens(A: RatMatrix, zeta: RatVector | None = None
     return cert, audit
   audit.append(AuditEntry("screen:kernel-in-gram-kernel", "no"))
 
-  if rank(A.gram()) == 1:
+  if an.gram_image.dim == 1:
     audit.append(AuditEntry("screen:gram-rank-1", "fires"))
     cert = Certificate(PROPER, REASON_GRAM_RANK1, A,
                        evidence={"gram_rank": 1})
@@ -473,21 +538,21 @@ def sufficient_screens(A: RatMatrix, zeta: RatVector | None = None
   audit.append(AuditEntry("screen:triangular", "no"))
 
   if zeta is not None:
-    cert = _zeta_screen(A, zeta, audit)
+    cert = _zeta_screen(an, zeta, audit)
     if cert is not None:
       return cert, audit
 
-  cert = _ones_kernel_screen(A, audit)
+  cert = _ones_kernel_screen(an, audit)
   if cert is not None:
     return cert, audit
   return None, audit
 
 
-def _zeta_screen(A: RatMatrix, zeta: RatVector,
+def _zeta_screen(an: Analysis, zeta: RatVector,
                  audit: list[AuditEntry]) -> Certificate | None:
   if any(z <= 0 for z in zeta):
     raise ValueError("pairing weight zeta must be positive in every coordinate")
-  V = gram_image(A)
+  A, V = an.A, an.gram_image
   if V.dim == 1:
     b = V.basis[0]
     # sign of <A((tb)^3), zeta*(tb)> is the sign of t^4 <A(b^3), zeta*b>
@@ -501,7 +566,7 @@ def _zeta_screen(A: RatMatrix, zeta: RatVector,
     audit.append(AuditEntry("screen:nonneg-pairing", "no",
                             f"pairing is negative ({val}) on the line"))
     return None
-  violation = nonneg_pairing_falsifier(A, zeta)
+  violation = nonneg_pairing_falsifier(an, zeta)
   if violation is not None:
     audit.append(AuditEntry("screen:nonneg-pairing", "refuted",
                             "sampling found a negative pairing value"))
@@ -513,13 +578,14 @@ def _zeta_screen(A: RatMatrix, zeta: RatVector,
   return None
 
 
-def nonneg_pairing_falsifier(A: RatMatrix, zeta: RatVector,
+def nonneg_pairing_falsifier(A: RatMatrix | Analysis, zeta: RatVector,
                              samples: int = 200, seed: int = 0
                              ) -> tuple[float, ...] | None:
   """Sample the reduced subspace for <A(x^3), zeta*x> < 0; None if unseen."""
   if any(z <= 0 for z in zeta):
     raise ValueError("pairing weight zeta must be positive in every coordinate")
-  V = gram_image(A)
+  an = _analysis(A)
+  A, V = an.A, an.gram_image
   if V.dim == 0:
     return None
   import numpy as np
@@ -540,8 +606,9 @@ def nonneg_pairing_falsifier(A: RatMatrix, zeta: RatVector,
   return None
 
 
-def _ones_kernel_screen(A: RatMatrix, audit: list[AuditEntry]) -> Certificate | None:
-  K = kernel_basis(A)
+def _ones_kernel_screen(an: Analysis,
+                        audit: list[AuditEntry]) -> Certificate | None:
+  A, K = an.A, an.kernel
   if K.dim != 1:
     audit.append(AuditEntry("screen:kernel-line-blocked", "skipped",
                             "kernel is not a line"))
@@ -551,7 +618,7 @@ def _ones_kernel_screen(A: RatMatrix, audit: list[AuditEntry]) -> Certificate | 
     audit.append(AuditEntry("screen:kernel-line-blocked", "skipped",
                             "kernel line is not the all-ones direction"))
     return None
-  V = gram_image(A)
+  V = an.gram_image
   in_V = V.contains(g)
   in_AV = solve_affine_in_subspace(A, g, V) is not None
   if not (in_V and in_AV):
@@ -664,7 +731,8 @@ class _FloatChain:
     return bool(np.linalg.norm(v - proj) <= FLOAT_TOL * max(1.0, n))
 
 
-def condition_chain(A: RatMatrix, profile: DirectionProfile | RatVector,
+def condition_chain(A: RatMatrix | Analysis,
+                    profile: DirectionProfile | RatVector,
                     V: Subspace, mode: str = "S") -> ConditionSetReport:
   """Recursive escape-chain conditions for a 0/1 limit direction.
 
@@ -689,12 +757,13 @@ def condition_chain(A: RatMatrix, profile: DirectionProfile | RatVector,
     profile = DirectionProfile.from_vector(profile)
   if not profile.normalized:
     raise ValueError("condition_chain needs a 0/1 direction; normalize first")
+  an = _analysis(A)
+  A, K = an.A, an.kernel
   x_inf = profile.x_inf
   m = len(x_inf)
   support = set(profile.support)
   pr = _indicator_matrix(m, support)
   pr_V = subspace_image(pr, V)
-  K = kernel_basis(A)
   off_support = [i for i in range(m) if i not in support]
   stages: list[ChainStage] = []
 
@@ -907,21 +976,26 @@ def _numeric_chain_recipe(report: ConditionSetReport,
                        u_hat_root=vec(stage.target), frame=frame, numeric=True)
 
 
-def corank1_decide(A: RatMatrix) -> Certificate:
-  """Complete decision procedure when the kernel of A is one line.
+def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
+  """Decision procedure when the kernel of A is one line.
 
-  Whenever the cube root of the kernel direction is rational the verdict
-  is exact and always reached: the fully supported case goes through the
-  direct escape characterization, the patterned case through the chain
-  conditions, both of which are equivalences.  Irrational directions get
-  an exact blocking test, then a numeric fallback that can only refute.
+  When the cube root of the kernel direction is rational and has no zero
+  coordinate, the direct escape characterization is an equivalence and
+  the verdict is exact.  With zeros, the direction goes through the chain
+  conditions.  An unsatisfied exact chain proves properness, and a
+  satisfied one of depth at most two gives a witness; a deeper one ends
+  Undecided.  A chain that needs an irrational cube root switches to
+  floats and ends NonProper with a "-numeric" reason, or Undecided.
+  Irrational directions get an exact blocking test, then a numeric
+  fallback that can only refute.
   """
-  K = kernel_basis(A)
+  an = _analysis(A)
+  A, K = an.A, an.kernel
   if K.dim != 1:
     raise ValueError("corank1_decide requires a matrix of corank exactly one")
   audit: list[AuditEntry] = []
   g = primitive_integer_vector(K.basis[0])
-  V = gram_image(A)
+  V = an.gram_image
   audit.append(AuditEntry("kernel-line", "found",
                           "primitive generator (" +
                           ", ".join(str(x) for x in g) + ")"))
@@ -953,14 +1027,14 @@ def corank1_decide(A: RatMatrix) -> Certificate:
 
   # zeros present: bring the direction to a 0/1 pattern, then run the chain
   if all(a in (0, 1) for a in y.entries):
-    B, frame, x_pat, VB = A, None, y, V
+    anB, frame, x_pat = an, None, y
   else:
     norm = normalize_kernel_direction(A, hpow(y, 3))
-    B, frame, x_pat = norm.matrix, norm.frame, norm.generator
-    VB = gram_image(B)
+    anB, frame, x_pat = Analysis(norm.matrix), norm.frame, norm.generator
     audit.append(AuditEntry("normalize", "done",
                             f"support size {norm.support_size}"))
-  rep = condition_chain(B, DirectionProfile.from_vector(x_pat), VB, "S")
+  VB = anB.gram_image
+  rep = condition_chain(anB, DirectionProfile.from_vector(x_pat), VB, "S")
   audit.append(AuditEntry("condition-chain",
                           "satisfied" if rep.satisfied else "unsatisfied",
                           rep.failure or f"depth {rep.depth}"))
@@ -1044,21 +1118,24 @@ def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
                      audit=tuple(audit))
 
 
-def kernel_cuberoot_candidates(A: RatMatrix, box: int = 3, cap: int = 400
+def kernel_cuberoot_candidates(A: RatMatrix | Analysis, box: int = 3,
+                               cap: int = 400
                                ) -> tuple[list[RatVector], bool]:
   """Rational directions y with y^3 in Ker(A), plus a completeness flag.
 
-  The flag is True only when the list provably exhausts all candidate
-  lines: trivial kernels, and corank one whose generator has a rational
-  cube-root direction.
+  The directions come from the first 4 * cap kernel combinations of the
+  enumeration the escape search reads, at most cap of them.  The flag is
+  True only when the list provably exhausts all candidate lines: trivial
+  kernels, and corank one whose generator has a rational cube-root
+  direction.
   """
-  K = kernel_basis(A)
+  an = _analysis(A)
+  K = an.kernel
   if K.dim == 0:
     return [], True
   found: list[RatVector] = []
   seen: set[tuple] = set()
-  for w in _ordered_candidates(list(K.basis), box=box, cap=cap * 4):
-    y = rational_cube_root_direction(w)
+  for y in an.kernel_directions(box, cap * 4):
     if y is None:
       continue
     key = tuple(primitive_integer_vector(y).entries)
@@ -1080,45 +1157,49 @@ def certify(A: RatMatrix, zeta: RatVector | None = None,
             candidate_box: int = 3, candidate_cap: int = 400) -> Certificate:
   """Decide properness of x + (Ax)^3 and certify the verdict.
 
-  Pipeline: exact search for escape raw material, structural screens,
-  the complete corank-one procedure, then a sweep of kernel cube-root
-  directions through the escape characterizations.  The first decisive
-  step wins; everything evaluated lands in the audit trail.
+  Pipeline: the structural screens; when none fires, the exact search for
+  escape raw material, whose provable emptiness proves properness; the
+  corank-one procedure; then a sweep of kernel cube-root directions
+  through the escape characterizations.  The first decisive step wins.
+  One Analysis of A serves every step.  The audit trail opens with the
+  escape search, marked skipped when a screen decided, and records
+  everything evaluated.
   """
+  an = Analysis(A)
   m = A.m
-  audit: list[AuditEntry] = []
 
-  search = necessary_escape_search(A)
-  audit.append(AuditEntry(
+  screen_cert, screen_audit = sufficient_screens(an, zeta)
+  if screen_cert is not None:
+    audit = [AuditEntry("escape-search", "skipped",
+                        "a structural screen decided first")] + screen_audit
+    return Certificate(screen_cert.verdict, screen_cert.reason, A,
+                       evidence=screen_cert.evidence, audit=tuple(audit))
+
+  search = necessary_escape_search(an)
+  audit = [AuditEntry(
     "escape-search",
     "candidate" if search.candidate is not None else
     ("provably empty" if search.none_is_proof else "nothing found"),
-    search.note))
-
-  screen_cert, screen_audit = sufficient_screens(A, zeta)
-  audit.extend(screen_audit)
-  if screen_cert is not None:
-    return Certificate(screen_cert.verdict, screen_cert.reason, A,
-                       evidence=screen_cert.evidence, audit=tuple(audit))
+    search.note)] + screen_audit
 
   if search.candidate is None and search.none_is_proof:
     return Certificate(PROPER, REASON_NO_ESCAPE, A,
                        evidence={"note": search.note}, audit=tuple(audit))
 
-  corank = m - rank(A)
+  corank = m - an.rank
   if corank == 1:
-    inner = corank1_decide(A)
+    inner = corank1_decide(an)
     cert = Certificate(inner.verdict, inner.reason, A,
                        evidence=inner.evidence,
                        audit=tuple(audit) + inner.audit)
     return _validated(A, cert)
 
-  candidates, complete = kernel_cuberoot_candidates(A, candidate_box,
+  candidates, complete = kernel_cuberoot_candidates(an, candidate_box,
                                                     candidate_cap)
   audit.append(AuditEntry("candidate-sweep", "enumerated",
                           f"{len(candidates)} rational direction(s); "
                           f"complete={complete}"))
-  V = gram_image(A)
+  V = an.gram_image
   for y in candidates:
     if all(a != 0 for a in y):
       if not V.contains(y):
@@ -1137,14 +1218,14 @@ def certify(A: RatMatrix, zeta: RatVector | None = None,
       continue
     try:
       if all(a in (0, 1) for a in y.entries):
-        B, frame, x_pat, VB = A, None, y, V
+        anB, frame, x_pat = an, None, y
       else:
         norm = normalize_kernel_direction(A, hpow(y, 3))
-        B, frame, x_pat = norm.matrix, norm.frame, norm.generator
-        VB = gram_image(B)
+        anB, frame, x_pat = Analysis(norm.matrix), norm.frame, norm.generator
     except ValueError:
       continue
-    rep = condition_chain(B, DirectionProfile.from_vector(x_pat), VB, "S")
+    VB = anB.gram_image
+    rep = condition_chain(anB, DirectionProfile.from_vector(x_pat), VB, "S")
     audit.append(AuditEntry("candidate-chain",
                             "satisfied" if rep.satisfied else "unsatisfied",
                             rep.failure or f"depth {rep.depth}"))
@@ -1202,12 +1283,13 @@ def _validated(A: RatMatrix, cert: Certificate) -> Certificate:
 def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   """Independently re-establish the decisive condition a certificate names.
 
-  Proper reasons are recomputed from A alone; NonProper reasons re-check
-  the witness recipe equations exactly (rational recipes) and re-run the
-  float validation.
+  Proper reasons are recomputed from A alone, through a fresh Analysis;
+  NonProper reasons re-check the witness recipe equations exactly
+  (rational recipes) and re-run the float validation.
   """
   if cert.matrix != A:
     return False
+  an = Analysis(A)
   reason = cert.reason
   if cert.k == 1:
     from .linalg import det
@@ -1221,24 +1303,24 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
     return False
   if cert.verdict == PROPER:
     if reason == REASON_KERNEL_GRAM:
-      return _kernel_in_gram_kernel(A)
+      return _kernel_in_gram_kernel(an)
     if reason == REASON_GRAM_RANK1:
-      return rank(A.gram()) == 1
+      return an.gram_image.dim == 1
     if reason == REASON_TRIANGULAR:
       return A.is_upper_triangular() or A.is_lower_triangular()
     if reason == REASON_PAIRING:
       zeta = cert.evidence.get("zeta")
-      V = gram_image(A)
+      V = an.gram_image
       if zeta is None or V.dim != 1:
         return False
       b = V.basis[0]
       return A.apply(hpow(b, 3)).dot(hprod(zeta, b)) >= 0
     if reason == REASON_KERNEL_LINE:
-      K = kernel_basis(A)
+      K = an.kernel
       if K.dim != 1:
         return False
       g = primitive_integer_vector(K.basis[0])
-      V = gram_image(A)
+      V = an.gram_image
       y = rational_cube_root_direction(g)
       if y is None:
         return not cube_root_in_subspace(g, V)
@@ -1249,7 +1331,7 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
         return not ok
       return False
     if reason == REASON_CHAIN_UNSAT:
-      K = kernel_basis(A)
+      K = an.kernel
       if K.dim != 1:
         return False
       g = primitive_integer_vector(K.basis[0])
@@ -1257,18 +1339,18 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
       if y is None or all(a != 0 for a in y):
         return False
       if all(a in (0, 1) for a in y.entries):
-        B, x_pat = A, y
+        anB, x_pat = an, y
       else:
         norm = normalize_kernel_direction(A, hpow(y, 3))
-        B, x_pat = norm.matrix, norm.generator
-      VB = gram_image(B)
-      rep = condition_chain(B, DirectionProfile.from_vector(x_pat), VB, "S")
+        anB, x_pat = Analysis(norm.matrix), norm.generator
+      rep = condition_chain(anB, DirectionProfile.from_vector(x_pat),
+                            anB.gram_image, "S")
       return not rep.satisfied and not rep.numeric_only
     if reason == REASON_NO_ESCAPE:
-      s = necessary_escape_search(A)
+      s = necessary_escape_search(an)
       if s.candidate is None and s.none_is_proof:
         return True
-      cands, complete = kernel_cuberoot_candidates(A)
+      cands, complete = kernel_cuberoot_candidates(an)
       return complete and not cands
     return False
   if cert.verdict == NONPROPER:

@@ -203,14 +203,6 @@ def _float_apply(A: RatMatrix, x: Sequence[float]) -> tuple[float, ...]:
   return tuple(sum(float(a) * v for a, v in zip(row, x)) for row in A.rows)
 
 
-def float_norm(x: Sequence[float]) -> float:
-  return sum(float(v) * float(v) for v in x) ** 0.5
-
-
-def rat_to_floats(x: RatVector) -> tuple[float, ...]:
-  return tuple(float(v) for v in x.entries)
-
-
 # ---------------------------------------------------------------------------
 # perfect-cube-ratio classes
 # ---------------------------------------------------------------------------
@@ -243,14 +235,18 @@ def rational_cube_root_direction(g: RatVector) -> RatVector | None:
   """
   if g.is_zero():
     raise ValueError("zero vector has no direction")
-  classes = cube_root_classes(g)
-  if len(classes) != 1:
-    return None
-  ref_index = classes[0][0]
-  ref = g.entries[ref_index]
-  out = [Fraction(0)] * len(g)
-  for i in classes[0]:
-    out[i] = rational_kth_root(g.entries[i] / ref, 3)
+  # one class means every nonzero ratio to the first nonzero coordinate is a
+  # cube, so the first ratio that is not decides without the other classes
+  ref = next(a for a in g.entries if a != 0)
+  out = []
+  for a in g.entries:
+    if a == 0:
+      out.append(Fraction(0))
+      continue
+    r = rational_kth_root(a / ref, 3)
+    if r is None:
+      return None
+    out.append(r)
   return RatVector(tuple(out))
 
 

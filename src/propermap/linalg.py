@@ -208,12 +208,6 @@ class RatMatrix:
     return all(self.rows[i][j] == 0
                for i in range(self.n_rows) for j in range(i + 1, self.n_cols))
 
-  def is_symmetric(self) -> bool:
-    return self.is_square() and self.rows == self.transpose().rows
-
-  def is_antisymmetric(self) -> bool:
-    return self.is_square() and self.scale(-1).rows == self.transpose().rows
-
   def __repr__(self) -> str:
     body = "; ".join(" ".join(str(a) for a in row) for row in self.rows)
     return f"RatMatrix[{body}]"
@@ -410,27 +404,14 @@ class Subspace:
         residue = [r - f * x for r, x in zip(residue, b.entries)]
     return all(r == 0 for r in residue)
 
-  def contains_subspace(self, other: "Subspace") -> bool:
-    return all(self.contains(b) for b in other.basis)
-
   def basis_matrix(self) -> RatMatrix:
     """Matrix whose rows are the canonical basis vectors.  Requires dim > 0."""
     if not self.basis:
       raise ValueError("zero subspace has an empty basis")
     return RatMatrix(tuple(b.entries for b in self.basis))
 
-  def coordinates_matrix(self) -> RatMatrix:
-    """Matrix whose columns are the canonical basis vectors."""
-    return self.basis_matrix().transpose()
-
   def __repr__(self) -> str:
     return f"Subspace(dim {self.dim} of R^{self.ambient_dim})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-  if a.ambient_dim != b.ambient_dim:
-    raise ValueError("ambient dimensions disagree")
-  return Subspace.span(list(a.basis) + list(b.basis), a.ambient_dim)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

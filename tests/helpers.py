@@ -117,3 +117,44 @@ def ones_kernel_sample(rng: random.Random, m: int, box: int = 3) -> RatMatrix:
     rows = [r + [-sum(r)] for r in partial]
     if naive_rank([[Fraction(x) for x in r] for r in rows]) == m - 1:
       return RatMatrix.of(rows)
+
+
+def planted_pattern(rng: random.Random, m: int, box: int = 2) -> RatMatrix:
+  """Corank-1 matrix whose kernel is a random 0/1 pattern of support >= 2:
+  one support column is minus the sum of the other support columns."""
+  while True:
+    rows = [[rng.randint(-box, box) for _ in range(m)] for _ in range(m)]
+    support = rng.sample(range(m), rng.randint(2, m))
+    lead, rest = support[0], support[1:]
+    for row in rows:
+      row[lead] = -sum(row[j] for j in rest)
+    if naive_rank([[Fraction(x) for x in r] for r in rows]) == m - 1:
+      return RatMatrix.of(rows)
+
+
+def two_pattern_kernel(rng: random.Random, box: int = 2) -> RatMatrix:
+  """4x4 or 5x5 matrix whose kernel holds two disjoint 0/1 pairs."""
+  m = rng.choice([4, 5])
+  idx = list(range(m))
+  rng.shuffle(idx)
+  rows = [[rng.randint(-box, box) for _ in range(m)] for _ in range(m)]
+  for row in rows:
+    row[idx[0]] = -row[idx[1]]
+    row[idx[2]] = -row[idx[3]]
+  return RatMatrix.of(rows)
+
+
+def two_class_kernel(rng: random.Random, box: int = 2) -> RatMatrix:
+  """4x4 matrix A = U W with kernel containing (1, 1, 2, 2), whose cube root
+  is irrational, and image containing (1, 1, 0, 0) and (0, 0, 1, 1), which
+  holds that cube root whatever its two cube-ratio classes scale to."""
+  g = [1, 1, 2, 2]
+  u3 = [rng.randint(-box, box) for _ in range(4)]
+  U = [[1, 0, u3[0]], [1, 0, u3[1]], [0, 1, u3[2]], [0, 1, u3[3]]]
+  W = []
+  for _ in range(3):
+    r = [rng.randint(-box, box) for _ in range(3)]
+    r.append(Fraction(-(r[0] * g[0] + r[1] * g[1] + r[2] * g[2]), g[3]))
+    W.append(r)
+  return RatMatrix.of([[sum(U[i][t] * W[t][j] for t in range(3))
+                        for j in range(4)] for i in range(4)])

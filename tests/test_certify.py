@@ -1,22 +1,29 @@
 """The decision pipeline: screens, the corank-1 procedure, and certificates."""
 
+import importlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
+  f_exact,
   ones_kernel_sample,
+  planted_pattern,
   rand_antisymmetric,
   rand_int_matrix,
   rand_invertible,
   rand_symmetric,
+  two_class_kernel,
+  two_pattern_kernel,
 )
 from propermap.certify import (
   NONPROPER,
   PROPER,
   UNDECIDED,
   DirectionProfile,
+  _ordered_candidates,
   certify,
   condition_chain,
   corank1_decide,
@@ -27,9 +34,29 @@ from propermap.certify import (
   sufficient_screens,
   verify_certificate,
 )
-from propermap.forge import Family3x3Params, forge_3x3, golden_3x3, shift_5x5
-from propermap.hadamard import hpow
-from propermap.linalg import RatMatrix, RatVector, kernel_basis, rank
+from propermap.forge import (
+  Family3x3Params,
+  forge_3x3,
+  golden_3x3,
+  sample_rank_r,
+  shift_5x5,
+)
+from propermap.hadamard import hpow, identity_plus_image_power
+from propermap.jsonio import certificate_from_json, certificate_to_json, dumps
+from propermap.linalg import (
+  RatMatrix,
+  RatVector,
+  image_basis,
+  kernel_basis,
+  primitive_integer_vector,
+  rank,
+  solve_affine_in_subspace,
+)
+from propermap.recipes import build_witness_point
+from propermap.witness import k1_properness
+
+# the package re-exports the function certify, which hides the module
+certify_module = importlib.import_module("propermap.certify")
 
 # corank 1 with kernel line (1,1,2): the cube root of the kernel direction
 # is irrational, every membership it needs holds, and the escape system has
@@ -85,10 +112,12 @@ def test_screens_shift_is_triangular():
   cert = certify(shift_5x5())
   assert cert.verdict == PROPER
   assert cert.reason == "triangular"
-  # the escape candidate exists, so the screen result shows the necessary
-  # condition alone cannot settle properness
+  # the screen decides, so certify never runs the escape search
   steps = {a.step: a.outcome for a in cert.audit}
-  assert steps.get("escape-search") == "candidate"
+  assert steps.get("escape-search") == "skipped"
+  # yet an escape candidate exists: the necessary condition alone cannot
+  # settle properness
+  assert necessary_escape_search(shift_5x5()).candidate is not None
 
 
 def test_screens_lower_triangular_fires_too():
@@ -302,3 +331,189 @@ def test_certificate_audit_records_the_pipeline():
   steps = [a.step for a in cert.audit]
   assert "escape-search" in steps
   assert cert.audit[0].outcome in ("candidate", "provably empty", "nothing found")
+
+
+# (verdict, reason) of certify on a seeded corpus reaching every path that
+# can decide: each screen that can fire, each corank-1 reason, and corank
+# >= 2 outcomes of the escape search and of the candidate sweep.  The order
+# of the pipeline's steps must not change any entry.
+REGRESSION = {
+  "identity-3": (lambda: RatMatrix.identity(3),
+                 (PROPER, "kernel-in-gram-kernel")),
+  "zero-3": (lambda: RatMatrix.zero(3, 3), (PROPER, "kernel-in-gram-kernel")),
+  "symmetric-4": (lambda: rand_symmetric(random.Random(2), 4),
+                  (PROPER, "kernel-in-gram-kernel")),
+  "antisymmetric-4": (lambda: rand_antisymmetric(random.Random(3), 4),
+                      (PROPER, "kernel-in-gram-kernel")),
+  "invertible-3": (lambda: rand_invertible(random.Random(4), 3),
+                   (PROPER, "kernel-in-gram-kernel")),
+  "rank-one-2": (lambda: RatMatrix.of([[1, 2], [1, 2]]),
+                 (PROPER, "gram-rank-1")),
+  "shift-5x5": (shift_5x5, (PROPER, "triangular")),
+  "lower-3": (lambda: RatMatrix.of([[0, 0, 0], [2, 0, 0], [1, -1, 0]]),
+              (PROPER, "triangular")),
+  "ones-kernel-4": (lambda: ones_kernel_sample(random.Random(1), 4),
+                    (PROPER, "kernel-line-blocked")),
+  "golden-3x3": (golden_3x3, (NONPROPER, "escape-direction")),
+  "undecided-fixture": (lambda: RatMatrix.of(UNDECIDED_FIXTURE),
+                        (UNDECIDED, "outside-decidable-screens")),
+  "planted-0": (lambda: planted_pattern(random.Random(0), 3),
+                (PROPER, "kernel-line-blocked")),
+  "planted-1": (lambda: planted_pattern(random.Random(1), 4),
+                (PROPER, "escape-chain-unsat")),
+  "planted-2": (lambda: planted_pattern(random.Random(2), 3),
+                (PROPER, "no-escape-direction")),
+  "planted-57": (lambda: planted_pattern(random.Random(57), 4),
+                 (NONPROPER, "escape-chain-numeric")),
+  "planted-70": (lambda: planted_pattern(random.Random(70), 3),
+                 (NONPROPER, "escape-chain")),
+  "planted-77": (lambda: planted_pattern(random.Random(77), 4),
+                 (UNDECIDED, "outside-decidable-screens")),
+  "planted-92": (lambda: planted_pattern(random.Random(92), 3),
+                 (NONPROPER, "escape-direction")),
+  "two-classes-119": (lambda: two_class_kernel(random.Random(119)),
+                      (NONPROPER, "escape-direction-numeric")),
+  "two-patterns-2000": (lambda: two_pattern_kernel(random.Random(2000)),
+                        (PROPER, "no-escape-direction")),
+  "two-patterns-2004": (lambda: two_pattern_kernel(random.Random(2004)),
+                        (UNDECIDED, "outside-decidable-screens")),
+  "two-patterns-2176": (lambda: two_pattern_kernel(random.Random(2176)),
+                        (NONPROPER, "escape-chain")),
+  "two-patterns-2247": (lambda: two_pattern_kernel(random.Random(2247)),
+                        (NONPROPER, "escape-direction")),
+  "rank-6-3-1": (lambda: sample_rank_r(6, 3, seed=1),
+                 (UNDECIDED, "outside-decidable-screens")),
+  "rank-6-3-2": (lambda: sample_rank_r(6, 3, seed=2),
+                 (UNDECIDED, "outside-decidable-screens")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSION))
+def test_certify_regression_table(name):
+  build, expected = REGRESSION[name]
+  cert = certify(build())
+  assert (cert.verdict, cert.reason) == expected
+
+
+def test_certify_regression_pairing_weight_and_linear_case():
+  A = planted_pattern(random.Random(0), 3)
+  cert = certify(A, zeta=RatVector.of([1, 2, 3]))
+  assert (cert.verdict, cert.reason) == (PROPER, "kernel-line-blocked")
+  steps = {a.step: a.outcome for a in cert.audit}
+  assert steps["screen:nonneg-pairing"] == "refuted"
+  for A, expected in ((golden_3x3(), (PROPER, "linear-map-invertible")),
+                      (RatMatrix.identity(2).scale(-1),
+                       (NONPROPER, "linear-map-singular"))):
+    cert = k1_properness(A)
+    assert (cert.verdict, cert.reason) == expected
+
+
+def test_screens_decide_without_the_escape_search(monkeypatch):
+  def refuse(A):
+    raise AssertionError("escape search ran although a screen fires")
+  monkeypatch.setattr(certify_module, "necessary_escape_search", refuse)
+  for name in ("identity-3", "zero-3", "symmetric-4", "antisymmetric-4",
+               "rank-one-2", "shift-5x5", "lower-3", "ones-kernel-4"):
+    build, expected = REGRESSION[name]
+    cert = certify(build())
+    assert (cert.verdict, cert.reason) == expected
+    assert cert.audit[0].step == "escape-search"
+    assert cert.audit[0].outcome == "skipped"
+
+
+def test_kernel_is_enumerated_at_most_once_per_certify(monkeypatch):
+  calls = []
+
+  def counting(basis_vectors, box=3):
+    calls.append(list(basis_vectors))
+    return _ordered_candidates(basis_vectors, box)
+  monkeypatch.setattr(certify_module, "_ordered_candidates", counting)
+  for name in ("two-patterns-2004", "two-patterns-2176", "two-patterns-2247",
+               "rank-6-3-1"):
+    A = REGRESSION[name][0]()
+    kernel = list(kernel_basis(A).basis)
+    calls.clear()
+    cert = certify(A)
+    assert (cert.verdict, cert.reason) == REGRESSION[name][1]
+    assert sum(basis == kernel for basis in calls) == 1, name
+
+
+def _reference_candidates(basis, box=3):
+  """The enumeration in Fraction vectors, as a slow reference."""
+  scored, seen = [], set()
+  for c in certify_module._coeff_enumeration(len(basis), box=box):
+    v = RatVector.zero(len(basis[0]))
+    for coef, b in zip(c, basis):
+      v = v + b.scale(coef)
+    if v.is_zero():
+      continue
+    key = primitive_integer_vector(v)
+    if key in seen:
+      continue
+    seen.add(key)
+    mixed = 1 if any(x < 0 for x in c) else 0
+    scored.append((-len(v.support()), sum(abs(x) for x in c), mixed, c, v))
+  scored.sort(key=lambda t: t[:4])
+  return [t[4] for t in scored]
+
+
+def test_integer_candidate_enumeration_matches_rational_reference():
+  for seed, (m, r) in enumerate([(4, 2), (5, 3), (6, 3), (6, 4), (5, 2)]):
+    basis = list(kernel_basis(sample_rank_r(m, r, seed=seed)).basis)
+    vectors, scale = _ordered_candidates(basis)
+    assert scale > 0
+    assert [RatVector.of([Fraction(x, scale) for x in v]) for v in vectors] \
+        == _reference_candidates(basis)
+
+
+def test_float_escape_probe_note_is_pinned():
+  # kernel spanned by (1,2,0,0,0,0) and (0,0,1,3,0,0): no kernel vector has
+  # a rational cube root, while every cube root lies in the image e1..e4
+  hinted = RatMatrix.of([[-2, 1, -6, 2, 1, 1], [-4, 2, -6, 2, -1, -1],
+                         [-4, 2, -3, 1, 2, -1], [4, -2, -3, 1, 0, -1],
+                         [0] * 6, [0] * 6])
+  base = "bounded search over rational directions found nothing"
+  hint = "a float scan suggests an irrational escape direction may exist"
+  assert necessary_escape_search(hinted).note == base + "; " + hint
+  assert necessary_escape_search(sample_rank_r(6, 3, seed=1)).note == base
+
+
+@pytest.mark.parametrize("name", ["planted-70", "two-patterns-2176"])
+def test_escape_chain_end_to_end(name):
+  A = REGRESSION[name][0]()
+  cert = certify(A)
+  assert (cert.verdict, cert.reason) == (NONPROPER, "escape-chain")
+  back = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+  assert verify_certificate(A, back)
+
+  recipe = back.witness()
+  assert recipe.frame is None
+  # an escape point z of x + A(x^3) lies in Im(A), and x = -z^3 + b with
+  # A b = z + A(z^3) has Ax = z, so F(x) = x + (Ax)^3 = b: F stays bounded
+  # while |x| grows like gamma^3.  Points are rebuilt in exact arithmetic
+  # at gamma = t^3 so that gamma^(1/3) = t.
+  zero = RatVector.zero(A.m)
+  r, v, v1 = (w if w is not None else zero
+              for w in (recipe.u_hat_root, recipe.v, recipe.v1))
+  rowspace = image_basis(A.transpose())
+  sizes = []
+  for t in (Fraction(10), Fraction(100)):
+    gamma = t ** 3
+    z = RatVector.of([
+      gamma * recipe.x_inf[i]
+      + (gamma * recipe.u1[i] + t * v1[i]) / (3 * gamma ** 2)
+      + t * r[i] + (v[i] / (3 * t * r[i] ** 2) if r[i] else 0)
+      for i in range(A.m)])
+    approx = build_witness_point(recipe, float(gamma))
+    assert all(abs(a - float(b)) <= 1e-9 * float(gamma)
+               for a, b in zip(approx, z))
+    b = solve_affine_in_subspace(A, identity_plus_image_power(A, z), rowspace)
+    assert b is not None
+    x = b - hpow(z, 3)
+    assert A.apply(x) == z
+    image = f_exact(A, x)
+    assert image == b
+    sizes.append((max(abs(c) for c in x), max(abs(c) for c in image)))
+  (x_small, f_small), (x_large, f_large) = sizes
+  assert x_large >= 10 ** 5 * x_small
+  assert f_large <= f_small <= 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import f_exact, f_hat_exact
 from propermap.hadamard import (
   ExactRootError,
+  cube_root_classes,
   hinv_pow,
   hpow,
   hprod,
@@ -17,6 +18,7 @@ from propermap.hadamard import (
   identity_plus_power,
   integer_kth_root,
   integer_root_floor,
+  rational_cube_root_direction,
   rational_kth_root,
   rational_kth_root_approx,
 )
@@ -200,3 +202,24 @@ def test_permutation_equivariance_of_the_map(data):
   left = identity_plus_power(B, P.apply(x))
   right = P.apply(identity_plus_power(A, x))
   assert left == right
+
+
+# coordinates c * q^3 with c in {1, 2}: one cube-ratio class often enough
+cube_heavy = st.lists(
+  st.builds(lambda c, q: c * q ** 3, st.sampled_from([0, 1, 2, -1]), rationals),
+  min_size=1, max_size=5).map(RatVector.of).filter(lambda v: not v.is_zero())
+
+
+@given(cube_heavy)
+@settings(max_examples=200, deadline=None)
+def test_cube_root_direction_matches_the_class_construction(g):
+  # reference: the direction exists exactly when there is one class, and is
+  # the cube root of each coordinate's ratio to the class representative
+  classes = cube_root_classes(g)
+  y = rational_cube_root_direction(g)
+  if len(classes) != 1:
+    assert y is None
+    return
+  ref = g[classes[0][0]]
+  assert y == RatVector.of([rational_kth_root(a / ref, 3) if a != 0 else 0
+                            for a in g])
