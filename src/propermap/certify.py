@@ -7,9 +7,9 @@ reduction.  A certificate records the verdict, the decisive reason, exact
 evidence, and an audit trail of everything that was tried.
 
 Proper certificates come from structural screens (kernel conditions, Gram
-rank, triangularity, a nonnegative pairing, a blocked kernel line) or from
-exhausting all escape directions.  NonProper certificates carry a witness
-recipe whose escape points can be generated and validated independently.
+rank, triangularity, a blocked kernel line) or from exhausting all escape
+directions.  NonProper certificates carry a witness recipe whose escape
+points can be generated and validated independently.
 
 All decisive arithmetic is exact over the rationals.  Floats appear only
 in clearly flagged numeric fallbacks, which can support a NonProper claim
@@ -19,7 +19,7 @@ in clearly flagged numeric fallbacks, which can support a NonProper claim
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -46,7 +46,12 @@ from .linalg import (
   solve_affine_in_subspace,
   subspace_image,
 )
-from .recipes import ConjugationFrame, WitnessRecipe
+from .recipes import (
+  ConjugationFrame,
+  WitnessRecipe,
+  _recipe_equations_hold,
+  _restrict,
+)
 
 PROPER = "Proper"
 NONPROPER = "NonProper"
@@ -56,7 +61,6 @@ UNDECIDED = "Undecided"
 REASON_KERNEL_GRAM = "kernel-in-gram-kernel"
 REASON_GRAM_RANK1 = "gram-rank-1"
 REASON_TRIANGULAR = "triangular"
-REASON_PAIRING = "nonneg-pairing"
 REASON_KERNEL_LINE = "kernel-line-blocked"
 REASON_CHAIN_UNSAT = "escape-chain-unsat"
 REASON_NO_ESCAPE = "no-escape-direction"
@@ -76,6 +80,13 @@ REASON_LINEAR_INVERTIBLE = "linear-map-invertible"
 REASON_LINEAR_SINGULAR = "linear-map-singular"
 
 FLOAT_TOL = 1e-9
+
+# kernel candidates are small integer combinations of the kernel basis with
+# coefficients in [-CANDIDATE_BOX, CANDIDATE_BOX]; the escape search reads
+# the first CANDIDATE_CAP of them, the corank >= 2 sweep keeps at most
+# CANDIDATE_CAP rational directions from the first 4 * CANDIDATE_CAP
+CANDIDATE_BOX = 3
+CANDIDATE_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -253,11 +264,6 @@ def _indicator_matrix(m: int, indices) -> RatMatrix:
   idx = set(indices)
   return RatMatrix.diagonal([Fraction(1) if i in idx else Fraction(0)
                              for i in range(m)])
-
-
-def _restrict(v: RatVector, indices) -> RatVector:
-  idx = set(indices)
-  return RatVector.of([v[i] if i in idx else Fraction(0) for i in range(len(v))])
 
 
 def _repair_solution(u0: RatVector, kernel: Subspace,
@@ -459,7 +465,7 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
       return found(d)
     return EscapeSearch(None, None, False,
                         "an escape image vector exists but is irrational")
-  for d in an.kernel_directions(box=3, count=400):
+  for d in an.kernel_directions(CANDIDATE_BOX, CANDIDATE_CAP):
     if d is None:
       continue
     x = solve_affine_in_subspace(A, d, rowspace)
@@ -497,16 +503,14 @@ def _kernel_in_gram_kernel(an: Analysis) -> bool:
   return all(an.gram.apply(b).is_zero() for b in an.kernel.basis)
 
 
-def sufficient_screens(A: RatMatrix | Analysis, zeta: RatVector | None = None
+def sufficient_screens(A: RatMatrix | Analysis
                        ) -> tuple[Certificate | None, list[AuditEntry]]:
   """Structural conditions, each alone implying properness, tried in order.
 
   The screens: every kernel vector of A also kills A A^T (which covers
   invertible, symmetric and antisymmetric matrices); A A^T has rank one;
-  A is triangular; a user-supplied positive weight zeta makes the pairing
-  <A(x^3), zeta*x> nonnegative on the reduced subspace (certified exactly
-  only when that subspace is a line); the kernel is the all-ones line and
-  the ones vector misses the reduced subspace or its image.
+  A is triangular; the kernel is the all-ones line and the ones vector
+  misses the reduced subspace or its image.
   """
   an = _analysis(A)
   A = an.A
@@ -537,73 +541,10 @@ def sufficient_screens(A: RatMatrix | Analysis, zeta: RatVector | None = None
     return cert, audit
   audit.append(AuditEntry("screen:triangular", "no"))
 
-  if zeta is not None:
-    cert = _zeta_screen(an, zeta, audit)
-    if cert is not None:
-      return cert, audit
-
   cert = _ones_kernel_screen(an, audit)
   if cert is not None:
     return cert, audit
   return None, audit
-
-
-def _zeta_screen(an: Analysis, zeta: RatVector,
-                 audit: list[AuditEntry]) -> Certificate | None:
-  if any(z <= 0 for z in zeta):
-    raise ValueError("pairing weight zeta must be positive in every coordinate")
-  A, V = an.A, an.gram_image
-  if V.dim == 1:
-    b = V.basis[0]
-    # sign of <A((tb)^3), zeta*(tb)> is the sign of t^4 <A(b^3), zeta*b>
-    val = A.apply(hpow(b, 3)).dot(hprod(zeta, b))
-    if val >= 0:
-      audit.append(AuditEntry("screen:nonneg-pairing", "fires",
-                              f"pairing value {val} on the generating line"))
-      return Certificate(PROPER, REASON_PAIRING, A,
-                         evidence={"zeta": zeta, "basis_vector": b,
-                                   "pairing_value": val})
-    audit.append(AuditEntry("screen:nonneg-pairing", "no",
-                            f"pairing is negative ({val}) on the line"))
-    return None
-  violation = nonneg_pairing_falsifier(an, zeta)
-  if violation is not None:
-    audit.append(AuditEntry("screen:nonneg-pairing", "refuted",
-                            "sampling found a negative pairing value"))
-  else:
-    audit.append(AuditEntry(
-      "screen:nonneg-pairing", "inconclusive",
-      "no violation sampled, but certification needs a one-dimensional "
-      "reduced subspace"))
-  return None
-
-
-def nonneg_pairing_falsifier(A: RatMatrix | Analysis, zeta: RatVector,
-                             samples: int = 200, seed: int = 0
-                             ) -> tuple[float, ...] | None:
-  """Sample the reduced subspace for <A(x^3), zeta*x> < 0; None if unseen."""
-  if any(z <= 0 for z in zeta):
-    raise ValueError("pairing weight zeta must be positive in every coordinate")
-  an = _analysis(A)
-  A, V = an.A, an.gram_image
-  if V.dim == 0:
-    return None
-  import numpy as np
-  rng = np.random.default_rng(seed)
-  basis = np.array([[float(x) for x in b] for b in V.basis]).T
-  Af = np.array([[float(A.entry(i, j)) for j in range(A.m)] for i in range(A.m)])
-  zf = np.array([float(z) for z in zeta])
-  for _ in range(samples):
-    c = rng.uniform(-1.0, 1.0, V.dim)
-    x = basis @ c
-    nx = np.linalg.norm(x)
-    if nx < 1e-12:
-      continue
-    x /= nx
-    val = float((Af @ (x ** 3)) @ (zf * x))
-    if val < -1e-9:
-      return tuple(float(t) for t in x)
-  return None
 
 
 def _ones_kernel_screen(an: Analysis,
@@ -976,54 +917,39 @@ def _numeric_chain_recipe(report: ConditionSetReport,
                        u_hat_root=vec(stage.target), frame=frame, numeric=True)
 
 
-def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
-  """Decision procedure when the kernel of A is one line.
+def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
+  """Decide one rational direction y whose cube y^3 lies in the kernel.
 
-  When the cube root of the kernel direction is rational and has no zero
-  coordinate, the direct escape characterization is an equivalence and
-  the verdict is exact.  With zeros, the direction goes through the chain
-  conditions.  An unsatisfied exact chain proves properness, and a
-  satisfied one of depth at most two gives a witness; a deeper one ends
-  Undecided.  A chain that needs an irrational cube root switches to
-  floats and ends NonProper with a "-numeric" reason, or Undecided.
-  Irrational directions get an exact blocking test, then a numeric
-  fallback that can only refute.
+  With no zero coordinate the direct escape characterization decides: y
+  outside the reduced subspace or failing the escape check blocks the
+  direction (Proper), passing it gives a simple witness.  With zeros, y is
+  brought to a 0/1 pattern and the chain conditions decide: unsatisfied
+  and exact is Proper, satisfied with a depth of at most two gives a chain
+  witness, and anything else is Undecided.  The audit holds only this
+  direction's steps.
   """
-  an = _analysis(A)
-  A, K = an.A, an.kernel
-  if K.dim != 1:
-    raise ValueError("corank1_decide requires a matrix of corank exactly one")
+  A, V = an.A, an.gram_image
   audit: list[AuditEntry] = []
-  g = primitive_integer_vector(K.basis[0])
-  V = an.gram_image
-  audit.append(AuditEntry("kernel-line", "found",
-                          "primitive generator (" +
-                          ", ".join(str(x) for x in g) + ")"))
 
-  y = rational_cube_root_direction(g)
-  if y is None:
-    return _corank1_irrational(A, g, V, audit)
+  def cert(verdict: str, reason: str, **evidence) -> Certificate:
+    return Certificate(verdict, reason, A, evidence=evidence,
+                       audit=tuple(audit))
 
   if all(a != 0 for a in y):
-    if not V.contains(y):
+    if V.contains(y):
+      ok, u, note = escape_direction_check(A, V, y)
+      audit.append(AuditEntry("escape-direction",
+                              "satisfied" if ok else "fails", note))
+      if ok:
+        recipe = WitnessRecipe(kind="simple", x_inf=y, u=u)
+        return cert(NONPROPER, REASON_ESCAPE, recipe=recipe, direction=y, u=u)
+    else:
       audit.append(AuditEntry("membership", "fails",
                               "kernel cube root is outside the reduced subspace"))
-      return Certificate(PROPER, REASON_KERNEL_LINE, A,
-                         evidence={"generator": g, "direction": y,
-                                   "failed": "direction not in reduced subspace"},
-                         audit=tuple(audit))
-    ok, u, note = escape_direction_check(A, V, y)
-    if ok:
-      audit.append(AuditEntry("escape-direction", "satisfied", note))
-      recipe = WitnessRecipe(kind="simple", x_inf=y, u=u)
-      return Certificate(NONPROPER, REASON_ESCAPE, A,
-                         evidence={"recipe": recipe, "direction": y, "u": u},
-                         audit=tuple(audit))
-    audit.append(AuditEntry("escape-direction", "fails", note))
-    return Certificate(PROPER, REASON_KERNEL_LINE, A,
-                       evidence={"generator": g, "direction": y,
-                                 "failed": note},
-                       audit=tuple(audit))
+      note = "direction not in reduced subspace"
+    return cert(PROPER, REASON_KERNEL_LINE,
+                generator=primitive_integer_vector(hpow(y, 3)), direction=y,
+                failed=note)
 
   # zeros present: bring the direction to a 0/1 pattern, then run the chain
   if all(a in (0, 1) for a in y.entries):
@@ -1038,32 +964,53 @@ def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
   audit.append(AuditEntry("condition-chain",
                           "satisfied" if rep.satisfied else "unsatisfied",
                           rep.failure or f"depth {rep.depth}"))
-  if rep.satisfied and not rep.numeric_only:
-    recipe = _chain_recipe(rep, VB, frame)
-    if recipe is not None:
-      return Certificate(NONPROPER, REASON_CHAIN, A,
-                         evidence={"recipe": recipe, "chain": rep},
-                         audit=tuple(audit))
-    audit.append(AuditEntry("witness", "unsupported",
-                            f"chain depth {rep.depth} has no closed-form points"))
-    return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
-                       evidence={"chain": rep}, audit=tuple(audit))
-  if rep.satisfied and rep.numeric_only:
-    recipe = _numeric_chain_recipe(rep, frame)
-    if recipe is not None:
-      return Certificate(NONPROPER, REASON_CHAIN + NUMERIC_SUFFIX, A,
-                         evidence={"recipe": recipe, "chain": rep},
-                         audit=tuple(audit))
-    return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
-                       evidence={"chain": rep}, audit=tuple(audit))
+  if not rep.satisfied:
+    if rep.numeric_only:
+      return cert(UNDECIDED, REASON_OUT_OF_SCOPE, chain=rep,
+                  note="numeric chain unsatisfied; properness cannot be "
+                  "certified from floats")
+    return cert(PROPER, REASON_CHAIN_UNSAT, chain=rep)
   if rep.numeric_only:
-    return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
-                       evidence={"chain": rep,
-                                 "note": "numeric chain unsatisfied; properness "
-                                 "cannot be certified from floats"},
-                       audit=tuple(audit))
-  return Certificate(PROPER, REASON_CHAIN_UNSAT, A,
-                     evidence={"chain": rep}, audit=tuple(audit))
+    recipe = _numeric_chain_recipe(rep, frame)
+    reason = REASON_CHAIN + NUMERIC_SUFFIX
+  else:
+    recipe = _chain_recipe(rep, VB, frame)
+    reason = REASON_CHAIN
+    if recipe is None:
+      audit.append(AuditEntry("witness", "unsupported",
+                              f"chain depth {rep.depth} has no closed-form "
+                              "points"))
+  if recipe is not None:
+    return cert(NONPROPER, reason, recipe=recipe, chain=rep)
+  return cert(UNDECIDED, REASON_OUT_OF_SCOPE, chain=rep)
+
+
+def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
+  """Decision procedure when the kernel of A is one line.
+
+  When the cube root of the kernel direction is rational and has no zero
+  coordinate, the direct escape characterization is an equivalence and
+  the verdict is exact.  With zeros, the direction goes through the chain
+  conditions.  An unsatisfied exact chain proves properness, and a
+  satisfied one of depth at most two gives a witness; a deeper one ends
+  Undecided.  A chain that needs an irrational cube root switches to
+  floats and ends NonProper with a "-numeric" reason, or Undecided.
+  Irrational directions get an exact blocking test, then a numeric
+  fallback that can only refute.
+  """
+  an = _analysis(A)
+  K = an.kernel
+  if K.dim != 1:
+    raise ValueError("corank1_decide requires a matrix of corank exactly one")
+  g = primitive_integer_vector(K.basis[0])
+  audit = [AuditEntry("kernel-line", "found",
+                      "primitive generator (" +
+                      ", ".join(str(x) for x in g) + ")")]
+  y = rational_cube_root_direction(g)
+  if y is None:
+    return _corank1_irrational(an.A, g, an.gram_image, audit)
+  decided = _decide_direction(an, y)
+  return replace(decided, audit=tuple(audit) + decided.audit)
 
 
 def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
@@ -1118,24 +1065,17 @@ def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
                      audit=tuple(audit))
 
 
-def kernel_cuberoot_candidates(A: RatMatrix | Analysis, box: int = 3,
-                               cap: int = 400
-                               ) -> tuple[list[RatVector], bool]:
-  """Rational directions y with y^3 in Ker(A), plus a completeness flag.
+def kernel_cuberoot_candidates(A: RatMatrix | Analysis) -> list[RatVector]:
+  """Rational directions y with y^3 in Ker(A), widest support first.
 
-  The directions come from the first 4 * cap kernel combinations of the
-  enumeration the escape search reads, at most cap of them.  The flag is
-  True only when the list provably exhausts all candidate lines: trivial
-  kernels, and corank one whose generator has a rational cube-root
-  direction.
+  The directions come from the first 4 * CANDIDATE_CAP kernel combinations
+  of the enumeration the escape search reads, at most CANDIDATE_CAP of
+  them, one per line.
   """
   an = _analysis(A)
-  K = an.kernel
-  if K.dim == 0:
-    return [], True
   found: list[RatVector] = []
   seen: set[tuple] = set()
-  for y in an.kernel_directions(box, cap * 4):
+  for y in an.kernel_directions(CANDIDATE_BOX, CANDIDATE_CAP * 4):
     if y is None:
       continue
     key = tuple(primitive_integer_vector(y).entries)
@@ -1143,32 +1083,28 @@ def kernel_cuberoot_candidates(A: RatMatrix | Analysis, box: int = 3,
       continue
     seen.add(key)
     found.append(y)
-    if len(found) >= cap:
+    if len(found) >= CANDIDATE_CAP:
       break
   found.sort(key=lambda v: (-len(v.support()),
                             sum(abs(x) for x in v.entries)))
-  complete = (K.dim == 1 and
-              rational_cube_root_direction(
-                primitive_integer_vector(K.basis[0])) is not None)
-  return found, complete
+  return found
 
 
-def certify(A: RatMatrix, zeta: RatVector | None = None,
-            candidate_box: int = 3, candidate_cap: int = 400) -> Certificate:
+def certify(A: RatMatrix) -> Certificate:
   """Decide properness of x + (Ax)^3 and certify the verdict.
 
   Pipeline: the structural screens; when none fires, the exact search for
   escape raw material, whose provable emptiness proves properness; the
-  corank-one procedure; then a sweep of kernel cube-root directions
-  through the escape characterizations.  The first decisive step wins.
-  One Analysis of A serves every step.  The audit trail opens with the
-  escape search, marked skipped when a screen decided, and records
-  everything evaluated.
+  corank-one procedure; then a sweep of kernel cube-root directions, each
+  decided like the corank-one direction, until one refutes properness.
+  The first decisive step wins.  One Analysis of A serves every step.  The
+  audit trail opens with the escape search, marked skipped when a screen
+  decided, and records everything evaluated.
   """
   an = Analysis(A)
   m = A.m
 
-  screen_cert, screen_audit = sufficient_screens(an, zeta)
+  screen_cert, screen_audit = sufficient_screens(an)
   if screen_cert is not None:
     audit = [AuditEntry("escape-search", "skipped",
                         "a structural screen decided first")] + screen_audit
@@ -1194,67 +1130,18 @@ def certify(A: RatMatrix, zeta: RatVector | None = None,
                        audit=tuple(audit) + inner.audit)
     return _validated(A, cert)
 
-  candidates, complete = kernel_cuberoot_candidates(an, candidate_box,
-                                                    candidate_cap)
+  candidates = kernel_cuberoot_candidates(an)
   audit.append(AuditEntry("candidate-sweep", "enumerated",
-                          f"{len(candidates)} rational direction(s); "
-                          f"complete={complete}"))
-  V = an.gram_image
+                          f"{len(candidates)} rational direction(s)"))
   for y in candidates:
-    if all(a != 0 for a in y):
-      if not V.contains(y):
-        audit.append(AuditEntry("candidate", "blocked",
-                                "direction outside the reduced subspace"))
-        continue
-      ok, u, note = escape_direction_check(A, V, y)
-      audit.append(AuditEntry("candidate", "escape" if ok else "no escape",
-                              note))
-      if ok:
-        recipe = WitnessRecipe(kind="simple", x_inf=y, u=u)
-        cert = Certificate(NONPROPER, REASON_ESCAPE, A,
-                           evidence={"recipe": recipe, "direction": y, "u": u},
-                           audit=tuple(audit))
-        return _validated(A, cert)
-      continue
-    try:
-      if all(a in (0, 1) for a in y.entries):
-        anB, frame, x_pat = an, None, y
-      else:
-        norm = normalize_kernel_direction(A, hpow(y, 3))
-        anB, frame, x_pat = Analysis(norm.matrix), norm.frame, norm.generator
-    except ValueError:
-      continue
-    VB = anB.gram_image
-    rep = condition_chain(anB, DirectionProfile.from_vector(x_pat), VB, "S")
-    audit.append(AuditEntry("candidate-chain",
-                            "satisfied" if rep.satisfied else "unsatisfied",
-                            rep.failure or f"depth {rep.depth}"))
-    if rep.satisfied and not rep.numeric_only:
-      recipe = _chain_recipe(rep, VB, frame)
-      if recipe is not None:
-        cert = Certificate(NONPROPER, REASON_CHAIN, A,
-                           evidence={"recipe": recipe, "chain": rep},
-                           audit=tuple(audit))
-        return _validated(A, cert)
-      audit.append(AuditEntry("witness", "unsupported",
-                              f"chain depth {rep.depth} has no closed-form "
-                              "points"))
-    elif rep.satisfied and rep.numeric_only:
-      recipe = _numeric_chain_recipe(rep, frame)
-      if recipe is not None:
-        cert = Certificate(NONPROPER, REASON_CHAIN + NUMERIC_SUFFIX, A,
-                           evidence={"recipe": recipe, "chain": rep},
-                           audit=tuple(audit))
-        return _validated(A, cert)
-
-  if not candidates and complete:
-    return Certificate(PROPER, REASON_NO_ESCAPE, A,
-                       evidence={"note": "no rational escape directions exist"},
-                       audit=tuple(audit))
+    decided = _decide_direction(an, y)
+    audit.extend(decided.audit)
+    # a kernel combination is not the whole kernel, so only a witness decides
+    if decided.verdict == NONPROPER:
+      return _validated(A, replace(decided, audit=tuple(audit)))
   return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
                      evidence={"note": "no screen fired and the candidate "
-                               "sweep was not decisive",
-                               "candidates_complete": complete},
+                               "sweep was not decisive"},
                      audit=tuple(audit))
 
 
@@ -1308,50 +1195,20 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
       return an.gram_image.dim == 1
     if reason == REASON_TRIANGULAR:
       return A.is_upper_triangular() or A.is_lower_triangular()
-    if reason == REASON_PAIRING:
-      zeta = cert.evidence.get("zeta")
-      V = an.gram_image
-      if zeta is None or V.dim != 1:
-        return False
-      b = V.basis[0]
-      return A.apply(hpow(b, 3)).dot(hprod(zeta, b)) >= 0
-    if reason == REASON_KERNEL_LINE:
+    if reason in (REASON_KERNEL_LINE, REASON_CHAIN_UNSAT):
       K = an.kernel
       if K.dim != 1:
         return False
       g = primitive_integer_vector(K.basis[0])
-      V = an.gram_image
       y = rational_cube_root_direction(g)
       if y is None:
-        return not cube_root_in_subspace(g, V)
-      if not V.contains(y):
-        return True
-      if all(a != 0 for a in y):
-        ok, _, _ = escape_direction_check(A, V, y)
-        return not ok
-      return False
-    if reason == REASON_CHAIN_UNSAT:
-      K = an.kernel
-      if K.dim != 1:
-        return False
-      g = primitive_integer_vector(K.basis[0])
-      y = rational_cube_root_direction(g)
-      if y is None or all(a != 0 for a in y):
-        return False
-      if all(a in (0, 1) for a in y.entries):
-        anB, x_pat = an, y
-      else:
-        norm = normalize_kernel_direction(A, hpow(y, 3))
-        anB, x_pat = Analysis(norm.matrix), norm.generator
-      rep = condition_chain(anB, DirectionProfile.from_vector(x_pat),
-                            anB.gram_image, "S")
-      return not rep.satisfied and not rep.numeric_only
+        return (reason == REASON_KERNEL_LINE
+                and not cube_root_in_subspace(g, an.gram_image))
+      decided = _decide_direction(an, y)
+      return decided.verdict == PROPER and decided.reason == reason
     if reason == REASON_NO_ESCAPE:
       s = necessary_escape_search(an)
-      if s.candidate is None and s.none_is_proof:
-        return True
-      cands, complete = kernel_cuberoot_candidates(an)
-      return complete and not cands
+      return s.candidate is None and s.none_is_proof
     return False
   if cert.verdict == NONPROPER:
     recipe = cert.witness()
@@ -1363,52 +1220,3 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
     return validate_witness(A, recipe).passed
   return False
 
-
-def _recipe_equations_hold(A: RatMatrix, recipe: WitnessRecipe) -> bool:
-  """Exact re-check of the defining equations of a rational recipe."""
-  B = recipe.frame.conjugate(A) if recipe.frame is not None else A
-  x_inf = recipe.x_inf
-  if not B.apply(hpow(x_inf, recipe.k)).is_zero():
-    return False
-  if recipe.kind == "simple":
-    return B.apply(recipe.u) == -x_inf
-  if B.apply(recipe.u) != -x_inf:
-    return False
-  V = gram_image(B)
-  if not V.contains(x_inf):
-    return False
-  m = len(x_inf)
-  support = set(x_inf.support())
-  u_hat = _restrict(recipe.u, [i for i in range(m) if i not in support])
-  if recipe.u_hat_root is None:
-    if not u_hat.is_zero():
-      return False
-    if recipe.u1 is None or not V.contains(recipe.u1):
-      return False
-    return _restrict(recipe.u1, support) == _restrict(recipe.u, support)
-  root = recipe.u_hat_root
-  for i in range(m):
-    if i in support:
-      if root[i] != 0:
-        return False
-    elif root[i] ** 3 != u_hat[i]:
-      return False
-  if recipe.v is None or B.apply(recipe.v) != -root:
-    return False
-  nz = set(root.support())
-  # v must vanish where the hat of u does, or the gamma^(1/3) orders clash
-  for i in range(m):
-    if i not in support and i not in nz and recipe.v[i] != 0:
-      return False
-  if not V.contains(root):
-    return False
-  paired = RatVector.of([recipe.v[i] / root[i] ** 2 if i in nz else Fraction(0)
-                         for i in range(m)])
-  if not V.contains(paired):
-    return False
-  for lifted, original in ((recipe.u1, recipe.u), (recipe.v1, recipe.v)):
-    if lifted is None or not V.contains(lifted):
-      return False
-    if _restrict(lifted, support) != _restrict(original, support):
-      return False
-  return True

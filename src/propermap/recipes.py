@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, RatVector
+from .hadamard import hpow
+from .linalg import RatMatrix, RatVector, image_basis
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,61 @@ class WitnessRecipe:
       raise ValueError("power k must be >= 1")
     if len(self.u) != len(self.x_inf):
       raise ValueError("u and x_inf live in different dimensions")
+
+
+def _restrict(v: RatVector, indices) -> RatVector:
+  idx = set(indices)
+  return RatVector.of([v[i] if i in idx else Fraction(0) for i in range(len(v))])
+
+
+def _recipe_equations_hold(A: RatMatrix, recipe: WitnessRecipe) -> bool:
+  """Exact re-check of the defining equations of a rational recipe."""
+  B = recipe.frame.conjugate(A) if recipe.frame is not None else A
+  x_inf = recipe.x_inf
+  if not B.apply(hpow(x_inf, recipe.k)).is_zero():
+    return False
+  if recipe.kind == "simple":
+    return B.apply(recipe.u) == -x_inf
+  if B.apply(recipe.u) != -x_inf:
+    return False
+  V = image_basis(B.gram())    # the reduced subspace, Im(B B^T)
+  if not V.contains(x_inf):
+    return False
+  m = len(x_inf)
+  support = set(x_inf.support())
+  u_hat = _restrict(recipe.u, [i for i in range(m) if i not in support])
+  if recipe.u_hat_root is None:
+    if not u_hat.is_zero():
+      return False
+    if recipe.u1 is None or not V.contains(recipe.u1):
+      return False
+    return _restrict(recipe.u1, support) == _restrict(recipe.u, support)
+  root = recipe.u_hat_root
+  for i in range(m):
+    if i in support:
+      if root[i] != 0:
+        return False
+    elif root[i] ** 3 != u_hat[i]:
+      return False
+  if recipe.v is None or B.apply(recipe.v) != -root:
+    return False
+  nz = set(root.support())
+  # v must vanish where the hat of u does, or the gamma^(1/3) orders clash
+  for i in range(m):
+    if i not in support and i not in nz and recipe.v[i] != 0:
+      return False
+  if not V.contains(root):
+    return False
+  paired = RatVector.of([recipe.v[i] / root[i] ** 2 if i in nz else Fraction(0)
+                         for i in range(m)])
+  if not V.contains(paired):
+    return False
+  for lifted, original in ((recipe.u1, recipe.u), (recipe.v1, recipe.v)):
+    if lifted is None or not V.contains(lifted):
+      return False
+    if _restrict(lifted, support) != _restrict(original, support):
+      return False
+  return True
 
 
 def build_witness_point(recipe: WitnessRecipe, gamma: float) -> tuple[float, ...]:

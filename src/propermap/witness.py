@@ -22,11 +22,14 @@ from .certify import (
   PROPER,
   REASON_LINEAR_INVERTIBLE,
   REASON_LINEAR_SINGULAR,
-  _recipe_equations_hold,
 )
 from .hadamard import hpow
 from .linalg import RatMatrix, RatVector, det, kernel_basis, primitive_integer_vector
-from .recipes import WitnessRecipe, build_witness_point
+from .recipes import (
+  WitnessRecipe,
+  _recipe_equations_hold,
+  build_witness_point,
+)
 
 DEFAULT_GAMMAS = tuple(10.0 ** e for e in range(1, 7))
 

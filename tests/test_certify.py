@@ -1,9 +1,12 @@
 """The decision pipeline: screens, the corank-1 procedure, and certificates."""
 
+import ast
 import importlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +65,10 @@ certify_module = importlib.import_module("propermap.certify")
 # is irrational, every membership it needs holds, and the escape system has
 # no solution even numerically, so no screen can decide the instance
 UNDECIDED_FIXTURE = [[1, 1, -1], [1, 1, -1], [1, -1, 0]]
+
+# a corank-1 matrix whose full-support kernel cube root is rational but not
+# constant, so no screen fires and the direction decides
+BLOCKED_DIRECTION = [[3, 0, -3], [6, 0, -6], [-3, Fraction(-1, 8), 4]]
 
 
 def test_escape_search_invertible_matrix_is_a_proof():
@@ -315,15 +322,11 @@ def test_corank1_is_decisive_on_all_ones_kernels():
 
 
 def test_kernel_cuberoot_candidates_identity_has_none():
-  cands, complete = kernel_cuberoot_candidates(RatMatrix.identity(3))
-  assert cands == []
-  assert complete
+  assert kernel_cuberoot_candidates(RatMatrix.identity(3)) == []
 
 
 def test_kernel_cuberoot_candidates_golden_contains_ones():
-  cands, complete = kernel_cuberoot_candidates(golden_3x3())
-  assert complete
-  assert RatVector.of([1, 1, 1]) in cands
+  assert RatVector.of([1, 1, 1]) in kernel_cuberoot_candidates(golden_3x3())
 
 
 def test_certificate_audit_records_the_pipeline():
@@ -355,6 +358,10 @@ REGRESSION = {
   "ones-kernel-4": (lambda: ones_kernel_sample(random.Random(1), 4),
                     (PROPER, "kernel-line-blocked")),
   "golden-3x3": (golden_3x3, (NONPROPER, "escape-direction")),
+  # kernel line (1, 8, 1): its cube root (1, 2, 1) lies in the image, so the
+  # escape search finds it, and the escape check then blocks it
+  "blocked-direction-3": (lambda: RatMatrix.of(BLOCKED_DIRECTION),
+                          (PROPER, "kernel-line-blocked")),
   "undecided-fixture": (lambda: RatMatrix.of(UNDECIDED_FIXTURE),
                         (UNDECIDED, "outside-decidable-screens")),
   "planted-0": (lambda: planted_pattern(random.Random(0), 3),
@@ -395,17 +402,62 @@ def test_certify_regression_table(name):
   assert (cert.verdict, cert.reason) == expected
 
 
-def test_certify_regression_pairing_weight_and_linear_case():
-  A = planted_pattern(random.Random(0), 3)
-  cert = certify(A, zeta=RatVector.of([1, 2, 3]))
-  assert (cert.verdict, cert.reason) == (PROPER, "kernel-line-blocked")
-  steps = {a.step: a.outcome for a in cert.audit}
-  assert steps["screen:nonneg-pairing"] == "refuted"
+@pytest.mark.parametrize("name", sorted(
+  name for name, (_, (verdict, _)) in REGRESSION.items()
+  if verdict != UNDECIDED))
+def test_certify_regression_certificates_verify_after_json(name):
+  A = REGRESSION[name][0]()
+  cert = certify(A)
+  back = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+  assert verify_certificate(A, back)
+
+
+def test_verify_certificate_rejects_a_swapped_proper_reason():
+  # each Proper reason below names an argument that does not hold for the
+  # matrix, so the certificate must fail although its verdict is right
+  swaps = [("planted-0", "escape-chain-unsat"),
+           ("planted-1", "kernel-line-blocked"),
+           ("planted-1", "no-escape-direction"),
+           ("blocked-direction-3", "escape-chain-unsat"),
+           ("blocked-direction-3", "no-escape-direction"),
+           ("two-patterns-2000", "kernel-line-blocked"),
+           ("two-patterns-2000", "escape-chain-unsat"),
+           # its kernel direction has zeros: the chain decides it, not the
+           # full-support escape check that blocks a kernel line
+           ("planted-2", "kernel-line-blocked")]
+  for name, reason in swaps:
+    A = REGRESSION[name][0]()
+    cert = certify(A)
+    assert cert.verdict == PROPER and cert.reason != reason
+    assert verify_certificate(A, cert)
+    assert not verify_certificate(A, replace(cert, reason=reason)), \
+      (name, reason)
+  # a swap to an argument that also holds is still a valid certificate: the
+  # kernel line of planted-0 is all ones and misses the image
+  A = REGRESSION["planted-0"][0]()
+  assert verify_certificate(
+    A, replace(certify(A), reason="no-escape-direction"))
+
+
+def test_linear_case_regression():
   for A, expected in ((golden_3x3(), (PROPER, "linear-map-invertible")),
                       (RatMatrix.identity(2).scale(-1),
                        (NONPROPER, "linear-map-singular"))):
     cert = k1_properness(A)
     assert (cert.verdict, cert.reason) == expected
+    assert verify_certificate(A, cert)
+
+
+def test_certify_and_witness_share_no_private_names():
+  # certify and witness may use each other's public names only
+  package = Path(certify_module.__file__).parent
+  for module, other in (("certify", "witness"), ("witness", "certify")):
+    tree = ast.parse((package / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+      if isinstance(node, ast.ImportFrom) and node.module in (
+          other, f"propermap.{other}"):
+        private = [a.name for a in node.names if a.name.startswith("_")]
+        assert not private, (module, other, private)
 
 
 def test_screens_decide_without_the_escape_search(monkeypatch):
