@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -174,7 +173,6 @@ class DensityRow:
   r: int
   verdict: str
   reason: str
-  millis: int
 
 
 @dataclass(frozen=True)
@@ -191,10 +189,9 @@ class DensitySummary:
   def to_csv(self) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["seed", "m", "r", "verdict", "reason", "millis"])
+    writer.writerow(["seed", "m", "r", "verdict", "reason"])
     for row in self.rows:
-      writer.writerow([row.seed, row.m, row.r, row.verdict,
-                       row.reason, row.millis])
+      writer.writerow([row.seed, row.m, row.r, row.verdict, row.reason])
     return buf.getvalue()
 
 
@@ -208,10 +205,8 @@ def density_experiment(m: int, r: int, trials: int, seed: int = 0,
   for i in range(trials):
     trial_seed = seed + i
     A = sample_rank_r(m, r, coeff_box=coeff_box, seed=trial_seed)
-    start = time.perf_counter()
     cert = certify(A)
-    millis = int(round((time.perf_counter() - start) * 1000))
-    rows.append(DensityRow(trial_seed, m, r, cert.verdict, cert.reason, millis))
+    rows.append(DensityRow(trial_seed, m, r, cert.verdict, cert.reason))
     counts[cert.verdict] = counts.get(cert.verdict, 0) + 1
   return DensitySummary(m, r, trials, seed, tuple(rows), counts)
 

@@ -266,8 +266,8 @@ def density_summary_to_json(summary: DensitySummary) -> dict:
           "seed": summary.seed,
           "counts": dict(sorted(summary.counts.items())),
           "rows": [{"seed": row.seed, "m": row.m, "r": row.r,
-                    "verdict": row.verdict, "reason": row.reason,
-                    "millis": row.millis} for row in summary.rows]}
+                    "verdict": row.verdict, "reason": row.reason}
+                   for row in summary.rows]}
 
 
 def dumps(obj) -> str:

@@ -271,8 +271,10 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   The probe runs projected gradient descent from curated and seeded
   random starts (plus dense sampling in dimension at most 3) on spheres
   of radius 2^0 .. 2^10 by default, entirely in floats, deterministically
-  for a fixed seed.  It observes rather than proves: the outcome is
-  GrowthObserved, BoundedObserved, or Inconclusive.
+  for a fixed seed.  All starts of one radius descend together as the rows
+  of one array, each row with its own step size and stopping test.  It
+  observes rather than proves: the outcome is GrowthObserved,
+  BoundedObserved, or Inconclusive.
   """
   import numpy as np
   m = A.m
@@ -286,17 +288,21 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
        any(b <= a for a, b in zip(radii, radii[1:])):
       raise ValueError("radii must be at least four increasing positive values")
 
-  def f_map(x):
-    return x + (Af @ x) ** k
+  AfT = np.ascontiguousarray(Af.T)
+  ones_m = np.ones(m)
 
-  def h(x):
-    y = f_map(x)
-    return float(y @ y)
+  def row_dots(X, Y):
+    # on arrays this small a product with a ones vector is the cheapest
+    # row sum numpy offers
+    return (X * Y) @ ones_m
 
-  def grad_h(x):
-    y = f_map(x)
-    jac_t = np.eye(m) + k * (Af.T * ((Af @ x) ** (k - 1)))
-    return 2.0 * (jac_t @ y)
+  def row_norms(X):
+    return np.sqrt(row_dots(X, X))
+
+  def h(X):
+    # squared map norm of every row of X
+    Y = X + (X @ AfT) ** k
+    return row_dots(Y, Y)
 
   starts = []
   ones = np.ones(m) / math.sqrt(m)
@@ -323,71 +329,76 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   for _ in range(n_random_starts):
     v = rng.normal(size=m)
     starts.append(v / np.linalg.norm(v))
-  dense = []
+  starts = np.array(starts)
+  dense = None
   if m == 1:
-    dense = [np.array([1.0]), np.array([-1.0])]
+    dense = np.array([[1.0], [-1.0]])
   elif m == 2:
-    dense = [np.array([math.cos(t), math.sin(t)])
-             for t in np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)]
+    t = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    dense = np.column_stack([np.cos(t), np.sin(t)])
   elif m == 3:
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    for i in range(128):
-      z = 1.0 - 2.0 * (i + 0.5) / 128
-      rad = math.sqrt(max(0.0, 1.0 - z * z))
-      th = golden * i
-      dense.append(np.array([rad * math.cos(th), rad * math.sin(th), z]))
+    i = np.arange(128)
+    z = 1.0 - 2.0 * (i + 0.5) / 128
+    rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    th = math.pi * (3.0 - math.sqrt(5.0)) * i
+    dense = np.column_stack([rad * np.cos(th), rad * np.sin(th), z])
 
-  def descend(s, r):
-    x = s * r
-    fx = h(x)
-    eta = 0.1
+  def descend(S, r):
+    """Projected gradient descent on the r-sphere from every row of S.
+
+    A row accepts a step only on strict decrease, then grows its step size
+    (capped at 0.5); otherwise it halves it.  A row stops when its
+    tangential gradient vanishes or its step size underflows; the loop
+    ends when every row has stopped or after `iterations` rounds.
+    """
+    X = S * r
+    fx = h(X)
+    eta = np.full(len(X), 0.1)
+    live = np.ones(len(X), dtype=bool)
     for _ in range(iterations):
-      g = grad_h(x)
-      xh = x / np.linalg.norm(x)
-      g_t = g - (g @ xh) * xh
-      gn = np.linalg.norm(g_t)
-      if gn < 1e-14:
+      AX = X @ AfT
+      Y = X + AX ** k
+      G = 2.0 * (Y + k * (AX ** (k - 1) * Y) @ Af)
+      Xh = X / row_norms(X)[:, None]
+      Gt = G - row_dots(G, Xh)[:, None] * Xh
+      gn = row_norms(Gt)
+      live &= gn >= 1e-14
+      if not live.any():
         break
-      trial = x - eta * r * g_t / gn
-      trial = trial / np.linalg.norm(trial) * r
+      trial = X - (eta * r)[:, None] * Gt / np.where(live, gn, 1.0)[:, None]
+      trial = trial / row_norms(trial)[:, None] * r
       ft = h(trial)
-      if ft < fx:
-        x, fx = trial, ft
-        eta = min(eta * 1.5, 0.5)
-      else:
-        eta *= 0.5
-        if eta < 1e-12:
-          break
-    return fx, x / np.linalg.norm(x)
+      better = live & (ft < fx)
+      np.copyto(X, trial, where=better[:, None])
+      np.copyto(fx, ft, where=better)
+      eta = np.where(better, np.minimum(eta * 1.5, 0.5), eta * 0.5)
+      live &= eta >= 1e-12
+    return fx, X / row_norms(X)[:, None]
 
   mu_sq = []
   best_dirs = []
   warm = None
   for r in radii:
-    candidates = list(starts)
+    candidates = [starts]
     if warm is not None:
       # continuation: track the previous sphere's valley upward; without it
       # the narrow escape channels of non-proper maps are unfindable
-      candidates.insert(0, warm)
-    if dense:
-      ranked = sorted(dense, key=lambda d: h(d * r))[:3]
-      candidates.extend(ranked)
-    best = float("inf")
-    best_dir = None
-    for s in candidates:
-      fx, d = descend(s, r)
-      if fx < best:
-        best, best_dir = fx, d
-    mu_sq.append(best)
-    best_dirs.append(best_dir)
-    warm = best_dir
+      candidates.insert(0, warm[None, :])
+    if dense is not None:
+      candidates.append(dense[np.argsort(h(dense * r), kind="stable")[:3]])
+    fx, dirs = descend(np.vstack(candidates), r)
+    # the first minimum wins, so ties go to the earliest start
+    best = int(np.argmin(fx))
+    mu_sq.append(float(fx[best]))
+    best_dirs.append(dirs[best])
+    warm = dirs[best]
 
   # backward refinement: valleys found only at large radii are handed down
   # sphere by sphere, removing spurious bumps from the measured envelope
   for i in range(len(radii) - 2, -1, -1):
-    fx, d = descend(best_dirs[i + 1], radii[i])
-    if fx < mu_sq[i]:
-      mu_sq[i], best_dirs[i] = fx, d
+    fx, dirs = descend(best_dirs[i + 1][None, :], radii[i])
+    if fx[0] < mu_sq[i]:
+      mu_sq[i], best_dirs[i] = float(fx[0]), dirs[0]
   mu_values = [math.sqrt(v) for v in mu_sq]
 
   def tail_slope(values):

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, driven in process through main()."""
 
+import itertools
 import json
+import time
 
 import pytest
 
@@ -221,9 +223,21 @@ def test_density_csv_output(capsys):
                               "--trials", "3", "--seed", "5"])
   assert code == 0
   lines = out.splitlines()
-  assert lines[0] == "seed,m,r,verdict,reason,millis"
+  assert lines[0] == "seed,m,r,verdict,reason"
   assert len(lines) == 4
   assert all(line.split(",")[1:3] == ["2", "1"] for line in lines[1:])
+
+
+def test_density_output_is_byte_identical_across_runs(capsys, monkeypatch):
+  # a clock whose steps keep growing makes any timing that leaks into the
+  # output differ between the two runs
+  ticks = itertools.count()
+  monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks) ** 2))
+  argv = ["density", "--m", "2", "--r", "1", "--trials", "3", "--seed", "5"]
+  first = run(capsys, argv)
+  second = run(capsys, argv)
+  assert first == second
+  assert first[1]
 
 
 def test_signs_found_and_not_found(tmp_path, capsys):

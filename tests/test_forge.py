@@ -150,7 +150,7 @@ def test_density_experiment_rows_and_counts():
 def test_density_experiment_csv_shape():
   summary = density_experiment(2, 1, trials=3, seed=7)
   lines = summary.to_csv().splitlines()
-  assert lines[0] == "seed,m,r,verdict,reason,millis"
+  assert lines[0] == "seed,m,r,verdict,reason"
   assert len(lines) == 4
   for line, row in zip(lines[1:], summary.rows):
     cells = line.split(",")

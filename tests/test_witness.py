@@ -4,11 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import naive_det, rand_int_matrix, rows_of
+from helpers import naive_det, ones_kernel_sample, rand_int_matrix, rows_of
 from propermap.certify import NONPROPER, PROPER, certify
-from propermap.forge import golden_3x3
+from propermap.forge import golden_3x3, shift_5x5
 from propermap.linalg import RatMatrix, RatVector
 from propermap.recipes import WitnessRecipe, build_witness_point
 from propermap.witness import (
@@ -132,6 +133,86 @@ def test_probe_is_deterministic_for_a_seed():
   assert r1.mu_values == r2.mu_values
   assert r1.classification == r2.classification
   assert r1.seed == 7
+
+
+# mu_values recorded from the one-start-at-a-time descent this probe replaced;
+# the batched descent rounds differently, so they agree to about 1e-11
+RECORDED_MU = {
+  ("golden", None): (
+    0.18392219605285676, 0.16815514549980268, 0.14701746347357617,
+    0.12464176660213173, 0.10341806443621947, 0.08453257423551973,
+    0.0683943477130688, 0.05496177242534233, 0.04397085924213302,
+    0.03508143966517061, 0.028160443718445123),
+  ("golden", (1, 2, 4, 8)): (
+    0.18392219605285676, 0.16815514549980268, 0.14701746347357617,
+    0.12464176660213173),
+  ("shift", None): (
+    0.7595717054724644, 0.9761610838699526, 1.110169986077198,
+    1.223691695463555, 1.3351784522495516, 1.4507257311079955,
+    2.191490500758444, 2.440849750240511, 3.807719656884112,
+    6.559573582366731, 6.445512151974779),
+  ("shift", (1, 2, 4, 8)): (
+    0.7595717054724644, 0.9761610838699526, 1.110169986077198,
+    1.223691695463555),
+  ("identity", None): (
+    1.333333333333333, 4.666666666666666, 25.333333333333332,
+    178.66666666666666, 1381.333333333333, 10954.666666666666,
+    87445.33333333333, 699178.6666666666, 5592661.333333333,
+    44739754.666666664, 357914965.3333333),
+  ("identity", (1, 2, 4, 8)): (
+    1.333333333333333, 4.666666666666666, 25.333333333333332,
+    178.66666666666666),
+}
+PROBE_FIXTURES = {"golden": golden_3x3, "shift": shift_5x5,
+                  "identity": lambda: RatMatrix.identity(3)}
+
+
+@pytest.mark.parametrize("name,radii", list(RECORDED_MU),
+                         ids=[f"{n}-{'default' if r is None else 'short'}"
+                              for n, r in RECORDED_MU])
+def test_probe_matches_recorded_values(name, radii):
+  rep = probe_mu(PROBE_FIXTURES[name](), seed=0, radii=radii)
+  assert rep.mu_values == pytest.approx(RECORDED_MU[(name, radii)], rel=1e-9)
+
+
+def test_probe_classifications_match_recorded_ones_kernel_samples():
+  rng = random.Random(404)
+  classes = [probe_mu(ones_kernel_sample(rng, rng.choice([3, 4])),
+                      seed=i).classification for i in range(20)]
+  assert classes == ["GrowthObserved"] * 20
+
+
+def _sigma_min(M: RatMatrix) -> float:
+  rows = [[float(M.entry(i, j)) for j in range(M.m)] for i in range(M.m)]
+  return float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
+
+
+@pytest.mark.parametrize("A,k", [
+  (RatMatrix.of([[-1]]), 3),          # m = 1: the sphere is two points
+  (RatMatrix.of([[0]]), 3),           # m = 1 with a kernel start
+  (shift_5x5(), 3),                   # m = 5: no dense starts
+  (golden_3x3(), 1),                  # (Ax)^(k-1) is all ones
+  (shift_5x5(), 1),
+  (golden_3x3(), 2),
+  (RatMatrix.of([[1, -1], [1, -1]]), 2),
+], ids=["m1", "m1-kernel", "m5", "k1-golden", "k1-shift", "k2-golden",
+        "k2-m2"])
+def test_probe_batch_shapes(A, k):
+  radii = (1.0, 2.0, 4.0, 8.0)
+  rep = probe_mu(A, k=k, seed=5, radii=radii)
+  assert rep.classification in ("GrowthObserved", "BoundedObserved",
+                                "Inconclusive")
+  assert len(rep.mu_values) == len(radii)
+  assert probe_mu(A, k=k, seed=5, radii=radii).mu_values == rep.mu_values
+  if A.m == 1:
+    # the two points +-r give |r + a^3 r^3| exactly
+    a = float(A.entry(0, 0))
+    assert rep.mu_values == pytest.approx([abs(r + a ** 3 * r ** 3)
+                                           for r in radii], rel=1e-12)
+  if k == 1:
+    # x + Ax is linear, so mu(r) = r * sigma_min(I + A)
+    s = _sigma_min(RatMatrix.identity(A.m).add(A))
+    assert rep.mu_values == pytest.approx([r * s for r in radii], rel=1e-9)
 
 
 def test_linear_case_zero_matrix():
