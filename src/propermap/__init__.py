@@ -12,6 +12,7 @@ from .certify import (
   Certificate,
   certify,
   corank1_decide,
+  k1_properness,
   necessary_escape_search,
   sufficient_screens,
   verify_certificate,
@@ -30,7 +31,6 @@ from .linalg import RatMatrix, RatVector, Subspace, as_rat
 from .recipes import ConjugationFrame, WitnessRecipe, build_witness_point
 from .witness import (
   general_k_witness,
-  k1_properness,
   probe_mu,
   validate_witness,
 )

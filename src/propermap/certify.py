@@ -19,9 +19,10 @@ in clearly flagged numeric fallbacks, which can support a NonProper claim
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator
 
 from .hadamard import (
@@ -38,6 +39,7 @@ from .linalg import (
   RatVector,
   Subspace,
   as_rat,
+  det,
   image_basis,
   intersect,
   kernel_basis,
@@ -52,6 +54,7 @@ from .recipes import (
   _recipe_equations_hold,
   _restrict,
 )
+from .witness import validate_witness
 
 PROPER = "Proper"
 NONPROPER = "NonProper"
@@ -238,7 +241,10 @@ class Analysis:
     of `_ordered_candidates`, None where irrational, in candidate order.
 
     The enumeration runs once per box and each direction is computed once,
-    when a caller first reaches it.
+    when a caller first reaches it.  The candidates go to the cube-line
+    test as the integer tuples the enumeration made; the common scale of
+    the basis drops out of a direction, and Fractions appear only in the
+    rare directions that exist.
     """
     if box not in self._enumerations:
       vectors, _ = _ordered_candidates(list(self.kernel.basis), box)
@@ -246,8 +252,7 @@ class Analysis:
     vectors, done = self._enumerations[box]
     for i, w in enumerate(vectors[:count]):
       if i == len(done):
-        done.append(rational_cube_root_direction(
-          RatVector(tuple(Fraction(x) for x in w))))
+        done.append(rational_cube_root_direction(w))
       yield done[i]
 
 
@@ -326,8 +331,16 @@ def _solve_preferring_zero_tail(u0: RatVector, kernel: Subspace,
   return _repair_solution(u0, kernel, conditions)
 
 
-def _coeff_enumeration(dim: int, box: int = 3, cap: int = 3000) -> list[tuple[int, ...]]:
-  """Small integer coefficient tuples, primitive and sign-normalized."""
+@cache
+def _coeff_enumeration(dim: int, box: int = 3, cap: int = 3000
+                       ) -> tuple[tuple[int, ...], ...]:
+  """Small integer coefficient tuples, primitive and sign-normalized, in
+  tie-break order: smallest sum of |c| first, then those without a negative
+  coefficient, then lexicographic.
+
+  The table depends only on its arguments, so it is built once per process
+  and returned as a tuple that no caller can change.
+  """
   from itertools import combinations, product
   from math import gcd
 
@@ -353,60 +366,53 @@ def _coeff_enumeration(dim: int, box: int = 3, cap: int = 3000) -> list[tuple[in
   if (2 * box + 1) ** dim <= cap:
     for c in product(range(-box, box + 1), repeat=dim):
       push(c)
-    return out
-  for i in range(dim):
-    for a in range(1, box + 1):
-      c = [0] * dim
-      c[i] = a
-      push(tuple(c))
-  for i, j in combinations(range(dim), 2):
-    for a in range(-box, box + 1):
-      for b in range(1, box + 1):
-        c = [0] * dim
-        c[i], c[j] = a, b
-        push(tuple(c))
-  if dim <= 8:
-    for signs in product((1, -1), repeat=dim):
-      push(signs)
   else:
-    push(tuple([1] * dim))
-  return out
+    for i in range(dim):
+      for a in range(1, box + 1):
+        c = [0] * dim
+        c[i] = a
+        push(tuple(c))
+    for i, j in combinations(range(dim), 2):
+      for a in range(-box, box + 1):
+        for b in range(1, box + 1):
+          c = [0] * dim
+          c[i], c[j] = a, b
+          push(tuple(c))
+    if dim <= 8:
+      for signs in product((1, -1), repeat=dim):
+        push(signs)
+    else:
+      push(tuple([1] * dim))
+  out.sort(key=lambda c: (sum(map(abs, c)), min(c) < 0, c))
+  return tuple(out)
 
 
 def _ordered_candidates(basis_vectors: list[RatVector], box: int = 3
                         ) -> tuple[list[tuple[int, ...]], int]:
-  """Nonzero small-coefficient combinations of a basis, one per line,
-  widest support first, then smallest coefficients.
+  """Nonzero small-coefficient combinations of a linearly independent basis,
+  one per line, sorted by (-support, sum of |c|, mixed signs, c) for the
+  coefficient tuple c: widest support first, then smallest coefficients.
 
-  The work is in integers: the basis is scaled by the common denominator D
-  of its entries, which is returned with the list.  The scale keeps every
+  The work is in Python ints: the basis is scaled by the common denominator
+  D of its entries, which is returned with the list.  The scale keeps every
   combination's line, support and place in the order, so dividing an entry
-  by D gives back the rational combination.
+  by D gives back the rational combination.  Each coordinate is one
+  `sum(map(mul, c, column))` over the basis entries of that coordinate.
+  Distinct primitive sign-normalized tuples of an independent basis span
+  distinct lines, so no combination is zero and none repeats a line.  The
+  coefficient table already lists c in the order of the last three keys, so
+  a stable sort on support alone gives the full order.
   """
   if not basis_vectors:
     return [], 1
   scale = math.lcm(*(a.denominator for b in basis_vectors for a in b))
-  basis = [[a.numerator * (scale // a.denominator) for a in b]
-           for b in basis_vectors]
-  scored = []
-  seen = set()
-  for c in _coeff_enumeration(len(basis), box=box):
-    terms = [(coef, b) for coef, b in zip(c, basis) if coef]
-    v = tuple(sum(coef * b[i] for coef, b in terms)
-              for i in range(len(basis[0])))
-    g = math.gcd(*v)
-    if g == 0:
-      continue
-    lead = next(x for x in v if x != 0)
-    key = tuple(x // g for x in v) if lead > 0 else tuple(-x // g for x in v)
-    if key in seen:
-      continue
-    seen.add(key)
-    mixed = 1 if any(x < 0 for x in c) else 0
-    support = sum(1 for x in v if x != 0)
-    scored.append((-support, sum(abs(x) for x in c), mixed, c, v))
-  scored.sort(key=lambda t: t[:4])
-  return [t[4] for t in scored], scale
+  columns = list(zip(*[[a.numerator * (scale // a.denominator) for a in b]
+                       for b in basis_vectors]))
+  vectors = [tuple([sum(map(operator.mul, c, col)) for col in columns])
+             for c in _coeff_enumeration(len(basis_vectors), box)]
+  # fewer zero coordinates is wider support
+  vectors.sort(key=lambda v: v.count(0))
+  return vectors, scale
 
 
 def _disjoint_supports(vectors) -> bool:
@@ -1070,18 +1076,14 @@ def kernel_cuberoot_candidates(A: RatMatrix | Analysis) -> list[RatVector]:
 
   The directions come from the first 4 * CANDIDATE_CAP kernel combinations
   of the enumeration the escape search reads, at most CANDIDATE_CAP of
-  them, one per line.
+  them.  They are pairwise non-parallel without a dedupe: the combinations
+  span distinct kernel lines, and y^3 spans the line y came from.
   """
   an = _analysis(A)
   found: list[RatVector] = []
-  seen: set[tuple] = set()
   for y in an.kernel_directions(CANDIDATE_BOX, CANDIDATE_CAP * 4):
     if y is None:
       continue
-    key = tuple(primitive_integer_vector(y).entries)
-    if key in seen:
-      continue
-    seen.add(key)
     found.append(y)
     if len(found) >= CANDIDATE_CAP:
       break
@@ -1155,7 +1157,6 @@ def _validated(A: RatMatrix, cert: Certificate) -> Certificate:
                        evidence=dict(cert.evidence,
                                      note="refutation lacked a recipe"),
                        audit=cert.audit)
-  from .witness import validate_witness
   rep = validate_witness(A, recipe)
   if rep.passed:
     return cert
@@ -1165,6 +1166,22 @@ def _validated(A: RatMatrix, cert: Certificate) -> Certificate:
                      evidence=dict(cert.evidence,
                                    note="witness validation failed"),
                      audit=audit)
+
+
+def k1_properness(A: RatMatrix) -> Certificate:
+  """Exact decision for the linear case x + Ax: proper iff I + A invertible.
+
+  The evidence is the determinant, or a primitive kernel vector of I + A
+  along which the whole line maps to zero.
+  """
+  M = RatMatrix.identity(A.m).add(A)
+  d = det(M)
+  if d != 0:
+    return Certificate(PROPER, REASON_LINEAR_INVERTIBLE, A, k=1,
+                       evidence={"determinant": d})
+  z = primitive_integer_vector(kernel_basis(M).basis[0])
+  return Certificate(NONPROPER, REASON_LINEAR_SINGULAR, A, k=1,
+                     evidence={"determinant": Fraction(0), "kernel_vector": z})
 
 
 def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
@@ -1179,7 +1196,6 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   an = Analysis(A)
   reason = cert.reason
   if cert.k == 1:
-    from .linalg import det
     M = RatMatrix.identity(A.m).add(A)
     if reason == REASON_LINEAR_INVERTIBLE:
       return cert.verdict == PROPER and det(M) != 0
@@ -1216,7 +1232,6 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
       return False
     if not recipe.numeric and not _recipe_equations_hold(A, recipe):
       return False
-    from .witness import validate_witness
     return validate_witness(A, recipe).passed
   return False
 

@@ -19,10 +19,10 @@ from pathlib import Path
 
 from . import forge as forge_mod
 from . import jsonio
-from .certify import certify, verify_certificate
+from .certify import certify, k1_properness, verify_certificate
 from .keller import find_sign_pattern, is_druzkowski
 from .linalg import RatMatrix
-from .witness import k1_properness, probe_mu, validate_witness
+from .witness import probe_mu, validate_witness
 
 
 class _UsageError(Exception):

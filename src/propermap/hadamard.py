@@ -22,6 +22,7 @@ exactly in the certifier.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -70,7 +71,12 @@ def hinv_pow(x, k: int):
 
 
 def integer_kth_root(n: int, k: int) -> int | None:
-  """Exact integer r with r^k = n, or None.  Negative n needs odd k."""
+  """Exact integer r with r^k = n, or None.  Negative n needs odd k.
+
+  A float seed decides when its root is small enough for float error to
+  stay below one; beyond float range, or for larger roots, the integer
+  Newton floor `integer_root_floor` decides.
+  """
   if n == 0:
     return 0
   if n < 0:
@@ -78,24 +84,19 @@ def integer_kth_root(n: int, k: int) -> int | None:
       return None
     r = integer_kth_root(-n, k)
     return None if r is None else -r
-  r = round(n ** (1.0 / k))
-  for cand in (r - 1, r, r + 1):
-    if cand >= 0 and cand ** k == n:
-      return cand
-  # float seed can be off for very large n; fall back to bisection
-  lo, hi = 0, 1
-  while hi ** k < n:
-    hi *= 2
-  while lo <= hi:
-    mid = (lo + hi) // 2
-    p = mid ** k
-    if p == n:
-      return mid
-    if p < n:
-      lo = mid + 1
-    else:
-      hi = mid - 1
-  return None
+  try:
+    r = round(n ** (1.0 / k))
+  except OverflowError:
+    r = None
+  if r is not None and r < 2 ** 40:
+    # the relative error of the seed is below 1e-13, so an exact root is
+    # one of these three
+    for cand in (r - 1, r, r + 1):
+      if cand >= 0 and cand ** k == n:
+        return cand
+    return None
+  r = integer_root_floor(n, k)
+  return r if r ** k == n else None
 
 
 def rational_kth_root(q: Fraction, k: int) -> Fraction | None:
@@ -226,28 +227,35 @@ def cube_root_classes(g: RatVector) -> list[list[int]]:
   return classes
 
 
-def rational_cube_root_direction(g: RatVector) -> RatVector | None:
+def rational_cube_root_direction(g) -> RatVector | None:
   """A rational vector spanning the line of entrywise cube roots of g.
 
-  Exists exactly when all nonzero coordinates of g fall in one
-  perfect-cube-ratio class.  Zero coordinates stay zero.  Returns None when
-  the cube-root direction is irrational.
+  g is a RatVector or a sequence of ints.  The direction exists exactly
+  when all nonzero coordinates of g fall in one perfect-cube-ratio class.
+  Zero coordinates stay zero.  Returns None when the cube-root direction is
+  irrational.
+
+  The test runs in integers: a RatVector is scaled by the common
+  denominator of its entries first, which keeps every ratio.  With f the
+  first nonzero entry of the integer vector w, w_i / f = w_i f^2 / f^3 is
+  a rational cube exactly when w_i f^2 is an integer cube, and the
+  direction entry is its cube root over f.  The first entry that is not a
+  cube decides, so Fractions are built only for a direction that exists.
   """
-  if g.is_zero():
+  if isinstance(g, RatVector):
+    scale = math.lcm(*(a.denominator for a in g.entries))
+    g = [a.numerator * (scale // a.denominator) for a in g.entries]
+  f = next((x for x in g if x), 0)
+  if f == 0:
     raise ValueError("zero vector has no direction")
-  # one class means every nonzero ratio to the first nonzero coordinate is a
-  # cube, so the first ratio that is not decides without the other classes
-  ref = next(a for a in g.entries if a != 0)
-  out = []
-  for a in g.entries:
-    if a == 0:
-      out.append(Fraction(0))
-      continue
-    r = rational_kth_root(a / ref, 3)
+  f2 = f * f
+  roots = []
+  for x in g:
+    r = integer_kth_root(x * f2, 3)
     if r is None:
       return None
-    out.append(r)
-  return RatVector(tuple(out))
+    roots.append(r)
+  return RatVector(tuple([Fraction(r, f) for r in roots]))
 
 
 def cube_root_in_subspace(g: RatVector, s: Subspace) -> bool:

@@ -1,12 +1,11 @@
-"""Witness validation, the sphere-minimum probe, and degenerate powers.
+"""Witness validation, the sphere-minimum probe, and general powers.
 
 A NonProper certificate is only as good as its escape points, so this
 module regenerates them at a geometric schedule of scales and measures,
 in floating point, everything the refutation claims: image residuals
 decaying, point norms growing, directions converging.  It also hosts the
-fully exact linear case (k = 1), the general-power witness constructor,
-and a numeric properness probe that minimizes the map norm over spheres
-of growing radius.
+general-power witness constructor and a numeric properness probe that
+minimizes the map norm over spheres of growing radius.
 """
 
 from __future__ import annotations
@@ -16,15 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import (
-  Certificate,
-  NONPROPER,
-  PROPER,
-  REASON_LINEAR_INVERTIBLE,
-  REASON_LINEAR_SINGULAR,
-)
 from .hadamard import hpow
-from .linalg import RatMatrix, RatVector, det, kernel_basis, primitive_integer_vector
+from .linalg import RatMatrix, RatVector, kernel_basis
 from .recipes import (
   WitnessRecipe,
   _recipe_equations_hold,
@@ -436,24 +428,8 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# degenerate and general powers
+# general powers
 # ---------------------------------------------------------------------------
-
-
-def k1_properness(A: RatMatrix) -> Certificate:
-  """Exact decision for the linear case x + Ax: proper iff I + A invertible.
-
-  The evidence is the determinant, or a primitive kernel vector of I + A
-  along which the whole line maps to zero.
-  """
-  M = RatMatrix.identity(A.m).add(A)
-  d = det(M)
-  if d != 0:
-    return Certificate(PROPER, REASON_LINEAR_INVERTIBLE, A, k=1,
-                       evidence={"determinant": d})
-  z = primitive_integer_vector(kernel_basis(M).basis[0])
-  return Certificate(NONPROPER, REASON_LINEAR_SINGULAR, A, k=1,
-                     evidence={"determinant": Fraction(0), "kernel_vector": z})
 
 
 def general_k_witness(A: RatMatrix, x_inf: RatVector, u: RatVector,

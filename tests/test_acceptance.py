@@ -25,6 +25,7 @@ from propermap.certify import (
   PROPER,
   certify,
   corank1_decide,
+  k1_properness,
   necessary_escape_search,
 )
 from propermap.forge import Family3x3Params, forge_3x3, golden_3x3_params, shift_5x5
@@ -37,7 +38,7 @@ from propermap.linalg import (
   kernel_basis,
   rank,
 )
-from propermap.witness import k1_properness, probe_mu, validate_witness
+from propermap.witness import probe_mu, validate_witness
 
 
 def test_criterion_1_shift_fixture_under_a_tenth_second():

@@ -31,6 +31,7 @@ from propermap.certify import (
   condition_chain,
   corank1_decide,
   gram_image,
+  k1_properness,
   kernel_cuberoot_candidates,
   necessary_escape_search,
   normalize_kernel_direction,
@@ -56,7 +57,6 @@ from propermap.linalg import (
   solve_affine_in_subspace,
 )
 from propermap.recipes import build_witness_point
-from propermap.witness import k1_properness
 
 # the package re-exports the function certify, which hides the module
 certify_module = importlib.import_module("propermap.certify")
@@ -448,16 +448,29 @@ def test_linear_case_regression():
     assert verify_certificate(A, cert)
 
 
-def test_certify_and_witness_share_no_private_names():
-  # certify and witness may use each other's public names only
+def _package_imports(module):
+  """(source module, name) for every import in a module of the package; the
+  source of `from . import certify` is certify itself."""
   package = Path(certify_module.__file__).parent
-  for module, other in (("certify", "witness"), ("witness", "certify")):
-    tree = ast.parse((package / f"{module}.py").read_text())
-    for node in ast.walk(tree):
-      if isinstance(node, ast.ImportFrom) and node.module in (
-          other, f"propermap.{other}"):
-        private = [a.name for a in node.names if a.name.startswith("_")]
-        assert not private, (module, other, private)
+  tree = ast.parse((package / f"{module}.py").read_text())
+  for node in ast.walk(tree):
+    if isinstance(node, ast.ImportFrom):
+      source = (node.module or "").removeprefix("propermap").lstrip(".")
+      for a in node.names:
+        yield source or a.name, a.name
+    elif isinstance(node, ast.Import):
+      for a in node.names:
+        yield a.name.removeprefix("propermap."), None
+
+
+def test_certify_and_witness_share_no_private_names():
+  # certify uses witness's public names only, and witness imports nothing
+  # from certify, so the two modules never import each other
+  private = [name for source, name in _package_imports("certify")
+             if source == "witness" and name.startswith("_")]
+  assert not private
+  assert "witness" in {source for source, _ in _package_imports("certify")}
+  assert "certify" not in {source for source, _ in _package_imports("witness")}
 
 
 def test_screens_decide_without_the_escape_search(monkeypatch):
@@ -510,12 +523,54 @@ def _reference_candidates(basis, box=3):
 
 
 def test_integer_candidate_enumeration_matches_rational_reference():
-  for seed, (m, r) in enumerate([(4, 2), (5, 3), (6, 3), (6, 4), (5, 2)]):
-    basis = list(kernel_basis(sample_rank_r(m, r, seed=seed)).basis)
+  # kernel dims 2 to 5: (8, 4) takes the full product box, (8, 3) the pairs
+  bases = [list(kernel_basis(sample_rank_r(m, r, seed=seed)).basis)
+           for seed, (m, r) in enumerate([(4, 2), (5, 3), (6, 3), (6, 4),
+                                          (5, 2), (8, 4), (8, 3)])]
+  # a non-integer basis whose entries need more than 64 bits
+  big = [[Fraction(2 ** 64 + 3, 7), 0, Fraction(-5, 2 ** 65 + 1), 1, 0],
+         [1, Fraction(3 ** 50, 11), 0, 2, Fraction(-1, 2)],
+         [0, Fraction(1, 3), Fraction(2 ** 70, 9), -1, 2 ** 80]]
+  assert rank(RatMatrix.of(big)) == 3
+  bases.append([RatVector.of(row) for row in big])
+  assert [len(b) for b in bases] == [2, 2, 3, 2, 3, 4, 5, 3]
+  for basis in bases:
     vectors, scale = _ordered_candidates(basis)
     assert scale > 0
     assert [RatVector.of([Fraction(x, scale) for x in v]) for v in vectors] \
         == _reference_candidates(basis)
+
+
+def test_coefficient_table_is_one_fixed_tuple():
+  tables = [certify_module._coeff_enumeration(dim) for dim in range(1, 7)]
+  assert all(isinstance(t, tuple) for t in tables)
+  # dims 1-4 take the full box [-3, 3]^dim, dims 5 and 6 the pairs and signs
+  assert [len(t) for t in tables] == [1, 16, 145, 1120, 161, 248]
+  assert certify_module._coeff_enumeration(4) is tables[3]
+
+
+def test_kernel_cuberoot_candidates_are_pairwise_non_parallel():
+  for A in (RatMatrix.zero(3, 3), sample_rank_r(8, 3, seed=10),
+            two_pattern_kernel(random.Random(2000))):
+    found = kernel_cuberoot_candidates(A)
+    assert len(found) >= 2
+    for i, y in enumerate(found):
+      assert A.apply(hpow(y, 3)).is_zero()
+      for z in found[:i]:
+        assert rank(RatMatrix((y.entries, z.entries))) == 2
+
+
+def test_huge_kernel_entry_is_decided_exactly():
+  # kernel line (N, 1, 1) with N far beyond float range: the cube-ratio
+  # tests take integer roots of N and must not overflow
+  N = 10 ** 320
+  A = RatMatrix.of([[1, 2 - N, -2], [2, 1 - 2 * N, -1], [0, 5, -5]])
+  assert kernel_basis(A).dim == 1
+  assert A.apply(RatVector.of([N, 1, 1])).is_zero()
+  cert = certify(A)
+  assert (cert.verdict, cert.reason) == (PROPER, "no-escape-direction")
+  back = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+  assert verify_certificate(A, back)
 
 
 def test_float_escape_probe_note_is_pinned():

@@ -101,6 +101,16 @@ def test_integer_roots():
   assert integer_kth_root(28, 3) is None
   assert rational_kth_root(Fraction(8, 27), 3) == Fraction(2, 3)
   assert rational_kth_root(Fraction(2, 3), 3) is None
+  # beyond float range, and roots just past where the float seed decides
+  N = 10 ** 320
+  assert integer_kth_root(N ** 3, 3) == N
+  assert integer_kth_root(-N ** 3, 3) == -N
+  assert integer_kth_root(N ** 3 + 1, 3) is None
+  assert integer_kth_root(N, 3) is None
+  assert integer_kth_root(N * N, 2) == N
+  for r in (2 ** 40 - 1, 2 ** 40, 2 ** 40 + 1, 3 ** 40):
+    assert integer_kth_root(r ** 3, 3) == r
+    assert integer_kth_root(r ** 3 - 1, 3) is None
 
 
 @settings(deadline=None, max_examples=120)
@@ -223,3 +233,35 @@ def test_cube_root_direction_matches_the_class_construction(g):
   ref = g[classes[0][0]]
   assert y == RatVector.of([rational_kth_root(a / ref, 3) if a != 0 else 0
                             for a in g])
+
+
+def _exact_cube_root(q: Fraction) -> Fraction | None:
+  """The rational cube root of q, from integer floor roots only."""
+  roots = [integer_root_floor(abs(n), 3) for n in (q.numerator, q.denominator)]
+  if [r ** 3 for r in roots] != [abs(q.numerator), q.denominator]:
+    return None
+  return Fraction(roots[0] if q > 0 else -roots[0], roots[1])
+
+
+# entries c * q^3: one cube-ratio class often enough, some past 2^200
+cube_line_entries = st.builds(
+  lambda c, q: c * q ** 3, st.sampled_from([0, 1, 2, -1, -3]),
+  st.one_of(st.integers(-40, 40), st.integers(2 ** 67, 2 ** 80)))
+
+
+@given(st.lists(cube_line_entries, min_size=1, max_size=6)
+       .filter(lambda w: any(w)),
+       st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70).filter(bool),
+                 st.integers(1, 50)))
+@settings(max_examples=300, deadline=None)
+def test_integer_cube_line_test_matches_the_fraction_definition(w, scale):
+  # definition: every nonzero ratio to the first nonzero entry is a rational
+  # cube, and the direction holds those cube roots; a RatVector on the same
+  # line, with denominators, gives the same answer
+  first = next(x for x in w if x)
+  roots = [_exact_cube_root(Fraction(x, first)) if x else Fraction(0)
+           for x in w]
+  expected = None if None in roots else RatVector(tuple(roots))
+  assert rational_cube_root_direction(w) == expected
+  g = RatVector.of([scale * x for x in w])
+  assert rational_cube_root_direction(g) == expected

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from helpers import naive_det, ones_kernel_sample, rand_int_matrix, rows_of
-from propermap.certify import NONPROPER, PROPER, certify
+from propermap.certify import NONPROPER, PROPER, certify, k1_properness
 from propermap.forge import golden_3x3, shift_5x5
 from propermap.linalg import RatMatrix, RatVector
 from propermap.recipes import WitnessRecipe, build_witness_point
 from propermap.witness import (
   general_k_witness,
-  k1_properness,
   probe_mu,
   validate_witness,
 )
