@@ -42,6 +42,7 @@ from .linalg import (
   det,
   image_basis,
   intersect,
+  kernel_and_row_space,
   kernel_basis,
   primitive_integer_vector,
   solve,
@@ -212,8 +213,12 @@ class Analysis:
                               compare=False)
 
   @cached_property
+  def _kernel_and_row_space(self) -> tuple[Subspace, Subspace]:
+    return kernel_and_row_space(self.A)
+
+  @cached_property
   def kernel(self) -> Subspace:
-    return kernel_basis(self.A)
+    return self._kernel_and_row_space[0]
 
   @cached_property
   def rank(self) -> int:
@@ -225,7 +230,7 @@ class Analysis:
 
   @cached_property
   def row_space(self) -> Subspace:
-    return image_basis(self.A.transpose())
+    return self._kernel_and_row_space[1]
 
   @cached_property
   def gram(self) -> RatMatrix:

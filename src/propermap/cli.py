@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Subcommands: analyze (properness certificate), druzkowski (Jacobian
-unimodularity), witness (validate a recipe's escape points), probe (numeric
-minimum-norm scan), forge (built-in example matrices), density (randomized
+Subcommands: analyze (properness certificate), druzkowski (exact test of
+det JF == 1), witness (validate a recipe's escape points), probe (numeric
+minimum-norm scan), forge (built-in example matrices), density (seeded random
 rank-stratified experiment, CSV), signs (sign-pattern search).
 
-Exit codes: 0 for decisive results, 2 for Undecided or inconclusive ones,
-1 for input errors.  All randomness is seed-controlled and every byte of
+Exit codes: 0 for decisive results, 2 for Undecided or inconclusive ones
+(druzkowski prints null when its test would pass its size cap), 1 for
+input errors.  All randomness is seed-controlled and every byte of
 output is deterministic for a fixed (input, seed) pair.
 """
 
@@ -43,22 +44,19 @@ def _build_parser() -> _Parser:
   sub = parser.add_subparsers(dest="command", required=True,
                               parser_class=_Parser)
 
-  def add_common(p, *, seed=False, k=False):
+  def add_common(p, *, k=False):
     p.add_argument("--input", required=True,
                    help="path to the input JSON file")
     if k:
       p.add_argument("--k", type=int, default=3,
                      help="power of the map (default 3)")
-    if seed:
-      p.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized parts (default 0)")
     p.add_argument("--out", help="write output here instead of stdout")
 
   p = sub.add_parser("analyze", help="decide properness and emit a certificate")
   add_common(p, k=True)
 
-  p = sub.add_parser("druzkowski", help="test whether det JF is identically 1")
-  add_common(p, seed=True, k=True)
+  p = sub.add_parser("druzkowski", help="decide whether det JF is identically 1")
+  add_common(p, k=True)
 
   p = sub.add_parser("witness", help="validate a witness recipe numerically")
   add_common(p)
@@ -66,7 +64,9 @@ def _build_parser() -> _Parser:
                  help="comma-separated increasing gammas, e.g. 10,100,1000")
 
   p = sub.add_parser("probe", help="scan min |F| over growing spheres")
-  add_common(p, seed=True, k=True)
+  add_common(p, k=True)
+  p.add_argument("--seed", type=int, default=0,
+                 help="seed for the random starts (default 0)")
   p.add_argument("--radii", help="comma-separated increasing sphere radii")
 
   p = sub.add_parser("forge", help="emit a built-in example matrix")
@@ -137,17 +137,14 @@ def _cmd_druzkowski(args) -> int:
   A = _read_matrix(args.input)
   if args.k < 1:
     raise ValueError("field 'k' must be a positive integer")
-  report = is_druzkowski(A, args.k, seed=args.seed)
+  report = is_druzkowski(A, args.k)
   payload = {"druzkowski": report.unimodular,
-             "mode": report.mode,
              "k": report.k,
-             "trials": report.trials,
-             "seed": report.seed,
              "counterexample": (None if report.counterexample is None
                                 else jsonio.vector_to_json(report.counterexample)),
              "note": report.note}
   _emit(jsonio.dumps(payload), args.out)
-  return 0
+  return 2 if report.unimodular is None else 0
 
 
 def _cmd_witness(args) -> int:

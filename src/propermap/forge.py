@@ -1,4 +1,4 @@
-"""Concrete matrix instances and randomized samplers.
+"""Concrete matrix instances and seeded random samplers.
 
 Three generators live here.  The 3x3 family produces rank-2 matrices with
 kernel (1,1,1) that are engineered to fail properness, parametrized by four

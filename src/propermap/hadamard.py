@@ -1,4 +1,4 @@
-"""Coordinatewise vector algebra and the polynomial maps built from it.
+"""Coordinatewise vector algebra for the maps under study.
 
 The maps under study are
 
@@ -6,10 +6,10 @@ The maps under study are
     F_hat(x) = x + A (x^k)
 
 for a square rational matrix A and odd power k (k = 3 is the main case).
-Coordinatewise products, powers, inverse powers and odd real roots are
-provided over both Fraction entries (exact) and float entries (IEEE).  A
-single generic implementation covers both: Fraction arithmetic stays
-closed, and mixing in a float input yields float output.
+Coordinatewise products and powers are provided over both Fraction entries
+(exact) and float entries (IEEE).  A single generic implementation covers
+both: Fraction arithmetic stays closed, and mixing in a float input yields
+float output.
 
 Also here: exact recognition of rational k-th roots, and the grouping of a
 rational vector's coordinates into perfect-cube-ratio classes.  Cube roots
@@ -26,11 +26,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import RatMatrix, RatVector, Subspace, orthogonal_complement
-
-
-class ExactRootError(ValueError):
-  """A requested exact root does not exist in the rationals."""
+from .linalg import RatVector, Subspace, orthogonal_complement
 
 
 def _same_kind(template, values):
@@ -56,18 +52,6 @@ def hpow(x, k: int):
   if k < 1:
     raise ValueError("power must be >= 1")
   return _same_kind(x, (a ** k for a in _entries(x)))
-
-
-def hinv_pow(x, k: int):
-  """Coordinatewise x^(-k).  Any zero coordinate is an error."""
-  if k < 1:
-    raise ValueError("power must be >= 1")
-  xs = _entries(x)
-  if any(a == 0 for a in xs):
-    raise ValueError("zero coordinate: vector is not coordinatewise invertible")
-  if isinstance(x, RatVector):
-    return RatVector(tuple(Fraction(1) / (a ** k) for a in xs))
-  return tuple(1.0 / (a ** k) for a in xs)
 
 
 def integer_kth_root(n: int, k: int) -> int | None:
@@ -146,62 +130,6 @@ def rational_kth_root_approx(q: Fraction, k: int, digits: int = 48) -> Fraction:
   # q^(1/k) = (num * den^(k-1))^(1/k) / den
   big = q.numerator * q.denominator ** (k - 1) * scale ** k
   return Fraction(integer_root_floor(big, k), q.denominator * scale)
-
-
-def hroot_odd(x, k: int):
-  """Coordinatewise real k-th root for odd k (sign preserving, unique).
-
-  Fraction input demands exact rational roots and raises ExactRootError
-  otherwise; float input takes IEEE roots.
-  """
-  if k < 1 or k % 2 == 0:
-    raise ValueError("odd root only: k must be odd and >= 1")
-  xs = _entries(x)
-  if isinstance(x, RatVector):
-    out = []
-    for i, a in enumerate(xs):
-      r = rational_kth_root(a, k)
-      if r is None:
-        raise ExactRootError(
-            f"coordinate {i} ({a}) has no rational {k}-th root; use float mode")
-      out.append(r)
-    return RatVector(tuple(out))
-  return tuple(_float_odd_root(float(a), k) for a in xs)
-
-
-def _float_odd_root(a: float, k: int) -> float:
-  if a == 0.0:
-    return 0.0
-  mag = abs(a) ** (1.0 / k)
-  return mag if a > 0 else -mag
-
-
-# ---------------------------------------------------------------------------
-# the maps
-# ---------------------------------------------------------------------------
-
-
-def identity_plus_power(A: RatMatrix, x, k: int = 3):
-  """F(x) = x + (A x)^k, exact on RatVector, float otherwise."""
-  if isinstance(x, RatVector):
-    ax = A.apply(x)
-    return x + hpow(ax, k)
-  xs = tuple(float(v) for v in _entries(x))
-  ax = _float_apply(A, xs)
-  return tuple(v + a ** k for v, a in zip(xs, ax))
-
-
-def identity_plus_image_power(A: RatMatrix, x, k: int = 3):
-  """F_hat(x) = x + A(x^k), exact on RatVector, float otherwise."""
-  if isinstance(x, RatVector):
-    return x + A.apply(hpow(x, k))
-  xs = tuple(float(v) for v in _entries(x))
-  xk = tuple(v ** k for v in xs)
-  return tuple(v + a for v, a in zip(xs, _float_apply(A, xk)))
-
-
-def _float_apply(A: RatMatrix, x: Sequence[float]) -> tuple[float, ...]:
-  return tuple(sum(float(a) * v for a, v in zip(row, x)) for row in A.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,23 @@
 """Jacobian determinants of the maps x + (Ax)^k and related screens.
 
-The Jacobian of F(x) = x + (Ax)^k is I + k diag((Ax)^(k-1)) A.  A matrix A
-is called unimodular-cubic here when det JF is identically 1; for k = 3
+The Jacobian of F(x) = x + (Ax)^k is I + k diag(y^(k-1)) A with y = Ax.  A
+matrix A is a Drużkowski matrix when det JF is identically 1; for k = 3
 those are the matrices whose map is a polynomial automorphism candidate in
-the classical sense.  Small dimensions get an exact symbolic determinant
-via sparse multivariate polynomials; larger ones fall back to randomized
-evaluation at integer points (a polynomial identity test), which is
-one-sided: a non-unit value refutes, agreement at all sample points only
-reports "probably".
+the classical sense.  `is_druzkowski` decides this exactly.  Expanding
+det(I + D A) over principal minors (Drużkowski, Math. Ann. 264, 1983) gives
+
+    det JF(x) = 1 + sum_s P_s(y),
+    P_s(y) = sum_{|S| = s} k^s det(A_SS) prod_{i in S} y_i^(k-1),
+
+with P_s homogeneous of degree s(k-1), so det JF is identically 1 exactly
+when every P_s vanishes on the image of A.  With B a basis of that image,
+P_s(Bt) is a form of degree d = s(k-1) in r = rank A variables, and it is
+zero exactly when it vanishes on the simplex lattice {t in N^r : |t| = d},
+which is unisolvent for such forms (Chung and Yao, SIAM J. Numer. Anal. 14,
+1977).  A failing lattice point y gives an exact counterexample: along a
+preimage x of y, det JF(mu x) - 1 is a nonzero polynomial in mu^(k-1) with
+no constant term and at most r - 1 nonzero roots, so one of mu = 1..r is
+not a root.
 
 Also here: the search for a sign vector delta and global sign s making
 s * delta_i * delta_j * a_ij nonnegative for every entry.  That is a
@@ -18,169 +28,15 @@ itself.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
-from .linalg import RatMatrix, RatVector, det
+from .linalg import (RatMatrix, RatVector, det, image_basis,
+                     nonzero_principal_minors, primitive_integer_vector, solve)
 
-
-class PolynomialSizeError(ValueError):
-  """Symbolic expansion would exceed the configured term budget."""
-
-
-class MultiPoly:
-  """Sparse multivariate polynomial with Fraction coefficients.
-
-  Terms map an exponent tuple (one slot per variable) to a coefficient.
-  """
-
-  __slots__ = ("n_vars", "terms")
-
-  def __init__(self, n_vars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
-    self.n_vars = n_vars
-    self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-  @staticmethod
-  def constant(n_vars: int, c) -> "MultiPoly":
-    c = Fraction(c)
-    if c == 0:
-      return MultiPoly(n_vars)
-    return MultiPoly(n_vars, {(0,) * n_vars: c})
-
-  @staticmethod
-  def variable(n_vars: int, i: int) -> "MultiPoly":
-    e = [0] * n_vars
-    e[i] = 1
-    return MultiPoly(n_vars, {tuple(e): Fraction(1)})
-
-  @staticmethod
-  def linear_form(coeffs: RatVector) -> "MultiPoly":
-    n = len(coeffs)
-    terms = {}
-    for i, c in enumerate(coeffs.entries):
-      if c != 0:
-        e = [0] * n
-        e[i] = 1
-        terms[tuple(e)] = c
-    return MultiPoly(n, terms)
-
-  def __add__(self, other: "MultiPoly") -> "MultiPoly":
-    terms = dict(self.terms)
-    for e, c in other.terms.items():
-      terms[e] = terms.get(e, Fraction(0)) + c
-    return MultiPoly(self.n_vars, terms)
-
-  def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-    terms = dict(self.terms)
-    for e, c in other.terms.items():
-      terms[e] = terms.get(e, Fraction(0)) - c
-    return MultiPoly(self.n_vars, terms)
-
-  def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for e1, c1 in self.terms.items():
-      for e2, c2 in other.terms.items():
-        e = tuple(a + b for a, b in zip(e1, e2))
-        terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-    return MultiPoly(self.n_vars, terms)
-
-  def scale(self, c) -> "MultiPoly":
-    c = Fraction(c)
-    return MultiPoly(self.n_vars, {e: c * v for e, v in self.terms.items()})
-
-  def power(self, k: int) -> "MultiPoly":
-    out = MultiPoly.constant(self.n_vars, 1)
-    for _ in range(k):
-      out = out * self
-    return out
-
-  def evaluate(self, point: RatVector) -> Fraction:
-    total = Fraction(0)
-    for e, c in self.terms.items():
-      v = c
-      for x, p in zip(point.entries, e):
-        if p:
-          v *= x ** p
-      total += v
-    return total
-
-  def is_constant(self) -> bool:
-    return all(all(p == 0 for p in e) for e in self.terms)
-
-  def constant_value(self) -> Fraction:
-    if not self.is_constant():
-      raise ValueError("polynomial is not constant")
-    return next(iter(self.terms.values()), Fraction(0))
-
-  def n_terms(self) -> int:
-    return len(self.terms)
-
-  def __eq__(self, other) -> bool:
-    return isinstance(other, MultiPoly) and self.terms == other.terms
-
-  def __repr__(self) -> str:
-    if not self.terms:
-      return "MultiPoly(0)"
-    bits = []
-    for e, c in sorted(self.terms.items()):
-      mono = "*".join(f"x{i}^{p}" for i, p in enumerate(e) if p) or "1"
-      bits.append(f"{c}*{mono}")
-    return "MultiPoly(" + " + ".join(bits) + ")"
-
-
-def jacobian_entries(A: RatMatrix, k: int = 3) -> list[list[MultiPoly]]:
-  """Symbolic Jacobian I + k diag((Ax)^(k-1)) A as a matrix of polynomials."""
-  m = A.m
-  rows = []
-  for i in range(m):
-    lin = MultiPoly.linear_form(A.row(i)).power(k - 1)
-    row = []
-    for j in range(m):
-      p = lin.scale(Fraction(k) * A.entry(i, j))
-      if i == j:
-        p = p + MultiPoly.constant(m, 1)
-      row.append(p)
-    rows.append(row)
-  return rows
-
-
-def jacobian_det(A: RatMatrix, k: int = 3, *, max_dim: int = 6,
-                 max_terms: int = 200_000) -> MultiPoly:
-  """Exact symbolic determinant of the Jacobian of x + (Ax)^k.
-
-  Guarded: dimensions above max_dim or expansions above max_terms raise
-  PolynomialSizeError; use the randomized identity test instead.
-  """
-  m = A.m
-  if m > max_dim:
-    raise PolynomialSizeError(
-        f"symbolic determinant limited to dimension {max_dim}; "
-        "use the randomized identity test")
-  entries = jacobian_entries(A, k)
-  memo: dict[tuple[int, frozenset[int]], MultiPoly] = {}
-
-  def minor(row: int, cols: frozenset[int]) -> MultiPoly:
-    if row == m:
-      return MultiPoly.constant(m, 1)
-    key = (row, cols)
-    if key in memo:
-      return memo[key]
-    total = MultiPoly(m)
-    sign = 1
-    for j in sorted(cols):
-      e = entries[row][j]
-      if e.terms:
-        sub = minor(row + 1, cols - {j})
-        term = e * sub if sign > 0 else e.scale(-1) * sub
-        total = total + term
-        if total.n_terms() > max_terms:
-          raise PolynomialSizeError("determinant expansion exceeds term budget")
-      sign = -sign
-    memo[key] = total
-    return total
-
-  return minor(0, frozenset(range(m)))
+# most minors plus (lattice point, minor) products one test evaluates
+LATTICE_CAP = 200_000
 
 
 def jacobian_at_point(A: RatMatrix, x: RatVector, k: int = 3) -> RatMatrix:
@@ -198,62 +54,97 @@ def jacobian_at_point(A: RatMatrix, x: RatVector, k: int = 3) -> RatMatrix:
 
 @dataclass(frozen=True)
 class UnimodularReport:
-  """Outcome of the det JF == 1 test, with enough data to audit it."""
+  """Outcome of the det JF == 1 test, with enough data to audit it.
 
-  unimodular: bool
-  mode: str                      # "exact" or "randomized"
+  `unimodular` is None when deciding would pass LATTICE_CAP; the note then
+  names the size of the walk.  Every False carries a counterexample point
+  with exact det JF != 1.
+  """
+
+  unimodular: bool | None
   k: int
-  trials: int = 0
-  seed: int | None = None
   counterexample: RatVector | None = None
   note: str = ""
 
   def __bool__(self) -> bool:
-    return self.unimodular
+    return self.unimodular is True
 
 
-def is_druzkowski(A: RatMatrix, k: int = 3, *, max_exact_dim: int = 6,
-                  trials: int = 64, seed: int = 0,
-                  sample_box: int = 10 ** 6) -> UnimodularReport:
-  """Decide (or probabilistically test) whether det JF is identically 1.
+def _simplex_lattice(r: int, d: int):
+  """The points t of N^r with t_1 + ... + t_r = d."""
+  if r == 1:
+    yield (d,)
+    return
+  for first in range(d + 1):
+    for rest in _simplex_lattice(r - 1, d - first):
+      yield (first,) + rest
 
-  Dimensions up to max_exact_dim are decided exactly by symbolic expansion.
-  Above that, the determinant is evaluated exactly at `trials` random
-  integer points drawn from [-sample_box, sample_box]^m with the given
-  seed; any non-unit value refutes with the point as counterexample, and
-  full agreement reports probable unimodularity.
-  """
-  m = A.m
-  if m <= max_exact_dim:
-    try:
-      p = jacobian_det(A, k, max_dim=max_exact_dim)
-      one = MultiPoly.constant(m, 1)
-      if p == one:
-        return UnimodularReport(True, "exact", k, note="det JF expands to 1")
-      witness = _nonunit_point(A, p, k, seed)
-      return UnimodularReport(False, "exact", k, counterexample=witness,
-                              note="det JF is a non-constant or non-unit polynomial")
-    except PolynomialSizeError:
-      pass  # fall through to sampling
-  rng = random.Random(seed)
-  for t in range(trials):
-    x = RatVector.of([rng.randint(-sample_box, sample_box) for _ in range(m)])
-    value = det(jacobian_at_point(A, x, k))
+
+def _refute(A: RatMatrix, k: int, y: RatVector, r: int,
+            note: str) -> UnimodularReport:
+  """Report False with the first of x, 2x, .., rx off det JF = 1, Ax = y."""
+  x = solve(A, y)
+  for mu in range(1, r + 1):
+    value = det(jacobian_at_point(A, x.scale(mu), k))
     if value != 1:
-      return UnimodularReport(False, "randomized", k, trials=t + 1, seed=seed,
-                              counterexample=x,
-                              note=f"det JF(x) = {value} at a sampled point")
-  return UnimodularReport(True, "randomized", k, trials=trials, seed=seed,
-                          note="det JF = 1 at every sampled point (probable)")
+      return UnimodularReport(False, k, counterexample=x.scale(mu),
+                              note=f"{note}; det JF = {value} there")
+  raise AssertionError("det JF - 1 along x has more roots than its degree")
 
 
-def _nonunit_point(A: RatMatrix, p: MultiPoly, k: int, seed: int) -> RatVector | None:
-  rng = random.Random(seed)
-  for _ in range(256):
-    x = RatVector.of([rng.randint(-50, 50) for _ in range(A.m)])
-    if p.evaluate(x) != 1:
-      return x
-  return None
+def is_druzkowski(A: RatMatrix, k: int = 3) -> UnimodularReport:
+  """Decide exactly whether det JF is identically 1 for x + (Ax)^k.
+
+  For k >= 2 a full-rank A is refuted at once (P_m = k^m det A prod
+  y_i^(k-1) is nonzero); otherwise the levels s = 1..rank A are walked in
+  order, each forming its minors only when reached and stopping at the
+  first lattice point where P_s is nonzero.  Past LATTICE_CAP evaluated
+  minors and (point, minor) products the answer is None.
+  """
+  if k < 1:
+    raise ValueError("power k must be >= 1")
+  m = A.m
+  if k == 1:
+    value = det(RatMatrix.identity(m).add(A))
+    if value == 1:
+      return UnimodularReport(True, k, note="det JF = det(I + A) = 1")
+    return UnimodularReport(False, k, counterexample=RatVector.zero(m),
+                            note=f"det JF = det(I + A) = {value}")
+  # integer basis vectors leave the lattice test unchanged: scaling the
+  # image coordinates does not change whether a form vanishes
+  basis = [[int(a) for a in primitive_integer_vector(b)]
+           for b in image_basis(A).basis]
+  r = len(basis)
+  if r == m:
+    return _refute(A, k, RatVector.of([1] * m), r,
+                   note="A is invertible, so P_m is nonzero")
+  work = 0
+  for s in range(1, r + 1):
+    work += comb(m, s)
+    if work > LATTICE_CAP:
+      return _capped(k, f"the {comb(m, s)} principal minors of size {s}")
+    # the common factor k^s does not change whether P_s vanishes
+    minors = nonzero_principal_minors(A, s)
+    if not minors:
+      continue
+    d = s * (k - 1)
+    for t in _simplex_lattice(r, d):
+      work += len(minors)
+      if work > LATTICE_CAP:
+        return _capped(k, f"{comb(d + r - 1, r - 1)} lattice points x "
+                          f"{len(minors)} minors at level {s}")
+      y = [sum(tj * b[i] for tj, b in zip(t, basis)) for i in range(m)]
+      powers = [v ** (k - 1) for v in y]
+      if sum(c * prod(powers[i] for i in S) for S, c in minors) != 0:
+        return _refute(A, k, RatVector.of(y), r,
+                       note=f"P_{s} is nonzero at y = A x")
+  return UnimodularReport(True, k, note=f"P_s vanishes on its image lattice "
+                                        f"for s = 1..{r} ({work} evaluations)")
+
+
+def _capped(k: int, size: str) -> UnimodularReport:
+  return UnimodularReport(None, k, note=f"undecided: {size} pass "
+                                        f"LATTICE_CAP = {LATTICE_CAP}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 
@@ -287,6 +288,20 @@ def det(M: RatMatrix) -> Fraction:
   return value
 
 
+def nonzero_principal_minors(M: RatMatrix, size: int
+                             ) -> list[tuple[tuple[int, ...], Fraction]]:
+  """(S, det M_SS) for the index sets S of `size` indices whose principal
+  minor is nonzero, in lexicographic order of S.  Denominators are cleared
+  once for all the minors."""
+  int_rows, scales = _integerized_rows(M)
+  out = []
+  for S in combinations(range(M.m), size):
+    r, last_pivot, sign = _bareiss([[int_rows[i][j] for j in S] for i in S])
+    if r == size:
+      out.append((S, sign * last_pivot * prod(scales[i] for i in S)))
+  return out
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
   """Reduced row echelon form over Fraction.  Returns (rows, pivot columns)."""
   work = [list(r) for r in rows]
@@ -316,8 +331,9 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
   return work, pivots
 
 
-def kernel_basis(M: RatMatrix) -> "Subspace":
-  """Null space of M, as a canonical subspace of R^{n_cols}."""
+def kernel_and_row_space(M: RatMatrix) -> tuple["Subspace", "Subspace"]:
+  """Null space and row space of M, canonical subspaces of R^{n_cols}, from
+  one elimination: the nonzero reduced rows are the row space's basis."""
   reduced, pivots = rref(M.rows)
   n = M.n_cols
   free_cols = [j for j in range(n) if j not in pivots]
@@ -328,7 +344,13 @@ def kernel_basis(M: RatMatrix) -> "Subspace":
     for i, p in enumerate(pivots):
       v[p] = -reduced[i][f]
     vecs.append(RatVector(tuple(v)))
-  return Subspace.span(vecs, n)
+  rows = tuple(RatVector(tuple(reduced[i])) for i in range(len(pivots)))
+  return Subspace.span(vecs, n), Subspace(n, rows)
+
+
+def kernel_basis(M: RatMatrix) -> "Subspace":
+  """Null space of M, as a canonical subspace of R^{n_cols}."""
+  return kernel_and_row_space(M)[0]
 
 
 def image_basis(M: RatMatrix) -> "Subspace":

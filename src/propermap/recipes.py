@@ -143,46 +143,72 @@ def _recipe_equations_hold(A: RatMatrix, recipe: WitnessRecipe) -> bool:
   return True
 
 
-def build_witness_point(recipe: WitnessRecipe, gamma: float) -> tuple[float, ...]:
-  """Concrete escape point at the given gamma, in float coordinates.
+def laurent_coords(recipe: WitnessRecipe) -> list[dict]:
+  """Each coordinate of x_n as a Laurent polynomial in t = gamma^(1/3).
+
+  The polynomials map exponents to rational coefficients, so the dominant
+  orders of x + B(x^k) can cancel symbolically instead of in floating
+  point, where they would drown the residual at large gamma.
+  """
+  m = len(recipe.x_inf)
+  coords: list[dict] = [{} for _ in range(m)]
+
+  def add(i, e, c):
+    if c:
+      coords[i][e] = coords[i].get(e, Fraction(0)) + c
+
+  if recipe.kind == "simple":
+    k = recipe.k
+    for i in range(m):
+      xi = recipe.x_inf[i]
+      add(i, 3, xi)
+      add(i, -3 * (k - 2), recipe.u[i] / (k * xi ** (k - 1)))
+    return coords
+  u1 = recipe.u1 if recipe.u1 is not None else recipe.u
+  for i in range(m):
+    add(i, 3, recipe.x_inf[i])
+    add(i, -3, u1[i] / 3)
+    if recipe.v1 is not None:
+      add(i, -5, recipe.v1[i] / 3)
+    if recipe.u_hat_root is not None:
+      ri = recipe.u_hat_root[i]
+      add(i, 1, ri)
+      if ri != 0 and recipe.v is not None:
+        add(i, -1, recipe.v[i] / (3 * ri ** 2))
+  return coords
+
+
+def eval_laurent(poly: dict, t: float) -> float:
+  return sum(float(c) * t ** e for e, c in poly.items())
+
+
+def witness_points(recipe: WitnessRecipe, gammas) -> list[tuple[float, ...]]:
+  """Concrete escape points at the given gammas, in float coordinates.
 
   Only recipe-internal sanity is enforced here (matrix equations are the
   validator's job): gammas must be positive, a simple recipe needs a fully
-  nonzero x_inf and a nonzero u, a chain recipe needs a 0/1 pattern x_inf.
+  nonzero x_inf, a nonzero u and k >= 2, a chain recipe needs a cubic 0/1
+  pattern x_inf.  Each point is `laurent_coords` at t = gamma^(1/3).
   """
-  if not gamma > 0:
+  if not all(g > 0 for g in gammas):
     raise ValueError("gamma must be positive")
-  x_inf = [float(a) for a in recipe.x_inf]
-  u = [float(a) for a in recipe.u]
-  m = len(x_inf)
   if recipe.kind == "simple":
     if any(a == 0 for a in recipe.x_inf):
       raise ValueError("simple recipe requires x_inf with no zero coordinate")
     if recipe.u.is_zero():
       raise ValueError("simple recipe with u = 0 is impossible unless x_inf = 0")
-    k = recipe.k
-    if k < 2:
+    if recipe.k < 2:
       raise ValueError("simple recipe needs k >= 2")
-    coeff = 1.0 / (k * gamma ** (k - 2))
-    return tuple(gamma * x_inf[i] + coeff * u[i] / x_inf[i] ** (k - 1)
-                 for i in range(m))
-  # corank-chain
-  support = recipe.x_inf.support()
-  if any(recipe.x_inf[i] != 1 for i in support):
-    raise ValueError("chain recipe requires a 0/1 pattern x_inf")
-  if recipe.k != 3:
-    raise ValueError("chain recipes are cubic only")
-  u1 = [float(a) for a in (recipe.u1 or recipe.u)]
-  v1 = [float(a) for a in recipe.v1] if recipe.v1 is not None else [0.0] * m
-  r = [float(a) for a in recipe.u_hat_root] if recipe.u_hat_root is not None else [0.0] * m
-  v = [float(a) for a in recipe.v] if recipe.v is not None else [0.0] * m
-  g13 = gamma ** (1.0 / 3.0)
-  out = []
-  for i in range(m):
-    val = gamma * x_inf[i]
-    val += (gamma * u1[i] + g13 * v1[i]) / (3.0 * gamma ** 2)
-    val += g13 * r[i]
-    if r[i] != 0.0:
-      val += v[i] / (r[i] ** 2 * 3.0 * g13)
-    out.append(val)
-  return tuple(out)
+  else:
+    if any(recipe.x_inf[i] != 1 for i in recipe.x_inf.support()):
+      raise ValueError("chain recipe requires a 0/1 pattern x_inf")
+    if recipe.k != 3:
+      raise ValueError("chain recipes are cubic only")
+  coords = laurent_coords(recipe)
+  return [tuple(eval_laurent(p, g ** (1.0 / 3.0)) for p in coords)
+          for g in gammas]
+
+
+def build_witness_point(recipe: WitnessRecipe, gamma: float) -> tuple[float, ...]:
+  """The escape point of `witness_points` at one gamma."""
+  return witness_points(recipe, (gamma,))[0]

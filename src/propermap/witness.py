@@ -20,7 +20,9 @@ from .linalg import RatMatrix, RatVector, kernel_basis
 from .recipes import (
   WitnessRecipe,
   _recipe_equations_hold,
-  build_witness_point,
+  eval_laurent,
+  laurent_coords,
+  witness_points,
 )
 
 DEFAULT_GAMMAS = tuple(10.0 ** e for e in range(1, 7))
@@ -63,44 +65,9 @@ def _laurent_mul(p: dict, q: dict) -> dict:
   return out
 
 
-def _laurent_coords(recipe: WitnessRecipe) -> list[dict]:
-  """Each coordinate of x_n as a Laurent polynomial in t = gamma^(1/3).
-
-  Mirrors build_witness_point exactly, but keeps coefficients rational so
-  the dominant orders of x + B(x^k) cancel symbolically instead of in
-  floating point, where they would drown the residual at large gamma.
-  """
-  m = len(recipe.x_inf)
-  coords: list[dict] = [{} for _ in range(m)]
-
-  def add(i, e, c):
-    if c:
-      coords[i][e] = coords[i].get(e, Fraction(0)) + c
-
-  if recipe.kind == "simple":
-    k = recipe.k
-    for i in range(m):
-      xi = recipe.x_inf[i]
-      add(i, 3, xi)
-      add(i, -3 * (k - 2), recipe.u[i] / (k * xi ** (k - 1)))
-    return coords
-  u1 = recipe.u1 if recipe.u1 is not None else recipe.u
-  for i in range(m):
-    add(i, 3, recipe.x_inf[i])
-    add(i, -3, u1[i] / 3)
-    if recipe.v1 is not None:
-      add(i, -5, recipe.v1[i] / 3)
-    if recipe.u_hat_root is not None:
-      ri = recipe.u_hat_root[i]
-      add(i, 1, ri)
-      if ri != 0 and recipe.v is not None:
-        add(i, -1, recipe.v[i] / (3 * ri ** 2))
-  return coords
-
-
 def _laurent_residuals(B: RatMatrix, recipe: WitnessRecipe) -> list[dict]:
   """Coordinates of x + B(x^k) as Laurent polynomials in t = gamma^(1/3)."""
-  coords = _laurent_coords(recipe)
+  coords = laurent_coords(recipe)
   m = len(coords)
   pows = []
   for p in coords:
@@ -118,10 +85,6 @@ def _laurent_residuals(B: RatMatrix, recipe: WitnessRecipe) -> list[dict]:
           acc[e] = acc.get(e, Fraction(0)) + bij * c
     out.append({e: c for e, c in acc.items() if c != 0})
   return out
-
-
-def _eval_laurent(poly: dict, t: float) -> float:
-  return sum(float(c) * t ** e for e, c in poly.items())
 
 
 def _numeric_equations_ok(A: RatMatrix, recipe: WitnessRecipe,
@@ -173,7 +136,7 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
     invariant_ok = _recipe_equations_hold(A, recipe)
 
   try:
-    points = [build_witness_point(recipe, g) for g in gammas]
+    points = witness_points(recipe, gammas)
   except ValueError as err:
     return WitnessValidationReport(
       gammas=gammas, residuals=(), point_norms=(), direction_errors=(),
@@ -200,7 +163,7 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   negative_image = False
   for g, x in zip(gammas, points):
     t13 = g ** (1.0 / 3.0)
-    residuals.append(_norm([_eval_laurent(p, t13) for p in resid_polys]))
+    residuals.append(_norm([eval_laurent(p, t13) for p in resid_polys]))
     n = _norm(x)
     norms.append(n)
     dir_errors.append(_norm([a / n - b for a, b in zip(x, x_hat)]))

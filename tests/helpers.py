@@ -8,6 +8,7 @@ against an implementation that shares no code with them.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -69,6 +70,28 @@ def f_exact(A: RatMatrix, x: RatVector, k: int = 3) -> RatVector:
   """x + (Ax)^k computed from scratch in Fractions."""
   ax = [sum(A.entry(i, j) * x[j] for j in range(A.m)) for i in range(A.m)]
   return RatVector.of([x[i] + ax[i] ** k for i in range(A.m)])
+
+
+def naive_jacobian(A: RatMatrix, x, k: int = 3) -> list[list[Fraction]]:
+  """I + k diag((Ax)^(k-1)) A, entry by entry."""
+  m = A.m
+  ax = [sum(A.entry(i, j) * x[j] for j in range(m)) for i in range(m)]
+  return [[(1 if i == j else 0) + k * ax[i] ** (k - 1) * A.entry(i, j)
+           for j in range(m)] for i in range(m)]
+
+
+def naive_unimodular(A: RatMatrix, k: int = 3) -> bool:
+  """det JF == 1 on the grid {0..(k-1)m}^m.
+
+  det JF has degree at most (k-1)m in each variable, and a tensor grid with
+  one more value per axis than that degree is unisolvent, so the grid
+  decides whether det JF is identically 1.
+  """
+  m = A.m
+  for point in itertools.product(range((k - 1) * m + 1), repeat=m):
+    if naive_det(naive_jacobian(A, point, k)) != 1:
+      return False
+  return True
 
 
 def rand_int_matrix(rng: random.Random, m: int, box: int = 3) -> RatMatrix:

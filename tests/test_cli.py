@@ -112,6 +112,7 @@ def test_druzkowski_shift_and_identity(tmp_path, capsys):
   code, out, _ = run(capsys, ["druzkowski", "--input", path2])
   assert code == 0
   payload = json.loads(out)
+  assert set(payload) == {"druzkowski", "k", "counterexample", "note"}
   assert payload["druzkowski"] is False
   assert payload["counterexample"] is not None
 

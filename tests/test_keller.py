@@ -1,46 +1,52 @@
 """Jacobian determinant analysis and sign-pattern search."""
 
+import json
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_det, rand_int_matrix, rows_of
+from helpers import naive_det, naive_jacobian, naive_unimodular, rows_of
+from propermap import cli, keller
 from propermap.certify import certify
 from propermap.forge import shift_5x5
+from propermap.jsonio import dumps, matrix_to_json
 from propermap.keller import (
-  MultiPoly,
-  PolynomialSizeError,
   find_sign_pattern,
   invertibility_verdict,
   is_druzkowski,
   jacobian_at_point,
-  jacobian_det,
 )
 from propermap.linalg import RatMatrix, RatVector
 
 
+def _refutes(A, rep, k=3):
+  """rep is False with a counterexample whose exact det JF is not 1."""
+  return (rep.unimodular is False and rep.counterexample is not None
+          and naive_det(naive_jacobian(A, rep.counterexample, k)) != 1)
+
+
 def test_jacobian_det_of_zero_matrix_is_one():
-  p = jacobian_det(RatMatrix.zero(3, 3))
-  assert p == MultiPoly.constant(3, 1)
+  rng = random.Random(0)
+  for _ in range(10):
+    x = RatVector.of([rng.randint(-9, 9) for _ in range(3)])
+    assert jacobian_at_point(RatMatrix.zero(3, 3), x) == RatMatrix.identity(3)
 
 
 def test_jacobian_det_one_dimensional():
   # d/dx of x + (a x)^3 is 1 + 3 a^3 x^2
   for a in (Fraction(2), Fraction(-1), Fraction(1, 2)):
-    p = jacobian_det(RatMatrix.of([[a]]))
-    assert p.terms == {(0,): Fraction(1), (2,): 3 * a ** 3}
+    for x in (Fraction(0), Fraction(3), Fraction(-1, 4)):
+      J = jacobian_at_point(RatMatrix.of([[a]]), RatVector.of([x]))
+      assert J.entry(0, 0) == 1 + 3 * a ** 3 * x ** 2
 
 
 def test_jacobian_det_of_shift_is_constant_one():
-  assert jacobian_det(shift_5x5()) == MultiPoly.constant(5, 1)
-
-
-def test_jacobian_det_dimension_guard():
-  with pytest.raises(PolynomialSizeError):
-    jacobian_det(RatMatrix.identity(7))
+  rng = random.Random(1)
+  for _ in range(20):
+    x = RatVector.of([rng.randint(-50, 50) for _ in range(5)])
+    assert naive_det(rows_of(jacobian_at_point(shift_5x5(), x))) == 1
 
 
 @settings(deadline=None, max_examples=25)
@@ -49,26 +55,49 @@ def test_jacobian_det_dimension_guard():
     st.lists(st.integers(-3, 3), min_size=m, max_size=m),
     min_size=m, max_size=m)).map(RatMatrix.of))
 def test_jacobian_det_matches_pointwise_cofactor_determinant(A):
-  p = jacobian_det(A)
   rng = random.Random(0)
   for _ in range(20):
     x = RatVector.of([rng.randint(-5, 5) for _ in range(A.m)])
     J = jacobian_at_point(A, x)
-    assert p.evaluate(x) == naive_det(rows_of(J))
+    assert rows_of(J) == naive_jacobian(A, x)
+
+
+def _permuted_nilpotent(data):
+  m, entries, perm = data
+  rows = [[entries[i * m + j] if j > i else 0 for j in range(m)]
+          for i in range(m)]
+  return RatMatrix.of([[rows[perm[i]][perm[j]] for j in range(m)]
+                       for i in range(m)])
+
+
+small_matrices = st.one_of(
+  st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+    min_size=m, max_size=m)).map(RatMatrix.of),
+  st.integers(2, 3).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.integers(-3, 3), min_size=m * m, max_size=m * m),
+    st.permutations(range(m)))).map(_permuted_nilpotent))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_matrices, st.sampled_from([1, 2, 3]))
+def test_is_druzkowski_matches_the_grid_oracle(A, k):
+  rep = is_druzkowski(A, k)
+  assert rep.unimodular == naive_unimodular(A, k)
+  if not rep.unimodular:
+    assert _refutes(A, rep, k)
 
 
 def test_is_druzkowski_identity_is_not():
   rep = is_druzkowski(RatMatrix.identity(2))
   assert not rep.unimodular
-  assert rep.mode == "exact"
-  # the expansion is (1 + 3 x1^2)(1 + 3 x2^2), visibly non constant
-  assert rep.counterexample is not None
+  # the determinant is (1 + 3 x1^2)(1 + 3 x2^2), visibly non constant
+  assert _refutes(RatMatrix.identity(2), rep)
 
 
 def test_is_druzkowski_shift_exact():
   rep = is_druzkowski(shift_5x5())
-  assert rep.unimodular
-  assert rep.mode == "exact"
+  assert rep.unimodular is True
   assert bool(rep)
 
 
@@ -76,24 +105,65 @@ def test_is_druzkowski_zero_matrix():
   assert is_druzkowski(RatMatrix.zero(3, 3)).unimodular
 
 
-def test_is_druzkowski_randomized_mode_above_exact_bound():
-  m = 8
-  rows = [[0] * m for _ in range(m)]
-  for i in range(m - 1):
-    rows[i][i + 1] = 1
-  rep = is_druzkowski(RatMatrix.of(rows))
-  assert rep.unimodular
-  assert rep.mode == "randomized"
-  assert rep.trials == 64
+def test_is_druzkowski_non_triangular_rank_one():
+  # A = u v^T has det JF = 1 + 3 (v.x)^2 sum_i u_i^3 v_i, and 1 + 7 - 8 = 0
+  u = (1, 1, 2)
+  for v, want in (((1, 7, -1), True), ((1, 7, -2), False), ((2, 7, -1), False)):
+    A = RatMatrix.of([[a * b for b in v] for a in u])
+    rep = is_druzkowski(A)
+    assert rep.unimodular is want
+    assert want or _refutes(A, rep)
 
 
-def test_is_druzkowski_randomized_finds_counterexamples():
+def test_is_druzkowski_walks_every_level_and_the_lattice_interior():
+  # zero diagonal, so P_1 = 0, but det JF = 1 - 9 x1^2 x2^2 through P_2
+  swap = RatMatrix.of([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+  # Im A = {(t1, t2, t1 + t2)} and P_1 = 3 (-t1^2 - t2^2 + (t1 + t2)^2)
+  # vanishes at the lattice vertices (2, 0) and (0, 2) but not at (1, 1)
+  mixed = RatMatrix.of([[-1, 0, 1], [0, -1, 0], [-1, -1, 1]])
+  for A in (swap, mixed):
+    assert not naive_unimodular(A)
+    assert _refutes(A, is_druzkowski(A))
+
+
+def test_is_druzkowski_counterexample_can_need_a_multiple():
+  # at x = A^-1 (1, 1) det JF = det(I + 3A) = 2 * 1/2 = 1, so the
+  # counterexample is 2x, where det JF = det(I + 12A) = -5
+  A = RatMatrix.diagonal([Fraction(1, 3), Fraction(-1, 6)])
+  rep = is_druzkowski(A)
+  assert _refutes(A, rep)
+  assert rep.counterexample == RatVector.of([6, -12])
+
+
+def test_is_druzkowski_exact_at_dimension_eight():
+  shift = RatMatrix.of([[1 if j == i + 1 else 0 for j in range(8)]
+                        for i in range(8)])
+  assert is_druzkowski(shift).unimodular is True
+  # a diagonal conjugation D N D^-3 of a nilpotent N stays Drużkowski
+  d = [1, 2, -1, 3, 1, -2, 1, 2]
+  N = [[(i + 2 * j) % 5 - 2 if j > i else 0 for j in range(8)] for i in range(8)]
+  B = RatMatrix.of([[Fraction(d[i] * N[i][j], d[j] ** 3) for j in range(8)]
+                    for i in range(8)])
+  assert is_druzkowski(B).unimodular is True
+
+
+def test_is_druzkowski_identity_eight_has_an_exact_counterexample():
   rep = is_druzkowski(RatMatrix.identity(8))
-  assert not rep.unimodular
-  assert rep.mode == "randomized"
-  assert rep.counterexample is not None
-  J = jacobian_at_point(RatMatrix.identity(8), rep.counterexample)
-  assert naive_det(rows_of(J)) != 1
+  assert _refutes(RatMatrix.identity(8), rep)
+
+
+def test_is_druzkowski_reports_none_past_the_lattice_cap(monkeypatch, tmp_path,
+                                                          capsys):
+  monkeypatch.setattr(keller, "LATTICE_CAP", 3)
+  rep = is_druzkowski(shift_5x5())
+  assert rep.unimodular is None
+  assert not rep
+  assert "LATTICE_CAP = 3" in rep.note
+  assert invertibility_verdict(shift_5x5(), "Proper") == "undetermined"
+  path = tmp_path / "s.json"
+  path.write_text(dumps(matrix_to_json(shift_5x5())))
+  assert cli.main(["druzkowski", "--input", str(path)]) == 2
+  assert json.loads(capsys.readouterr().out)["druzkowski"] is None
 
 
 def test_druzkowski_invariant_under_diagonal_conjugation():

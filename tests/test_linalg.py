@@ -1,5 +1,6 @@
 """Exact linear algebra: examples pinned by hand plus randomized invariants."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from propermap.linalg import (
   det,
   image_basis,
   intersect,
+  kernel_and_row_space,
   kernel_basis,
+  nonzero_principal_minors,
   orthogonal_complement,
   primitive_integer_vector,
   rank,
@@ -187,6 +190,16 @@ def test_det_agrees_with_cofactor_expansion(A):
   assert det(A) == naive_det(rows_of(A))
 
 
+@settings(deadline=None, max_examples=60)
+@given(square_matrices())
+def test_principal_minors_agree_with_cofactor_expansion(A):
+  rows = rows_of(A)
+  for size in range(1, A.m + 1):
+    want = [(S, naive_det([[rows[i][j] for j in S] for i in S]))
+            for S in itertools.combinations(range(A.m), size)]
+    assert nonzero_principal_minors(A, size) == [(S, v) for S, v in want if v]
+
+
 @settings(deadline=None, max_examples=80)
 @given(square_matrices())
 def test_rank_nullity(A):
@@ -198,6 +211,8 @@ def test_rank_nullity(A):
 def test_kernel_orthogonal_to_row_space(A):
   K = kernel_basis(A)
   R = image_basis(A.transpose())
+  # one elimination yields both, byte for byte
+  assert kernel_and_row_space(A) == (K, R)
   assert K.dim + R.dim == A.m
   for kb in K.basis:
     assert A.apply(kb).is_zero()
