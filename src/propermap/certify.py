@@ -3,8 +3,10 @@
 The map F(x) = x + (Ax)^3 built from a square rational matrix A is proper
 exactly when its companion G(x) = x + A(x^3), restricted to the image of
 A A^T, is proper.  Every decision this module makes goes through that
-reduction.  A certificate records the verdict, the decisive reason, exact
-evidence, and an audit trail of everything that was tried.
+reduction.  Over the rationals Im(A A^T) = Im A and Ker(A A^T) = Ker A^T,
+because k^T A A^T k = |A^T k|^2, so the Gram matrix A A^T is never formed.
+A certificate records the verdict, the decisive reason, exact evidence,
+and an audit trail of everything that was tried.
 
 Proper certificates come from structural screens (kernel conditions, Gram
 rank, triangularity, a blocked kernel line) or from exhausting all escape
@@ -232,14 +234,6 @@ class Analysis:
   def row_space(self) -> Subspace:
     return self._kernel_and_row_space[1]
 
-  @cached_property
-  def gram(self) -> RatMatrix:
-    return self.A.gram()
-
-  @cached_property
-  def gram_image(self) -> Subspace:
-    return image_basis(self.gram)
-
   def kernel_directions(self, box: int, count: int
                         ) -> Iterator[RatVector | None]:
     """Rational cube-root directions of the first `count` kernel candidates
@@ -266,8 +260,9 @@ def _analysis(A: RatMatrix | Analysis) -> Analysis:
 
 
 def gram_image(A: RatMatrix | Analysis) -> Subspace:
-  """Image of A A^T, the subspace the properness question reduces to."""
-  return _analysis(A).gram_image
+  """Image of A A^T, the subspace the properness question reduces to.  Over
+  the rationals it is Im A, since k^T A A^T k = |A^T k|^2."""
+  return _analysis(A).image
 
 
 def _indicator_matrix(m: int, indices) -> RatMatrix:
@@ -511,15 +506,19 @@ def _float_escape_probe(A: RatMatrix, K: Subspace, Im: Subspace,
 
 
 def _kernel_in_gram_kernel(an: Analysis) -> bool:
-  return all(an.gram.apply(b).is_zero() for b in an.kernel.basis)
+  """Ker A inside Ker(A A^T), tested as A^T k = 0 on a kernel basis: over
+  the rationals Ker(A A^T) = Ker A^T."""
+  At = an.A.transpose()
+  return all(At.apply(b).is_zero() for b in an.kernel.basis)
 
 
 def sufficient_screens(A: RatMatrix | Analysis
                        ) -> tuple[Certificate | None, list[AuditEntry]]:
   """Structural conditions, each alone implying properness, tried in order.
 
-  The screens: every kernel vector of A also kills A A^T (which covers
-  invertible, symmetric and antisymmetric matrices); A A^T has rank one;
+  The screens: every kernel vector of A also kills A A^T, tested as
+  A^T k = 0 (which covers invertible, symmetric and antisymmetric
+  matrices); A A^T has rank one, that is, A has rank one;
   A is triangular; the kernel is the all-ones line and the ones vector
   misses the reduced subspace or its image.
   """
@@ -537,7 +536,7 @@ def sufficient_screens(A: RatMatrix | Analysis
     return cert, audit
   audit.append(AuditEntry("screen:kernel-in-gram-kernel", "no"))
 
-  if an.gram_image.dim == 1:
+  if an.rank == 1:
     audit.append(AuditEntry("screen:gram-rank-1", "fires"))
     cert = Certificate(PROPER, REASON_GRAM_RANK1, A,
                        evidence={"gram_rank": 1})
@@ -570,7 +569,7 @@ def _ones_kernel_screen(an: Analysis,
     audit.append(AuditEntry("screen:kernel-line-blocked", "skipped",
                             "kernel line is not the all-ones direction"))
     return None
-  V = an.gram_image
+  V = an.image
   in_V = V.contains(g)
   in_AV = solve_affine_in_subspace(A, g, V) is not None
   if not (in_V and in_AV):
@@ -939,7 +938,7 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
   witness, and anything else is Undecided.  The audit holds only this
   direction's steps.
   """
-  A, V = an.A, an.gram_image
+  A, V = an.A, an.image
   audit: list[AuditEntry] = []
 
   def cert(verdict: str, reason: str, **evidence) -> Certificate:
@@ -970,7 +969,7 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
     anB, frame, x_pat = Analysis(norm.matrix), norm.frame, norm.generator
     audit.append(AuditEntry("normalize", "done",
                             f"support size {norm.support_size}"))
-  VB = anB.gram_image
+  VB = anB.image
   rep = condition_chain(anB, DirectionProfile.from_vector(x_pat), VB, "S")
   audit.append(AuditEntry("condition-chain",
                           "satisfied" if rep.satisfied else "unsatisfied",
@@ -1019,7 +1018,7 @@ def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
                       ", ".join(str(x) for x in g) + ")")]
   y = rational_cube_root_direction(g)
   if y is None:
-    return _corank1_irrational(an.A, g, an.gram_image, audit)
+    return _corank1_irrational(an.A, g, an.image, audit)
   decided = _decide_direction(an, y)
   return replace(decided, audit=tuple(audit) + decided.audit)
 
@@ -1050,8 +1049,8 @@ def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
   # the largest validation gamma
   x_tilde = RatVector.of([rational_kth_root_approx(a, 3) for a in g])
   cols = [hprod(b, hpow(x_tilde, 2)) for b in V.basis]
-  M = RatMatrix(tuple(tuple(A.apply(col)[i] for col in cols)
-                      for i in range(A.m)))
+  images = [A.apply(col).entries for col in cols]
+  M = RatMatrix(tuple(tuple(im[i] for im in images) for i in range(A.m)))
   # least squares in exact arithmetic: normal equations are always solvable
   Mt = M.transpose()
   c = solve(Mt.matmul(M), Mt.apply(-x_tilde))
@@ -1213,7 +1212,7 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
     if reason == REASON_KERNEL_GRAM:
       return _kernel_in_gram_kernel(an)
     if reason == REASON_GRAM_RANK1:
-      return an.gram_image.dim == 1
+      return an.rank == 1
     if reason == REASON_TRIANGULAR:
       return A.is_upper_triangular() or A.is_lower_triangular()
     if reason in (REASON_KERNEL_LINE, REASON_CHAIN_UNSAT):
@@ -1224,7 +1223,7 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
       y = rational_cube_root_direction(g)
       if y is None:
         return (reason == REASON_KERNEL_LINE
-                and not cube_root_in_subspace(g, an.gram_image))
+                and not cube_root_in_subspace(g, an.image))
       decided = _decide_direction(an, y)
       return decided.verdict == PROPER and decided.reason == reason
     if reason == REASON_NO_ESCAPE:

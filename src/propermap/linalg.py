@@ -2,12 +2,15 @@
 
 Everything the certificate logic touches goes through this module: ranks,
 kernels, images, subspace membership and intersections, and affine solves
-restricted to a subspace.  All arithmetic is done in `fractions.Fraction`;
-floating point never enters.  Row reduction for ranks and determinants is
-fraction-free (Bareiss) on denominator-cleared integer rows, with partial
-pivoting on magnitude to curb coefficient growth.  Canonical subspace bases
-come from reduced row echelon form, so equal subspaces compare equal
-syntactically.
+restricted to a subspace.  Values are exact `fractions.Fraction`s and
+floating point never enters.  Every elimination runs on Python ints: each
+row's denominators are cleared once, ranks and determinants come from
+fraction-free (Bareiss) elimination with partial pivoting on magnitude, and
+reduced row echelon form comes from Gauss-Jordan elimination that divides
+each updated row by the gcd of its entries.  Only the finished pivot rows
+are turned back into Fractions.  Canonical subspace bases come
+from reduced row echelon form, which is unique, so equal subspaces compare
+equal syntactically.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -219,19 +222,17 @@ class RatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _integerized_rows(M: RatMatrix) -> tuple[list[list[int]], list[Fraction]]:
-  """Clear denominators per row.  Returns integer rows and the row scales
-  (original_row = scale * integer_row)."""
+def _integerized_rows(rows: Iterable[Sequence[Fraction]]
+                      ) -> tuple[list[list[int]], list[int]]:
+  """Clear denominators once per row.  Returns the integer rows and each
+  row's denominator lcm d (original_row = integer_row / d)."""
   int_rows: list[list[int]] = []
-  scales: list[Fraction] = []
-  for row in M.rows:
-    denom_lcm = 1
-    for a in row:
-      denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-    ints = [int(a * denom_lcm) for a in row]
-    int_rows.append(ints)
-    scales.append(Fraction(1, denom_lcm))
-  return int_rows, scales
+  denoms: list[int] = []
+  for row in rows:
+    d = lcm(*(a.denominator for a in row))
+    int_rows.append([a.numerator * (d // a.denominator) for a in row])
+    denoms.append(d)
+  return int_rows, denoms
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
@@ -271,21 +272,18 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
 
 
 def rank(M: RatMatrix) -> int:
-  int_rows, _ = _integerized_rows(M)
+  int_rows, _ = _integerized_rows(M.rows)
   r, _, _ = _bareiss(int_rows)
   return r
 
 
 def det(M: RatMatrix) -> Fraction:
   n = M.m
-  int_rows, scales = _integerized_rows(M)
+  int_rows, denoms = _integerized_rows(M.rows)
   r, last_pivot, sign = _bareiss(int_rows)
   if r < n:
     return Fraction(0)
-  value = Fraction(sign * last_pivot)
-  for s in scales:
-    value *= s
-  return value
+  return Fraction(sign * last_pivot, prod(denoms))
 
 
 def nonzero_principal_minors(M: RatMatrix, size: int
@@ -293,18 +291,24 @@ def nonzero_principal_minors(M: RatMatrix, size: int
   """(S, det M_SS) for the index sets S of `size` indices whose principal
   minor is nonzero, in lexicographic order of S.  Denominators are cleared
   once for all the minors."""
-  int_rows, scales = _integerized_rows(M)
+  int_rows, denoms = _integerized_rows(M.rows)
   out = []
   for S in combinations(range(M.m), size):
     r, last_pivot, sign = _bareiss([[int_rows[i][j] for j in S] for i in S])
     if r == size:
-      out.append((S, sign * last_pivot * prod(scales[i] for i in S)))
+      out.append((S, Fraction(sign * last_pivot, prod(denoms[i] for i in S))))
   return out
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-  """Reduced row echelon form over Fraction.  Returns (rows, pivot columns)."""
-  work = [list(r) for r in rows]
+  """Reduced row echelon form.  Returns (rows, pivot columns); the rows are
+  Fractions, zero rows last.
+
+  The elimination runs on the denominator-cleared integer rows.  A pivot
+  row stays an integer multiple of its reduced form, so each one is divided
+  by its pivot only when the elimination is done.
+  """
+  work, _ = _integerized_rows(rows)
   n_rows = len(work)
   n_cols = len(work[0]) if work else 0
   pivots: list[int] = []
@@ -319,16 +323,28 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         break
     if pivot_row is None:
       continue
-    work[r], work[pivot_row] = work[pivot_row], work[r]
-    p = work[r][col]
-    work[r] = [v / p for v in work[r]]
+    row = work[pivot_row]
+    c = gcd(*row)
+    if c > 1:
+      row = [v // c for v in row]
+    work[pivot_row] = work[r]
+    work[r] = row
+    p = row[col]
     for i in range(n_rows):
-      if i != r and work[i][col] != 0:
-        f = work[i][col]
-        work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+      f = work[i][col]
+      if i != r and f != 0:
+        g = gcd(p, f)
+        a, b = p // g, f // g
+        new = [a * v - b * w for v, w in zip(work[i], row)]
+        c = gcd(*new)
+        work[i] = [v // c for v in new] if c > 1 else new
     pivots.append(col)
     r += 1
-  return work, pivots
+  zero = Fraction(0)
+  reduced = [[Fraction(v, row[p]) if v else zero for v in row]
+             for row, p in zip(work, pivots)]
+  reduced.extend([zero] * n_cols for _ in range(n_rows - r))
+  return reduced, pivots
 
 
 def kernel_and_row_space(M: RatMatrix) -> tuple["Subspace", "Subspace"]:
@@ -496,13 +512,8 @@ def primitive_integer_vector(v: RatVector) -> RatVector:
   """Scale v to coprime integer entries with positive leading sign."""
   if v.is_zero():
     raise ValueError("zero vector has no primitive form")
-  denom_lcm = 1
-  for a in v.entries:
-    denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-  ints = [int(a * denom_lcm) for a in v.entries]
-  g = 0
-  for x in ints:
-    g = gcd(g, abs(x))
+  [ints], _ = _integerized_rows([v.entries])
+  g = gcd(*ints)
   ints = [x // g for x in ints]
   lead = next(x for x in ints if x != 0)
   if lead < 0:

@@ -103,7 +103,7 @@ def _recipe_equations_hold(A: RatMatrix, recipe: WitnessRecipe) -> bool:
     return B.apply(recipe.u) == -x_inf
   if B.apply(recipe.u) != -x_inf:
     return False
-  V = image_basis(B.gram())    # the reduced subspace, Im(B B^T)
+  V = image_basis(B)    # the reduced subspace, Im(B B^T) = Im B
   if not V.contains(x_inf):
     return False
   m = len(x_inf)

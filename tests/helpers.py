@@ -54,6 +54,32 @@ def naive_det(rows: list[list[Fraction]]) -> Fraction:
   return total
 
 
+def naive_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+  """Gauss-Jordan elimination over Fraction, first nonzero entry as pivot.
+  Returns (rows, pivot columns), zero rows last."""
+  work = [[Fraction(x) for x in row] for row in rows]
+  n_rows = len(work)
+  n_cols = len(work[0]) if work else 0
+  pivots: list[int] = []
+  r = 0
+  for c in range(n_cols):
+    if r == n_rows:
+      break
+    pivot = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
+    if pivot is None:
+      continue
+    work[r], work[pivot] = work[pivot], work[r]
+    p = work[r][c]
+    work[r] = [x / p for x in work[r]]
+    for i in range(n_rows):
+      if i != r and work[i][c] != 0:
+        f = work[i][c]
+        work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+    pivots.append(c)
+    r += 1
+  return work, pivots
+
+
 def rows_of(A: RatMatrix) -> list[list[Fraction]]:
   return [[A.entry(i, j) for j in range(A.n_cols)] for i in range(A.n_rows)]
 
@@ -106,6 +132,20 @@ def rand_rat_matrix(rng: random.Random, m: int, box: int = 3) -> RatMatrix:
     den = rng.choice([1, 1, 1, 2, 3])
     return Fraction(num, den)
   return RatMatrix.of([[cell() for _ in range(m)] for _ in range(m)])
+
+
+def rand_rat_rank(rng: random.Random, m: int, r: int) -> RatMatrix:
+  """m x m matrix of exact rank r with small fractional entries, drawn as a
+  product of an m x r and an r x m factor."""
+  def cell():
+    return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5]))
+  while True:
+    B = [[cell() for _ in range(r)] for _ in range(m)]
+    C = [[cell() for _ in range(m)] for _ in range(r)]
+    rows = [[sum((B[i][t] * C[t][j] for t in range(r)), Fraction(0))
+             for j in range(m)] for i in range(m)]
+    if naive_rank(rows) == r:
+      return RatMatrix.of(rows)
 
 
 def rand_symmetric(rng: random.Random, m: int, box: int = 3) -> RatMatrix:

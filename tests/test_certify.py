@@ -18,6 +18,7 @@ from helpers import (
   rand_antisymmetric,
   rand_int_matrix,
   rand_invertible,
+  rand_rat_rank,
   rand_symmetric,
   two_class_kernel,
   two_pattern_kernel,
@@ -26,6 +27,7 @@ from propermap.certify import (
   NONPROPER,
   PROPER,
   UNDECIDED,
+  Analysis,
   DirectionProfile,
   _ordered_candidates,
   certify,
@@ -46,7 +48,7 @@ from propermap.forge import (
   sample_rank_r,
   shift_5x5,
 )
-from propermap.hadamard import hpow
+from propermap.hadamard import hpow, hprod
 from propermap.jsonio import certificate_from_json, certificate_to_json, dumps
 from propermap.linalg import (
   RatMatrix,
@@ -485,6 +487,57 @@ def test_screens_decide_without_the_escape_search(monkeypatch):
     assert (cert.verdict, cert.reason) == expected
     assert cert.audit[0].step == "escape-search"
     assert cert.audit[0].outcome == "skipped"
+
+
+def _assert_gram_identities(A):
+  """Im(A A^T) = Im A, and the screen's A^T k test agrees with A A^T k."""
+  G = A.gram()
+  assert gram_image(A) == image_basis(G)
+  an = Analysis(A)
+  assert an.rank == image_basis(G).dim
+  gram_test = all(G.apply(k).is_zero() for k in an.kernel.basis)
+  assert certify_module._kernel_in_gram_kernel(an) == gram_test
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_gram_identities_on_every_rank(m):
+  rng = random.Random(100 + m)
+  for r in range(m + 1):
+    for _ in range(3):
+      A = rand_rat_rank(rng, m, r)
+      _assert_gram_identities(A)
+      # symmetric, so its kernel lies in the Gram kernel: the screen fires
+      G = A.gram()
+      _assert_gram_identities(G)
+      assert certify_module._kernel_in_gram_kernel(Analysis(G))
+
+
+def test_gram_identities_on_normalized_conjugates():
+  rng = random.Random(11)
+  cube_roots = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]
+  for _ in range(12):
+    A0 = planted_pattern(rng, rng.choice([3, 4, 5]))
+    pattern = primitive_integer_vector(kernel_basis(A0).basis[0])
+    c = RatVector.of([rng.choice(cube_roots) for _ in range(A0.m)])
+    w = hprod(hpow(c, 3), pattern)
+    # A0 diag(c^3)^-1 has the kernel vector diag(c^3) pattern = w
+    A = A0.matmul(RatMatrix.diagonal([1 / x ** 3 for x in c]))
+    nk = normalize_kernel_direction(A, w)
+    _assert_gram_identities(A)
+    _assert_gram_identities(nk.matrix)
+
+
+def test_decisions_never_form_the_gram_matrix(monkeypatch):
+  def refuse(self):
+    raise AssertionError("the Gram matrix A A^T was formed")
+  monkeypatch.setattr(RatMatrix, "gram", refuse)
+  for name, (build, expected) in sorted(REGRESSION.items()):
+    A = build()
+    cert = certify(A)
+    assert (cert.verdict, cert.reason) == expected, name
+    if cert.decided:
+      back = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+      assert verify_certificate(A, back), name
 
 
 def test_kernel_is_enumerated_at_most_once_per_certify(monkeypatch):

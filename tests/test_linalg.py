@@ -4,10 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_det, naive_rank, rows_of
+from helpers import naive_det, naive_rank, naive_rref, rows_of
 from propermap.linalg import (
   RatMatrix,
   RatVector,
@@ -22,6 +22,7 @@ from propermap.linalg import (
   orthogonal_complement,
   primitive_integer_vector,
   rank,
+  rref,
   solve,
   solve_affine_in_subspace,
   subspace_image,
@@ -36,6 +37,25 @@ def square_matrices(max_m: int = 5):
     lambda m: st.lists(
       st.lists(rationals, min_size=m, max_size=m),
       min_size=m, max_size=m)).map(RatMatrix.of)
+
+
+# entries for the rref oracle: small numerators over coprime denominators,
+# numerators past 2^100, and zeros
+rref_entries = st.one_of(
+  st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7, 11, 13])),
+  st.builds(lambda n, s, d: Fraction(s * n, d), st.integers(2 ** 100, 2 ** 110),
+            st.sampled_from([1, -1]), st.sampled_from([1, 3, 2 ** 61 - 1])),
+  st.just(Fraction(0)))
+
+
+def rref_inputs(max_dim: int = 6):
+  """Row lists of any shape, tall or wide, some rows all zero."""
+  def rows(shape):
+    n_rows, n_cols = shape
+    row = st.one_of(st.lists(rref_entries, min_size=n_cols, max_size=n_cols),
+                    st.just([Fraction(0)] * n_cols))
+    return st.lists(row, min_size=n_rows, max_size=n_rows)
+  return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(rows)
 
 
 def test_as_rat_accepts_exact_forms():
@@ -198,6 +218,18 @@ def test_principal_minors_agree_with_cofactor_expansion(A):
     want = [(S, naive_det([[rows[i][j] for j in S] for i in S]))
             for S in itertools.combinations(range(A.m), size)]
     assert nonzero_principal_minors(A, size) == [(S, v) for S, v in want if v]
+
+
+@settings(deadline=None, max_examples=150)
+@given(rref_inputs())
+@example([[Fraction(0)] * 4 for _ in range(3)])
+@example([[Fraction(2 ** 101, 3), Fraction(1, 7)], [Fraction(5, 11), 0],
+          [Fraction(0), Fraction(0)], [Fraction(-1, 13), Fraction(2 ** 100)]])
+@example([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)]])
+def test_rref_matches_naive_gauss_jordan(rows):
+  reduced, pivots = rref(rows)
+  assert (reduced, pivots) == naive_rref(rows)
+  assert all(type(x) is Fraction for row in reduced for x in row)
 
 
 @settings(deadline=None, max_examples=80)
