@@ -34,8 +34,12 @@ def as_rat(value: Scalar) -> Fraction:
   if isinstance(value, int):
     return Fraction(value)
   if isinstance(value, str):
+    s = value.strip()
     try:
-      return Fraction(value.strip())
+      # a plain ASCII integer skips the regex parse Fraction(str) runs
+      if s.isascii() and (s[1:] if s[:1] in "+-" else s).isdigit():
+        return Fraction(int(s))
+      return Fraction(s)
     except ZeroDivisionError:
       raise ValueError(f"zero denominator in rational literal {value!r}") from None
     except ValueError:

@@ -27,6 +27,10 @@ from .recipes import (
 
 DEFAULT_GAMMAS = tuple(10.0 ** e for e in range(1, 7))
 
+# seeded random starts per sphere, and the round cap of one descent
+PROBE_RANDOM_STARTS = 8
+PROBE_ITERATIONS = 150
+
 
 @dataclass(frozen=True)
 class WitnessValidationReport:
@@ -218,7 +222,6 @@ class MuProbeReport:
 
 
 def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
-             n_random_starts: int = 8, iterations: int = 150,
              radii: "tuple[float, ...] | None" = None) -> MuProbeReport:
   """Estimate mu(r) = min over the r-sphere of the norm of x + (Ax)^k.
 
@@ -226,8 +229,11 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   The probe runs projected gradient descent from curated and seeded
   random starts (plus dense sampling in dimension at most 3) on spheres
   of radius 2^0 .. 2^10 by default, entirely in floats, deterministically
-  for a fixed seed.  All starts of one radius descend together as the rows
-  of one array, each row with its own step size and stopping test.  It
+  for a fixed seed.  Every descent is a row of a numpy array with its own
+  radius, step size and stopping test.  The fixed starts of all spheres
+  share one batch.  The chained rows (continuation up the radii, then
+  refinement back down) rerun in batches until every row's start agrees
+  with the results before it, at most 2n - 1 batches for n spheres.  It
   observes rather than proves: the outcome is GrowthObserved,
   BoundedObserved, or Inconclusive.
   """
@@ -242,6 +248,7 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     if len(radii) < 4 or any(r <= 0 for r in radii) or \
        any(b <= a for a, b in zip(radii, radii[1:])):
       raise ValueError("radii must be at least four increasing positive values")
+  n = len(radii)
 
   AfT = np.ascontiguousarray(Af.T)
   ones_m = np.ones(m)
@@ -254,9 +261,19 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   def row_norms(X):
     return np.sqrt(row_dots(X, X))
 
+  def powers(AX):
+    # (AX)^(k-1) and (AX)^k by repeated products: numpy's ** calls libm
+    # pow per element, several times the cost of a multiply
+    if k == 1:
+      return 1.0, AX
+    P = AX
+    for _ in range(k - 2):
+      P = P * AX
+    return P, P * AX
+
   def h(X):
     # squared map norm of every row of X
-    Y = X + (X @ AfT) ** k
+    Y = X + powers(X @ AfT)[1]
     return row_dots(Y, Y)
 
   starts = []
@@ -265,23 +282,23 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   starts.append(-ones)
   for b in kernel_basis(A).basis:
     kb = np.array([float(t) for t in b])
-    n = np.linalg.norm(kb)
-    if n > 0:
-      for base in (kb / n, -kb / n):
+    nkb = np.linalg.norm(kb)
+    if nkb > 0:
+      for base in (kb / nkb, -kb / nkb):
         starts.append(base)
         # kernel directions are stationary for the projected gradient, so
         # jittered copies let descent leave the saddle toward any valley
         for scale in (1e-2, 1e-1):
           jit = base + scale * rng.normal(size=m)
           starts.append(jit / np.linalg.norm(jit))
-        cubed = base ** k
+        cubed = powers(base)[1]
         ncb = np.linalg.norm(cubed)
         if ncb > 0:
           for sgn in (1.0, -1.0):
             for scale in (1e-2, 1e-1):
               jit = sgn * cubed / ncb + scale * rng.normal(size=m)
               starts.append(jit / np.linalg.norm(jit))
-  for _ in range(n_random_starts):
+  for _ in range(PROBE_RANDOM_STARTS):
     v = rng.normal(size=m)
     starts.append(v / np.linalg.norm(v))
   starts = np.array(starts)
@@ -298,30 +315,34 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     th = math.pi * (3.0 - math.sqrt(5.0)) * i
     dense = np.column_stack([rad * np.cos(th), rad * np.sin(th), z])
 
-  def descend(S, r):
-    """Projected gradient descent on the r-sphere from every row of S.
+  def descend(S, R):
+    """Projected gradient descent from every row of S on the sphere of
+    radius R[row].
 
     A row accepts a step only on strict decrease, then grows its step size
     (capped at 0.5); otherwise it halves it.  A row stops when its
     tangential gradient vanishes or its step size underflows; the loop
-    ends when every row has stopped or after `iterations` rounds.
+    ends when every row has stopped or after PROBE_ITERATIONS rounds.  Up
+    to matmul rounding, a row's result does not depend on the other rows.
     """
-    X = S * r
+    Rc = R[:, None]
+    X = S * Rc
     fx = h(X)
     eta = np.full(len(X), 0.1)
     live = np.ones(len(X), dtype=bool)
-    for _ in range(iterations):
+    for _ in range(PROBE_ITERATIONS):
       AX = X @ AfT
-      Y = X + AX ** k
-      G = 2.0 * (Y + k * (AX ** (k - 1) * Y) @ Af)
+      P, AXk = powers(AX)
+      Y = X + AXk
+      G = 2.0 * (Y + k * (P * Y) @ Af)
       Xh = X / row_norms(X)[:, None]
       Gt = G - row_dots(G, Xh)[:, None] * Xh
       gn = row_norms(Gt)
       live &= gn >= 1e-14
       if not live.any():
         break
-      trial = X - (eta * r)[:, None] * Gt / np.where(live, gn, 1.0)[:, None]
-      trial = trial / row_norms(trial)[:, None] * r
+      trial = X - (eta * R)[:, None] * Gt / np.where(live, gn, 1.0)[:, None]
+      trial = trial / row_norms(trial)[:, None] * Rc
       ft = h(trial)
       better = live & (ft < fx)
       np.copyto(X, trial, where=better[:, None])
@@ -330,30 +351,50 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
       live &= eta >= 1e-12
     return fx, X / row_norms(X)[:, None]
 
-  mu_sq = []
-  best_dirs = []
-  warm = None
-  for r in radii:
-    candidates = [starts]
-    if warm is not None:
-      # continuation: track the previous sphere's valley upward; without it
-      # the narrow escape channels of non-proper maps are unfindable
-      candidates.insert(0, warm[None, :])
-    if dense is not None:
-      candidates.append(dense[np.argsort(h(dense * r), kind="stable")[:3]])
-    fx, dirs = descend(np.vstack(candidates), r)
-    # the first minimum wins, so ties go to the earliest start
-    best = int(np.argmin(fx))
-    mu_sq.append(float(fx[best]))
-    best_dirs.append(dirs[best])
-    warm = dirs[best]
+  # the fixed starts depend on no descent result, so every sphere's block
+  # descends in one batch; the first minimum of a block is its sphere's best
+  blocks = [starts if dense is None else
+            np.vstack([starts,
+                       dense[np.argsort(h(dense * r), kind="stable")[:3]]])
+            for r in radii]
+  size = len(blocks[0])
+  fx, dirs = descend(np.vstack(blocks), np.repeat(radii, size))
+  fx, dirs = fx.reshape(n, size), dirs.reshape(n, size, m)
+  first = [int(np.argmin(row)) for row in fx]
+  fixed_sq = [float(fx[i, j]) for i, j in enumerate(first)]
+  fixed_dirs = [dirs[i, j] for i, j in enumerate(first)]
 
-  # backward refinement: valleys found only at large radii are handed down
-  # sphere by sphere, removing spurious bumps from the measured envelope
-  for i in range(len(radii) - 2, -1, -1):
-    fx, dirs = descend(best_dirs[i + 1][None, :], radii[i])
-    if fx[0] < mu_sq[i]:
-      mu_sq[i], best_dirs[i] = float(fx[0]), dirs[0]
+  # the chain: continuation descends sphere i from sphere i-1's best, which
+  # tracks a valley upward (without it the narrow escape channels of
+  # non-proper maps are unfindable); backward refinement then descends
+  # sphere i from sphere i+1's refined best, removing spurious bumps from
+  # the measured envelope.  Each job is (sphere, sphere its start comes from).
+  chain = [(i, i - 1) for i in range(1, n)] + \
+      [(i, i + 1) for i in range(n - 2, -1, -1)]
+  ran = {}  # job -> (start, fx, dir) of its latest descent
+  while True:
+    # a job's result counts only if it descended from the start the results
+    # before it now give; the rest rerun together.  The first stale job's
+    # start rests on consistent results only, so each batch settles at
+    # least one more job: at most 2n - 2 batches after the fixed one, as
+    # many descent loops as running the chain one job at a time.
+    mu_sq, best_dirs = list(fixed_sq), list(fixed_dirs)
+    stale = []
+    for job, (i, src) in enumerate(chain):
+      start = best_dirs[src]
+      if job in ran and np.array_equal(ran[job][0], start):
+        _, f, d = ran[job]
+        # the warm row wins ties; a refinement must strictly improve
+        if (f <= mu_sq[i]) if src < i else (f < mu_sq[i]):
+          mu_sq[i], best_dirs[i] = f, d
+      else:
+        stale.append((job, start))
+    if not stale:
+      break
+    fx, dirs = descend(np.array([s for _, s in stale]),
+                       np.array([radii[chain[job][0]] for job, _ in stale]))
+    for row, (job, start) in enumerate(stale):
+      ran[job] = (start, float(fx[row]), dirs[row])
   mu_values = [math.sqrt(v) for v in mu_sq]
 
   def tail_slope(values):

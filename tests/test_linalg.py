@@ -1,6 +1,7 @@
 """Exact linear algebra: examples pinned by hand plus randomized invariants."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,26 @@ def test_as_rat_rejects_imprecise_and_malformed_input():
     as_rat(0.5)
   with pytest.raises(TypeError):
     as_rat(True)
+
+
+@pytest.mark.parametrize("text", [
+  "1_000", " 5 ", "+3", "-0", "\u0663", "1e3", "3.0", "0x10", "", "7/0",
+  "--1", " -12\n"])
+def test_as_rat_string_parse_matches_fraction(text):
+  # the plain-integer shortcut must accept and refuse exactly what
+  # Fraction(str) does, with the same messages
+  try:
+    want = Fraction(text.strip())
+  except ZeroDivisionError:
+    message = f"zero denominator in rational literal {text!r}"
+  except ValueError:
+    message = f"not a rational literal: {text!r}"
+  else:
+    got = as_rat(text)
+    assert type(got) is Fraction and got == want
+    return
+  with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    as_rat(text)
 
 
 def test_rank_identity_and_zero():

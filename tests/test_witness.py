@@ -9,7 +9,13 @@ import pytest
 
 from helpers import naive_det, ones_kernel_sample, rand_int_matrix, rows_of
 from propermap.certify import NONPROPER, PROPER, certify, k1_properness
-from propermap.forge import golden_3x3, shift_5x5
+from propermap.forge import (
+  Family3x3Params,
+  forge_3x3,
+  golden_3x3,
+  sample_rank_r,
+  shift_5x5,
+)
 from propermap.linalg import RatMatrix, RatVector
 from propermap.recipes import WitnessRecipe, build_witness_point
 from propermap.witness import (
@@ -172,6 +178,69 @@ PROBE_FIXTURES = {"golden": golden_3x3, "shift": shift_5x5,
 def test_probe_matches_recorded_values(name, radii):
   rep = probe_mu(PROBE_FIXTURES[name](), seed=0, radii=radii)
   assert rep.mu_values == pytest.approx(RECORDED_MU[(name, radii)], rel=1e-9)
+
+
+# mu_values recorded from the probe that descended one sphere at a time (all
+# starts of a sphere in one batch, then one loop per chained row); they cover
+# a 2-dimensional kernel, the dense-circle starts of m = 2, and k = 2
+RECORDED_MU_MORE = {
+  ("ones4", 3, None): (
+    0.23535274325606875, 1.0651427416229464, 2.5704877961475905,
+    5.416092269527259, 11.233622915245656, 22.645442204753483,
+    45.182418422555386, 90.27904086518521, 180.33058553951082,
+    360.5536319203889, 720.6269075877447),
+  ("ones4", 3, (1, 2, 4, 8)): (
+    0.23535274325606875, 1.0651427416229464, 2.5704877961475905,
+    5.416092269527259),
+  ("family", 3, None): (
+    0.10965503462592681, 0.08640556246467286, 0.06744306899609974,
+    0.05273923483977552, 0.04140343617162391, 0.03261698257091545,
+    0.02576066411453512, 0.020381038836890828, 0.016143385349045514,
+    0.012796521363970359, 0.010148663653602185),
+  ("family", 3, (1, 2, 4, 8)): (
+    0.10965503462592681, 0.08640556246467286, 0.06744306899609974,
+    0.05273923483977552),
+  ("two", 3, None): (
+    2.233309782232038, 12.573427937791287, 90.51852059269187,
+    704.3741435702037, 5595.645576389329, 44686.57226151227,
+    357335.4451183658, 2858369.3209034717, 22866326.100098036,
+    182929351.87300402, 1463432301.1317115),
+  ("two", 3, (1, 2, 4, 8)): (
+    2.233309782232038, 12.573427937791287, 90.51852059269187,
+    704.3741435702037),
+  ("rank3of5", 3, None): (
+    0.32518196995275944, 0.6854531922908914, 1.4156557542485648,
+    2.888011129590853, 5.8476631951249445, 11.7857257837671,
+    23.685446049466677, 47.51458879119845, 95.21027867382418,
+    190.64877284450995, 381.5851131134832),
+  ("rank3of5", 3, (1, 2, 4, 8)): (
+    0.32518297795687856, 0.6854551191822538, 1.415659426417191,
+    2.8880184049950963),
+  ("golden", 2, None): (
+    0.2006934783448773, 0.233471408438429, 0.26134578304652994,
+    0.28412775038273874, 0.3021070830170613, 0.3158998284554528,
+    0.3262521350922059, 0.3338957613002682, 0.33947153078794706,
+    0.3435030800944908, 0.34640060047717597),
+  ("golden", 2, (1, 2, 4, 8)): (
+    0.2006934783448773, 0.233471408438429, 0.26134578304652994,
+    0.28412775038273874),
+}
+MORE_FIXTURES = {
+  "ones4": lambda: ones_kernel_sample(random.Random(11), 4),
+  "family": lambda: forge_3x3(Family3x3Params.from_free(1, 2, 1, -1)),
+  "two": lambda: RatMatrix.of([[2, 1], [-1, 1]]),
+  "rank3of5": lambda: sample_rank_r(5, 3, seed=2),
+  "golden": golden_3x3,
+}
+
+
+@pytest.mark.parametrize("name,k,radii", list(RECORDED_MU_MORE),
+                         ids=[f"{n}-k{k}-{'default' if r is None else 'short'}"
+                              for n, k, r in RECORDED_MU_MORE])
+def test_probe_matches_more_recorded_values(name, k, radii):
+  rep = probe_mu(MORE_FIXTURES[name](), k=k, seed=0, radii=radii)
+  assert rep.mu_values == pytest.approx(RECORDED_MU_MORE[(name, k, radii)],
+                                        rel=1e-9)
 
 
 def test_probe_classifications_match_recorded_ones_kernel_samples():
