@@ -40,6 +40,7 @@ from .linalg import (
   RatMatrix,
   RatVector,
   Subspace,
+  _integerized_rows,
   as_rat,
   det,
   image_basis,
@@ -90,7 +91,10 @@ FLOAT_TOL = 1e-9
 # kernel candidates are small integer combinations of the kernel basis with
 # coefficients in [-CANDIDATE_BOX, CANDIDATE_BOX]; the escape search reads
 # the first CANDIDATE_CAP of them, the corank >= 2 sweep keeps at most
-# CANDIDATE_CAP rational directions from the first 4 * CANDIDATE_CAP
+# CANDIDATE_CAP rational directions from the first 4 * CANDIDATE_CAP.
+# CANDIDATE_BOX stays below 8: no ratio of two coefficients can then be a
+# rational cube other than +-1, which lets the sweep cube-test only the
+# +-1 tuples (at 8 the ratio 8 = 2^3 would break that)
 CANDIDATE_BOX = 3
 CANDIDATE_CAP = 400
 
@@ -210,9 +214,6 @@ class Analysis:
   """
 
   A: RatMatrix
-  # box -> (kernel candidates, their directions computed so far)
-  _enumerations: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
   @cached_property
   def _kernel_and_row_space(self) -> tuple[Subspace, Subspace]:
@@ -234,25 +235,34 @@ class Analysis:
   def row_space(self) -> Subspace:
     return self._kernel_and_row_space[1]
 
-  def kernel_directions(self, box: int, count: int
-                        ) -> Iterator[RatVector | None]:
-    """Rational cube-root directions of the first `count` kernel candidates
-    of `_ordered_candidates`, None where irrational, in candidate order.
+  @cached_property
+  def _sign_candidates(self) -> tuple[list, list, list]:
+    """The +-1 coefficient tuples with their candidate positions, the
+    integer columns of the kernel basis, and the directions found so far."""
+    order, columns, _ = _ordered_candidates(self.kernel)
+    signs = _sign_tuples(self.kernel.dim)
+    return [(i, c) for i, c in enumerate(order) if c in signs], columns, []
 
-    The enumeration runs once per box and each direction is computed once,
-    when a caller first reaches it.  The candidates go to the cube-line
-    test as the integer tuples the enumeration made; the common scale of
-    the basis drops out of a direction, and Fractions appear only in the
-    rare directions that exist.
+  def kernel_directions(self, count: int) -> Iterator[RatVector]:
+    """The rational cube-root directions among the first `count` kernel
+    candidates of `_ordered_candidates`, in candidate order.
+
+    Only the +-1 coefficient tuples are tested.  With w = D * sum c_j b_j on
+    the canonical kernel basis, the pivot identity w[p_j] = D c_j makes
+    every ratio c_j / c_l of nonzero coefficients a ratio of coordinates of
+    w, so a rational direction needs each of them to be a rational cube.
+    For |c_j| <= CANDIDATE_BOX < 8 the only such ratios are +-1, and the
+    tuples are primitive, so every nonzero c_j is +-1.  Each direction is
+    computed once, when a caller first reaches it.
     """
-    if box not in self._enumerations:
-      vectors, _ = _ordered_candidates(list(self.kernel.basis), box)
-      self._enumerations[box] = (vectors, [])
-    vectors, done = self._enumerations[box]
-    for i, w in enumerate(vectors[:count]):
-      if i == len(done):
-        done.append(rational_cube_root_direction(w))
-      yield done[i]
+    signs, columns, done = self._sign_candidates
+    for j, (i, c) in enumerate(signs):
+      if i >= count:
+        return
+      if j == len(done):
+        done.append(rational_cube_root_direction(_combine(c, columns)))
+      if done[j] is not None:
+        yield done[j]
 
 
 def _analysis(A: RatMatrix | Analysis) -> Analysis:
@@ -387,32 +397,50 @@ def _coeff_enumeration(dim: int, box: int = 3, cap: int = 3000
   return tuple(out)
 
 
-def _ordered_candidates(basis_vectors: list[RatVector], box: int = 3
-                        ) -> tuple[list[tuple[int, ...]], int]:
-  """Nonzero small-coefficient combinations of a linearly independent basis,
-  one per line, sorted by (-support, sum of |c|, mixed signs, c) for the
-  coefficient tuple c: widest support first, then smallest coefficients.
+@cache
+def _sign_tuples(dim: int) -> frozenset[tuple[int, ...]]:
+  """The tuples of `_coeff_enumeration` whose nonzero entries are all +-1."""
+  return frozenset(c for c in _coeff_enumeration(dim, CANDIDATE_BOX)
+                   if max(map(abs, c)) == 1)
 
-  The work is in Python ints: the basis is scaled by the common denominator
-  D of its entries, which is returned with the list.  The scale keeps every
-  combination's line, support and place in the order, so dividing an entry
-  by D gives back the rational combination.  Each coordinate is one
-  `sum(map(mul, c, column))` over the basis entries of that coordinate.
-  Distinct primitive sign-normalized tuples of an independent basis span
+
+def _ordered_candidates(space: Subspace
+                        ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]],
+                                   int]:
+  """The coefficient tuples c of `_coeff_enumeration`, one per line of the
+  subspace, sorted by (-support, sum of |c|, mixed signs, c) of the
+  combination w = D * sum c_j b_j over the canonical basis b.  Returns the
+  tuples, the integer columns of the scaled basis (see `_combine`) and the
+  scale D, the common denominator of the basis entries.
+
+  The canonical basis is in reduced echelon form: b_j is 1 at its pivot
+  p_j and 0 at every other pivot, so w[p_j] = D c_j.  The zeros of w at the
+  pivots are the zeros of c, and only the free coordinates need a dot
+  product.  Distinct primitive sign-normalized tuples of a basis span
   distinct lines, so no combination is zero and none repeats a line.  The
-  coefficient table already lists c in the order of the last three keys, so
-  a stable sort on support alone gives the full order.
+  coefficient table already lists c in the order of the last three keys,
+  so a stable sort on the zero count alone gives the full order.
   """
-  if not basis_vectors:
-    return [], 1
-  scale = math.lcm(*(a.denominator for b in basis_vectors for a in b))
+  if space.dim == 0:
+    return [], [], 1
+  scale = math.lcm(*(a.denominator for b in space.basis for a in b))
   columns = list(zip(*[[a.numerator * (scale // a.denominator) for a in b]
-                       for b in basis_vectors]))
-  vectors = [tuple([sum(map(operator.mul, c, col)) for col in columns])
-             for c in _coeff_enumeration(len(basis_vectors), box)]
-  # fewer zero coordinates is wider support
-  vectors.sort(key=lambda v: v.count(0))
-  return vectors, scale
+                       for b in space.basis]))
+  pivots = {b.support()[0] for b in space.basis}
+  free = [col for i, col in enumerate(columns) if i not in pivots]
+
+  def zeros(c: tuple[int, ...]) -> int:
+    return c.count(0) + [sum(map(operator.mul, c, col))
+                         for col in free].count(0)
+  order = sorted(_coeff_enumeration(space.dim, CANDIDATE_BOX), key=zeros)
+  return order, columns, scale
+
+
+def _combine(c: tuple[int, ...], columns: list[tuple[int, ...]]
+             ) -> tuple[int, ...]:
+  """The integer combination sum c_j B_j of the scaled basis B, one
+  `sum(map(mul, c, column))` per coordinate."""
+  return tuple([sum(map(operator.mul, c, col)) for col in columns])
 
 
 def _disjoint_supports(vectors) -> bool:
@@ -449,18 +477,20 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
       raise AssertionError("image vector without row-space preimage")
     return EscapeSearch(x, y, True, "candidate found")
 
-  basis = list(K.basis)
-  directions = [rational_cube_root_direction(b) for b in basis]
-  if _disjoint_supports(basis) and all(d is not None for d in directions):
-    # cube roots act per coordinate, so with disjoint supports every cube
-    # root of a kernel vector is a combination of the per-vector roots
-    roots = Subspace.span(directions, m)
-    meet = intersect(roots, Im)
-    if meet.dim == 0:
-      return EscapeSearch(None, None, True,
-                          "no cube root of a kernel vector lies in the image")
-    vectors, scale = _ordered_candidates(list(meet.basis))
-    return found(RatVector(tuple(Fraction(x, scale) for x in vectors[0])))
+  if _disjoint_supports(K.basis):
+    directions = [rational_cube_root_direction(b) for b in K.basis]
+    if all(d is not None for d in directions):
+      # cube roots act per coordinate, so with disjoint supports every cube
+      # root of a kernel vector is a combination of the per-vector roots
+      roots = Subspace.span(directions, m)
+      meet = intersect(roots, Im)
+      if meet.dim == 0:
+        return EscapeSearch(None, None, True,
+                            "no cube root of a kernel vector lies in the "
+                            "image")
+      order, columns, scale = _ordered_candidates(meet)
+      return found(RatVector(tuple(Fraction(x, scale)
+                                   for x in _combine(order[0], columns))))
   if K.dim == 1:
     g = primitive_integer_vector(K.basis[0])
     if not cube_root_in_subspace(g, Im):
@@ -471,9 +501,7 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
       return found(d)
     return EscapeSearch(None, None, False,
                         "an escape image vector exists but is irrational")
-  for d in an.kernel_directions(CANDIDATE_BOX, CANDIDATE_CAP):
-    if d is None:
-      continue
+  for d in an.kernel_directions(CANDIDATE_CAP):
     x = solve_affine_in_subspace(A, d, rowspace)
     if x is not None:
       return EscapeSearch(x, d, True, "candidate found")
@@ -507,9 +535,15 @@ def _float_escape_probe(A: RatMatrix, K: Subspace, Im: Subspace,
 
 def _kernel_in_gram_kernel(an: Analysis) -> bool:
   """Ker A inside Ker(A A^T), tested as A^T k = 0 on a kernel basis: over
-  the rationals Ker(A A^T) = Ker A^T."""
-  At = an.A.transpose()
-  return all(At.apply(b).is_zero() for b in an.kernel.basis)
+  the rationals Ker(A A^T) = Ker A^T.  The sums run on integers: each
+  column of A and each basis vector is scaled by its common denominator,
+  which leaves every zero test unchanged."""
+  if an.kernel.dim == 0:
+    return True
+  columns, _ = _integerized_rows(zip(*an.A.rows))
+  kernel, _ = _integerized_rows(b.entries for b in an.kernel.basis)
+  return all(sum(map(operator.mul, col, k)) == 0
+             for k in kernel for col in columns)
 
 
 def sufficient_screens(A: RatMatrix | Analysis
@@ -1080,14 +1114,16 @@ def kernel_cuberoot_candidates(A: RatMatrix | Analysis) -> list[RatVector]:
 
   The directions come from the first 4 * CANDIDATE_CAP kernel combinations
   of the enumeration the escape search reads, at most CANDIDATE_CAP of
-  them.  They are pairwise non-parallel without a dedupe: the combinations
-  span distinct kernel lines, and y^3 spans the line y came from.
+  them.  A combination D * sum c_j b_j on the canonical kernel basis is
+  D c_j at the pivot of b_j, so its cube root is rational only when every
+  nonzero c_j is +-1 (see `Analysis.kernel_directions`); the other tuples
+  are never tested.  The directions are pairwise non-parallel without a
+  dedupe: the combinations span distinct kernel lines, and y^3 spans the
+  line y came from.
   """
   an = _analysis(A)
   found: list[RatVector] = []
-  for y in an.kernel_directions(CANDIDATE_BOX, CANDIDATE_CAP * 4):
-    if y is None:
-      continue
+  for y in an.kernel_directions(CANDIDATE_CAP * 4):
     found.append(y)
     if len(found) >= CANDIDATE_CAP:
       break

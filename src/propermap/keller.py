@@ -19,6 +19,11 @@ preimage x of y, det JF(mu x) - 1 is a nonzero polynomial in mu^(k-1) with
 no constant term and at most r - 1 nonzero roots, so one of mu = 1..r is
 not a root.
 
+Each term of det(A_SS) follows a permutation of S, whose cycles are cycles
+of the support digraph of A (an edge i -> j when a_ij != 0, self-loops
+included).  So a principal minor can be nonzero only when every index of S
+lies on such a cycle, and the walk forms only those minors.
+
 Also here: the search for a sign vector delta and global sign s making
 s * delta_i * delta_j * a_ij nonnegative for every entry.  That is a
 two-coloring problem solved with a parity union-find.  The outcome is
@@ -95,11 +100,13 @@ def _refute(A: RatMatrix, k: int, y: RatVector, r: int,
 def is_druzkowski(A: RatMatrix, k: int = 3) -> UnimodularReport:
   """Decide exactly whether det JF is identically 1 for x + (Ax)^k.
 
-  For k >= 2 a full-rank A is refuted at once (P_m = k^m det A prod
-  y_i^(k-1) is nonzero); otherwise the levels s = 1..rank A are walked in
-  order, each forming its minors only when reached and stopping at the
-  first lattice point where P_s is nonzero.  Past LATTICE_CAP evaluated
-  minors and (point, minor) products the answer is None.
+  For k >= 2 an A whose support digraph has no cycle is unimodular at
+  once (every principal minor vanishes), and a full-rank A is refuted at
+  once (P_m = k^m det A prod y_i^(k-1) is nonzero).  Otherwise the levels
+  s = 1..rank A are walked in order, each forming only the minors on
+  cycle indices, when reached, and stopping at the first lattice point
+  where P_s is nonzero.  Past LATTICE_CAP evaluated minors and (point,
+  minor) products the answer is None.
   """
   if k < 1:
     raise ValueError("power k must be >= 1")
@@ -110,6 +117,10 @@ def is_druzkowski(A: RatMatrix, k: int = 3) -> UnimodularReport:
       return UnimodularReport(True, k, note="det JF = det(I + A) = 1")
     return UnimodularReport(False, k, counterexample=RatVector.zero(m),
                             note=f"det JF = det(I + A) = {value}")
+  cycle = _cycle_indices(A)
+  if not cycle:
+    return UnimodularReport(True, k, note="the support digraph of A has no "
+                                          "cycle, so every P_s is zero")
   # integer basis vectors leave the lattice test unchanged: scaling the
   # image coordinates does not change whether a form vanishes
   basis = [[int(a) for a in primitive_integer_vector(b)]
@@ -118,13 +129,17 @@ def is_druzkowski(A: RatMatrix, k: int = 3) -> UnimodularReport:
   if r == m:
     return _refute(A, k, RatVector.of([1] * m), r,
                    note="A is invertible, so P_m is nonzero")
+  on_cycles = RatMatrix(tuple(tuple(A.rows[i][j] for j in cycle)
+                              for i in cycle))
   work = 0
   for s in range(1, r + 1):
-    work += comb(m, s)
+    work += comb(len(cycle), s)
     if work > LATTICE_CAP:
-      return _capped(k, f"the {comb(m, s)} principal minors of size {s}")
+      return _capped(k, f"the {comb(len(cycle), s)} principal minors of "
+                        f"size {s}")
     # the common factor k^s does not change whether P_s vanishes
-    minors = nonzero_principal_minors(A, s)
+    minors = [(tuple(cycle[i] for i in S), c)
+              for S, c in nonzero_principal_minors(on_cycles, s)]
     if not minors:
       continue
     d = s * (k - 1)
@@ -140,6 +155,25 @@ def is_druzkowski(A: RatMatrix, k: int = 3) -> UnimodularReport:
                        note=f"P_{s} is nonzero at y = A x")
   return UnimodularReport(True, k, note=f"P_s vanishes on its image lattice "
                                         f"for s = 1..{r} ({work} evaluations)")
+
+
+def _cycle_indices(A: RatMatrix) -> list[int]:
+  """The indices on a cycle of the support digraph of A, in order: i
+  reaches itself along edges i -> j with a_ij != 0."""
+  m = A.m
+  succ = [[j for j in range(m) if A.rows[i][j] != 0] for i in range(m)]
+  out = []
+  for i in range(m):
+    seen: set[int] = set()
+    stack = list(succ[i])
+    while stack:
+      j = stack.pop()
+      if j not in seen:
+        seen.add(j)
+        stack.extend(succ[j])
+    if i in seen:
+      out.append(i)
+  return out
 
 
 def _capped(k: int, size: str) -> UnimodularReport:

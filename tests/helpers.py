@@ -221,3 +221,101 @@ def two_class_kernel(rng: random.Random, box: int = 2) -> RatMatrix:
     W.append(r)
   return RatMatrix.of([[sum(U[i][t] * W[t][j] for t in range(3))
                         for j in range(4)] for i in range(4)])
+
+
+def full_minor_walk(A: RatMatrix, k: int = 3) -> bool:
+  """det JF == 1 for k >= 2, from the principal-minor expansion over every
+  index set: each P_s must vanish on the simplex lattice of degree s(k-1)
+  over a basis of Im A.  No index set is skipped, whatever the support."""
+  m = A.m
+  cols = [[A.entry(i, j) for i in range(m)] for j in range(m)]
+  reduced, pivots = naive_rref(cols)
+  basis = reduced[:len(pivots)]
+  r = len(basis)
+  for s in range(1, r + 1):
+    minors = []
+    for S in itertools.combinations(range(m), s):
+      c = naive_det([[A.entry(i, j) for j in S] for i in S])
+      if c != 0:
+        minors.append((S, c))
+    if not minors:
+      continue
+    d = s * (k - 1)
+    # stars and bars: r - 1 bars among d + r - 1 slots give t, |t| = d
+    for bars in itertools.combinations(range(d + r - 1), r - 1):
+      edges = (-1,) + bars + (d + r - 1,)
+      t = [edges[i + 1] - edges[i] - 1 for i in range(r)]
+      y = [sum(tj * b[i] for tj, b in zip(t, basis)) for i in range(m)]
+      total = Fraction(0)
+      for S, c in minors:
+        term = c
+        for i in S:
+          term *= y[i] ** (k - 1)
+        total += term
+      if total != 0:
+        return False
+  return True
+
+
+def naive_cube_root(n: int) -> int | None:
+  """The integer cube root of n, by bisection, or None when n is no cube."""
+  a = abs(n)
+  lo, hi = 0, 1
+  while hi ** 3 < a:
+    hi *= 2
+  while lo < hi:
+    mid = (lo + hi) // 2
+    if mid ** 3 < a:
+      lo = mid + 1
+    else:
+      hi = mid
+  if lo ** 3 != a:
+    return None
+  return lo if n >= 0 else -lo
+
+
+def naive_cube_direction(v) -> RatVector | None:
+  """The entrywise cube roots of v / v_f, v_f the first nonzero entry of
+  v, when every one of them is rational; None otherwise."""
+  lead = next(Fraction(x) for x in v if x != 0)
+  out = []
+  for x in v:
+    q = Fraction(x) / lead
+    num, den = naive_cube_root(q.numerator), naive_cube_root(q.denominator)
+    if num is None or den is None:
+      return None
+    out.append(Fraction(num, den))
+  return RatVector.of(out)
+
+
+def reference_candidates(basis, table) -> list[RatVector]:
+  """Every combination sum c_j b_j for the coefficient tuples c of `table`,
+  formed in Fractions, one per line, sorted by (-support, sum of |c|,
+  mixed signs, c)."""
+  scored, seen = [], set()
+  for c in table:
+    v = [sum((coef * b[i] for coef, b in zip(c, basis)), Fraction(0))
+         for i in range(len(basis[0]))]
+    lead = next((x for x in v if x != 0), None)
+    if lead is None:
+      continue
+    line = tuple(x / lead for x in v)
+    if line in seen:
+      continue
+    seen.add(line)
+    mixed = any(x < 0 for x in c)
+    support = sum(1 for x in v if x != 0)
+    scored.append((-support, sum(abs(x) for x in c), mixed, c, v))
+  scored.sort(key=lambda t: t[:4])
+  return [RatVector.of(t[4]) for t in scored]
+
+
+def reference_kernel_directions(basis, table, count: int) -> list[RatVector]:
+  """The rational cube-root directions of the first `count` reference
+  candidates, every candidate tested."""
+  out = []
+  for v in reference_candidates(basis, table)[:count]:
+    d = naive_cube_direction(v)
+    if d is not None:
+      out.append(d)
+  return out

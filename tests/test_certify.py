@@ -20,6 +20,8 @@ from helpers import (
   rand_invertible,
   rand_rat_rank,
   rand_symmetric,
+  reference_candidates,
+  reference_kernel_directions,
   two_class_kernel,
   two_pattern_kernel,
 )
@@ -29,6 +31,7 @@ from propermap.certify import (
   UNDECIDED,
   Analysis,
   DirectionProfile,
+  _combine,
   _ordered_candidates,
   certify,
   condition_chain,
@@ -48,13 +51,15 @@ from propermap.forge import (
   sample_rank_r,
   shift_5x5,
 )
-from propermap.hadamard import hpow, hprod
+from propermap.hadamard import hpow, hprod, rational_cube_root_direction
 from propermap.jsonio import certificate_from_json, certificate_to_json, dumps
 from propermap.linalg import (
   RatMatrix,
   RatVector,
+  Subspace,
   image_basis,
   kernel_basis,
+  orthogonal_complement,
   primitive_integer_vector,
   rank,
   solve_affine_in_subspace,
@@ -543,9 +548,9 @@ def test_decisions_never_form_the_gram_matrix(monkeypatch):
 def test_kernel_is_enumerated_at_most_once_per_certify(monkeypatch):
   calls = []
 
-  def counting(basis_vectors, box=3):
-    calls.append(list(basis_vectors))
-    return _ordered_candidates(basis_vectors, box)
+  def counting(space):
+    calls.append(list(space.basis))
+    return _ordered_candidates(space)
   monkeypatch.setattr(certify_module, "_ordered_candidates", counting)
   for name in ("two-patterns-2004", "two-patterns-2176", "two-patterns-2247",
                "rank-6-3-1"):
@@ -557,42 +562,118 @@ def test_kernel_is_enumerated_at_most_once_per_certify(monkeypatch):
     assert sum(basis == kernel for basis in calls) == 1, name
 
 
-def _reference_candidates(basis, box=3):
-  """The enumeration in Fraction vectors, as a slow reference."""
-  scored, seen = [], set()
-  for c in certify_module._coeff_enumeration(len(basis), box=box):
-    v = RatVector.zero(len(basis[0]))
-    for coef, b in zip(c, basis):
-      v = v + b.scale(coef)
-    if v.is_zero():
-      continue
-    key = primitive_integer_vector(v)
-    if key in seen:
-      continue
-    seen.add(key)
-    mixed = 1 if any(x < 0 for x in c) else 0
-    scored.append((-len(v.support()), sum(abs(x) for x in c), mixed, c, v))
-  scored.sort(key=lambda t: t[:4])
-  return [t[4] for t in scored]
+# a non-integer basis whose entries need more than 64 bits
+BIG_BASIS = [[Fraction(2 ** 64 + 3, 7), 0, Fraction(-5, 2 ** 65 + 1), 1, 0],
+             [1, Fraction(3 ** 50, 11), 0, 2, Fraction(-1, 2)],
+             [0, Fraction(1, 3), Fraction(2 ** 70, 9), -1, 2 ** 80]]
+
+
+def _big_subspace() -> Subspace:
+  space = Subspace.span([RatVector.of(row) for row in BIG_BASIS], 5)
+  assert space.dim == 3
+  assert max(max(abs(a.numerator), a.denominator)
+             for b in space.basis for a in b) > 2 ** 64
+  return space
 
 
 def test_integer_candidate_enumeration_matches_rational_reference():
   # kernel dims 2 to 5: (8, 4) takes the full product box, (8, 3) the pairs
-  bases = [list(kernel_basis(sample_rank_r(m, r, seed=seed)).basis)
-           for seed, (m, r) in enumerate([(4, 2), (5, 3), (6, 3), (6, 4),
-                                          (5, 2), (8, 4), (8, 3)])]
-  # a non-integer basis whose entries need more than 64 bits
-  big = [[Fraction(2 ** 64 + 3, 7), 0, Fraction(-5, 2 ** 65 + 1), 1, 0],
-         [1, Fraction(3 ** 50, 11), 0, 2, Fraction(-1, 2)],
-         [0, Fraction(1, 3), Fraction(2 ** 70, 9), -1, 2 ** 80]]
-  assert rank(RatMatrix.of(big)) == 3
-  bases.append([RatVector.of(row) for row in big])
-  assert [len(b) for b in bases] == [2, 2, 3, 2, 3, 4, 5, 3]
-  for basis in bases:
-    vectors, scale = _ordered_candidates(basis)
+  spaces = [kernel_basis(sample_rank_r(m, r, seed=seed))
+            for seed, (m, r) in enumerate([(4, 2), (5, 3), (6, 3), (6, 4),
+                                           (5, 2), (8, 4), (8, 3)])]
+  spaces.append(_big_subspace())
+  assert [s.dim for s in spaces] == [2, 2, 3, 2, 3, 4, 5, 3]
+  for space in spaces:
+    order, columns, scale = _ordered_candidates(space)
     assert scale > 0
-    assert [RatVector.of([Fraction(x, scale) for x in v]) for v in vectors] \
-        == _reference_candidates(basis)
+    table = certify_module._coeff_enumeration(space.dim)
+    assert [RatVector.of([Fraction(x, scale) for x in _combine(c, columns)])
+            for c in order] == reference_candidates(space.basis, table)
+
+
+def _matrix_with_kernel(space: Subspace) -> RatMatrix:
+  """A square matrix whose kernel is `space`: the rows span its orthogonal
+  complement, padded with zero rows."""
+  m = space.ambient_dim
+  rows = [b.entries for b in orthogonal_complement(space).basis]
+  A = RatMatrix.of(rows + [[0] * m] * (m - len(rows)))
+  assert kernel_basis(A) == space
+  return A
+
+
+def _planted_cube_subspace(rng: random.Random, dim: int, m: int) -> Subspace:
+  """A canonical basis e_j + (free entries in {-1, 0, 1, 7}): many +-1
+  combinations have free entries 0, +-1 or +-8, so their cube roots are
+  rational, and many others are not."""
+  basis = []
+  for j in range(dim):
+    row = [0] * m
+    row[j] = 1
+    for f in range(dim, m):
+      row[f] = rng.choice([-1, 0, 0, 1, 1, 7])
+    basis.append(RatVector.of(row))
+  return Subspace.span(basis, m)
+
+
+def test_kernel_directions_match_the_full_reference_sweep():
+  rng = random.Random(9)
+  spaces = [kernel_basis(sample_rank_r(m, 2, seed=m)) for m in range(4, 9)]
+  spaces += [_planted_cube_subspace(rng, dim, dim + 3) for dim in range(2, 7)]
+  spaces += [kernel_basis(RatMatrix.zero(dim, dim)) for dim in range(2, 7)]
+  spaces += [kernel_basis(two_pattern_kernel(random.Random(s)))
+             for s in (2000, 2004)]
+  spaces.append(_big_subspace())
+  # kernel dims 2-4 take the full box, 5 and 6 the pairs and signs
+  assert {s.dim for s in spaces} == {2, 3, 4, 5, 6}
+  hits = 0
+  for space in spaces:
+    A = _matrix_with_kernel(space)
+    table = certify_module._coeff_enumeration(space.dim)
+    want = {count: reference_kernel_directions(space.basis, table, count)
+            for count in (400, 1600)}
+    hits += len(want[1600])
+    # the shorter prefix first, then the longer one extends the same cache
+    an = Analysis(A)
+    for count in (400, 1600):
+      assert list(an.kernel_directions(count)) == want[count]
+    an = Analysis(A)
+    for count in (1600, 400):
+      assert list(an.kernel_directions(count)) == want[count]
+  assert hits > 100
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cube_line_test_sees_only_unit_coefficient_tuples(monkeypatch, seed):
+  seen = []
+
+  def recording(g):
+    seen.append(g)
+    return rational_cube_root_direction(g)
+  monkeypatch.setattr(certify_module, "rational_cube_root_direction",
+                      recording)
+  A = sample_rank_r(8, 4, seed=seed)
+  pivots = [b.support()[0] for b in kernel_basis(A).basis]
+  certify(A)
+  assert seen
+  for g in seen:
+    # on the canonical kernel basis, the coefficient of b_j is g at its
+    # pivot, up to one common scale: the nonzero ones share one size
+    sizes = {abs(Fraction(g[p])) for p in pivots} - {0}
+    assert len(sizes) == 1, g
+
+
+def test_candidate_box_stays_below_the_first_cube_ratio():
+  box = certify_module.CANDIDATE_BOX
+  assert box < 8
+  # a ratio a / b of coefficients in the box is a rational cube only when
+  # a = b, so the sweep may cube-test the +-1 tuples alone
+  for a in range(-box, box + 1):
+    for b in range(1, box + 1):
+      if a != 0:
+        assert (rational_cube_root_direction((b, a)) is not None) == \
+            (abs(a) == b)
+  # at box 8, c = (1, 8) on two unit vectors would have a rational direction
+  assert rational_cube_root_direction((1, 8)) == RatVector.of([1, 2])
 
 
 def test_coefficient_table_is_one_fixed_tuple():

@@ -7,10 +7,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_det, naive_jacobian, naive_unimodular, rows_of
+from helpers import (full_minor_walk, naive_det, naive_jacobian,
+                     naive_unimodular, rows_of)
 from propermap import cli, keller
 from propermap.certify import certify
-from propermap.forge import shift_5x5
+from propermap.forge import sample_rank_r, shift_5x5
 from propermap.jsonio import dumps, matrix_to_json
 from propermap.keller import (
   find_sign_pattern,
@@ -155,15 +156,75 @@ def test_is_druzkowski_identity_eight_has_an_exact_counterexample():
 def test_is_druzkowski_reports_none_past_the_lattice_cap(monkeypatch, tmp_path,
                                                           capsys):
   monkeypatch.setattr(keller, "LATTICE_CAP", 3)
-  rep = is_druzkowski(shift_5x5())
+  # every index of this dense matrix lies on a cycle of its support
+  A = sample_rank_r(5, 3, seed=0)
+  rep = is_druzkowski(A)
   assert rep.unimodular is None
   assert not rep
   assert "LATTICE_CAP = 3" in rep.note
-  assert invertibility_verdict(shift_5x5(), "Proper") == "undetermined"
+  assert invertibility_verdict(A, "Proper") == "undetermined"
   path = tmp_path / "s.json"
-  path.write_text(dumps(matrix_to_json(shift_5x5())))
+  path.write_text(dumps(matrix_to_json(A)))
   assert cli.main(["druzkowski", "--input", str(path)]) == 2
   assert json.loads(capsys.readouterr().out)["druzkowski"] is None
+
+
+def test_is_druzkowski_acyclic_support_forms_no_minor(monkeypatch):
+  # the 18x18 shift is nilpotent: no index lies on a cycle of its support,
+  # so every principal minor vanishes and no minor need be formed
+  def refuse(M, size):
+    raise AssertionError("a principal minor was formed")
+  monkeypatch.setattr(keller, "nonzero_principal_minors", refuse)
+  shift = RatMatrix.of([[1 if j == i + 1 else 0 for j in range(18)]
+                        for i in range(18)])
+  assert is_druzkowski(shift).unimodular is True
+  # the same holds for any permuted strictly triangular support
+  perm = [3, 0, 4, 1, 2]
+  N = [[(i * j) % 3 - 1 if j > i else 0 for j in range(5)] for i in range(5)]
+  B = RatMatrix.of([[N[perm[i]][perm[j]] for j in range(5)] for i in range(5)])
+  assert is_druzkowski(B).unimodular is True
+
+
+def _sparse(rng, m):
+  p = rng.choice([0.15, 0.25, 0.4])
+  return RatMatrix.of([[rng.choice([-2, -1, 1, 2]) if rng.random() < p else 0
+                        for _ in range(m)] for _ in range(m)])
+
+
+def _rank_one_core_with_sources(rng, m):
+  """u v^T on a core of c indices with sum u_i^3 v_i = 0 (Drużkowski for
+  k = 3), plus m - c source indices whose rows point into the core and to
+  later sources only, so they lie on no cycle; indices then permuted."""
+  c = rng.randint(2, min(4, m - 1))
+  u = [rng.choice([-2, -1, 1, 2]) for _ in range(c - 1)] + [1]
+  v = [rng.randint(-2, 2) for _ in range(c - 1)]
+  v.append(-sum(a ** 3 * b for a, b in zip(u, v)))
+  rows = [[u[i] * v[j] if j < c else 0 for j in range(m)] for i in range(c)]
+  for i in range(c, m):
+    rows.append([rng.choice([0, 0, 1, -1, 2]) if j < c or j > i else 0
+                 for j in range(m)])
+  perm = list(range(m))
+  rng.shuffle(perm)
+  return RatMatrix.of([[rows[perm[i]][perm[j]] for j in range(m)]
+                       for i in range(m)])
+
+
+def test_is_druzkowski_matches_the_full_minor_walk_on_sparse_matrices():
+  rng = random.Random(23)
+  answers = []
+  for i in range(100):
+    m = rng.randint(3, 7)
+    A = _sparse(rng, m) if i % 3 else _rank_one_core_with_sources(rng, m)
+    for k in (2, 3):
+      rep = is_druzkowski(A, k)
+      assert rep.unimodular == full_minor_walk(A, k)
+      assert rep.unimodular or _refutes(A, rep, k)
+      cyclic = len(keller._cycle_indices(A))
+      answers.append((rep.unimodular, 0 < cyclic < m))
+  # unimodular answers with and without a partly cyclic support both occur
+  assert answers.count((True, True)) >= 10
+  assert answers.count((True, False)) >= 10
+  assert answers.count((False, True)) >= 10
 
 
 def test_druzkowski_invariant_under_diagonal_conjugation():
