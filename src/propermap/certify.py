@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .hadamard import (
   cube_root_classes,
@@ -59,6 +59,9 @@ from .recipes import (
   _restrict,
 )
 from .witness import validate_witness
+
+if TYPE_CHECKING:
+  import numpy as np
 
 PROPER = "Proper"
 NONPROPER = "NonProper"
@@ -238,10 +241,14 @@ class Analysis:
   @cached_property
   def _sign_candidates(self) -> tuple[list, list, list]:
     """The +-1 coefficient tuples with their candidate positions, the
-    integer columns of the kernel basis, and the directions found so far."""
+    integer columns of the kernel basis, and the directions found so far.
+    Only the +-1 rows are looked up: a mask over the table, read in
+    candidate order, gives their positions without listing the others."""
     order, columns, _ = _ordered_candidates(self.kernel)
-    signs = _sign_tuples(self.kernel.dim)
-    return [(i, c) for i, c in enumerate(order) if c in signs], columns, []
+    table = _coeff_enumeration(self.kernel.dim, CANDIDATE_BOX)
+    hits = _sign_mask(self.kernel.dim)[order]
+    return [(i, table[t]) for i, t in zip(hits.nonzero()[0].tolist(),
+                                          order[hits].tolist())], columns, []
 
   def kernel_directions(self, count: int) -> Iterator[RatVector]:
     """The rational cube-root directions among the first `count` kernel
@@ -252,8 +259,10 @@ class Analysis:
     every ratio c_j / c_l of nonzero coefficients a ratio of coordinates of
     w, so a rational direction needs each of them to be a rational cube.
     For |c_j| <= CANDIDATE_BOX < 8 the only such ratios are +-1, and the
-    tuples are primitive, so every nonzero c_j is +-1.  Each direction is
-    computed once, when a caller first reaches it.
+    tuples are primitive, so every nonzero c_j is +-1.  The table is scored
+    once per Analysis, the combinations of the +-1 tuples are formed in
+    Python ints, and each direction is computed once, when a caller first
+    reaches it.
     """
     signs, columns, done = self._sign_candidates
     for j, (i, c) in enumerate(signs):
@@ -398,42 +407,68 @@ def _coeff_enumeration(dim: int, box: int = 3, cap: int = 3000
 
 
 @cache
-def _sign_tuples(dim: int) -> frozenset[tuple[int, ...]]:
-  """The tuples of `_coeff_enumeration` whose nonzero entries are all +-1."""
-  return frozenset(c for c in _coeff_enumeration(dim, CANDIDATE_BOX)
-                   if max(map(abs, c)) == 1)
+def _coeff_array(dim: int) -> np.ndarray:
+  """`_coeff_enumeration(dim, CANDIDATE_BOX)` as a read-only int64 array of
+  shape (tuples, dim), built once per process like the table itself."""
+  import numpy as np
+  rows = _coeff_enumeration(dim, CANDIDATE_BOX)
+  table = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+  table.flags.writeable = False
+  return table
+
+
+@cache
+def _sign_mask(dim: int) -> np.ndarray:
+  """Read-only mask of the rows of `_coeff_array(dim)` whose nonzero
+  entries are all +-1."""
+  mask = abs(_coeff_array(dim)).max(axis=1, initial=0) == 1
+  mask.flags.writeable = False
+  return mask
+
+
+# the free-coordinate products run in int64 while every |sum| stays below
+# this; past it they run on Python ints, so a sum never wraps
+INT64_SAFE = 2 ** 62
 
 
 def _ordered_candidates(space: Subspace
-                        ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]],
-                                   int]:
+                        ) -> tuple[np.ndarray, list[tuple[int, ...]], int]:
   """The coefficient tuples c of `_coeff_enumeration`, one per line of the
   subspace, sorted by (-support, sum of |c|, mixed signs, c) of the
   combination w = D * sum c_j b_j over the canonical basis b.  Returns the
-  tuples, the integer columns of the scaled basis (see `_combine`) and the
-  scale D, the common denominator of the basis entries.
+  order as an int array of table row indices, the integer columns of the
+  scaled basis (see `_combine`) and the scale D, the common denominator of
+  the basis entries.
 
   The canonical basis is in reduced echelon form: b_j is 1 at its pivot
   p_j and 0 at every other pivot, so w[p_j] = D c_j.  The zeros of w at the
-  pivots are the zeros of c, and only the free coordinates need a dot
-  product.  Distinct primitive sign-normalized tuples of a basis span
-  distinct lines, so no combination is zero and none repeats a line.  The
+  pivots are the zeros of c, and the zeros at the free coordinates are the
+  zeros of one matrix product T @ F.T of the table T and the free rows F.
+  Distinct primitive sign-normalized tuples of a basis span distinct
+  lines, so no combination is zero and none repeats a line.  The
   coefficient table already lists c in the order of the last three keys,
-  so a stable sort on the zero count alone gives the full order.
+  so a stable argsort on the zero count alone gives the full order.
+
+  The product is exact: every entry of it is a sum of dim terms c_j f with
+  |c_j| <= CANDIDATE_BOX, so it runs in int64 when max |f| * CANDIDATE_BOX
+  * dim < INT64_SAFE = 2^62 and on Python ints (dtype object) otherwise.
   """
-  if space.dim == 0:
-    return [], [], 1
+  import numpy as np
+  dim = space.dim
+  if dim == 0:
+    return np.zeros(0, dtype=np.intp), [], 1
   scale = math.lcm(*(a.denominator for b in space.basis for a in b))
   columns = list(zip(*[[a.numerator * (scale // a.denominator) for a in b]
                        for b in space.basis]))
   pivots = {b.support()[0] for b in space.basis}
   free = [col for i, col in enumerate(columns) if i not in pivots]
-
-  def zeros(c: tuple[int, ...]) -> int:
-    return c.count(0) + [sum(map(operator.mul, c, col))
-                         for col in free].count(0)
-  order = sorted(_coeff_enumeration(space.dim, CANDIDATE_BOX), key=zeros)
-  return order, columns, scale
+  largest = max((abs(x) for col in free for x in col), default=0)
+  dtype = np.int64 if largest * CANDIDATE_BOX * dim < INT64_SAFE else object
+  table = _coeff_array(dim)
+  free_rows = np.array(free, dtype=dtype).reshape(len(free), dim)
+  values = table.astype(dtype, copy=False) @ free_rows.T
+  zeros = (table == 0).sum(axis=1) + (values == 0).sum(axis=1)
+  return np.argsort(zeros, kind="stable"), columns, scale
 
 
 def _combine(c: tuple[int, ...], columns: list[tuple[int, ...]]
@@ -489,8 +524,9 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
                             "no cube root of a kernel vector lies in the "
                             "image")
       order, columns, scale = _ordered_candidates(meet)
+      first = _coeff_enumeration(meet.dim, CANDIDATE_BOX)[order[0]]
       return found(RatVector(tuple(Fraction(x, scale)
-                                   for x in _combine(order[0], columns))))
+                                   for x in _combine(first, columns))))
   if K.dim == 1:
     g = primitive_integer_vector(K.basis[0])
     if not cube_root_in_subspace(g, Im):
@@ -512,18 +548,34 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
   return EscapeSearch(None, None, False, note)
 
 
+@cache
+def _escape_samples(samples: int, dim: int, seed: int) -> np.ndarray:
+  """The float scan's coefficient draws, one row per sample in the order
+  single draws would take them, drawn once per process and read-only."""
+  import numpy as np
+  draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, dim))
+  draws.flags.writeable = False
+  return draws
+
+
 def _float_escape_probe(A: RatMatrix, K: Subspace, Im: Subspace,
                         samples: int = 300, seed: int = 7) -> str:
-  """Cheap float scan for irrational escape image vectors, note only."""
+  """Cheap float scan for irrational escape image vectors, note only.
+
+  Each of `samples` random kernel combinations w, with coefficients drawn
+  uniformly from [-1, 1] by `default_rng(seed)`, is mapped to the unit
+  vector along its cube root; the note is set when one of them lies within
+  1e-7 of the image.  The draws depend only on (samples, dim, seed), so
+  they are made once per process (`_escape_samples`) and every call with
+  the same kernel basis gives the same note.
+  """
   if K.dim == 0 or Im.dim == 0:
     return ""
   import numpy as np
-  rng = np.random.default_rng(seed)
   kb = np.array([[float(x) for x in b] for b in K.basis])
   ib = np.array([[float(x) for x in b] for b in Im.basis]).T
   q, _ = np.linalg.qr(ib)
-  # one row per sample, drawn in the order single draws would take them
-  w = rng.uniform(-1.0, 1.0, (samples, K.dim)) @ kb
+  w = _escape_samples(samples, K.dim, seed) @ kb
   w = w[np.linalg.norm(w, axis=1) >= 1e-12]
   y = np.cbrt(w)
   y /= np.linalg.norm(y, axis=1, keepdims=True)

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -177,11 +179,22 @@ class RatMatrix:
   def column(self, j: int) -> RatVector:
     return RatVector(tuple(r[j] for r in self.rows))
 
+  @cached_property
+  def _integer_rows(self) -> tuple[list[list[int]], list[int]]:
+    """`_integerized_rows` of the rows, computed once per matrix and shared
+    by every call: read it, never modify it."""
+    return _integerized_rows(self.rows)
+
   def apply(self, x: RatVector) -> RatVector:
+    """M x, exactly.  The denominators of M are cleared once per matrix and
+    those of x once per call, so each entry is one integer dot product
+    divided by (row lcm) * (vector lcm)."""
     if len(x) != self.n_cols:
       raise ValueError(f"matrix is {self.n_rows}x{self.n_cols}, vector has length {len(x)}")
-    return RatVector(tuple(sum((a * b for a, b in zip(row, x.entries)), Fraction(0))
-                           for row in self.rows))
+    int_rows, denoms = self._integer_rows
+    [xs], [d] = _integerized_rows([x.entries])
+    return RatVector(tuple(Fraction(sum(map(mul, row, xs)), rd * d)
+                           for row, rd in zip(int_rows, denoms)))
 
   def matmul(self, other: "RatMatrix") -> "RatMatrix":
     if self.n_cols != other.n_rows:

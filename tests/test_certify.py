@@ -576,19 +576,36 @@ def _big_subspace() -> Subspace:
   return space
 
 
+def _wrapping_subspace(dim: int, free: int) -> Subspace:
+  """The canonical basis e_j + free * e_dim (j < dim) of R^(dim + 1)."""
+  basis = [RatVector.of([int(i == j) for i in range(dim)] + [free])
+           for j in range(dim)]
+  space = Subspace.span(basis, dim + 1)
+  assert list(space.basis) == basis
+  return space
+
+
 def test_integer_candidate_enumeration_matches_rational_reference():
-  # kernel dims 2 to 5: (8, 4) takes the full product box, (8, 3) the pairs
+  # kernel dims 1 to 6: dims 1-4 take the full product box, 5 and 6 the
+  # pairs and signs
   spaces = [kernel_basis(sample_rank_r(m, r, seed=seed))
-            for seed, (m, r) in enumerate([(4, 2), (5, 3), (6, 3), (6, 4),
-                                           (5, 2), (8, 4), (8, 3)])]
+            for seed, (m, r) in enumerate([(4, 3), (4, 2), (5, 3), (6, 3),
+                                           (6, 4), (5, 2), (8, 4), (8, 3),
+                                           (8, 2)])]
+  assert [s.dim for s in spaces] == [1, 2, 2, 3, 2, 3, 4, 5, 6]
+  # the Python-int path: c = (1, 1, 1, 1) on the first sums to 2^64, which
+  # int64 wraps to 0; so does c = (3, 3, 2) on the second, although its
+  # free entries stay below 2^62 and max |f| * box * dim is 1.125 * 2^64;
+  # BIG_BASIS has entries past 2^64
+  spaces += [_wrapping_subspace(4, 2 ** 62), _wrapping_subspace(3, 2 ** 61)]
   spaces.append(_big_subspace())
-  assert [s.dim for s in spaces] == [2, 2, 3, 2, 3, 4, 5, 3]
   for space in spaces:
     order, columns, scale = _ordered_candidates(space)
     assert scale > 0
     table = certify_module._coeff_enumeration(space.dim)
-    assert [RatVector.of([Fraction(x, scale) for x in _combine(c, columns)])
-            for c in order] == reference_candidates(space.basis, table)
+    assert [RatVector.of([Fraction(x, scale)
+                          for x in _combine(table[i], columns)])
+            for i in order] == reference_candidates(space.basis, table)
 
 
 def _matrix_with_kernel(space: Subspace) -> RatMatrix:

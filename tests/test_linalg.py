@@ -253,6 +253,34 @@ def test_rref_matches_naive_gauss_jordan(rows):
   assert all(type(x) is Fraction for row in reduced for x in row)
 
 
+def apply_inputs():
+  """A matrix of any shape with the rref oracle's entries, and a vector
+  of its width drawn from the same entries or all zero."""
+  def with_vector(rows):
+    n = len(rows[0])
+    vector = st.one_of(st.lists(rref_entries, min_size=n, max_size=n),
+                       st.just([Fraction(0)] * n))
+    return st.tuples(st.just(rows), vector)
+  return rref_inputs().flatmap(with_vector)
+
+
+@settings(deadline=None, max_examples=150)
+@given(apply_inputs())
+@example(([[Fraction(2 ** 101, 3), Fraction(1, 7), Fraction(0)],
+           [Fraction(5, 11), Fraction(-1, 2 ** 61 - 1), Fraction(2 ** 100)]],
+          [Fraction(1, 5), Fraction(-2 ** 105, 13), Fraction(7, 3)]))
+@example(([[Fraction(1, 2)], [Fraction(1, 3)]], [Fraction(0)]))
+def test_apply_matches_the_fraction_sum(inputs):
+  rows, x = inputs
+  A, v = RatMatrix.of(rows), RatVector.of(x)
+  want = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+  # the second call reads the integer rows cached by the first
+  for _ in range(2):
+    got = A.apply(v)
+    assert list(got) == want
+    assert all(type(y) is Fraction for y in got)
+
+
 @settings(deadline=None, max_examples=80)
 @given(square_matrices())
 def test_rank_nullity(A):
