@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .hadamard import (
   cube_root_classes,
@@ -92,14 +92,15 @@ REASON_LINEAR_SINGULAR = "linear-map-singular"
 FLOAT_TOL = 1e-9
 
 # kernel candidates are small integer combinations of the kernel basis with
-# coefficients in [-CANDIDATE_BOX, CANDIDATE_BOX]; the escape search reads
-# the first CANDIDATE_CAP of them, the corank >= 2 sweep keeps at most
-# CANDIDATE_CAP rational directions from the first 4 * CANDIDATE_CAP.
+# coefficients in [-CANDIDATE_BOX, CANDIDATE_BOX], the whole box while it
+# has at most FULL_BOX_CAP points; the escape search and the corank >= 2
+# sweep read the same list of at most CANDIDATE_CAP rational directions.
 # CANDIDATE_BOX stays below 8: no ratio of two coefficients can then be a
 # rational cube other than +-1, which lets the sweep cube-test only the
 # +-1 tuples (at 8 the ratio 8 = 2^3 would break that)
 CANDIDATE_BOX = 3
 CANDIDATE_CAP = 400
+FULL_BOX_CAP = 3000
 
 
 @dataclass(frozen=True)
@@ -239,49 +240,34 @@ class Analysis:
     return self._kernel_and_row_space[1]
 
   @cached_property
-  def _sign_candidates(self) -> tuple[list, list, list]:
-    """The +-1 coefficient tuples with their candidate positions, the
-    integer columns of the kernel basis, and the directions found so far.
-    Only the +-1 rows are looked up: a mask over the table, read in
-    candidate order, gives their positions without listing the others."""
-    order, columns, _ = _ordered_candidates(self.kernel)
-    table = _coeff_enumeration(self.kernel.dim, CANDIDATE_BOX)
-    hits = _sign_mask(self.kernel.dim)[order]
-    return [(i, table[t]) for i, t in zip(hits.nonzero()[0].tolist(),
-                                          order[hits].tolist())], columns, []
-
-  def kernel_directions(self, count: int) -> Iterator[RatVector]:
-    """The rational cube-root directions among the first `count` kernel
-    candidates of `_ordered_candidates`, in candidate order.
+  def cube_root_directions(self) -> tuple[RatVector, ...]:
+    """The rational cube-root directions of the kernel combinations of
+    `_coeff_enumeration`, widest support first, then smallest sum of |y|,
+    then table order; at most CANDIDATE_CAP of them.
 
     Only the +-1 coefficient tuples are tested.  With w = D * sum c_j b_j on
     the canonical kernel basis, the pivot identity w[p_j] = D c_j makes
     every ratio c_j / c_l of nonzero coefficients a ratio of coordinates of
     w, so a rational direction needs each of them to be a rational cube.
     For |c_j| <= CANDIDATE_BOX < 8 the only such ratios are +-1, and the
-    tuples are primitive, so every nonzero c_j is +-1.  The table is scored
-    once per Analysis, the combinations of the +-1 tuples are formed in
-    Python ints, and each direction is computed once, when a caller first
-    reaches it.
+    tuples are primitive, so every nonzero c_j is +-1.  The directions are
+    pairwise non-parallel without a dedupe: distinct primitive
+    sign-normalized tuples span distinct kernel lines, and y^3 spans the
+    line y came from.
     """
-    signs, columns, done = self._sign_candidates
-    for j, (i, c) in enumerate(signs):
-      if i >= count:
-        return
-      if j == len(done):
-        done.append(rational_cube_root_direction(_combine(c, columns)))
-      if done[j] is not None:
-        yield done[j]
+    columns, _ = _integer_columns(self.kernel)
+    found = []
+    for c in _unit_tuples(self.kernel.dim):
+      y = rational_cube_root_direction(_combine(c, columns))
+      if y is not None:
+        found.append(y)
+    found.sort(key=lambda v: (-len(v.support()),
+                              sum(abs(x) for x in v.entries)))
+    return tuple(found[:CANDIDATE_CAP])
 
 
 def _analysis(A: RatMatrix | Analysis) -> Analysis:
   return A if isinstance(A, Analysis) else Analysis(A)
-
-
-def gram_image(A: RatMatrix | Analysis) -> Subspace:
-  """Image of A A^T, the subspace the properness question reduces to.  Over
-  the rationals it is Im A, since k^T A A^T k = |A^T k|^2."""
-  return _analysis(A).image
 
 
 def _indicator_matrix(m: int, indices) -> RatMatrix:
@@ -351,18 +337,21 @@ def _solve_preferring_zero_tail(u0: RatVector, kernel: Subspace,
 
 
 @cache
-def _coeff_enumeration(dim: int, box: int = 3, cap: int = 3000
-                       ) -> tuple[tuple[int, ...], ...]:
+def _coeff_enumeration(dim: int) -> tuple[tuple[int, ...], ...]:
   """Small integer coefficient tuples, primitive and sign-normalized, in
   tie-break order: smallest sum of |c| first, then those without a negative
-  coefficient, then lexicographic.
+  coefficient, then lexicographic.  The whole box [-CANDIDATE_BOX,
+  CANDIDATE_BOX]^dim while it has at most FULL_BOX_CAP points; past that
+  the tuples with one or two nonzero entries, plus the sign tuples up to
+  dim 8 and the all-ones tuple beyond.
 
-  The table depends only on its arguments, so it is built once per process
-  and returned as a tuple that no caller can change.
+  The table depends only on dim, so it is built once per process and
+  returned as a tuple that no caller can change.
   """
   from itertools import combinations, product
   from math import gcd
 
+  box = CANDIDATE_BOX
   seen: set[tuple[int, ...]] = set()
   out: list[tuple[int, ...]] = []
 
@@ -382,7 +371,7 @@ def _coeff_enumeration(dim: int, box: int = 3, cap: int = 3000
       seen.add(c)
       out.append(c)
 
-  if (2 * box + 1) ** dim <= cap:
+  if (2 * box + 1) ** dim <= FULL_BOX_CAP:
     for c in product(range(-box, box + 1), repeat=dim):
       push(c)
   else:
@@ -407,68 +396,20 @@ def _coeff_enumeration(dim: int, box: int = 3, cap: int = 3000
 
 
 @cache
-def _coeff_array(dim: int) -> np.ndarray:
-  """`_coeff_enumeration(dim, CANDIDATE_BOX)` as a read-only int64 array of
-  shape (tuples, dim), built once per process like the table itself."""
-  import numpy as np
-  rows = _coeff_enumeration(dim, CANDIDATE_BOX)
-  table = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
-  table.flags.writeable = False
-  return table
+def _unit_tuples(dim: int) -> tuple[tuple[int, ...], ...]:
+  """The rows of `_coeff_enumeration(dim)` whose nonzero entries are all
+  +-1, in table order, listed once per process."""
+  return tuple(c for c in _coeff_enumeration(dim) if max(map(abs, c)) == 1)
 
 
-@cache
-def _sign_mask(dim: int) -> np.ndarray:
-  """Read-only mask of the rows of `_coeff_array(dim)` whose nonzero
-  entries are all +-1."""
-  mask = abs(_coeff_array(dim)).max(axis=1, initial=0) == 1
-  mask.flags.writeable = False
-  return mask
-
-
-# the free-coordinate products run in int64 while every |sum| stays below
-# this; past it they run on Python ints, so a sum never wraps
-INT64_SAFE = 2 ** 62
-
-
-def _ordered_candidates(space: Subspace
-                        ) -> tuple[np.ndarray, list[tuple[int, ...]], int]:
-  """The coefficient tuples c of `_coeff_enumeration`, one per line of the
-  subspace, sorted by (-support, sum of |c|, mixed signs, c) of the
-  combination w = D * sum c_j b_j over the canonical basis b.  Returns the
-  order as an int array of table row indices, the integer columns of the
-  scaled basis (see `_combine`) and the scale D, the common denominator of
-  the basis entries.
-
-  The canonical basis is in reduced echelon form: b_j is 1 at its pivot
-  p_j and 0 at every other pivot, so w[p_j] = D c_j.  The zeros of w at the
-  pivots are the zeros of c, and the zeros at the free coordinates are the
-  zeros of one matrix product T @ F.T of the table T and the free rows F.
-  Distinct primitive sign-normalized tuples of a basis span distinct
-  lines, so no combination is zero and none repeats a line.  The
-  coefficient table already lists c in the order of the last three keys,
-  so a stable argsort on the zero count alone gives the full order.
-
-  The product is exact: every entry of it is a sum of dim terms c_j f with
-  |c_j| <= CANDIDATE_BOX, so it runs in int64 when max |f| * CANDIDATE_BOX
-  * dim < INT64_SAFE = 2^62 and on Python ints (dtype object) otherwise.
-  """
-  import numpy as np
-  dim = space.dim
-  if dim == 0:
-    return np.zeros(0, dtype=np.intp), [], 1
+def _integer_columns(space: Subspace) -> tuple[list[tuple[int, ...]], int]:
+  """The coordinates of the canonical basis scaled to integers: one tuple
+  per coordinate holding that entry of every basis vector times D, the
+  common denominator of the basis entries, and D itself."""
   scale = math.lcm(*(a.denominator for b in space.basis for a in b))
   columns = list(zip(*[[a.numerator * (scale // a.denominator) for a in b]
                        for b in space.basis]))
-  pivots = {b.support()[0] for b in space.basis}
-  free = [col for i, col in enumerate(columns) if i not in pivots]
-  largest = max((abs(x) for col in free for x in col), default=0)
-  dtype = np.int64 if largest * CANDIDATE_BOX * dim < INT64_SAFE else object
-  table = _coeff_array(dim)
-  free_rows = np.array(free, dtype=dtype).reshape(len(free), dim)
-  values = table.astype(dtype, copy=False) @ free_rows.T
-  zeros = (table == 0).sum(axis=1) + (values == 0).sum(axis=1)
-  return np.argsort(zeros, kind="stable"), columns, scale
+  return columns, scale
 
 
 def _combine(c: tuple[int, ...], columns: list[tuple[int, ...]]
@@ -523,10 +464,12 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
         return EscapeSearch(None, None, True,
                             "no cube root of a kernel vector lies in the "
                             "image")
-      order, columns, scale = _ordered_candidates(meet)
-      first = _coeff_enumeration(meet.dim, CANDIDATE_BOX)[order[0]]
-      return found(RatVector(tuple(Fraction(x, scale)
-                                   for x in _combine(first, columns))))
+      # the widest-support combination, the first in table order on ties
+      columns, scale = _integer_columns(meet)
+      widest = max((_combine(c, columns)
+                    for c in _coeff_enumeration(meet.dim)),
+                   key=lambda w: sum(1 for x in w if x))
+      return found(RatVector(tuple(Fraction(x, scale) for x in widest)))
   if K.dim == 1:
     g = primitive_integer_vector(K.basis[0])
     if not cube_root_in_subspace(g, Im):
@@ -537,7 +480,7 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
       return found(d)
     return EscapeSearch(None, None, False,
                         "an escape image vector exists but is irrational")
-  for d in an.kernel_directions(CANDIDATE_CAP):
+  for d in an.cube_root_directions:
     x = solve_affine_in_subspace(A, d, rowspace)
     if x is not None:
       return EscapeSearch(x, d, True, "candidate found")
@@ -1162,26 +1105,10 @@ def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
 
 
 def kernel_cuberoot_candidates(A: RatMatrix | Analysis) -> list[RatVector]:
-  """Rational directions y with y^3 in Ker(A), widest support first.
-
-  The directions come from the first 4 * CANDIDATE_CAP kernel combinations
-  of the enumeration the escape search reads, at most CANDIDATE_CAP of
-  them.  A combination D * sum c_j b_j on the canonical kernel basis is
-  D c_j at the pivot of b_j, so its cube root is rational only when every
-  nonzero c_j is +-1 (see `Analysis.kernel_directions`); the other tuples
-  are never tested.  The directions are pairwise non-parallel without a
-  dedupe: the combinations span distinct kernel lines, and y^3 spans the
-  line y came from.
-  """
-  an = _analysis(A)
-  found: list[RatVector] = []
-  for y in an.kernel_directions(CANDIDATE_CAP * 4):
-    found.append(y)
-    if len(found) >= CANDIDATE_CAP:
-      break
-  found.sort(key=lambda v: (-len(v.support()),
-                            sum(abs(x) for x in v.entries)))
-  return found
+  """Rational directions y with y^3 in Ker(A), widest support first: the
+  cube roots of the +-1 kernel combinations of `_coeff_enumeration`, at
+  most CANDIDATE_CAP of them (see `Analysis.cube_root_directions`)."""
+  return list(_analysis(A).cube_root_directions)
 
 
 def certify(A: RatMatrix) -> Certificate:

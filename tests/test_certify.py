@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 from helpers import (
   f_exact,
   f_hat_exact,
+  naive_cube_direction,
   ones_kernel_sample,
   planted_pattern,
   rand_antisymmetric,
@@ -31,12 +33,9 @@ from propermap.certify import (
   UNDECIDED,
   Analysis,
   DirectionProfile,
-  _combine,
-  _ordered_candidates,
   certify,
   condition_chain,
   corank1_decide,
-  gram_image,
   k1_properness,
   kernel_cuberoot_candidates,
   necessary_escape_search,
@@ -58,6 +57,7 @@ from propermap.linalg import (
   RatVector,
   Subspace,
   image_basis,
+  intersect,
   kernel_basis,
   orthogonal_complement,
   primitive_integer_vector,
@@ -214,7 +214,7 @@ def test_normalize_kernel_direction_rejects_non_kernel_vectors():
 
 def test_condition_chain_on_golden_direction():
   A = golden_3x3()
-  V = gram_image(A)
+  V = Analysis(A).image
   profile = DirectionProfile.from_vector(RatVector.of([1, 1, 1]))
   rep = condition_chain(A, profile, V, "S")
   assert rep.satisfied
@@ -226,7 +226,7 @@ def test_condition_chain_on_golden_direction():
 def test_condition_chain_infeasible_direction():
   # the identity kills no cube, so the chain must fail at its first equation
   A = RatMatrix.identity(3)
-  V = gram_image(A)
+  V = Analysis(A).image
   profile = DirectionProfile.from_vector(RatVector.of([1, 1, 1]))
   rep = condition_chain(A, profile, V, "S")
   assert not rep.satisfied
@@ -248,7 +248,7 @@ def test_condition_chain_solvability_skeleton_is_implied_by_full_set():
     except ValueError:
       continue
     A = forge_3x3(p)
-    V = gram_image(A)
+    V = Analysis(A).image
     rep_s = condition_chain(A, profile, V, "S")
     if not rep_s.satisfied:
       continue
@@ -497,8 +497,8 @@ def test_screens_decide_without_the_escape_search(monkeypatch):
 def _assert_gram_identities(A):
   """Im(A A^T) = Im A, and the screen's A^T k test agrees with A A^T k."""
   G = A.gram()
-  assert gram_image(A) == image_basis(G)
   an = Analysis(A)
+  assert an.image == image_basis(G)
   assert an.rank == image_basis(G).dim
   gram_test = all(G.apply(k).is_zero() for k in an.kernel.basis)
   assert certify_module._kernel_in_gram_kernel(an) == gram_test
@@ -547,11 +547,12 @@ def test_decisions_never_form_the_gram_matrix(monkeypatch):
 
 def test_kernel_is_enumerated_at_most_once_per_certify(monkeypatch):
   calls = []
+  integer_columns = certify_module._integer_columns
 
   def counting(space):
     calls.append(list(space.basis))
-    return _ordered_candidates(space)
-  monkeypatch.setattr(certify_module, "_ordered_candidates", counting)
+    return integer_columns(space)
+  monkeypatch.setattr(certify_module, "_integer_columns", counting)
   for name in ("two-patterns-2004", "two-patterns-2176", "two-patterns-2247",
                "rank-6-3-1"):
     A = REGRESSION[name][0]()
@@ -585,6 +586,17 @@ def _wrapping_subspace(dim: int, free: int) -> Subspace:
   return space
 
 
+def _reference_directions(space: Subspace) -> list[RatVector]:
+  """The oracle for `Analysis.cube_root_directions`: the reference
+  directions of the first 1600 reference candidates, every candidate
+  tested, sorted stably by (-support, sum of |y|) and cut to 400."""
+  table = certify_module._coeff_enumeration(space.dim)
+  found = reference_kernel_directions(space.basis, table, 1600)
+  found.sort(key=lambda v: (-len(v.support()),
+                            sum(abs(x) for x in v.entries)))
+  return found[:400]
+
+
 def test_integer_candidate_enumeration_matches_rational_reference():
   # kernel dims 1 to 6: dims 1-4 take the full product box, 5 and 6 the
   # pairs and signs
@@ -593,19 +605,14 @@ def test_integer_candidate_enumeration_matches_rational_reference():
                                            (6, 4), (5, 2), (8, 4), (8, 3),
                                            (8, 2)])]
   assert [s.dim for s in spaces] == [1, 2, 2, 3, 2, 3, 4, 5, 6]
-  # the Python-int path: c = (1, 1, 1, 1) on the first sums to 2^64, which
-  # int64 wraps to 0; so does c = (3, 3, 2) on the second, although its
-  # free entries stay below 2^62 and max |f| * box * dim is 1.125 * 2^64;
+  # large integer combinations: c = (1, 1, 1, 1) on the first sums to
+  # 2^64 at the last coordinate, c = (1, 1, 1) on the second to 1.5 * 2^62;
   # BIG_BASIS has entries past 2^64
   spaces += [_wrapping_subspace(4, 2 ** 62), _wrapping_subspace(3, 2 ** 61)]
   spaces.append(_big_subspace())
   for space in spaces:
-    order, columns, scale = _ordered_candidates(space)
-    assert scale > 0
-    table = certify_module._coeff_enumeration(space.dim)
-    assert [RatVector.of([Fraction(x, scale)
-                          for x in _combine(table[i], columns)])
-            for i in order] == reference_candidates(space.basis, table)
+    an = Analysis(_matrix_with_kernel(space))
+    assert list(an.cube_root_directions) == _reference_directions(space)
 
 
 def _matrix_with_kernel(space: Subspace) -> RatMatrix:
@@ -645,18 +652,97 @@ def test_kernel_directions_match_the_full_reference_sweep():
   hits = 0
   for space in spaces:
     A = _matrix_with_kernel(space)
-    table = certify_module._coeff_enumeration(space.dim)
-    want = {count: reference_kernel_directions(space.basis, table, count)
-            for count in (400, 1600)}
-    hits += len(want[1600])
-    # the shorter prefix first, then the longer one extends the same cache
-    an = Analysis(A)
-    for count in (400, 1600):
-      assert list(an.kernel_directions(count)) == want[count]
-    an = Analysis(A)
-    for count in (1600, 400):
-      assert list(an.kernel_directions(count)) == want[count]
+    want = _reference_directions(space)
+    hits += len(want)
+    assert kernel_cuberoot_candidates(A) == want
   assert hits > 100
+
+
+def _planted_escape_matrix(seed: int) -> tuple[RatMatrix, RatVector]:
+  """A = B C with kernel of dimension 4 in R^7, canonical basis e_j + free
+  entries in {-1, 0, 1, 7}: the rows of C span the orthogonal complement of
+  the kernel, and B's first column is the rational cube-root direction of
+  the +-1 kernel combination with the smallest support, so it lies in the
+  image.  The other columns of B are random, so no other direction does."""
+  rng = random.Random(seed)
+  space = _planted_cube_subspace(rng, 4, 7)
+  y = None
+  for c in itertools.product((-1, 0, 1), repeat=4):
+    if any(c):
+      w = [sum(cj * b[i] for cj, b in zip(c, space.basis)) for i in range(7)]
+      d = naive_cube_direction(w)
+      if d is not None and (y is None or len(d.support()) < len(y.support())):
+        y = d
+  assert y is not None and len(y.support()) <= 3
+  C = RatMatrix.of([b.entries for b in orthogonal_complement(space).basis])
+  B = RatMatrix.of([[y[i], rng.randint(-3, 3), rng.randint(-3, 3)]
+                    for i in range(7)])
+  A = B.matmul(C)
+  assert kernel_basis(A) == space
+  return A, y
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_escape_search_and_sweep_read_one_horizon(seed):
+  # the low-support direction sits late among the 1120 combinations of the
+  # dim-4 table; the escape search must reach every direction the sweep does
+  A, y = _planted_escape_matrix(seed)
+  s = necessary_escape_search(A)
+  assert s.candidate is not None
+  assert s.image_vector == y == A.apply(s.candidate)
+  assert s.image_vector in kernel_cuberoot_candidates(A)
+
+
+def _disjoint_cube_matrix(rng: random.Random, d: int
+                          ) -> tuple[RatMatrix, Subspace]:
+  """A matrix of size 10 whose kernel has a basis of d + 1 vectors on
+  disjoint blocks of one or two coordinates, each entry a cube, and whose
+  image meets the span of their cube roots in the span of d independent
+  +-1 combinations of those roots.  Returns A and that meet."""
+  m, at, roots = 10, 0, []
+  for _ in range(d + 1):
+    size = rng.choice([1, 2])
+    root = [0] * m
+    for i in range(at, at + size):
+      root[i] = rng.choice([-1, 1, 2])
+    roots.append(RatVector.of(root))
+    at += size
+  kernel = Subspace.span([hpow(r, 3) for r in roots], m)
+  C = RatMatrix.of([b.entries for b in orthogonal_complement(kernel).basis])
+  while True:
+    combos = [sum((r.scale(Fraction(rng.choice([-1, 0, 1]))) for r in roots),
+                  RatVector.zero(m)) for _ in range(d)]
+    B = RatMatrix(tuple(
+      tuple(v[i] for v in combos) + tuple(Fraction(rng.randint(-3, 3))
+                                          for _ in range(m - 2 * d - 1))
+      for i in range(m)))
+    A = B.matmul(C)
+    if (Subspace.span(combos, m).dim == d
+        and kernel_basis(A) == kernel):
+      break
+  meet = intersect(Subspace.span(roots, m), Analysis(A).image)
+  assert meet == Subspace.span(combos, m)
+  return A, meet
+
+
+def test_disjoint_support_pick_is_the_widest_reference_candidate():
+  rng = random.Random(60)
+  cancelled = 0
+  # fewer meets of dim 4: the oracle forms all 1120 tuples in Fractions
+  for d, count in ((2, 8), (3, 8), (4, 3)):
+    for _ in range(count):
+      A, meet = _disjoint_cube_matrix(rng, d)
+      s = necessary_escape_search(A)
+      assert s.none_is_proof and s.note == "candidate found"
+      want = reference_candidates(meet.basis,
+                                  certify_module._coeff_enumeration(d))[0]
+      assert rank(RatMatrix((s.image_vector.entries, want.entries))) == 1
+      assert s.image_vector == A.apply(s.candidate)
+      ones = sum(meet.basis, RatVector.zero(meet.ambient_dim))
+      cancelled += len(ones.support()) < len(want.support())
+  # some meets lose support in the all-ones combination, so the pick is
+  # not always the first tuple of the table
+  assert cancelled >= 2
 
 
 @pytest.mark.parametrize("seed", range(4))
