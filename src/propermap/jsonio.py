@@ -4,12 +4,20 @@ Rationals always cross the boundary as strings ("p/q" or a plain integer
 literal), never as floats, so parsing back is exact.  Parsers are strict:
 errors name the offending field.  Serialization is deterministic (sorted
 keys, fixed indentation) so identical inputs produce identical bytes.
+
+`dumps` writes text byte-identical to `json.dumps(obj, indent=2,
+sort_keys=True)` plus a newline, but writes it directly: with `indent` set
+the standard library skips its C encoder and walks every token through the
+generators of its pure-Python one, which cost about as much as deciding a
+screened matrix.  Parsing reads small integer literals, the bulk of every
+certificate, from a constant table of Fractions, because building a
+Fraction is what an entry costs.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .certify import AuditEntry, Certificate, ConditionSetReport
 from .forge import DensitySummary
@@ -32,6 +40,24 @@ def _parse_rat(value, where: str) -> Fraction:
     raise ValueError(f"{where}: {err}") from None
 
 
+# Fractions of the integer literals -64..64, keyed by their `str` text.
+_INT_LITERALS = {str(n): Fraction(n) for n in range(-64, 65)}
+
+
+def _rat_entries(values: list, label: str, *args) -> tuple:
+  """The entries of a JSON list as Fractions.
+
+  A list of integer literals in `_INT_LITERALS` is read from the table; any
+  other list goes entry by entry through `_parse_rat`, naming entry j
+  `label.format(*args, j)`, so a label is formatted only on that path.
+  """
+  try:
+    return tuple([_INT_LITERALS[x] for x in values])
+  except (KeyError, TypeError):
+    return tuple(_parse_rat(x, label.format(*args, j))
+                 for j, x in enumerate(values))
+
+
 def _require_keys(obj: dict, allowed: set, required: set, what: str) -> None:
   if not isinstance(obj, dict):
     raise ValueError(f"{what} must be a JSON object")
@@ -47,8 +73,7 @@ def matrix_to_json(A: RatMatrix) -> dict:
   if not A.is_square():
     raise ValueError("only square matrices serialize to matrix JSON")
   return {"m": A.m,
-          "rows": [[rat_str(A.entry(i, j)) for j in range(A.m)]
-                   for i in range(A.m)]}
+          "rows": [[rat_str(q) for q in row] for row in A.rows]}
 
 
 def matrix_from_json(obj) -> RatMatrix:
@@ -63,9 +88,8 @@ def matrix_from_json(obj) -> RatMatrix:
   for i, row in enumerate(rows):
     if not isinstance(row, list) or len(row) != m:
       raise ValueError(f"row {i} must be a list of {m} entries")
-    parsed.append([_parse_rat(x, f"entry ({i},{j})")
-                   for j, x in enumerate(row)])
-  return RatMatrix.of(parsed)
+    parsed.append(_rat_entries(row, "entry ({},{})", i))
+  return RatMatrix(tuple(parsed))
 
 
 def vector_to_json(v: RatVector) -> dict:
@@ -77,8 +101,7 @@ def vector_from_json(obj) -> RatVector:
   entries = obj["entries"]
   if not isinstance(entries, list) or not entries:
     raise ValueError("field 'entries' must be a non-empty list")
-  return RatVector.of([_parse_rat(x, f"entry {i}")
-                       for i, x in enumerate(entries)])
+  return RatVector(_rat_entries(entries, "entry {}"))
 
 
 def _vector_list(v: RatVector) -> list:
@@ -88,8 +111,7 @@ def _vector_list(v: RatVector) -> list:
 def _vector_from_list(value, where: str) -> RatVector:
   if not isinstance(value, list) or not value:
     raise ValueError(f"{where} must be a non-empty list")
-  return RatVector.of([_parse_rat(x, f"{where}[{i}]")
-                       for i, x in enumerate(value)])
+  return RatVector(_rat_entries(value, "{}[{}]", where))
 
 
 def frame_to_json(frame: ConjugationFrame) -> dict:
@@ -105,9 +127,7 @@ def frame_from_json(obj) -> ConjugationFrame:
   diag = obj["diag"]
   if not isinstance(diag, list) or len(diag) != len(perm):
     raise ValueError("field 'diag' must be a list matching 'perm' in length")
-  return ConjugationFrame(tuple(perm),
-                          tuple(_parse_rat(d, f"diag[{i}]")
-                                for i, d in enumerate(diag)))
+  return ConjugationFrame(tuple(perm), _rat_entries(diag, "diag[{}]"))
 
 
 def recipe_to_json(recipe: WitnessRecipe) -> dict:
@@ -210,6 +230,13 @@ def certificate_to_json(cert: Certificate) -> dict:
                     for a in cert.audit]}
 
 
+def _str_field(obj: dict, key: str, prefix: str = "", default=None) -> str:
+  value = obj.get(key, default)
+  if not isinstance(value, str):
+    raise ValueError(f"{prefix}field {key!r} must be a string")
+  return value
+
+
 def certificate_from_json(obj) -> Certificate:
   allowed = {"verdict", "reason", "k", "matrix", "evidence", "audit"}
   _require_keys(obj, allowed, {"verdict", "reason", "matrix"},
@@ -225,12 +252,13 @@ def certificate_from_json(obj) -> Certificate:
     raise ValueError("field 'audit' must be a list")
   audit = []
   for i, entry in enumerate(audit_raw):
+    where = f"audit entry {i}"
     _require_keys(entry, {"step", "outcome", "detail"}, {"step", "outcome"},
-                  f"audit entry {i}")
-    audit.append(AuditEntry(str(entry["step"]), str(entry["outcome"]),
-                            str(entry.get("detail", ""))))
-  return Certificate(verdict=str(obj["verdict"]),
-                     reason=str(obj["reason"]),
+                  where)
+    audit.append(AuditEntry(*(_str_field(entry, key, f"{where} ", "")
+                              for key in ("step", "outcome", "detail"))))
+  return Certificate(verdict=_str_field(obj, "verdict"),
+                     reason=_str_field(obj, "reason"),
                      matrix=matrix_from_json(obj["matrix"]),
                      k=k,
                      evidence={str(k2): _decode_evidence(v)
@@ -270,6 +298,76 @@ def density_summary_to_json(summary: DensitySummary) -> dict:
                    for row in summary.rows]}
 
 
+_INF = float("inf")
+
+
+def _floatstr(o: float) -> str:
+  if o != o:
+    return "NaN"
+  if o == _INF:
+    return "Infinity"
+  if o == -_INF:
+    return "-Infinity"
+  return float.__repr__(o)
+
+
+def _key(key) -> str:
+  if isinstance(key, str):
+    return key
+  if isinstance(key, float):
+    return _floatstr(key)
+  if key is True:
+    return "true"
+  if key is False:
+    return "false"
+  if key is None:
+    return "null"
+  if isinstance(key, int):
+    return int.__repr__(key)
+  raise TypeError(f"keys must be str, int, float, bool or None, "
+                  f"not {key.__class__.__name__}")
+
+
+def _encode(o, indent: str) -> str:
+  """JSON text of `o` whose closing bracket follows `indent` (a newline and
+  its spaces).  Types dispatch in the order of the standard library's
+  encoder, so subclasses (bool of int, numpy.float64 of float) come out as
+  they do there.  Payloads are trees built by the `*_to_json` functions,
+  so there is no circular-reference check: a cycle ends in RecursionError.
+  """
+  if isinstance(o, str):
+    return _encode_str(o)
+  if o is None:
+    return "null"
+  if o is True:
+    return "true"
+  if o is False:
+    return "false"
+  if isinstance(o, int):
+    return int.__repr__(o)
+  if isinstance(o, float):
+    return _floatstr(o)
+  inner = indent + "  "
+  if isinstance(o, (list, tuple)):
+    if not o:
+      return "[]"
+    return ("[" + inner + ("," + inner).join([_encode(x, inner) for x in o])
+            + indent + "]")
+  if isinstance(o, dict):
+    if not o:
+      return "{}"
+    return ("{" + inner
+            + ("," + inner).join([_encode_str(_key(k)) + ": " + _encode(v, inner)
+                                  for k, v in sorted(o.items())])
+            + indent + "}")
+  raise TypeError(f"Object of type {o.__class__.__name__} "
+                  f"is not JSON serializable")
+
+
 def dumps(obj) -> str:
-  """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-  return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+  """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+  Byte-identical to `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`;
+  see the module docstring for why it is written here.
+  """
+  return _encode(obj, "\n") + "\n"

@@ -280,3 +280,302 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     _, out, _ = run(capsys, ["probe", "--input", path, "--seed", "1"])
     outputs.add(out)
   assert len(outputs) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden stdout: these payloads hold only strings, integers and booleans, so
+# their text is the same on every platform and is pinned byte for byte
+# ---------------------------------------------------------------------------
+
+ANALYZE_GOLDEN_3X3 = """\
+{
+  "audit": [
+    {
+      "detail": "candidate found",
+      "outcome": "candidate",
+      "step": "escape-search"
+    },
+    {
+      "detail": "",
+      "outcome": "no",
+      "step": "screen:kernel-in-gram-kernel"
+    },
+    {
+      "detail": "",
+      "outcome": "no",
+      "step": "screen:gram-rank-1"
+    },
+    {
+      "detail": "",
+      "outcome": "no",
+      "step": "screen:triangular"
+    },
+    {
+      "detail": "all-ones direction reaches the reduced subspace and its image",
+      "outcome": "no",
+      "step": "screen:kernel-line-blocked"
+    },
+    {
+      "detail": "primitive generator (1, 1, 1)",
+      "outcome": "found",
+      "step": "kernel-line"
+    },
+    {
+      "detail": "escape direction confirmed",
+      "outcome": "satisfied",
+      "step": "escape-direction"
+    }
+  ],
+  "evidence": {
+    "direction": {
+      "entries": [
+        "1",
+        "1",
+        "1"
+      ],
+      "type": "vector"
+    },
+    "recipe": {
+      "k": 3,
+      "kind": "simple",
+      "numeric": false,
+      "type": "recipe",
+      "u": [
+        "1",
+        "0",
+        "0"
+      ],
+      "x_inf": [
+        "1",
+        "1",
+        "1"
+      ]
+    },
+    "u": {
+      "entries": [
+        "1",
+        "0",
+        "0"
+      ],
+      "type": "vector"
+    }
+  },
+  "k": 3,
+  "matrix": {
+    "m": 3,
+    "rows": [
+      [
+        "-1",
+        "-1",
+        "2"
+      ],
+      [
+        "-1",
+        "0",
+        "1"
+      ],
+      [
+        "-1",
+        "0",
+        "1"
+      ]
+    ]
+  },
+  "reason": "escape-direction",
+  "verdict": "NonProper"
+}
+"""
+
+
+ANALYZE_SHIFT_5X5 = """\
+{
+  "audit": [
+    {
+      "detail": "a structural screen decided first",
+      "outcome": "skipped",
+      "step": "escape-search"
+    },
+    {
+      "detail": "",
+      "outcome": "no",
+      "step": "screen:kernel-in-gram-kernel"
+    },
+    {
+      "detail": "",
+      "outcome": "no",
+      "step": "screen:gram-rank-1"
+    },
+    {
+      "detail": "upper",
+      "outcome": "fires",
+      "step": "screen:triangular"
+    }
+  ],
+  "evidence": {
+    "orientation": "upper"
+  },
+  "k": 3,
+  "matrix": {
+    "m": 5,
+    "rows": [
+      [
+        "0",
+        "0",
+        "1",
+        "0",
+        "0"
+      ],
+      [
+        "0",
+        "0",
+        "0",
+        "1",
+        "0"
+      ],
+      [
+        "0",
+        "0",
+        "0",
+        "0",
+        "1"
+      ],
+      [
+        "0",
+        "0",
+        "0",
+        "0",
+        "0"
+      ],
+      [
+        "0",
+        "0",
+        "0",
+        "0",
+        "0"
+      ]
+    ]
+  },
+  "reason": "triangular",
+  "verdict": "Proper"
+}
+"""
+
+
+ANALYZE_IDENTITY_3 = """\
+{
+  "audit": [
+    {
+      "detail": "a structural screen decided first",
+      "outcome": "skipped",
+      "step": "escape-search"
+    },
+    {
+      "detail": "matrix invertible",
+      "outcome": "fires",
+      "step": "screen:kernel-in-gram-kernel"
+    }
+  ],
+  "evidence": {
+    "kernel_dim": 0,
+    "note": "matrix invertible"
+  },
+  "k": 3,
+  "matrix": {
+    "m": 3,
+    "rows": [
+      [
+        "1",
+        "0",
+        "0"
+      ],
+      [
+        "0",
+        "1",
+        "0"
+      ],
+      [
+        "0",
+        "0",
+        "1"
+      ]
+    ]
+  },
+  "reason": "kernel-in-gram-kernel",
+  "verdict": "Proper"
+}
+"""
+
+
+FORGE_3X3 = """\
+{
+  "matrix": {
+    "m": 3,
+    "rows": [
+      [
+        "-1",
+        "-1",
+        "2"
+      ],
+      [
+        "-1",
+        "0",
+        "1"
+      ],
+      [
+        "-1",
+        "0",
+        "1"
+      ]
+    ]
+  },
+  "params": {
+    "a11": "-1",
+    "a12": "-1",
+    "a21": "-1",
+    "a22": "0",
+    "lam": "0"
+  }
+}
+"""
+
+
+SIGNS_SHIFT_5X5 = """\
+{
+  "delta": [
+    1,
+    1,
+    1,
+    1,
+    1
+  ],
+  "found": true,
+  "global_sign": 1
+}
+"""
+
+
+SIGNS_NONE = """\
+{
+  "found": false
+}
+"""
+
+
+SIGNS_NONE_ROWS = [[1, 2, 1], [2, 1, 1], [1, -1, 2]]
+
+
+@pytest.mark.parametrize("argv, build, expected", [
+  (["analyze"], golden_3x3, ANALYZE_GOLDEN_3X3),
+  (["analyze"], shift_5x5, ANALYZE_SHIFT_5X5),
+  (["analyze"], lambda: RatMatrix.identity(3), ANALYZE_IDENTITY_3),
+  (["forge", "3x3"], None, FORGE_3X3),
+  (["signs"], shift_5x5, SIGNS_SHIFT_5X5),
+  (["signs"], lambda: RatMatrix.of(SIGNS_NONE_ROWS), SIGNS_NONE),
+], ids=["analyze-golden-3x3", "analyze-shift-5x5", "analyze-identity-3",
+        "forge-3x3", "signs-found", "signs-not-found"])
+def test_stdout_matches_golden_bytes(tmp_path, capsys, argv, build, expected):
+  if build is not None:
+    argv = argv + ["--input", write_matrix(tmp_path / "in.json", build())]
+  code, out, err = run(capsys, argv)
+  assert (code, err) == (0, "")
+  assert out == expected

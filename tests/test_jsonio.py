@@ -1,13 +1,19 @@
 """JSON round trips and strict parsing."""
 
 import json
+import math
+import re
 from fractions import Fraction
 
+import numpy
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from propermap.certify import certify, condition_chain, verify_certificate
 from propermap.forge import density_experiment, golden_3x3, shift_5x5
 from propermap.jsonio import (
+  _INT_LITERALS,
   certificate_from_json,
   certificate_to_json,
   density_summary_to_json,
@@ -24,7 +30,7 @@ from propermap.jsonio import (
   vector_from_json,
   vector_to_json,
 )
-from propermap.linalg import RatMatrix, RatVector
+from propermap.linalg import RatMatrix, RatVector, as_rat
 from propermap.recipes import ConjugationFrame, WitnessRecipe
 from propermap.witness import probe_mu, validate_witness
 
@@ -147,6 +153,21 @@ def test_certificate_parse_is_strict():
     certificate_from_json({**obj, "extra": 1})
   with pytest.raises(ValueError, match="audit entry 0"):
     certificate_from_json({**obj, "audit": [{"step": "x"}]})
+  # text fields are taken as they are, never coerced with str()
+  for field in ("verdict", "reason"):
+    for bad in (7, None, ["Proper"], {"a": "b"}, True):
+      with pytest.raises(ValueError,
+                         match=f"^field '{field}' must be a string$"):
+        certificate_from_json({**obj, field: bad})
+  entry = {"step": "x", "outcome": "y", "detail": "z"}
+  for field in ("step", "outcome", "detail"):
+    for bad in (None, 3, [1], {"a": 1}, False):
+      audit = [entry, {**entry, field: bad}]
+      with pytest.raises(ValueError, match=f"^audit entry 1 field '{field}' "
+                                           f"must be a string$"):
+        certificate_from_json({**obj, "audit": audit})
+  back = certificate_from_json({**obj, "audit": [{"step": "x", "outcome": "y"}]})
+  assert back.audit[0].detail == ""
 
 
 def test_dumps_is_canonical():
@@ -154,6 +175,155 @@ def test_dumps_is_canonical():
   text = dumps(obj)
   assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
   assert dumps(obj) == text
+
+
+# ---------------------------------------------------------------------------
+# dumps against the standard library encoder
+# ---------------------------------------------------------------------------
+
+def stdlib_dumps(obj) -> str:
+  return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def assert_same_as_stdlib(obj) -> None:
+  try:
+    want = stdlib_dumps(obj)
+  except TypeError:
+    with pytest.raises(TypeError):
+      dumps(obj)
+    return
+  assert dumps(obj) == want
+
+
+_SPECIAL_TEXT = ['"', "\\", "\x00", "\x1f", "\n\t", "é", "\u2028", "\U0001f600",
+                 'a"b\\c', ""]
+_text = st.text(max_size=6) | st.sampled_from(_SPECIAL_TEXT)
+_floats = st.floats() | st.sampled_from(
+  [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, 0.1])
+_scalars = (st.none() | st.booleans() | _floats | _text
+            | st.integers(min_value=-2 ** 80, max_value=2 ** 80))
+_trees = st.recursive(
+  _scalars,
+  lambda children: (st.lists(children, max_size=4)
+                    | st.lists(children, max_size=3).map(tuple)
+                    | st.dictionaries(_text, children, max_size=4)),
+  max_leaves=30)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_trees)
+@example([[], {}, (), "", [[{}]]])
+@example({"a": {"b": [{"c": (1, [2.5, {"d": None}])}]}})
+def test_dumps_matches_stdlib_on_json_trees(obj):
+  assert_same_as_stdlib(obj)
+  # the same tree four containers deeper
+  assert_same_as_stdlib({"w": [({"x": [obj]},)]})
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.dictionaries(st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+                       _scalars, max_size=5)
+       | st.dictionaries(_floats, _scalars, max_size=5)
+       | st.dictionaries(st.booleans(), _scalars, max_size=2))
+def test_dumps_matches_stdlib_on_non_str_keys(obj):
+  assert_same_as_stdlib(obj)
+
+
+@pytest.mark.parametrize("obj", [
+  {"x": numpy.float64(0.1), "y": [numpy.float64("nan"), numpy.float64(-0.0)],
+   "z": numpy.float64("inf"), "w": -numpy.float64("inf")},
+  [True, 1, False, 0, 1.0, None],
+  {"a": True, "b": 1, "c": False, "d": 0},
+  {True: "t", 2: "two", 1.5: "x", False: "f"},
+  {None: 1},
+  {math.nan: 1, math.inf: 2, -0.0: 3},
+  {2 ** 70: "big", -3: "neg"},
+  "top-level \u00e9 text",
+  7,
+  -0.0,
+  None,
+])
+def test_dumps_matches_stdlib_on_pinned_cases(obj):
+  assert dumps(obj) == stdlib_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+  {1: "a", "b": 2},
+  {None: 1, "a": 2},
+  {(1, 2): 3},
+  {"a": {1: "x", "y": 2}},
+  [Fraction(1, 2)],
+  {"a": {1, 2}},
+  numpy.int64(3),
+])
+def test_dumps_raises_type_error_where_stdlib_does(obj):
+  with pytest.raises(TypeError):
+    stdlib_dumps(obj)
+  with pytest.raises(TypeError):
+    dumps(obj)
+
+
+# ---------------------------------------------------------------------------
+# the integer-literal table against the general entry parser
+# ---------------------------------------------------------------------------
+
+_B = max(int(text) for text in _INT_LITERALS)
+
+ENTRY_VALUES = [
+  # the literals of tests/test_linalg.py::test_as_rat_string_parse_matches_fraction
+  "1_000", " 5 ", "+3", "-0", "\u0663", "1e3", "3.0", "0x10", "", "7/0",
+  "--1", " -12\n",
+  "0", "007", " 3", "1/2", "-7/3", "4/2",
+  str(_B), str(-_B), str(_B + 1), str(-_B - 1),
+  3, -_B - 1, True, False, 0.5, None, [1], {"a": 1},
+]
+
+
+def expected_entry(x, where):
+  """(value, None) or (None, message) as the general parser reports them."""
+  if isinstance(x, bool) or not isinstance(x, (str, int)):
+    return None, (f"{where} must be a rational string or integer, "
+                  f"got {type(x).__name__}")
+  try:
+    return as_rat(x), None
+  except (ValueError, TypeError) as err:
+    return None, f"{where}: {err}"
+
+
+def check_entry(parse, x, where, wrap):
+  value, message = expected_entry(x, where)
+  if message is None:
+    got = parse()
+    assert got == wrap(value)
+  else:
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+      parse()
+
+
+@pytest.mark.parametrize("x", ENTRY_VALUES, ids=repr)
+def test_entry_fast_path_matches_general_parser(x):
+  check_entry(lambda: matrix_from_json({"m": 1, "rows": [[x]]}), x,
+              "entry (0,0)", lambda q: RatMatrix.of([[q]]))
+  check_entry(lambda: matrix_from_json({"m": 2, "rows": [["1", "2"], ["0", x]]}),
+              x, "entry (1,1)", lambda q: RatMatrix.of([[1, 2], [0, q]]))
+  check_entry(lambda: vector_from_json({"entries": ["1", x]}), x, "entry 1",
+              lambda q: RatVector.of([1, q]))
+  check_entry(lambda: recipe_from_json({"kind": "simple", "x_inf": [x],
+                                        "u": ["1"]}),
+              x, "field 'x_inf'[0]",
+              lambda q: WitnessRecipe(kind="simple", x_inf=RatVector.of([q]),
+                                      u=RatVector.of([1])))
+  check_entry(lambda: frame_from_json({"perm": [0, 1], "diag": ["2", x]}), x,
+              "diag[1]", lambda q: ConjugationFrame((0, 1), (Fraction(2), q)))
+
+
+def test_entry_table_holds_exact_fractions():
+  assert len(_INT_LITERALS) == 2 * _B + 1
+  for text, q in _INT_LITERALS.items():
+    assert type(q) is Fraction and q == Fraction(text) and rat_str(q) == text
+  parsed = matrix_from_json({"m": 2, "rows": [["-1", "1/2"], ["64", "65"]]})
+  assert all(type(q) is Fraction for row in parsed.rows for q in row)
+  assert all(type(r) is tuple for r in parsed.rows)
 
 
 def test_report_json_shapes():
