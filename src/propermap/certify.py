@@ -52,12 +52,7 @@ from .linalg import (
   solve_affine_in_subspace,
   subspace_image,
 )
-from .recipes import (
-  ConjugationFrame,
-  WitnessRecipe,
-  _recipe_equations_hold,
-  _restrict,
-)
+from .recipes import ConjugationFrame, WitnessRecipe, _restrict
 from .witness import validate_witness
 
 if TYPE_CHECKING:
@@ -102,6 +97,11 @@ CANDIDATE_BOX = 3
 CANDIDATE_CAP = 400
 FULL_BOX_CAP = 3000
 
+# the float scan for irrational escape directions: random kernel
+# combinations, drawn by default_rng(ESCAPE_SCAN_SEED)
+ESCAPE_SCAN_SAMPLES = 300
+ESCAPE_SCAN_SEED = 7
+
 
 @dataclass(frozen=True)
 class AuditEntry:
@@ -135,43 +135,29 @@ class Certificate:
 
 
 @dataclass(frozen=True)
-class DirectionProfile:
-  """A candidate limit direction, with its zero pattern made explicit."""
-
-  x_inf: RatVector
-  support: tuple[int, ...]
-  normalized: bool
-
-  @staticmethod
-  def from_vector(v: RatVector) -> "DirectionProfile":
-    supp = v.support()
-    if not supp:
-      raise ValueError("direction must be nonzero")
-    return DirectionProfile(
-      x_inf=v,
-      support=supp,
-      normalized=all(v[i] == 1 for i in supp),
-    )
-
-
-@dataclass(frozen=True)
 class ChainStage:
-  """One solve of the escape chain, with the memberships it had to satisfy."""
+  """One solve of the escape chain: A solution = -target.
 
-  index: int
-  block: tuple[int, ...]
+  Stage zero's target is x_inf; each later target is the cube root of the
+  previous solution's hat part.  Entries are Fractions, or floats once the
+  chain has continued in floats.
+  """
+
   target: tuple
   solution: tuple
-  numeric: bool
-  extrapolated: bool
-  memberships: tuple[tuple[str, bool], ...] = ()
 
 
 @dataclass(frozen=True)
 class ConditionSetReport:
-  """Outcome of the recursive escape-chain conditions for one direction."""
+  """Outcome of the escape-chain conditions for one 0/1 direction.
 
-  mode: str                  # "N" (solvability skeleton) or "S" (full set)
+  `failure` names the first condition that failed when `satisfied` is
+  False.  `numeric_only` marks a chain that continued in floats past an
+  irrational hat cube root, which can refute but never certify properness.
+  `extrapolated` marks a chain that went past the two solves a witness
+  recipe displays.
+  """
+
   x_inf: RatVector
   satisfied: bool
   stages: tuple[ChainStage, ...]
@@ -472,12 +458,11 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
       return found(RatVector(tuple(Fraction(x, scale) for x in widest)))
   if K.dim == 1:
     g = primitive_integer_vector(K.basis[0])
+    # one basis vector always has disjoint supports, so a kernel line gets
+    # here only when its cube root is irrational
     if not cube_root_in_subspace(g, Im):
       return EscapeSearch(None, None, True,
                           "kernel-line cube root avoids the image")
-    d = rational_cube_root_direction(g)
-    if d is not None:
-      return found(d)
     return EscapeSearch(None, None, False,
                         "an escape image vector exists but is irrational")
   for d in an.cube_root_directions:
@@ -485,32 +470,32 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
     if x is not None:
       return EscapeSearch(x, d, True, "candidate found")
   note = "bounded search over rational directions found nothing"
-  hint = _float_escape_probe(A, K, Im)
+  hint = _float_escape_probe(K, Im)
   if hint:
     note += "; " + hint
   return EscapeSearch(None, None, False, note)
 
 
 @cache
-def _escape_samples(samples: int, dim: int, seed: int) -> np.ndarray:
+def _escape_samples(dim: int) -> np.ndarray:
   """The float scan's coefficient draws, one row per sample in the order
   single draws would take them, drawn once per process and read-only."""
   import numpy as np
-  draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, dim))
+  draws = np.random.default_rng(ESCAPE_SCAN_SEED).uniform(
+    -1.0, 1.0, (ESCAPE_SCAN_SAMPLES, dim))
   draws.flags.writeable = False
   return draws
 
 
-def _float_escape_probe(A: RatMatrix, K: Subspace, Im: Subspace,
-                        samples: int = 300, seed: int = 7) -> str:
+def _float_escape_probe(K: Subspace, Im: Subspace) -> str:
   """Cheap float scan for irrational escape image vectors, note only.
 
-  Each of `samples` random kernel combinations w, with coefficients drawn
-  uniformly from [-1, 1] by `default_rng(seed)`, is mapped to the unit
-  vector along its cube root; the note is set when one of them lies within
-  1e-7 of the image.  The draws depend only on (samples, dim, seed), so
-  they are made once per process (`_escape_samples`) and every call with
-  the same kernel basis gives the same note.
+  Each of ESCAPE_SCAN_SAMPLES random kernel combinations w, with
+  coefficients drawn uniformly from [-1, 1], is mapped to the unit vector
+  along its cube root; the note is set when one of them lies within 1e-7
+  of the image.  The draws depend only on the kernel dimension, so they
+  are made once per process (`_escape_samples`) and every call with the
+  same kernel basis gives the same note.
   """
   if K.dim == 0 or Im.dim == 0:
     return ""
@@ -518,7 +503,7 @@ def _float_escape_probe(A: RatMatrix, K: Subspace, Im: Subspace,
   kb = np.array([[float(x) for x in b] for b in K.basis])
   ib = np.array([[float(x) for x in b] for b in Im.basis]).T
   q, _ = np.linalg.qr(ib)
-  w = _escape_samples(samples, K.dim, seed) @ kb
+  w = _escape_samples(K.dim) @ kb
   w = w[np.linalg.norm(w, axis=1) >= 1e-12]
   y = np.cbrt(w)
   y /= np.linalg.norm(y, axis=1, keepdims=True)
@@ -712,196 +697,106 @@ class _FloatChain:
 
 
 def condition_chain(A: RatMatrix | Analysis,
-                    profile: DirectionProfile | RatVector,
-                    V: Subspace, mode: str = "S") -> ConditionSetReport:
-  """Recursive escape-chain conditions for a 0/1 limit direction.
+                    x_inf: RatVector) -> ConditionSetReport:
+  """The escape-chain conditions for a 0/1 limit direction x_inf.
 
-  Mode "S" checks the full condition set: solvability of each stage plus
-  the memberships in V and in its projection to the support, quantified
-  over the whole solution family of every solve (kernel adjustments).
-  Mode "N" checks only the solvability skeleton.
+  V is the reduced subspace Im A.  Stage zero solves A u = -x_inf and needs
+  x_inf in V and the support part of u in pr(V), the projection of V to the
+  support.  While the latest solution has nonzero entries on the remaining
+  off-support block, the chain takes the cube root of that hat part,
+  requires it to lie in V, solves A v = -root with the paired part of v
+  (v / root^2 on the hat entries) in V and the support part of v in pr(V),
+  and recurses on the block where the hat was zero.  Each membership is
+  quantified over the whole solution family of its solve (kernel
+  adjustments), and solutions whose next tail vanishes are preferred,
+  ending the recursion.  The block shrinks on every pass, so the chain
+  ends after at most m stages.
 
-  Stage zero solves A u = -x_inf.  While the current solution has nonzero
-  entries on the remaining off-support block, the chain takes the cube
-  root of that hat part, requires it to lie in V (mode S), solves for the
-  next vector against its negative, and recurses on the zero sub-block.
-  Solutions whose next tail vanishes are preferred, ending the recursion.
-
-  Stages beyond the two displayed solves are flagged extrapolated.  When a
-  needed cube root is irrational the chain switches to floats and the
-  report is flagged numeric.
+  At the first irrational hat cube root the chain continues in floats and
+  the report is flagged numeric_only.
   """
-  if mode not in ("N", "S"):
-    raise ValueError("mode must be 'N' or 'S'")
-  if isinstance(profile, RatVector):
-    profile = DirectionProfile.from_vector(profile)
-  if not profile.normalized:
+  support = x_inf.support()
+  if not support:
+    raise ValueError("direction must be nonzero")
+  if any(x_inf[i] != 1 for i in support):
     raise ValueError("condition_chain needs a 0/1 direction; normalize first")
   an = _analysis(A)
-  A, K = an.A, an.kernel
-  x_inf = profile.x_inf
+  A, K, V = an.A, an.kernel, an.image
   m = len(x_inf)
-  support = set(profile.support)
   pr = _indicator_matrix(m, support)
   pr_V = subspace_image(pr, V)
-  off_support = [i for i in range(m) if i not in support]
   stages: list[ChainStage] = []
+  extrapolated = False
 
-  def report(satisfied, failure=None, numeric=False, extrapolated=False):
-    return ConditionSetReport(mode=mode, x_inf=x_inf, satisfied=satisfied,
+  def report(satisfied, failure=None, numeric=False):
+    return ConditionSetReport(x_inf=x_inf, satisfied=satisfied,
                               stages=tuple(stages), failure=failure,
                               numeric_only=numeric, extrapolated=extrapolated)
 
   if not A.apply(x_inf).is_zero():
     return report(False, "x_inf^3 is not in the kernel")
-  if mode == "S" and not V.contains(x_inf):
+  if not V.contains(x_inf):
     return report(False, "x_inf is not in the reduced subspace")
-
   u0 = solve(A, -x_inf)
   if u0 is None:
     return report(False, "-x_inf has no preimage")
-  conditions0 = [(pr, pr_V)] if mode == "S" else []
-  u = _solve_preferring_zero_tail(u0, K, conditions0, off_support)
-  if u is None:
+  block = [i for i in range(m) if i not in support]
+  v = _solve_preferring_zero_tail(u0, K, [(pr, pr_V)], block)
+  if v is None:
     return report(False, "no preimage of -x_inf has its support part in pr(V)")
-  memberships0 = ((("support part of u in pr(V)", True),) if mode == "S" else ())
-  stages.append(ChainStage(0, tuple(sorted(support)), tuple((-x_inf).entries),
-                           tuple(u.entries), False, False, memberships0))
-
-  block = off_support
-  current: object = u
-  numeric = False
-  fchain: _FloatChain | None = None
-  extrapolated = False
-  index = 0
+  stages.append(ChainStage(tuple(x_inf.entries), tuple(v.entries)))
 
   while True:
-    index += 1
-    if index > m + 2:
-      return report(False, "chain exceeded the dimension bound",
-                    numeric, extrapolated)
-    if numeric:
-      hat = [current[i] if i in set(block) else 0.0 for i in range(m)]
-      if max(abs(h) for h in hat) <= FLOAT_TOL:
-        return report(True, None, True, extrapolated)
-      nz = [i for i in block if abs(hat[i]) > FLOAT_TOL]
-    else:
-      hat_vec = _restrict(current, block)
-      if hat_vec.is_zero():
-        return report(True, None, numeric, extrapolated)
-      nz = [i for i in block if hat_vec[i] != 0]
-    zz = [i for i in block if i not in set(nz)]
-    if index >= 2:
-      extrapolated = True
-
-    if not numeric:
-      root_entries: list[Fraction] | None = []
-      for i in range(m):
-        if i in set(nz):
-          r = rational_kth_root(hat_vec[i], 3)
-          if r is None:
-            root_entries = None
-            break
-          assert root_entries is not None
-          root_entries.append(r)
-        else:
-          root_entries.append(Fraction(0))
-      if root_entries is None:
-        numeric = True
-        fchain = _FloatChain(A, V, pr_V)
-        current = [float(x) for x in current.entries]
-        hat = [current[i] if i in set(block) else 0.0 for i in range(m)]
-
-    if numeric:
-      assert fchain is not None
-      np = fchain.np
-      root_f = np.array([float(np.cbrt(hat[i])) if i in set(nz) else 0.0
-                         for i in range(m)])
-      mems: list[tuple[str, bool]] = []
-      if mode == "S":
-        ok_root = fchain.contains(fchain.q, root_f)
-        mems.append(("cube root of hat in V", ok_root))
-        if not ok_root:
-          return report(False, "cube root of the hat vector leaves V",
-                        True, extrapolated)
-      vsol, ok = fchain.solve(-root_f)
-      if not ok:
-        return report(False, "hat cube root has no preimage", True, extrapolated)
-      if mode == "S":
-        paired = np.array([vsol[i] / root_f[i] ** 2 if i in set(nz) else 0.0
-                           for i in range(m)])
-        ok_pair = fchain.contains(fchain.q, paired)
-        mems.append(("paired part of v in V", ok_pair))
-        prv = np.array([vsol[i] if i in support else 0.0 for i in range(m)])
-        ok_pr = fchain.contains(fchain.q_pr, prv)
-        mems.append(("support part of v in pr(V)", ok_pr))
-        if not (ok_pair and ok_pr):
-          return report(False, "second-stage membership failed numerically",
-                        True, extrapolated)
-      stages.append(ChainStage(index, tuple(nz), tuple(float(t) for t in root_f),
-                               tuple(float(t) for t in vsol), True,
-                               extrapolated, tuple(mems)))
-      if not zz:
-        return report(True, None, True, extrapolated)
-      tail = [vsol[i] if i in set(zz) else 0.0 for i in range(m)]
-      if max(abs(t) for t in tail) <= FLOAT_TOL:
-        return report(True, None, True, extrapolated)
-      current = [float(t) for t in vsol]
-      block = zz
-      continue
-
-    root = RatVector.of(root_entries)
-    mems = []
-    if mode == "S":
-      ok_root = V.contains(root)
-      mems.append(("cube root of hat in V", ok_root))
-      if not ok_root:
-        return report(False, "cube root of the hat vector leaves V",
-                      numeric, extrapolated)
+    hat = _restrict(v, block)
+    if hat.is_zero():
+      return report(True)
+    nz = [i for i in block if hat[i] != 0]
+    extrapolated = len(stages) >= 2
+    roots = [rational_kth_root(hat[i], 3) if i in nz else Fraction(0)
+             for i in range(m)]
+    if None in roots:
+      break
+    root = RatVector.of(roots)
+    if not V.contains(root):
+      return report(False, "cube root of the hat vector leaves V")
     v0 = solve(A, -root)
     if v0 is None:
-      return report(False, "hat cube root has no preimage", numeric, extrapolated)
-    if mode == "S":
-      pair_mat = RatMatrix.diagonal(
-        [Fraction(1) / root[i] ** 2 if i in set(nz) else Fraction(0)
-         for i in range(m)])
-      vsol = _solve_preferring_zero_tail(v0, K, [(pair_mat, V), (pr, pr_V)], zz)
-      if vsol is None:
-        return report(False, "no preimage satisfies the pairing and support "
-                      "memberships", numeric, extrapolated)
-      mems.append(("paired part of v in V", True))
-      mems.append(("support part of v in pr(V)", True))
-    else:
-      vsol = _solve_preferring_zero_tail(v0, K, [], zz)
-      assert vsol is not None
-    stages.append(ChainStage(index, tuple(nz), tuple(root.entries),
-                             tuple(vsol.entries), False, extrapolated,
-                             tuple(mems)))
-    if not zz:
-      return report(True, None, numeric, extrapolated)
-    tail = _restrict(vsol, zz)
-    if tail.is_zero():
-      return report(True, None, numeric, extrapolated)
-    current = vsol
-    block = zz
+      return report(False, "hat cube root has no preimage")
+    pair_mat = RatMatrix.diagonal(
+      [Fraction(1) / root[i] ** 2 if i in nz else Fraction(0)
+       for i in range(m)])
+    block = [i for i in block if i not in nz]
+    v = _solve_preferring_zero_tail(v0, K, [(pair_mat, V), (pr, pr_V)], block)
+    if v is None:
+      return report(False, "no preimage satisfies the pairing and support "
+                    "memberships")
+    stages.append(ChainStage(tuple(root.entries), tuple(v.entries)))
 
-
-def _lift_to_subspace(target: RatVector, pr: RatMatrix,
-                      V: Subspace) -> RatVector | None:
-  """Vector of V whose support part (under pr) equals pr(target)."""
-  m = len(target)
-  goal = pr.apply(target)
-  if V.dim == 0:
-    return RatVector.zero(m) if goal.is_zero() else None
-  cols = [pr.apply(b) for b in V.basis]
-  rows = tuple(tuple(cols[j][i] for j in range(V.dim)) for i in range(m))
-  sol = solve(RatMatrix(rows), goal)
-  if sol is None:
-    return None
-  out = RatVector.zero(m)
-  for j in range(V.dim):
-    out = out + V.basis[j].scale(sol[j])
-  return out
+  # float continuation from the first irrational hat cube root
+  fc = _FloatChain(A, V, pr_V)
+  np = fc.np
+  vf = [float(t) for t in v.entries]
+  while True:
+    block = [i for i in block if i not in nz]
+    root_f = np.array([float(np.cbrt(vf[i])) if i in nz else 0.0
+                       for i in range(m)])
+    if not fc.contains(fc.q, root_f):
+      return report(False, "cube root of the hat vector leaves V", numeric=True)
+    vf, ok = fc.solve(-root_f)
+    if not ok:
+      return report(False, "hat cube root has no preimage", numeric=True)
+    paired = np.array([vf[i] / root_f[i] ** 2 if i in nz else 0.0
+                       for i in range(m)])
+    prv = np.array([vf[i] if i in support else 0.0 for i in range(m)])
+    if not (fc.contains(fc.q, paired) and fc.contains(fc.q_pr, prv)):
+      return report(False, "second-stage membership failed numerically",
+                    numeric=True)
+    stages.append(ChainStage(tuple(float(t) for t in root_f),
+                             tuple(float(t) for t in vf)))
+    nz = [i for i in block if abs(vf[i]) > FLOAT_TOL]
+    if not nz:
+      return report(True, numeric=True)
+    extrapolated = len(stages) >= 2
 
 
 def _chain_recipe(report: ConditionSetReport, V: Subspace,
@@ -909,11 +804,10 @@ def _chain_recipe(report: ConditionSetReport, V: Subspace,
   """Convert a satisfied depth <= 2 exact chain into a witness recipe."""
   if not report.satisfied or report.numeric_only or report.depth > 2:
     return None
-  m = len(report.x_inf)
-  support = set(report.x_inf.support())
-  pr = _indicator_matrix(m, support)
+  pr = _indicator_matrix(len(report.x_inf), report.x_inf.support())
   u = RatVector.of([as_rat(x) for x in report.stages[0].solution])
-  u1 = _lift_to_subspace(u, pr, V)
+  # lifts: the vectors of V whose support parts match those of u and v
+  u1 = solve_affine_in_subspace(pr, pr.apply(u), V)
   if u1 is None:
     return None
   if report.depth == 1:
@@ -922,7 +816,7 @@ def _chain_recipe(report: ConditionSetReport, V: Subspace,
   stage = report.stages[1]
   root = RatVector.of([as_rat(x) for x in stage.target])
   v = RatVector.of([as_rat(x) for x in stage.solution])
-  v1 = _lift_to_subspace(v, pr, V)
+  v1 = solve_affine_in_subspace(pr, pr.apply(v), V)
   if v1 is None:
     return None
   return WitnessRecipe(kind="corank-chain", x_inf=report.x_inf, u=u, v=v,
@@ -998,8 +892,7 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
     anB, frame, x_pat = Analysis(norm.matrix), norm.frame, norm.generator
     audit.append(AuditEntry("normalize", "done",
                             f"support size {norm.support_size}"))
-  VB = anB.image
-  rep = condition_chain(anB, DirectionProfile.from_vector(x_pat), VB, "S")
+  rep = condition_chain(anB, x_pat)
   audit.append(AuditEntry("condition-chain",
                           "satisfied" if rep.satisfied else "unsatisfied",
                           rep.failure or f"depth {rep.depth}"))
@@ -1013,7 +906,7 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
     recipe = _numeric_chain_recipe(rep, frame)
     reason = REASON_CHAIN + NUMERIC_SUFFIX
   else:
-    recipe = _chain_recipe(rep, VB, frame)
+    recipe = _chain_recipe(rep, anB.image, frame)
     reason = REASON_CHAIN
     if recipe is None:
       audit.append(AuditEntry("witness", "unsupported",
@@ -1207,8 +1100,9 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   """Independently re-establish the decisive condition a certificate names.
 
   Proper reasons are recomputed from A alone, through a fresh Analysis;
-  NonProper reasons re-check the witness recipe equations exactly
-  (rational recipes) and re-run the float validation.
+  NonProper reasons re-run the witness validation, whose pass requires the
+  recipe equations to hold exactly (rational recipes) or within tolerance
+  (numeric ones).
   """
   if cert.matrix != A:
     return False
@@ -1248,8 +1142,6 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   if cert.verdict == NONPROPER:
     recipe = cert.witness()
     if recipe is None:
-      return False
-    if not recipe.numeric and not _recipe_equations_hold(A, recipe):
       return False
     return validate_witness(A, recipe).passed
   return False

@@ -16,9 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import NONPROPER, Certificate, certify, corank1_decide
+from .certify import NONPROPER, certify
 from .linalg import RatMatrix, as_rat, rank
 from .witness import validate_witness
+
+# golden_3x3_params searches free parameters in [-GOLDEN_BOX, GOLDEN_BOX]
+GOLDEN_BOX = 3
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,6 @@ class Family3x3Params:
     a21 = (a11 + a13 * lam + a22 * lam) / (1 - lam)
     return cls(a11, a12, a21, a22, lam)
 
-  def free_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    return (self.a11, self.a12, self.a22, self.lam)
-
 
 def forge_3x3(p: Family3x3Params) -> RatMatrix:
   """Build the family member for p: rank 2, kernel (1,1,1), non-proper map."""
@@ -104,14 +104,14 @@ def _free_parameter_search_order(box: int):
 
 
 @lru_cache(maxsize=None)
-def golden_3x3_params(box: int = 3) -> Family3x3Params:
+def golden_3x3_params() -> Family3x3Params:
   """Smallest integer free parameters whose member certifies NonProper.
 
-  Searches [-box, box]^4 in (max-norm, 1-norm, lex) order and returns the
-  first member that passes construction, certifies NonProper, and whose
-  witness recipe validates numerically.
+  Searches [-GOLDEN_BOX, GOLDEN_BOX]^4 in (max-norm, 1-norm, lex) order
+  and returns the first member that passes construction, certifies
+  NonProper, and whose witness recipe validates numerically.
   """
-  for t in _free_parameter_search_order(box):
+  for t in _free_parameter_search_order(GOLDEN_BOX):
     try:
       p = Family3x3Params.from_free(*t)
     except ValueError:
@@ -122,7 +122,8 @@ def golden_3x3_params(box: int = 3) -> Family3x3Params:
       continue
     if validate_witness(A, cert.witness()).passed:
       return p
-  raise ValueError(f"no valid family member with parameters in [-{box}, {box}]")
+  raise ValueError("no valid family member with parameters in "
+                   f"[-{GOLDEN_BOX}, {GOLDEN_BOX}]")
 
 
 def golden_3x3() -> RatMatrix:
@@ -209,8 +210,3 @@ def density_experiment(m: int, r: int, trials: int, seed: int = 0,
     rows.append(DensityRow(trial_seed, m, r, cert.verdict, cert.reason))
     counts[cert.verdict] = counts.get(cert.verdict, 0) + 1
   return DensitySummary(m, r, trials, seed, tuple(rows), counts)
-
-
-def family_member_certificate(p: Family3x3Params) -> Certificate:
-  """Decide a family member directly through the corank-1 path."""
-  return corank1_decide(forge_3x3(p))

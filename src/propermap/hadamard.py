@@ -28,6 +28,10 @@ from typing import Sequence
 
 from .linalg import RatVector, Subspace, orthogonal_complement
 
+# rational_kth_root_approx is within 10^-APPROX_DIGITS of the true root, so
+# a recipe built on it keeps decaying well past the largest validation gamma
+APPROX_DIGITS = 48
+
 
 def _same_kind(template, values):
   if isinstance(template, RatVector):
@@ -110,8 +114,9 @@ def integer_root_floor(n: int, k: int) -> int:
     x = y
 
 
-def rational_kth_root_approx(q: Fraction, k: int, digits: int = 48) -> Fraction:
-  """Rational r with |r - q^(1/k)| < 10^-digits.  Negative q needs odd k.
+def rational_kth_root_approx(q: Fraction, k: int) -> Fraction:
+  """Rational r with |r - q^(1/k)| < 10^-APPROX_DIGITS.  Negative q needs
+  odd k.
 
   Exact when q has a rational k-th root; otherwise a truncation with a
   power-of-ten denominator.  All arithmetic is integer, so the precision
@@ -122,11 +127,11 @@ def rational_kth_root_approx(q: Fraction, k: int, digits: int = 48) -> Fraction:
   if q < 0:
     if k % 2 == 0:
       raise ValueError("negative argument has no real even root")
-    return -rational_kth_root_approx(-q, k, digits)
+    return -rational_kth_root_approx(-q, k)
   exact = rational_kth_root(q, k)
   if exact is not None:
     return exact
-  scale = 10 ** digits
+  scale = 10 ** APPROX_DIGITS
   # q^(1/k) = (num * den^(k-1))^(1/k) / den
   big = q.numerator * q.denominator ** (k - 1) * scale ** k
   return Fraction(integer_root_floor(big, k), q.denominator * scale)

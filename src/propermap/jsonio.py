@@ -20,7 +20,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .certify import AuditEntry, Certificate, ConditionSetReport
-from .forge import DensitySummary
 from .linalg import RatMatrix, RatVector, as_rat
 from .recipes import ConjugationFrame, WitnessRecipe
 from .witness import MuProbeReport, WitnessValidationReport
@@ -173,7 +172,7 @@ def recipe_from_json(obj) -> WitnessRecipe:
 
 def _chain_summary(report: ConditionSetReport) -> dict:
   return {"type": "chain",
-          "mode": report.mode,
+          "mode": "S",
           "satisfied": report.satisfied,
           "depth": report.depth,
           "numeric_only": report.numeric_only,
@@ -285,17 +284,6 @@ def probe_report_to_json(report: MuProbeReport) -> dict:
           "classification": report.classification,
           "seed": report.seed,
           "note": report.note}
-
-
-def density_summary_to_json(summary: DensitySummary) -> dict:
-  return {"m": summary.m,
-          "r": summary.r,
-          "trials": summary.trials,
-          "seed": summary.seed,
-          "counts": dict(sorted(summary.counts.items())),
-          "rows": [{"seed": row.seed, "m": row.m, "r": row.r,
-                    "verdict": row.verdict, "reason": row.reason}
-                   for row in summary.rows]}
 
 
 _INF = float("inf")

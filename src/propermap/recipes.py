@@ -59,10 +59,6 @@ class ConjugationFrame:
       rows.append(tuple(row))
     return RatMatrix(tuple(rows))
 
-  def is_identity(self) -> bool:
-    return (self.perm == tuple(range(len(self.perm)))
-            and all(d == 1 for d in self.diag))
-
 
 @dataclass(frozen=True)
 class WitnessRecipe:

@@ -31,6 +31,9 @@ DEFAULT_GAMMAS = tuple(10.0 ** e for e in range(1, 7))
 PROBE_RANDOM_STARTS = 8
 PROBE_ITERATIONS = 150
 
+# relative tolerance of the recipe equations of a float-born recipe
+NUMERIC_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class WitnessValidationReport:
@@ -91,8 +94,7 @@ def _laurent_residuals(B: RatMatrix, recipe: WitnessRecipe) -> list[dict]:
   return out
 
 
-def _numeric_equations_ok(A: RatMatrix, recipe: WitnessRecipe,
-                          rel_tol: float = 1e-6) -> bool:
+def _numeric_equations_ok(A: RatMatrix, recipe: WitnessRecipe) -> bool:
   """Tolerance version of the recipe equations, for float-born recipes."""
   B = recipe.frame.conjugate(A) if recipe.frame is not None else A
   Bf = _float_matrix(B)
@@ -100,16 +102,16 @@ def _numeric_equations_ok(A: RatMatrix, recipe: WitnessRecipe,
   u = [float(t) for t in recipe.u]
   xk = [t ** recipe.k for t in x_inf]
   r1 = _apply_f(Bf, xk)
-  if _norm(r1) > rel_tol * max(1.0, _norm(xk)):
+  if _norm(r1) > NUMERIC_REL_TOL * max(1.0, _norm(xk)):
     return False
   r2 = [a + b for a, b in zip(_apply_f(Bf, u), x_inf)]
-  if _norm(r2) > rel_tol * max(1.0, _norm(x_inf)):
+  if _norm(r2) > NUMERIC_REL_TOL * max(1.0, _norm(x_inf)):
     return False
   if recipe.u_hat_root is not None and recipe.v is not None:
     root = [float(t) for t in recipe.u_hat_root]
     v = [float(t) for t in recipe.v]
     r3 = [a + b for a, b in zip(_apply_f(Bf, v), root)]
-    if _norm(r3) > rel_tol * max(1.0, _norm(root)):
+    if _norm(r3) > NUMERIC_REL_TOL * max(1.0, _norm(root)):
       return False
   return True
 

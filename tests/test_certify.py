@@ -1,6 +1,7 @@
 """The decision pipeline: screens, the corank-1 procedure, and certificates."""
 
 import ast
+import hashlib
 import importlib
 import itertools
 import json
@@ -32,7 +33,6 @@ from propermap.certify import (
   PROPER,
   UNDECIDED,
   Analysis,
-  DirectionProfile,
   certify,
   condition_chain,
   corank1_decide,
@@ -44,8 +44,6 @@ from propermap.certify import (
   verify_certificate,
 )
 from propermap.forge import (
-  Family3x3Params,
-  forge_3x3,
   golden_3x3,
   sample_rank_r,
   shift_5x5,
@@ -175,7 +173,8 @@ def test_corank1_rejects_wrong_corank():
 def test_normalize_kernel_direction_all_ones_is_identity_frame():
   A = golden_3x3()
   nk = normalize_kernel_direction(A, RatVector.of([1, 1, 1]))
-  assert nk.frame.is_identity()
+  assert nk.frame.perm == (0, 1, 2)
+  assert nk.frame.diag == (1, 1, 1)
   assert nk.matrix == A
   assert nk.generator == RatVector.of([1, 1, 1])
 
@@ -214,9 +213,7 @@ def test_normalize_kernel_direction_rejects_non_kernel_vectors():
 
 def test_condition_chain_on_golden_direction():
   A = golden_3x3()
-  V = Analysis(A).image
-  profile = DirectionProfile.from_vector(RatVector.of([1, 1, 1]))
-  rep = condition_chain(A, profile, V, "S")
+  rep = condition_chain(A, RatVector.of([1, 1, 1]))
   assert rep.satisfied
   assert rep.depth == 1
   u = RatVector.of(rep.stages[0].solution)
@@ -225,36 +222,16 @@ def test_condition_chain_on_golden_direction():
 
 def test_condition_chain_infeasible_direction():
   # the identity kills no cube, so the chain must fail at its first equation
-  A = RatMatrix.identity(3)
-  V = Analysis(A).image
-  profile = DirectionProfile.from_vector(RatVector.of([1, 1, 1]))
-  rep = condition_chain(A, profile, V, "S")
+  rep = condition_chain(RatMatrix.identity(3), RatVector.of([1, 1, 1]))
   assert not rep.satisfied
 
 
-def test_condition_chain_solvability_skeleton_is_implied_by_full_set():
-  # sampled family members all satisfy the full condition set, so the weaker
-  # solvability-only variant has to come back satisfied on every one of them
-  rng = random.Random(9)
-  checked = 0
-  profile = DirectionProfile.from_vector(RatVector.of([1, 1, 1]))
-  while checked < 20:
-    try:
-      p = Family3x3Params.from_free(
-        Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])),
-        Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])),
-        Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])),
-        Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])))
-    except ValueError:
-      continue
-    A = forge_3x3(p)
-    V = Analysis(A).image
-    rep_s = condition_chain(A, profile, V, "S")
-    if not rep_s.satisfied:
-      continue
-    rep_n = condition_chain(A, profile, V, "N")
-    assert rep_n.satisfied
-    checked += 1
+def test_condition_chain_rejects_a_zero_or_non_pattern_direction():
+  A = golden_3x3()
+  with pytest.raises(ValueError, match="direction must be nonzero"):
+    condition_chain(A, RatVector.zero(3))
+  with pytest.raises(ValueError, match="needs a 0/1 direction"):
+    condition_chain(A, RatVector.of([1, 2, 0]))
 
 
 def test_certify_golden_is_non_proper_with_validated_recipe():
@@ -382,6 +359,9 @@ REGRESSION = {
                  (NONPROPER, "escape-chain-numeric")),
   "planted-70": (lambda: planted_pattern(random.Random(70), 3),
                  (NONPROPER, "escape-chain")),
+  # the depth-2 chain: a rational hat cube root, lifts u1 and v1
+  "planted-837": (lambda: planted_pattern(random.Random(837), 4),
+                  (NONPROPER, "escape-chain")),
   "planted-77": (lambda: planted_pattern(random.Random(77), 4),
                  (UNDECIDED, "outside-decidable-screens")),
   "planted-92": (lambda: planted_pattern(random.Random(92), 3),
@@ -445,6 +425,49 @@ def test_verify_certificate_rejects_a_swapped_proper_reason():
   A = REGRESSION["planted-0"][0]()
   assert verify_certificate(
     A, replace(certify(A), reason="no-escape-direction"))
+
+
+def test_verify_certificate_rejects_a_perturbed_recipe():
+  # the witness validation re-checks a rational recipe's equations exactly,
+  # so one changed entry of u (simple recipe) or of the lift v1 (chain
+  # recipe) fails the certificate after a JSON round trip
+  for name, field in (("golden-3x3", "u"), ("planted-837", "v1")):
+    A = REGRESSION[name][0]()
+    back = certificate_from_json(
+      json.loads(dumps(certificate_to_json(certify(A)))))
+    assert verify_certificate(A, back)
+    recipe = back.witness()
+    entries = getattr(recipe, field).entries
+    bad = replace(recipe, **{field: RatVector.of([entries[0] + 1,
+                                                  *entries[1:]])})
+    broken = replace(back, evidence=dict(back.evidence, recipe=bad))
+    assert not verify_certificate(A, broken), (name, field)
+
+
+# sha256 over the certificate JSON of planted_pattern(Random(s), 3 + s % 2)
+# for s = 0..299, which reach every escape-chain outcome.  A "-numeric"
+# recipe holds entries rounded from LAPACK floats, so it is left out.  Any
+# changed byte changes the digest: move it only with a deliberate change
+# of verdicts or of the certificate format.
+PLANTED_CERTIFICATES_SHA256 = (
+  "f65e3ef981f596d116332620ac3a04dbbcb84526281956d5abb735eba38e671a")
+
+
+def test_planted_certificate_bytes_are_pinned():
+  digest = hashlib.sha256()
+  chain_reasons = set()
+  for s in range(300):
+    cert = certify(planted_pattern(random.Random(s), 3 + s % 2))
+    obj = certificate_to_json(cert)
+    if cert.reason.endswith("-numeric"):
+      del obj["evidence"]["recipe"]
+    digest.update(dumps(obj).encode())
+    if "chain" in cert.evidence:
+      chain_reasons.add(cert.reason)
+  assert chain_reasons == {"escape-chain", "escape-chain-unsat",
+                           "escape-chain-numeric",
+                           "outside-decidable-screens"}
+  assert digest.hexdigest() == PLANTED_CERTIFICATES_SHA256
 
 
 def test_linear_case_regression():

@@ -6,11 +6,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import naive_rank, rows_of
-from propermap.certify import NONPROPER, certify, verify_certificate
+from propermap.certify import (
+  NONPROPER,
+  certify,
+  corank1_decide,
+  verify_certificate,
+)
 from propermap.forge import (
   Family3x3Params,
   density_experiment,
-  family_member_certificate,
   forge_3x3,
   golden_3x3,
   golden_3x3_params,
@@ -48,13 +52,13 @@ def test_params_free_tuple_round_trip():
         Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])))
     except ValueError:
       continue
-    assert Family3x3Params.from_free(*p.free_tuple()) == p
+    assert Family3x3Params.from_free(p.a11, p.a12, p.a22, p.lam) == p
     built += 1
 
 
 def test_golden_parameters_are_frozen():
   p = golden_3x3_params()
-  assert p.free_tuple() == (-1, -1, 0, 0)
+  assert (p.a11, p.a12, p.a22, p.lam) == (-1, -1, 0, 0)
 
 
 def test_golden_matrix_is_frozen():
@@ -103,7 +107,7 @@ def test_family_members_certify_non_proper():
     except ValueError:
       continue
     A = forge_3x3(p)
-    cert = family_member_certificate(p)
+    cert = corank1_decide(A)
     assert cert.verdict == NONPROPER
     assert verify_certificate(A, cert)
     built += 1

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from propermap.certify import certify, condition_chain, verify_certificate
-from propermap.forge import density_experiment, golden_3x3, shift_5x5
+from propermap.certify import certify, verify_certificate
+from propermap.forge import golden_3x3, shift_5x5
 from propermap.jsonio import (
   _INT_LITERALS,
   certificate_from_json,
   certificate_to_json,
-  density_summary_to_json,
   dumps,
   frame_from_json,
   frame_to_json,
@@ -336,10 +335,6 @@ def test_report_json_shapes():
   assert probe["classification"] == "GrowthObserved"
   assert len(probe["mu_values"]) == len(probe["radii"])
   assert probe["seed"] == 3
-  dens = density_summary_to_json(density_experiment(2, 1, trials=2, seed=5))
-  assert dens["trials"] == 2
-  assert len(dens["rows"]) == 2
-  assert sum(dens["counts"].values()) == 2
   # every report serializes through the canonical writer
-  for payload in (val, probe, dens):
+  for payload in (val, probe):
     assert dumps(payload).endswith("\n")
