@@ -228,16 +228,18 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   """Estimate mu(r) = min over the r-sphere of the norm of x + (Ax)^k.
 
   Proper maps drive mu to infinity; along an escape curve mu collapses.
-  The probe runs projected gradient descent from curated and seeded
+  The probe runs damped Riemannian Newton descent from curated and seeded
   random starts (plus dense sampling in dimension at most 3) on spheres
   of radius 2^0 .. 2^10 by default, entirely in floats, deterministically
   for a fixed seed.  Every descent is a row of a numpy array with its own
-  radius, step size and stopping test.  The fixed starts of all spheres
-  share one batch.  The chained rows (continuation up the radii, then
-  refinement back down) rerun in batches until every row's start agrees
-  with the results before it, at most 2n - 1 batches for n spheres.  It
-  observes rather than proves: the outcome is GrowthObserved,
-  BoundedObserved, or Inconclusive.
+  radius and damping, and it leaves the batch once its progress is at
+  rounding level, so each sphere's value is a converged local minimum
+  rather than wherever a round cap stopped.  The fixed starts of all
+  spheres share one batch.  The chained rows (continuation up the radii,
+  then refinement back down) rerun in batches until every row's start
+  agrees with the results before it, at most 2n - 1 batches for n
+  spheres.  It observes rather than proves: the outcome is
+  GrowthObserved, BoundedObserved, or Inconclusive.
   """
   import numpy as np
   m = A.m
@@ -264,18 +266,20 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     return np.sqrt(row_dots(X, X))
 
   def powers(AX):
-    # (AX)^(k-1) and (AX)^k by repeated products: numpy's ** calls libm
-    # pow per element, several times the cost of a multiply
+    # (AX)^(k-2), (AX)^(k-1) and (AX)^k by repeated products: numpy's **
+    # calls libm pow per element, several times the cost of a multiply.
+    # At k = 1 the first enters only with the Hessian weight k(k-1) = 0.
     if k == 1:
-      return 1.0, AX
-    P = AX
+      return 0.0, np.ones_like(AX), AX
+    P = 1.0
     for _ in range(k - 2):
       P = P * AX
-    return P, P * AX
+    P1 = P * AX
+    return P, P1, P1 * AX
 
   def h(X):
     # squared map norm of every row of X
-    Y = X + powers(X @ AfT)[1]
+    Y = X + powers(X @ AfT)[2]
     return row_dots(Y, Y)
 
   starts = []
@@ -288,12 +292,12 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     if nkb > 0:
       for base in (kb / nkb, -kb / nkb):
         starts.append(base)
-        # kernel directions are stationary for the projected gradient, so
+        # kernel directions are stationary points on the sphere, so
         # jittered copies let descent leave the saddle toward any valley
         for scale in (1e-2, 1e-1):
           jit = base + scale * rng.normal(size=m)
           starts.append(jit / np.linalg.norm(jit))
-        cubed = powers(base)[1]
+        cubed = powers(base)[2]
         ncb = np.linalg.norm(cubed)
         if ncb > 0:
           for sgn in (1.0, -1.0):
@@ -317,41 +321,83 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     th = math.pi * (3.0 - math.sqrt(5.0)) * i
     dense = np.column_stack([rad * np.cos(th), rad * np.sin(th), z])
 
-  def descend(S, R):
-    """Projected gradient descent from every row of S on the sphere of
-    radius R[row].
+  diag = np.arange(m)
 
-    A row accepts a step only on strict decrease, then grows its step size
-    (capped at 0.5); otherwise it halves it.  A row stops when its
-    tangential gradient vanishes or its step size underflows; the loop
-    ends when every row has stopped or after PROBE_ITERATIONS rounds.  Up
-    to matmul rounding, a row's result does not depend on the other rows.
+  def descend(S, R):
+    """Damped Riemannian Newton descent from every row of S on the sphere
+    of radius R[row] (Absil, Mahony and Sepulchre 2008, ch. 6).
+
+    At x, with a = Ax, F = x + a^k and d = k a^(k-1), the half squared
+    norm |F|^2 / 2 has gradient g = F + A^T(d F) and Hessian H = I +
+    diag(d) A + A^T diag(d) + A^T diag(d^2 + k(k-1) F a^(k-2)) A.  A step
+    s solves the bordered system [[H - sigma I + lam I, u], [u^T, 0]]
+    [s; nu] = [-g; 0] with u = x/r and sigma = g.u/r: a Newton step of
+    the Riemannian Hessian on the tangent space, shifted by lam.  A row
+    accepts the trial point r (x + s)/|x + s| only on strict decrease.
+    Its lam starts at 1e-6 (1 + sum |H|), falls by 3 on an accepted step
+    and rises by 4 on a rejected one; a singular system counts as
+    rejected.  A row stops, and leaves the batch, once an accepted
+    decrease is at most 1e-15 of its value, its step is at most 1e-13 r,
+    or lam exceeds 1e12; the loop ends when every row has stopped or
+    after PROBE_ITERATIONS rounds.  Up to matmul rounding, a row's result
+    does not depend on the other rows.
     """
-    Rc = R[:, None]
-    X = S * Rc
+    X = S * R[:, None]
     fx = h(X)
-    eta = np.full(len(X), 0.1)
-    live = np.ones(len(X), dtype=bool)
+    out_f, out_x = fx.copy(), X.copy()
+    rows = np.arange(len(X))  # the output row of every working row
+    lam = None
     for _ in range(PROBE_ITERATIONS):
-      AX = X @ AfT
-      P, AXk = powers(AX)
-      Y = X + AXk
-      G = 2.0 * (Y + k * (P * Y) @ Af)
-      Xh = X / row_norms(X)[:, None]
-      Gt = G - row_dots(G, Xh)[:, None] * Xh
-      gn = row_norms(Gt)
-      live &= gn >= 1e-14
-      if not live.any():
+      if not len(rows):
         break
-      trial = X - (eta * R)[:, None] * Gt / np.where(live, gn, 1.0)[:, None]
-      trial = trial / row_norms(trial)[:, None] * Rc
+      P2, P1, Pk = powers(X @ AfT)
+      F = X + Pk
+      D = k * P1
+      G = F + (D * F) @ Af
+      DA = D[:, :, None] * Af
+      H = DA + DA.transpose(0, 2, 1) + \
+          (AfT * (D * D + k * (k - 1) * F * P2)[:, None, :]) @ Af
+      H[:, diag, diag] += 1.0
+      U = X / R[:, None]
+      if lam is None:
+        lam = 1e-6 * (1.0 + np.abs(H).sum(axis=(1, 2)))
+      H[:, diag, diag] += (lam - row_dots(G, U) / R)[:, None]
+      n_rows = len(rows)
+      M = np.zeros((n_rows, m + 1, m + 1))
+      M[:, :m, :m] = H
+      M[:, :m, m] = U
+      M[:, m, :m] = U
+      rhs = np.zeros((n_rows, m + 1, 1))
+      rhs[:, :m, 0] = -G
+      ok = np.ones(n_rows, dtype=bool)
+      try:
+        sol = np.linalg.solve(M, rhs)
+      except np.linalg.LinAlgError:
+        # one singular system fails the whole batched call: solve the rows
+        # one by one, and a singular row's step is rejected
+        sol = np.zeros_like(rhs)
+        for i in range(n_rows):
+          try:
+            sol[i] = np.linalg.solve(M[i], rhs[i])
+          except np.linalg.LinAlgError:
+            ok[i] = False
+      s = sol[:, :m, 0]
+      tiny = ok & (row_norms(s) <= 1e-13 * R)
+      trial = X + s
+      trial *= (R / row_norms(trial))[:, None]
       ft = h(trial)
-      better = live & (ft < fx)
+      better = ok & ~tiny & (ft < fx)
+      done = tiny | (better & (fx - ft <= 1e-15 * fx))
       np.copyto(X, trial, where=better[:, None])
       np.copyto(fx, ft, where=better)
-      eta = np.where(better, np.minimum(eta * 1.5, 0.5), eta * 0.5)
-      live &= eta >= 1e-12
-    return fx, X / row_norms(X)[:, None]
+      lam = np.where(better, lam / 3.0, lam * 4.0)
+      done |= lam > 1e12
+      if done.any():
+        out_f[rows[done]], out_x[rows[done]] = fx[done], X[done]
+        keep = ~done
+        X, fx, R, lam, rows = X[keep], fx[keep], R[keep], lam[keep], rows[keep]
+    out_f[rows], out_x[rows] = fx, X
+    return out_f, out_x / row_norms(out_x)[:, None]
 
   # the fixed starts depend on no descent result, so every sphere's block
   # descends in one batch; the first minimum of a block is its sphere's best

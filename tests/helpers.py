@@ -1,9 +1,10 @@
 """Independent oracles and samplers shared by the test modules.
 
 Everything here is deliberately naive: plain Gaussian elimination and
-cofactor expansion over Fraction, with no imports from the package's linear
-algebra.  Slow but obviously correct, so package results can be checked
-against an implementation that shares no code with them.
+cofactor expansion over Fraction, and brute-force float grids, with no
+imports from the package's linear algebra.  Slow but obviously correct, so
+package results can be checked against an implementation that shares no
+code with them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from propermap.linalg import RatMatrix, RatVector
 
@@ -118,6 +121,29 @@ def naive_unimodular(A: RatMatrix, k: int = 3) -> bool:
     if naive_det(naive_jacobian(A, point, k)) != 1:
       return False
   return True
+
+
+def sphere_grid_min(A: RatMatrix, r: float, k: int = 3,
+                    points: int = 2 ** 16) -> float:
+  """min |x + (Ax)^k| over `points` spread-out points of the sphere of
+  radius r: equally spaced angles for m = 2, a Fibonacci lattice for m = 3.
+  An upper bound on the sphere's true minimum, found without descent."""
+  m = A.m
+  Af = np.array([[float(A.entry(i, j)) for j in range(m)] for i in range(m)])
+  i = np.arange(points)
+  if m == 2:
+    t = 2.0 * np.pi * i / points
+    X = np.column_stack([np.cos(t), np.sin(t)])
+  elif m == 3:
+    z = 1.0 - 2.0 * (i + 0.5) / points
+    rho = np.sqrt(1.0 - z * z)
+    t = np.pi * (3.0 - np.sqrt(5.0)) * i
+    X = np.column_stack([rho * np.cos(t), rho * np.sin(t), z])
+  else:
+    raise ValueError("sphere grids cover m = 2 and m = 3 only")
+  X = r * X
+  F = X + (X @ Af.T) ** k
+  return float(np.sqrt((F * F).sum(axis=1)).min())
 
 
 def rand_int_matrix(rng: random.Random, m: int, box: int = 3) -> RatMatrix:

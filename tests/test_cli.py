@@ -8,7 +8,7 @@ import pytest
 
 from propermap.certify import certify
 from propermap.cli import main
-from propermap.forge import golden_3x3, shift_5x5
+from propermap.forge import Family3x3Params, forge_3x3, golden_3x3, shift_5x5
 from propermap.jsonio import (
   certificate_to_json,
   dumps,
@@ -188,12 +188,13 @@ def test_probe_growth_exits_zero(tmp_path, capsys):
 
 
 def test_probe_inconclusive_exits_two(tmp_path, capsys):
-  # radii confined to a local pocket of the sphere-minimum curve: the
-  # profile falls without ever looking bounded, so no trend is claimed
-  A = RatMatrix.of([[-2, -3, 5], [0, -1, 1], [-2, -3, 5]])
+  # a non-proper family member whose sphere minimum climbs from 8e-4 at r = 1
+  # to 6e-3 near r = 8 and then decays only like r^-0.3: the tail neither
+  # returns within 3x of the r = 1 value nor climbs, so no trend is claimed
+  A = forge_3x3(Family3x3Params.from_free(1, 0, 2, -2))
   path = write_matrix(tmp_path / "p.json", A)
   code, out, _ = run(capsys, ["probe", "--input", path,
-                              "--radii", "256,512,768,1024"])
+                              "--radii", "1,4,16,64,256,1024"])
   assert code == 2
   assert json.loads(out)["classification"] == "Inconclusive"
 
