@@ -391,10 +391,12 @@ def _unit_tuples(dim: int) -> tuple[tuple[int, ...], ...]:
 def _integer_columns(space: Subspace) -> tuple[list[tuple[int, ...]], int]:
   """The coordinates of the canonical basis scaled to integers: one tuple
   per coordinate holding that entry of every basis vector times D, the
-  common denominator of the basis entries, and D itself."""
-  scale = math.lcm(*(a.denominator for b in space.basis for a in b))
-  columns = list(zip(*[[a.numerator * (scale // a.denominator) for a in b]
-                       for b in space.basis]))
+  common denominator of the basis entries, and D itself.  Each integer row
+  is primitive, so its basis vector's denominator is its pivot entry and D
+  is the lcm of the pivot entries."""
+  scale = math.lcm(*(r[p] for r, p in zip(space.rows, space.pivots)))
+  columns = list(zip(*[[x * (scale // r[p]) for x in r]
+                       for r, p in zip(space.rows, space.pivots)]))
   return columns, scale
 
 
@@ -457,7 +459,7 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
                    key=lambda w: sum(1 for x in w if x))
       return found(RatVector(tuple(Fraction(x, scale) for x in widest)))
   if K.dim == 1:
-    g = primitive_integer_vector(K.basis[0])
+    g = RatVector.of(K.rows[0])
     # one basis vector always has disjoint supports, so a kernel line gets
     # here only when its cube root is irrational
     if not cube_root_in_subspace(g, Im):
@@ -516,14 +518,13 @@ def _float_escape_probe(K: Subspace, Im: Subspace) -> str:
 def _kernel_in_gram_kernel(an: Analysis) -> bool:
   """Ker A inside Ker(A A^T), tested as A^T k = 0 on a kernel basis: over
   the rationals Ker(A A^T) = Ker A^T.  The sums run on integers: each
-  column of A and each basis vector is scaled by its common denominator,
-  which leaves every zero test unchanged."""
+  column of A is scaled by its common denominator and the kernel is read
+  as its integer rows, which leaves every zero test unchanged."""
   if an.kernel.dim == 0:
     return True
   columns, _ = _integerized_rows(zip(*an.A.rows))
-  kernel, _ = _integerized_rows(b.entries for b in an.kernel.basis)
   return all(sum(map(operator.mul, col, k)) == 0
-             for k in kernel for col in columns)
+             for k in an.kernel.rows for col in columns)
 
 
 def sufficient_screens(A: RatMatrix | Analysis
@@ -578,7 +579,7 @@ def _ones_kernel_screen(an: Analysis,
     audit.append(AuditEntry("screen:kernel-line-blocked", "skipped",
                             "kernel is not a line"))
     return None
-  g = primitive_integer_vector(K.basis[0])
+  g = RatVector.of(K.rows[0])
   if any(x != 1 for x in g):
     audit.append(AuditEntry("screen:kernel-line-blocked", "skipped",
                             "kernel line is not the all-ones direction"))
@@ -934,7 +935,7 @@ def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
   K = an.kernel
   if K.dim != 1:
     raise ValueError("corank1_decide requires a matrix of corank exactly one")
-  g = primitive_integer_vector(K.basis[0])
+  g = RatVector.of(K.rows[0])
   audit = [AuditEntry("kernel-line", "found",
                       "primitive generator (" +
                       ", ".join(str(x) for x in g) + ")")]
@@ -1091,7 +1092,7 @@ def k1_properness(A: RatMatrix) -> Certificate:
   if d != 0:
     return Certificate(PROPER, REASON_LINEAR_INVERTIBLE, A, k=1,
                        evidence={"determinant": d})
-  z = primitive_integer_vector(kernel_basis(M).basis[0])
+  z = RatVector.of(kernel_basis(M).rows[0])
   return Certificate(NONPROPER, REASON_LINEAR_SINGULAR, A, k=1,
                      evidence={"determinant": Fraction(0), "kernel_vector": z})
 
@@ -1128,7 +1129,7 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
       K = an.kernel
       if K.dim != 1:
         return False
-      g = primitive_integer_vector(K.basis[0])
+      g = RatVector.of(K.rows[0])
       y = rational_cube_root_direction(g)
       if y is None:
         return (reason == REASON_KERNEL_LINE

@@ -204,14 +204,15 @@ def cube_root_in_subspace(g: RatVector, s: Subspace) -> bool:
   if g.is_zero():
     return True
   classes = cube_root_classes(g)
-  complement = orthogonal_complement(s)
-  for n in complement.basis:
+  # the complement's integer rows are positive multiples of its basis
+  # vectors, which keeps every zero test
+  for n in orthogonal_complement(s).rows:
     for cls in classes:
       ref = g.entries[cls[0]]
       total = Fraction(0)
       for i in cls:
         rho = rational_kth_root(g.entries[i] / ref, 3)
-        total += n.entries[i] * rho
+        total += n[i] * rho
       if total != 0:
         return False
   return True

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from .linalg import (RatMatrix, RatVector, det, image_basis,
-                     nonzero_principal_minors, primitive_integer_vector, solve)
+                     nonzero_principal_minors, solve)
 
 # most minors plus (lattice point, minor) products one test evaluates
 LATTICE_CAP = 200_000
@@ -123,8 +123,7 @@ def is_druzkowski(A: RatMatrix, k: int = 3) -> UnimodularReport:
                                           "cycle, so every P_s is zero")
   # integer basis vectors leave the lattice test unchanged: scaling the
   # image coordinates does not change whether a form vanishes
-  basis = [[int(a) for a in primitive_integer_vector(b)]
-           for b in image_basis(A).basis]
+  basis = image_basis(A).rows
   r = len(basis)
   if r == m:
     return _refute(A, k, RatVector.of([1] * m), r,

@@ -2,15 +2,20 @@
 
 Everything the certificate logic touches goes through this module: ranks,
 kernels, images, subspace membership and intersections, and affine solves
-restricted to a subspace.  Values are exact `fractions.Fraction`s and
-floating point never enters.  Every elimination runs on Python ints: each
-row's denominators are cleared once, ranks and determinants come from
-fraction-free (Bareiss) elimination with partial pivoting on magnitude, and
-reduced row echelon form comes from Gauss-Jordan elimination that divides
-each updated row by the gcd of its entries.  Only the finished pivot rows
-are turned back into Fractions.  Canonical subspace bases come
-from reduced row echelon form, which is unique, so equal subspaces compare
-equal syntactically.
+restricted to a subspace.  Values are exact and floating point never
+enters.  Every elimination runs on Python ints, integer-preserving in the
+manner of Bareiss (Math. Comp. 22, 1968): each input row's denominators are
+cleared once, ranks and determinants come from fraction-free elimination
+with partial pivoting on magnitude, and reduced row echelon form comes from
+Gauss-Jordan elimination that divides each updated row by the gcd of its
+entries.
+
+A `Subspace` keeps its canonical basis as integer rows: the reduced row
+echelon rows, each scaled to coprime integers with a positive pivot entry.
+That form is unique, so equal subspaces compare equal syntactically, and
+kernels, images, memberships, intersections and solves all work on those
+rows.  Fractions are built only where a vector leaves the module: a
+`RatVector` result, or the `Subspace.basis` view.
 """
 
 from __future__ import annotations
@@ -91,10 +96,6 @@ class RatVector:
     r = as_rat(c)
     return RatVector(tuple(r * a for a in self.entries))
 
-  def dot(self, other: "RatVector") -> Fraction:
-    self._check_len(other)
-    return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
   def is_zero(self) -> bool:
     return all(a == 0 for a in self.entries)
 
@@ -173,12 +174,6 @@ class RatMatrix:
   def entry(self, i: int, j: int) -> Fraction:
     return self.rows[i][j]
 
-  def row(self, i: int) -> RatVector:
-    return RatVector(self.rows[i])
-
-  def column(self, j: int) -> RatVector:
-    return RatVector(tuple(r[j] for r in self.rows))
-
   @cached_property
   def _integer_rows(self) -> tuple[list[list[int]], list[int]]:
     """`_integerized_rows` of the rows, computed once per matrix and shared
@@ -239,15 +234,19 @@ class RatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _integerized_rows(rows: Iterable[Sequence[Fraction]]
+def _integerized_rows(rows: Iterable[Sequence[int | Fraction]]
                       ) -> tuple[list[list[int]], list[int]]:
   """Clear denominators once per row.  Returns the integer rows and each
-  row's denominator lcm d (original_row = integer_row / d)."""
+  row's denominator lcm d (original_row = integer_row / d).  Int entries
+  pass through: their denominator is 1."""
   int_rows: list[list[int]] = []
   denoms: list[int] = []
   for row in rows:
-    d = lcm(*(a.denominator for a in row))
-    int_rows.append([a.numerator * (d // a.denominator) for a in row])
+    d = lcm(*[a.denominator for a in row])
+    if d == 1:
+      int_rows.append([a.numerator for a in row])
+    else:
+      int_rows.append([a.numerator * (d // a.denominator) for a in row])
     denoms.append(d)
   return int_rows, denoms
 
@@ -317,13 +316,16 @@ def nonzero_principal_minors(M: RatMatrix, size: int
   return out
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-  """Reduced row echelon form.  Returns (rows, pivot columns); the rows are
-  Fractions, zero rows last.
+def rref(rows: Sequence[Sequence[int | Fraction]]
+         ) -> tuple[list[list[int]], list[int]]:
+  """Reduced row echelon form on integers.  Returns (rows, pivot columns).
 
-  The elimination runs on the denominator-cleared integer rows.  A pivot
-  row stays an integer multiple of its reduced form, so each one is divided
-  by its pivot only when the elimination is done.
+  The input rows hold ints or Fractions; each row's denominators are
+  cleared once.  The returned rows are the nonzero ones only, each scaled
+  to coprime integers with a positive entry at its pivot column, so row i
+  divided by its entry at pivots[i] is the i-th reduced row over the
+  rationals.  Every row update is divided by the gcd of its entries, which
+  keeps the rows primitive throughout.
   """
   work, _ = _integerized_rows(rows)
   n_rows = len(work)
@@ -357,28 +359,75 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         work[i] = [v // c for v in new] if c > 1 else new
     pivots.append(col)
     r += 1
-  zero = Fraction(0)
-  reduced = [[Fraction(v, row[p]) if v else zero for v in row]
-             for row, p in zip(work, pivots)]
-  reduced.extend([zero] * n_cols for _ in range(n_rows - r))
-  return reduced, pivots
+  return ([row if row[p] > 0 else [-v for v in row]
+           for row, p in zip(work, pivots)], pivots)
+
+
+def _kernel_spanners(rows: Sequence[Sequence[int]], pivots: Sequence[int],
+                     n: int) -> list[list[int]]:
+  """Integer vectors spanning {x : r . x = 0 for every row r}, for rows in
+  the form `rref` returns.  With L the lcm of the pivot entries, free
+  column f gives the vector with L at f and -r_i[f] * L / r_i[p_i] at each
+  pivot column p_i."""
+  L = lcm(*(r[p] for r, p in zip(rows, pivots)))
+  scales = [L // r[p] for r, p in zip(rows, pivots)]
+  taken = set(pivots)
+  out = []
+  for f in range(n):
+    if f in taken:
+      continue
+    v = [0] * n
+    v[f] = L
+    for r, p, s in zip(rows, pivots, scales):
+      v[p] = -r[f] * s
+    out.append(v)
+  return out
+
+
+def _reduced(ambient_dim: int, rows: list[Sequence[int | Fraction]]
+             ) -> "Subspace":
+  """The subspace of R^ambient_dim spanned by rows of ints or Fractions."""
+  if not rows:
+    return Subspace(ambient_dim, ())
+  reduced, _ = rref(rows)
+  return Subspace(ambient_dim, tuple(map(tuple, reduced)))
+
+
+def _pivot_solution(rows: list[list[int]], pivots: list[int], n: int
+                    ) -> tuple[list[int], int] | None:
+  """The solution of the system whose augmented reduced rows are `rows`
+  (right-hand side in column n), free coordinates set to zero, as integers
+  over one common denominator; None when a pivot sits in column n."""
+  if n in pivots:
+    return None
+  denom = lcm(*(r[p] for r, p in zip(rows, pivots)))
+  x = [0] * n
+  for r, p in zip(rows, pivots):
+    x[p] = r[n] * (denom // r[p])
+  return x, denom
+
+
+def _integer_matrix(M: RatMatrix) -> list[list[int]]:
+  """The rows of L M, L the lcm of M's row denominators: row i of M's
+  integer rows times L / d_i.  Read it, never modify it."""
+  int_rows, denoms = M._integer_rows
+  L = lcm(*denoms)
+  if L == 1:
+    return int_rows
+  return [[(L // d) * v for v in row] for row, d in zip(int_rows, denoms)]
 
 
 def kernel_and_row_space(M: RatMatrix) -> tuple["Subspace", "Subspace"]:
-  """Null space and row space of M, canonical subspaces of R^{n_cols}, from
-  one elimination: the nonzero reduced rows are the row space's basis."""
-  reduced, pivots = rref(M.rows)
+  """Null space and row space of M, canonical subspaces of R^{n_cols}.
+
+  One `rref` of M's integer rows gives the row space's rows directly.  The
+  kernel spanners are built from them in integers and reduced by a second
+  `rref` (none when M has full column rank).
+  """
   n = M.n_cols
-  free_cols = [j for j in range(n) if j not in pivots]
-  vecs = []
-  for f in free_cols:
-    v = [Fraction(0)] * n
-    v[f] = Fraction(1)
-    for i, p in enumerate(pivots):
-      v[p] = -reduced[i][f]
-    vecs.append(RatVector(tuple(v)))
-  rows = tuple(RatVector(tuple(reduced[i])) for i in range(len(pivots)))
-  return Subspace.span(vecs, n), Subspace(n, rows)
+  rows, pivots = rref(M._integer_rows[0])
+  kernel = _reduced(n, _kernel_spanners(rows, pivots, n))
+  return kernel, Subspace(n, tuple(map(tuple, rows)))
 
 
 def kernel_basis(M: RatMatrix) -> "Subspace":
@@ -387,24 +436,24 @@ def kernel_basis(M: RatMatrix) -> "Subspace":
 
 
 def image_basis(M: RatMatrix) -> "Subspace":
-  """Column space of M, as a canonical subspace of R^{n_rows}."""
-  cols = [M.column(j) for j in range(M.n_cols)]
-  return Subspace.span(cols, M.n_rows)
+  """Column space of M, as a canonical subspace of R^{n_rows}: one `rref`
+  of the columns of the integer matrix L M."""
+  return _reduced(M.n_rows, list(zip(*_integer_matrix(M))))
 
 
 def solve(M: RatMatrix, b: RatVector) -> RatVector | None:
   """One exact solution of M x = b (free coordinates set to zero), or None."""
   if len(b) != M.n_rows:
     raise ValueError("right-hand side length mismatch")
-  aug = [list(row) + [bv] for row, bv in zip(M.rows, b.entries)]
-  reduced, pivots = rref(aug)
-  n = M.n_cols
-  if n in pivots:
+  int_rows, denoms = M._integer_rows
+  # row i of [M | b] times d_i: integers left of the bar
+  rows, pivots = rref([row + [d * bv] for row, d, bv
+                       in zip(int_rows, denoms, b.entries)])
+  solution = _pivot_solution(rows, pivots, M.n_cols)
+  if solution is None:
     return None  # pivot in the augmented column: inconsistent
-  x = [Fraction(0)] * n
-  for i, p in enumerate(pivots):
-    x[p] = reduced[i][n]
-  return RatVector(tuple(x))
+  x, denom = solution
+  return RatVector(tuple(Fraction(v, denom) for v in x))
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +463,18 @@ def solve(M: RatMatrix, b: RatVector) -> RatVector | None:
 
 @dataclass(frozen=True)
 class Subspace:
-  """Linear subspace of R^n held in canonical reduced-row-echelon basis.
+  """Linear subspace of R^n held as its canonical integer basis.
 
-  Two Subspace values are equal exactly when they describe the same
-  subspace, because the reduced echelon basis of a row space is unique.
+  `rows` are the rows of the reduced row echelon form of any spanning set,
+  each scaled to coprime integers with a positive entry at its pivot
+  column.  That form is unique, so two Subspace values are equal exactly
+  when they describe the same subspace.  `pivots` lists the pivot columns
+  and `basis` the reduced rows as Fraction vectors, each row divided by its
+  pivot entry.
   """
 
   ambient_dim: int
-  basis: tuple[RatVector, ...]
+  rows: tuple[tuple[int, ...], ...]
 
   @staticmethod
   def span(vectors: Iterable[RatVector], ambient_dim: int) -> "Subspace":
@@ -429,11 +482,7 @@ class Subspace:
     for v in vecs:
       if len(v) != ambient_dim:
         raise ValueError("spanning vector has wrong length")
-    if not vecs:
-      return Subspace(ambient_dim, ())
-    reduced, pivots = rref([list(v.entries) for v in vecs])
-    rows = tuple(RatVector(tuple(reduced[i])) for i in range(len(pivots)))
-    return Subspace(ambient_dim, rows)
+    return _reduced(ambient_dim, [v.entries for v in vecs])
 
   @staticmethod
   def zero(ambient_dim: int) -> "Subspace":
@@ -441,72 +490,83 @@ class Subspace:
 
   @staticmethod
   def full(ambient_dim: int) -> "Subspace":
-    return Subspace.span([RatVector.unit(ambient_dim, i) for i in range(ambient_dim)],
-                         ambient_dim)
+    rows = tuple(tuple(int(i == j) for j in range(ambient_dim))
+                 for i in range(ambient_dim))
+    return Subspace(ambient_dim, rows)
 
   @property
   def dim(self) -> int:
-    return len(self.basis)
+    return len(self.rows)
+
+  @cached_property
+  def pivots(self) -> tuple[int, ...]:
+    return tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
+
+  @cached_property
+  def basis(self) -> tuple[RatVector, ...]:
+    zero = Fraction(0)
+    return tuple(RatVector(tuple(Fraction(v, r[p]) if v else zero for v in r))
+                 for r, p in zip(self.rows, self.pivots))
 
   def contains(self, v: RatVector) -> bool:
     if len(v) != self.ambient_dim:
       raise ValueError(f"vector lives in R^{len(v)}, subspace in R^{self.ambient_dim}")
-    residue = list(v.entries)
-    for b in self.basis:
-      lead = next(i for i, x in enumerate(b.entries) if x != 0)
-      if residue[lead] != 0:
-        f = residue[lead]
-        residue = [r - f * x for r, x in zip(residue, b.entries)]
-    return all(r == 0 for r in residue)
-
-  def basis_matrix(self) -> RatMatrix:
-    """Matrix whose rows are the canonical basis vectors.  Requires dim > 0."""
-    if not self.basis:
-      raise ValueError("zero subspace has an empty basis")
-    return RatMatrix(tuple(b.entries for b in self.basis))
+    [x], _ = _integerized_rows([v.entries])
+    # x <- P x - x_p r at each pivot p, over gcd(P, x_p) to keep x small
+    for r, p in zip(self.rows, self.pivots):
+      f = x[p]
+      if f:
+        g = gcd(r[p], f)
+        a, b = r[p] // g, f // g
+        x = [a * s - b * t for s, t in zip(x, r)]
+    return not any(x)
 
   def __repr__(self) -> str:
     return f"Subspace(dim {self.dim} of R^{self.ambient_dim})"
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-  """Exact intersection, via the kernel of the stacked coefficient system."""
+  """Exact intersection, via the kernel of the stacked coefficient system:
+  sum_i c_i a_i = sum_j c'_j b_j over the integer rows of a and b."""
   if a.ambient_dim != b.ambient_dim:
     raise ValueError("ambient dimensions disagree")
   if a.dim == 0 or b.dim == 0:
     return Subspace.zero(a.ambient_dim)
-  # columns: coefficients on a-basis, then on b-basis; rows: ambient coords
-  n = a.ambient_dim
-  cols = [list(v.entries) for v in a.basis] + [[-x for x in v.entries] for v in b.basis]
-  stacked = RatMatrix(tuple(tuple(col[i] for col in cols) for i in range(n)))
-  null = kernel_basis(stacked)
-  vecs = []
-  for c in null.basis:
-    v = RatVector.zero(n)
-    for coeff, bv in zip(c.entries[: a.dim], a.basis):
-      v = v + bv.scale(coeff)
-    vecs.append(v)
-  return Subspace.span(vecs, n)
+  # columns: coefficients on a's rows, then on b's; rows: ambient coords
+  a_cols = list(zip(*a.rows))
+  stacked = [list(col) + [-x for x in neg]
+             for col, neg in zip(a_cols, zip(*b.rows))]
+  rows, pivots = rref(stacked)
+  # map stops at a's coefficients, the first a.dim entries of c
+  vecs = [[sum(map(mul, c, col)) for col in a_cols]
+          for c in _kernel_spanners(rows, pivots, a.dim + b.dim)]
+  return _reduced(a.ambient_dim, vecs)
 
 
 def subspace_image(M: RatMatrix, s: Subspace) -> Subspace:
-  """Image M(s) = span of M b over basis vectors b of s."""
+  """Image M(s), spanned by the images of s's integer rows under L M."""
   if s.ambient_dim != M.n_cols:
     raise ValueError("subspace ambient dimension does not match matrix width")
-  return Subspace.span([M.apply(b) for b in s.basis], M.n_rows)
+  scaled = _integer_matrix(M)
+  return _reduced(M.n_rows, [[sum(map(mul, row, r)) for row in scaled]
+                             for r in s.rows])
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
   if s.dim == 0:
     return Subspace.full(s.ambient_dim)
-  return kernel_basis(s.basis_matrix())
+  return _reduced(s.ambient_dim,
+                  _kernel_spanners(s.rows, s.pivots, s.ambient_dim))
 
 
 def solve_affine_in_subspace(M: RatMatrix, b: RatVector, w: Subspace) -> RatVector | None:
   """Exact u in w with M u = b, or None when no such u exists.
 
-  The returned u is deterministic: coefficients on w's canonical basis with
-  free coordinates set to zero.
+  The returned u is deterministic: the solution for coefficients on w's
+  canonical basis with free coordinates set to zero.  The solve runs on
+  w's integer rows r_j instead, the basis vectors times their positive
+  pivot entries.  Scaling a column of the system moves no pivot, so the
+  pivot-column solution gives the same u.
   """
   if w.ambient_dim != M.n_cols:
     raise ValueError("subspace ambient dimension does not match matrix width")
@@ -514,15 +574,17 @@ def solve_affine_in_subspace(M: RatMatrix, b: RatVector, w: Subspace) -> RatVect
     raise ValueError("right-hand side length mismatch")
   if w.dim == 0:
     return RatVector.zero(M.n_cols) if b.is_zero() else None
-  columns = [M.apply(v) for v in w.basis]
-  system = RatMatrix(tuple(tuple(col[i] for col in columns) for i in range(M.n_rows)))
-  coeffs = solve(system, b)
-  if coeffs is None:
+  int_rows, denoms = M._integer_rows
+  # row i: (row i of M times d_i) . r_j for each j, then d_i b_i
+  system = [[sum(map(mul, row, r)) for r in w.rows] + [d * bv]
+            for row, d, bv in zip(int_rows, denoms, b.entries)]
+  rows, pivots = rref(system)
+  solution = _pivot_solution(rows, pivots, w.dim)
+  if solution is None:
     return None
-  u = RatVector.zero(M.n_cols)
-  for c, v in zip(coeffs.entries, w.basis):
-    u = u + v.scale(c)
-  return u
+  coeffs, denom = solution
+  return RatVector(tuple(Fraction(sum(map(mul, coeffs, col)), denom)
+                         for col in zip(*w.rows)))
 
 
 def primitive_integer_vector(v: RatVector) -> RatVector:

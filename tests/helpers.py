@@ -83,6 +83,28 @@ def naive_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
   return work, pivots
 
 
+def naive_solve_in_subspace(rows, b, spanning) -> list[Fraction] | None:
+  """u in the span of `spanning` with M u = b (M given by its rows), or
+  None.  Solves for coefficients on the reduced basis of the span, free
+  coordinates set to zero, by Gauss-Jordan elimination over Fraction."""
+  n = len(rows[0])
+  reduced, pivots = naive_rref(spanning)
+  basis = reduced[:len(pivots)]
+  if not basis:
+    return [Fraction(0)] * n if all(x == 0 for x in b) else None
+  images = [[sum(Fraction(a) * v for a, v in zip(row, bv)) for row in rows]
+            for bv in basis]
+  aug = [[im[i] for im in images] + [Fraction(b[i])] for i in range(len(rows))]
+  red, piv = naive_rref(aug)
+  k = len(basis)
+  if k in piv:
+    return None
+  c = [Fraction(0)] * k
+  for i, p in enumerate(piv):
+    c[p] = red[i][k]
+  return [sum(cj * bv[t] for cj, bv in zip(c, basis)) for t in range(n)]
+
+
 def rows_of(A: RatMatrix) -> list[list[Fraction]]:
   return [[A.entry(i, j) for j in range(A.n_cols)] for i in range(A.n_rows)]
 

@@ -3,12 +3,14 @@
 import itertools
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_det, naive_rank, naive_rref, rows_of
+from helpers import (naive_det, naive_rank, naive_rref,
+                     naive_solve_in_subspace, rows_of)
 from propermap.linalg import (
   RatMatrix,
   RatVector,
@@ -249,8 +251,12 @@ def test_principal_minors_agree_with_cofactor_expansion(A):
 @example([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)]])
 def test_rref_matches_naive_gauss_jordan(rows):
   reduced, pivots = rref(rows)
-  assert (reduced, pivots) == naive_rref(rows)
-  assert all(type(x) is Fraction for row in reduced for x in row)
+  assert all(type(x) is int for row in reduced for x in row)
+  # each integer row over its pivot entry, then the zero rows rref drops
+  as_fractions = [[Fraction(v, row[p]) for v in row]
+                  for row, p in zip(reduced, pivots)]
+  as_fractions += [[Fraction(0)] * len(rows[0])] * (len(rows) - len(reduced))
+  assert (as_fractions, pivots) == naive_rref(rows)
 
 
 def apply_inputs():
@@ -298,7 +304,7 @@ def test_kernel_orthogonal_to_row_space(A):
   for kb in K.basis:
     assert A.apply(kb).is_zero()
     for rb in R.basis:
-      assert kb.dot(rb) == 0
+      assert sum(x * y for x, y in zip(kb, rb)) == 0
 
 
 @settings(deadline=None, max_examples=60)
@@ -347,4 +353,82 @@ def test_orthogonal_complement_dimensions(A):
   assert s.dim + c.dim == A.m
   for sb in s.basis:
     for cb in c.basis:
-      assert sb.dot(cb) == 0
+      assert sum(x * y for x, y in zip(sb, cb)) == 0
+
+
+nonzero_scales = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                           st.integers(1, 5))
+
+
+@settings(deadline=None, max_examples=150)
+@given(rref_inputs(), st.lists(nonzero_scales, min_size=6, max_size=6))
+@example([[Fraction(-2, 3), Fraction(4, 9)], [Fraction(6), Fraction(-4)]],
+         [Fraction(1)] * 6)
+def test_span_rows_are_the_primitive_reduced_rows(vectors, scales):
+  n = len(vectors[0])
+  s = Subspace.span([RatVector.of(v) for v in vectors], n)
+  for r, p in zip(s.rows, s.pivots):
+    assert all(type(x) is int for x in r)
+    assert gcd(*r) == 1 and r[p] > 0 and not any(r[:p])
+  reduced, pivots = naive_rref(vectors)
+  assert list(s.pivots) == pivots
+  assert [list(b) for b in s.basis] == reduced[:len(pivots)]
+  # another spanning set of the same space: reversed, each vector rescaled
+  # (signs too), plus the sum of all of them
+  other = [[c * x for x in v] for c, v in zip(scales, reversed(vectors))]
+  other.append([sum(col) for col in zip(*vectors)])
+  assert Subspace.span([RatVector.of(v) for v in other], n) == s
+
+
+def affine_solve_inputs():
+  """A matrix of any shape, up to four vectors spanning a subspace of its
+  domain, and a right-hand side: drawn freely, or, when None is drawn, the
+  image of the combination `coeffs` of the spanning vectors."""
+  def with_rest(rows):
+    n_rows, n = len(rows), len(rows[0])
+    vector = st.lists(rref_entries, min_size=n, max_size=n)
+    return st.tuples(
+      st.just(rows), st.lists(vector, max_size=4),
+      st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+      st.one_of(st.none(),
+                st.lists(rref_entries, min_size=n_rows, max_size=n_rows)))
+  return rref_inputs(5).flatmap(with_rest)
+
+
+@settings(deadline=None, max_examples=150)
+@given(affine_solve_inputs())
+@example(([[Fraction(1), Fraction(1), Fraction(0)],
+           [Fraction(0), Fraction(0), Fraction(0)]],
+          [[Fraction(2, 3), Fraction(0), Fraction(1, 5)],
+           [Fraction(0), Fraction(3), Fraction(1, 7)]], [1, 2, 0, 0], None))
+def test_solve_affine_matches_fraction_reference(inputs):
+  rows, spanning, coeffs, rhs = inputs
+  M = RatMatrix.of(rows)
+  n = M.n_cols
+  if rhs is None:
+    target = [sum((c * v[j] for c, v in zip(coeffs, spanning)), Fraction(0))
+              for j in range(n)]
+    rhs = [sum(a * x for a, x in zip(row, target)) for row in rows]
+  w = Subspace.span([RatVector.of(v) for v in spanning], n)
+  got = solve_affine_in_subspace(M, RatVector.of(rhs), w)
+  want = naive_solve_in_subspace(rows, rhs, spanning)
+  assert (None if got is None else list(got)) == want
+
+
+@settings(deadline=None, max_examples=150)
+@given(rref_inputs(), st.lists(st.integers(0, 3), min_size=6, max_size=6))
+@example([[Fraction(1, 2), Fraction(1), Fraction(0)],
+          [Fraction(0), Fraction(2), Fraction(3)],
+          [Fraction(5), Fraction(0), Fraction(-1, 3)]], [3, 1, 2, 0, 0, 0])
+def test_intersect_dimension_and_membership(vectors, owners):
+  # each vector of one pool goes to neither (0), a (1), b (2) or both (3),
+  # so shared vectors give a nonzero intersection
+  n = len(vectors[0])
+  vs = [RatVector.of(v) for v in vectors]
+  a = Subspace.span([v for v, o in zip(vs, owners) if o & 1], n)
+  b = Subspace.span([v for v, o in zip(vs, owners) if o & 2], n)
+  meet = intersect(a, b)
+  total = Subspace.span(list(a.basis) + list(b.basis), n)
+  assert meet.dim == a.dim + b.dim - total.dim
+  assert all(a.contains(v) and b.contains(v) for v in meet.basis)
+  assert intersect(b, a) == meet
