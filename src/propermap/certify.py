@@ -25,7 +25,6 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import TYPE_CHECKING
 
 from .hadamard import (
   cube_root_classes,
@@ -41,6 +40,7 @@ from .linalg import (
   RatVector,
   Subspace,
   _integerized_rows,
+  _pivot_solution,
   as_rat,
   det,
   image_basis,
@@ -48,15 +48,13 @@ from .linalg import (
   kernel_and_row_space,
   kernel_basis,
   primitive_integer_vector,
+  rref,
   solve,
   solve_affine_in_subspace,
   subspace_image,
 )
 from .recipes import ConjugationFrame, WitnessRecipe, _restrict
 from .witness import validate_witness
-
-if TYPE_CHECKING:
-  import numpy as np
 
 PROPER = "Proper"
 NONPROPER = "NonProper"
@@ -96,11 +94,6 @@ FLOAT_TOL = 1e-9
 CANDIDATE_BOX = 3
 CANDIDATE_CAP = 400
 FULL_BOX_CAP = 3000
-
-# the float scan for irrational escape directions: random kernel
-# combinations, drawn by default_rng(ESCAPE_SCAN_SEED)
-ESCAPE_SCAN_SAMPLES = 300
-ESCAPE_SCAN_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -277,30 +270,33 @@ def _repair_solution(u0: RatVector, kernel: Subspace,
       if not W.contains(L.apply(u0)):
         return None
     return u0
+  # the joint system on the integer rows k_t of the kernel and w_s of each
+  # W, row i of each L times its denominator lcm d_i and the whole row times
+  # the denominator lcm of u0: scaling a column moves no pivot, so the
+  # pivot solution on the rows gives the same vector as on the bases
+  [u0_int], [du] = _integerized_rows([u0.entries])
   kdim = kernel.dim
   ncols = kdim + sum(W.dim for _, W in conditions)
-  rows: list[tuple[Fraction, ...]] = []
-  rhs: list[Fraction] = []
+  rows: list[list[int]] = []
   col_offset = kdim
   for L, W in conditions:
-    Lu0 = L.apply(u0)
-    LK = [L.apply(b) for b in kernel.basis]
-    for i in range(L.n_rows):
-      row = [Fraction(0)] * ncols
-      for t in range(kdim):
-        row[t] = LK[t][i]
-      for s in range(W.dim):
-        row[col_offset + s] = -W.basis[s][i]
-      rows.append(tuple(row))
-      rhs.append(-Lu0[i])
+    int_rows, denoms = L._integer_rows
+    for i, (row, d) in enumerate(zip(int_rows, denoms)):
+      out = [0] * (ncols + 1)
+      for t, k in enumerate(kernel.rows):
+        out[t] = du * sum(map(operator.mul, row, k))
+      for s, w in enumerate(W.rows):
+        out[col_offset + s] = -du * d * w[i]
+      out[ncols] = -sum(map(operator.mul, row, u0_int))
+      rows.append(out)
     col_offset += W.dim
-  sol = solve(RatMatrix(tuple(rows)), RatVector.of(rhs))
-  if sol is None:
+  solution = _pivot_solution(*rref(rows), ncols)
+  if solution is None:
     return None
-  adjusted = u0
-  for t in range(kdim):
-    adjusted = adjusted + kernel.basis[t].scale(sol[t])
-  return adjusted
+  coeffs, denom = solution
+  c = coeffs[:kdim]
+  return RatVector(tuple(a + Fraction(sum(map(operator.mul, c, col)), denom)
+                         for a, col in zip(u0.entries, zip(*kernel.rows))))
 
 
 def _solve_preferring_zero_tail(u0: RatVector, kernel: Subspace,
@@ -471,48 +467,8 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
     x = solve_affine_in_subspace(A, d, rowspace)
     if x is not None:
       return EscapeSearch(x, d, True, "candidate found")
-  note = "bounded search over rational directions found nothing"
-  hint = _float_escape_probe(K, Im)
-  if hint:
-    note += "; " + hint
-  return EscapeSearch(None, None, False, note)
-
-
-@cache
-def _escape_samples(dim: int) -> np.ndarray:
-  """The float scan's coefficient draws, one row per sample in the order
-  single draws would take them, drawn once per process and read-only."""
-  import numpy as np
-  draws = np.random.default_rng(ESCAPE_SCAN_SEED).uniform(
-    -1.0, 1.0, (ESCAPE_SCAN_SAMPLES, dim))
-  draws.flags.writeable = False
-  return draws
-
-
-def _float_escape_probe(K: Subspace, Im: Subspace) -> str:
-  """Cheap float scan for irrational escape image vectors, note only.
-
-  Each of ESCAPE_SCAN_SAMPLES random kernel combinations w, with
-  coefficients drawn uniformly from [-1, 1], is mapped to the unit vector
-  along its cube root; the note is set when one of them lies within 1e-7
-  of the image.  The draws depend only on the kernel dimension, so they
-  are made once per process (`_escape_samples`) and every call with the
-  same kernel basis gives the same note.
-  """
-  if K.dim == 0 or Im.dim == 0:
-    return ""
-  import numpy as np
-  kb = np.array([[float(x) for x in b] for b in K.basis])
-  ib = np.array([[float(x) for x in b] for b in Im.basis]).T
-  q, _ = np.linalg.qr(ib)
-  w = _escape_samples(K.dim) @ kb
-  w = w[np.linalg.norm(w, axis=1) >= 1e-12]
-  y = np.cbrt(w)
-  y /= np.linalg.norm(y, axis=1, keepdims=True)
-  resid = np.linalg.norm(y - (y @ q) @ q.T, axis=1)
-  if resid.size and resid.min() < 1e-7:
-    return "a float scan suggests an irrational escape direction may exist"
-  return ""
+  return EscapeSearch(None, None, False,
+                      "bounded search over rational directions found nothing")
 
 
 def _kernel_in_gram_kernel(an: Analysis) -> bool:

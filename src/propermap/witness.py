@@ -35,6 +35,21 @@ PROBE_ITERATIONS = 150
 NUMERIC_REL_TOL = 1e-6
 
 
+def _loglog_slope(xs, ys) -> float | None:
+  """Least-squares slope of log y against log x, each y floored at 1e-300;
+  None when the x values leave the fit undetermined."""
+  logs = [(math.log(x), math.log(max(y, 1e-300))) for x, y in zip(xs, ys)]
+  n = len(logs)
+  sx = sum(t[0] for t in logs)
+  sy = sum(t[1] for t in logs)
+  sxx = sum(t[0] * t[0] for t in logs)
+  sxy = sum(t[0] * t[1] for t in logs)
+  denom = n * sxx - sx * sx
+  if denom <= 0:
+    return None
+  return (n * sxy - sx * sy) / denom
+
+
 @dataclass(frozen=True)
 class WitnessValidationReport:
   """Measured behaviour of a recipe's escape points along a gamma schedule."""
@@ -178,17 +193,7 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
       if any(t < -1e-12 for t in ax):
         negative_image = True
 
-  slope = None
-  logs = [(math.log(g), math.log(max(r, 1e-300)))
-          for g, r in zip(gammas, residuals)]
-  n = len(logs)
-  sx = sum(t[0] for t in logs)
-  sy = sum(t[1] for t in logs)
-  sxx = sum(t[0] * t[0] for t in logs)
-  sxy = sum(t[0] * t[1] for t in logs)
-  denom = n * sxx - sx * sx
-  if denom > 0:
-    slope = (n * sxy - sx * sy) / denom
+  slope = _loglog_slope(gammas, residuals)
 
   norms_grow = all(b > a for a, b in zip(norms, norms[1:]))
   floor = 1e-14
@@ -445,19 +450,9 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
       ran[job] = (start, float(fx[row]), dirs[row])
   mu_values = [math.sqrt(v) for v in mu_sq]
 
-  def tail_slope(values):
-    logs = [(math.log(r), math.log(max(v, 1e-300)))
-            for r, v in zip(radii[-4:], values[-4:])]
-    n = len(logs)
-    sx = sum(t[0] for t in logs)
-    sy = sum(t[1] for t in logs)
-    sxx = sum(t[0] * t[0] for t in logs)
-    sxy = sum(t[0] * t[1] for t in logs)
-    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
-
-  slope = tail_slope(mu_values)
+  slope = _loglog_slope(radii[-4:], mu_values[-4:])
   running_max = list(itertools.accumulate(mu_values, max))
-  slope_max = tail_slope(running_max)
+  slope_max = _loglog_slope(radii[-4:], running_max[-4:])
   global_min = min(mu_values)
   tail = mu_values[-4:]
   # the slowest genuine growth channel is the cube-root balance near a

@@ -5,7 +5,10 @@ import hashlib
 import importlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +36,7 @@ from propermap.certify import (
   PROPER,
   UNDECIDED,
   Analysis,
+  AuditEntry,
   certify,
   condition_chain,
   corank1_decide,
@@ -834,16 +838,60 @@ def test_huge_kernel_entry_is_decided_exactly():
   assert verify_certificate(A, back)
 
 
-def test_float_escape_probe_note_is_pinned():
-  # kernel spanned by (1,2,0,0,0,0) and (0,0,1,3,0,0): no kernel vector has
-  # a rational cube root, while every cube root lies in the image e1..e4
-  hinted = RatMatrix.of([[-2, 1, -6, 2, 1, 1], [-4, 2, -6, 2, -1, -1],
-                         [-4, 2, -3, 1, 2, -1], [4, -2, -3, 1, 0, -1],
-                         [0] * 6, [0] * 6])
+# kernel spanned by (1,2,0,0,0,0) and (0,0,1,3,0,0): no kernel vector has a
+# rational cube root, while every cube root lies in the image e1..e4
+IRRATIONAL_KERNEL_PLANE = [[-2, 1, -6, 2, 1, 1], [-4, 2, -6, 2, -1, -1],
+                           [-4, 2, -3, 1, 2, -1], [4, -2, -3, 1, 0, -1],
+                           [0] * 6, [0] * 6]
+
+
+def test_bounded_search_that_finds_nothing_ends_with_the_base_note():
   base = "bounded search over rational directions found nothing"
-  hint = "a float scan suggests an irrational escape direction may exist"
-  assert necessary_escape_search(hinted).note == base + "; " + hint
-  assert necessary_escape_search(sample_rank_r(6, 3, seed=1)).note == base
+  for A in (RatMatrix.of(IRRATIONAL_KERNEL_PLANE), sample_rank_r(6, 3, seed=1)):
+    search = necessary_escape_search(A)
+    assert (search.candidate, search.none_is_proof, search.note) == \
+        (None, False, base)
+  cert = certify(RatMatrix.of(IRRATIONAL_KERNEL_PLANE))
+  assert (cert.verdict, cert.reason) == (UNDECIDED, "outside-decidable-screens")
+  assert cert.audit[0] == AuditEntry("escape-search", "nothing found", base)
+
+
+def test_corank1_irrational_kernel_line_avoiding_the_image_is_proper():
+  # kernel line (1, 2, 0): the classes (1, 0, 0) and (0, 1, 0) of its cube
+  # root (1, 2^(1/3), 0) do not both lie in the image span((1,0,1), (0,1,1))
+  A = RatMatrix.of([[-2, 1, 0], [0, 0, 1], [-2, 1, 1]])
+  assert kernel_basis(A).rows == ((1, 2, 0),)
+  cert = corank1_decide(A)
+  assert (cert.verdict, cert.reason) == (PROPER, "kernel-line-blocked")
+  assert cert.evidence["generator"] == RatVector.of([1, 2, 0])
+  assert cert.evidence["classes"] == 2
+  back = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+  assert verify_certificate(A, back)
+  # the same line inside the image {x3 = 0} is not blocked
+  inside = RatMatrix.of([[-2, 1, 0], [0, 0, 1], [0, 0, 0]])
+  assert corank1_decide(inside).reason != "kernel-line-blocked"
+  assert not verify_certificate(inside, replace(back, matrix=inside))
+
+
+def test_exact_certify_does_not_import_numpy():
+  # a fresh interpreter: certify and verify on the exact paths only
+  code = """
+import sys
+from propermap.certify import certify, verify_certificate
+from propermap.forge import golden_3x3, sample_rank_r, shift_5x5
+from propermap.linalg import RatMatrix
+for A in (RatMatrix.identity(3), golden_3x3(), shift_5x5(),
+          sample_rank_r(6, 3, seed=1), RatMatrix.of(%r)):
+  cert = certify(A)
+  assert verify_certificate(A, cert) == cert.decided, cert.reason
+assert "numpy" not in sys.modules, "numpy was imported"
+""" % (IRRATIONAL_KERNEL_PLANE,)
+  src = str(Path(certify_module.__file__).resolve().parents[1])
+  env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [src, os.environ.get("PYTHONPATH")])))
+  done = subprocess.run([sys.executable, "-c", code], env=env,
+                        capture_output=True, text=True, timeout=120)
+  assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name", ["planted-70", "two-patterns-2176"])
