@@ -886,6 +886,14 @@ def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
   floats and ends NonProper with a "-numeric" reason, or Undecided.
   Irrational directions get an exact blocking test, then a numeric
   fallback that can only refute.
+
+  From certify the exact blocking branch is never reached:
+  necessary_escape_search runs first and applies the same
+  cube_root_in_subspace test to an irrational kernel line, so a line whose
+  cube root avoids the image already ends no-escape-direction there.  Only
+  a direct call ends kernel-line-blocked on it; for example
+  [[-2, 1, 0], [0, 0, 1], [-2, 1, 1]] gets no-escape-direction from
+  certify and kernel-line-blocked from corank1_decide.
   """
   an = _analysis(A)
   K = an.kernel

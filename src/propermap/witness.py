@@ -217,6 +217,32 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
 # ---------------------------------------------------------------------------
 
 
+def _newton_table(Af):
+  """The probe's bordered Newton systems as one linear map, for the m x m
+  float matrix Af (a numpy array).
+
+  Returns (T, eye): T has shape (3m, (m+1)^2) and eye is the flattened
+  (m+1) x (m+1) matrix that is the identity on its leading m x m block and
+  zero elsewhere.  For row vectors w, d and u of length m,
+  hstack([w, d, u]) @ T + eye is the row-major flattening of
+  [[I + diag(d) A + A^T diag(d) + A^T diag(w) A, u], [u^T, 0]].  Row i of T
+  holds outer(A_i, A_i), row m + p the two places d_p enters diag(d) A +
+  A^T diag(d), and row 2m + p the two border slots of u_p.
+  """
+  import numpy as np
+  m = len(Af)
+  p = np.arange(m)
+  T = np.zeros((3 * m, m + 1, m + 1))
+  T[:m, :m, :m] = Af[:, :, None] * Af[:, None, :]
+  T[m + p, p, :m] += Af
+  T[m + p, :m, p] += Af
+  T[2 * m + p, p, m] = 1.0
+  T[2 * m + p, m, p] = 1.0
+  eye = np.zeros((m + 1, m + 1))
+  eye[p, p] = 1.0
+  return T.reshape(3 * m, -1), eye.ravel()
+
+
 @dataclass(frozen=True)
 class MuProbeReport:
   """Minimum map norm over spheres of doubling radius, and the trend."""
@@ -276,10 +302,9 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     # At k = 1 the first enters only with the Hessian weight k(k-1) = 0.
     if k == 1:
       return 0.0, np.ones_like(AX), AX
-    P = 1.0
+    P, P1 = 1.0, AX
     for _ in range(k - 2):
-      P = P * AX
-    P1 = P * AX
+      P, P1 = P1, P1 * AX
     return P, P1, P1 * AX
 
   def h(X):
@@ -326,7 +351,9 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     th = math.pi * (3.0 - math.sqrt(5.0)) * i
     dense = np.column_stack([rad * np.cos(th), rad * np.sin(th), z])
 
-  diag = np.arange(m)
+  table, eye = _newton_table(Af)
+  # the diagonal of the leading m x m block of a flattened bordered matrix
+  shift = slice(0, m * (m + 2), m + 2)
 
   def descend(S, R):
     """Damped Riemannian Newton descent from every row of S on the sphere
@@ -341,11 +368,15 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     accepts the trial point r (x + s)/|x + s| only on strict decrease.
     Its lam starts at 1e-6 (1 + sum |H|), falls by 3 on an accepted step
     and rises by 4 on a rejected one; a singular system counts as
-    rejected.  A row stops, and leaves the batch, once an accepted
-    decrease is at most 1e-15 of its value, its step is at most 1e-13 r,
-    or lam exceeds 1e12; the loop ends when every row has stopped or
-    after PROBE_ITERATIONS rounds.  Up to matmul rounding, a row's result
-    does not depend on the other rows.
+    rejected.  Apart from its diagonal shift the bordered matrix is linear
+    in w = d^2 + k(k-1) F a^(k-2), d and u, so one matmul of hstack([w, d,
+    u]) with the per-matrix table of _newton_table, plus the identity,
+    builds every row's matrix, and lam - sigma is added through a strided
+    view of the diagonal.  A row stops, and leaves the batch, once an
+    accepted decrease is at most 1e-15 of its value, its step is at most
+    1e-13 r, or lam exceeds 1e12; the loop ends when every row has stopped
+    or after PROBE_ITERATIONS rounds.  Up to matmul rounding, a row's
+    result does not depend on the other rows.
     """
     X = S * R[:, None]
     fx = h(X)
@@ -359,28 +390,25 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
       F = X + Pk
       D = k * P1
       G = F + (D * F) @ Af
-      DA = D[:, :, None] * Af
-      H = DA + DA.transpose(0, 2, 1) + \
-          (AfT * (D * D + k * (k - 1) * F * P2)[:, None, :]) @ Af
-      H[:, diag, diag] += 1.0
       U = X / R[:, None]
-      if lam is None:
-        lam = 1e-6 * (1.0 + np.abs(H).sum(axis=(1, 2)))
-      H[:, diag, diag] += (lam - row_dots(G, U) / R)[:, None]
+      M = np.hstack([D * D + k * (k - 1) * F * P2, D, U]) @ table
+      M += eye
       n_rows = len(rows)
-      M = np.zeros((n_rows, m + 1, m + 1))
-      M[:, :m, :m] = H
-      M[:, :m, m] = U
-      M[:, m, :m] = U
+      if lam is None:
+        H = M.reshape(n_rows, m + 1, m + 1)[:, :m, :m]
+        lam = 1e-6 * (1.0 + np.abs(H).sum(axis=(1, 2)))
+      M[:, shift] += (lam - row_dots(G, U) / R)[:, None]
+      M = M.reshape(n_rows, m + 1, m + 1)
       rhs = np.zeros((n_rows, m + 1, 1))
       rhs[:, :m, 0] = -G
-      ok = np.ones(n_rows, dtype=bool)
+      ok = True
       try:
         sol = np.linalg.solve(M, rhs)
       except np.linalg.LinAlgError:
         # one singular system fails the whole batched call: solve the rows
         # one by one, and a singular row's step is rejected
         sol = np.zeros_like(rhs)
+        ok = np.ones(n_rows, dtype=bool)
         for i in range(n_rows):
           try:
             sol[i] = np.linalg.solve(M[i], rhs[i])
@@ -406,10 +434,13 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
 
   # the fixed starts depend on no descent result, so every sphere's block
   # descends in one batch; the first minimum of a block is its sphere's best
-  blocks = [starts if dense is None else
-            np.vstack([starts,
-                       dense[np.argsort(h(dense * r), kind="stable")[:3]]])
-            for r in radii]
+  if dense is None:
+    blocks = [starts] * n
+  else:
+    # one h call ranks the dense set on every sphere at once
+    vals = h((np.array(radii)[:, None, None] * dense).reshape(-1, m))
+    best = np.argsort(vals.reshape(n, -1), axis=1, kind="stable")[:, :3]
+    blocks = [np.vstack([starts, dense[b]]) for b in best]
   size = len(blocks[0])
   fx, dirs = descend(np.vstack(blocks), np.repeat(radii, size))
   fx, dirs = fx.reshape(n, size), dirs.reshape(n, size, m)

@@ -27,6 +27,7 @@ from propermap.forge import (
 from propermap.linalg import RatMatrix, RatVector
 from propermap.recipes import WitnessRecipe, build_witness_point
 from propermap.witness import (
+  _newton_table,
   general_k_witness,
   probe_mu,
   validate_witness,
@@ -354,6 +355,32 @@ def test_probe_batch_shapes(A, k):
     # x + Ax is linear, so mu(r) = r * sigma_min(I + A)
     s = _sigma_min(RatMatrix.identity(A.m).add(A))
     assert rep.mu_values == pytest.approx([r * s for r in radii], rel=1e-9)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 6))
+def test_newton_table_builds_the_bordered_matrix(m, k):
+  # hstack([w, d, u]) @ T + eye is the probe's bordered Newton matrix
+  # [[I + diag(d) A + A^T diag(d) + A^T diag(w) A, u], [u^T, 0]], with
+  # w = d^2 + k(k-1) F a^(k-2): at k = 1 the weight of a^(k-2) is zero
+  rng = np.random.default_rng(100 * m + k)
+  A = rng.normal(size=(m, m))
+  T, eye = _newton_table(A)
+  assert T.shape == (3 * m, (m + 1) ** 2) and eye.shape == ((m + 1) ** 2,)
+  X = rng.normal(size=(4, m))
+  for x in X:
+    a = A @ x
+    F = x + a ** k
+    d = k * a ** (k - 1)
+    w = d * d + (k * (k - 1) * F * a ** (k - 2) if k >= 2 else 0.0)
+    u = x / np.linalg.norm(x)
+    want = np.zeros((m + 1, m + 1))
+    want[:m, :m] = (np.eye(m) + np.diag(d) @ A + A.T @ np.diag(d)
+                    + A.T @ np.diag(w) @ A)
+    want[:m, m] = want[m, :m] = u
+    got = (np.hstack([w, d, u]) @ T + eye).reshape(m + 1, m + 1)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def test_linear_case_zero_matrix():
