@@ -39,6 +39,7 @@ from .linalg import (
   RatMatrix,
   RatVector,
   Subspace,
+  _integer_rref,
   _integerized_rows,
   _pivot_solution,
   as_rat,
@@ -48,7 +49,6 @@ from .linalg import (
   kernel_and_row_space,
   kernel_basis,
   primitive_integer_vector,
-  rref,
   solve,
   solve_affine_in_subspace,
   subspace_image,
@@ -290,7 +290,7 @@ def _repair_solution(u0: RatVector, kernel: Subspace,
       out[ncols] = -sum(map(operator.mul, row, u0_int))
       rows.append(out)
     col_offset += W.dim
-  solution = _pivot_solution(*rref(rows), ncols)
+  solution = _pivot_solution(*_integer_rref(rows), ncols)
   if solution is None:
     return None
   coeffs, denom = solution

@@ -327,7 +327,18 @@ def rref(rows: Sequence[Sequence[int | Fraction]]
   rationals.  Every row update is divided by the gcd of its entries, which
   keeps the rows primitive throughout.
   """
-  work, _ = _integerized_rows(rows)
+  return _integer_rref(_integerized_rows(rows)[0])
+
+
+def _integer_rref(rows: Sequence[Sequence[int]]
+                  ) -> tuple[list[Sequence[int]], list[int]]:
+  """`rref` of rows that already hold ints, without clearing denominators.
+
+  The rows are left as they are: the elimination swaps rows in its own
+  copy of the outer list and replaces a row instead of writing into it, so
+  cached rows may be passed.  A returned row may be one of the input rows.
+  """
+  work = list(rows)
   n_rows = len(work)
   n_cols = len(work[0]) if work else 0
   pivots: list[int] = []
@@ -384,12 +395,11 @@ def _kernel_spanners(rows: Sequence[Sequence[int]], pivots: Sequence[int],
   return out
 
 
-def _reduced(ambient_dim: int, rows: list[Sequence[int | Fraction]]
-             ) -> "Subspace":
-  """The subspace of R^ambient_dim spanned by rows of ints or Fractions."""
+def _reduced(ambient_dim: int, rows: list[Sequence[int]]) -> "Subspace":
+  """The subspace of R^ambient_dim spanned by integer rows."""
   if not rows:
     return Subspace(ambient_dim, ())
-  reduced, _ = rref(rows)
+  reduced, _ = _integer_rref(rows)
   return Subspace(ambient_dim, tuple(map(tuple, reduced)))
 
 
@@ -425,7 +435,7 @@ def kernel_and_row_space(M: RatMatrix) -> tuple["Subspace", "Subspace"]:
   `rref` (none when M has full column rank).
   """
   n = M.n_cols
-  rows, pivots = rref(M._integer_rows[0])
+  rows, pivots = _integer_rref(M._integer_rows[0])
   kernel = _reduced(n, _kernel_spanners(rows, pivots, n))
   return kernel, Subspace(n, tuple(map(tuple, rows)))
 
@@ -446,9 +456,10 @@ def solve(M: RatMatrix, b: RatVector) -> RatVector | None:
   if len(b) != M.n_rows:
     raise ValueError("right-hand side length mismatch")
   int_rows, denoms = M._integer_rows
-  # row i of [M | b] times d_i: integers left of the bar
-  rows, pivots = rref([row + [d * bv] for row, d, bv
-                       in zip(int_rows, denoms, b.entries)])
+  [bs], [db] = _integerized_rows([b.entries])
+  # row i of [M | b] times d_i db, in integers
+  rows, pivots = _integer_rref([[db * v for v in row] + [d * bv] for row, d, bv
+                                in zip(int_rows, denoms, bs)])
   solution = _pivot_solution(rows, pivots, M.n_cols)
   if solution is None:
     return None  # pivot in the augmented column: inconsistent
@@ -482,7 +493,7 @@ class Subspace:
     for v in vecs:
       if len(v) != ambient_dim:
         raise ValueError("spanning vector has wrong length")
-    return _reduced(ambient_dim, [v.entries for v in vecs])
+    return _reduced(ambient_dim, _integerized_rows(v.entries for v in vecs)[0])
 
   @staticmethod
   def zero(ambient_dim: int) -> "Subspace":
@@ -536,7 +547,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
   a_cols = list(zip(*a.rows))
   stacked = [list(col) + [-x for x in neg]
              for col, neg in zip(a_cols, zip(*b.rows))]
-  rows, pivots = rref(stacked)
+  rows, pivots = _integer_rref(stacked)
   # map stops at a's coefficients, the first a.dim entries of c
   vecs = [[sum(map(mul, c, col)) for col in a_cols]
           for c in _kernel_spanners(rows, pivots, a.dim + b.dim)]
@@ -575,10 +586,12 @@ def solve_affine_in_subspace(M: RatMatrix, b: RatVector, w: Subspace) -> RatVect
   if w.dim == 0:
     return RatVector.zero(M.n_cols) if b.is_zero() else None
   int_rows, denoms = M._integer_rows
-  # row i: (row i of M times d_i) . r_j for each j, then d_i b_i
-  system = [[sum(map(mul, row, r)) for r in w.rows] + [d * bv]
-            for row, d, bv in zip(int_rows, denoms, b.entries)]
-  rows, pivots = rref(system)
+  [bs], [db] = _integerized_rows([b.entries])
+  # row i, times d_i db: (row i of M times d_i) . r_j for each j, then
+  # d_i b_i, all in integers
+  system = [[db * sum(map(mul, row, r)) for r in w.rows] + [d * bv]
+            for row, d, bv in zip(int_rows, denoms, bs)]
+  rows, pivots = _integer_rref(system)
   solution = _pivot_solution(rows, pivots, w.dim)
   if solution is None:
     return None

@@ -23,6 +23,12 @@ numeric) plus an optional diagonal-and-permutation frame: when the matrix
 under analysis was conjugated to bring its kernel direction to a leading
 0/1 pattern, the recipe refers to the conjugated matrix, and the frame says
 how to rebuild it from the original.
+
+`laurent_coords` is the one curve model: each coordinate of x_n as a
+Laurent polynomial in t = gamma^(1/3) with rational coefficients.  A
+validation expands it once and takes from that expansion both the escape
+points, each coefficient read as a float once, and the residuals x + B(x^k),
+which `witness` computes as exact integer polynomials.
 """
 
 from __future__ import annotations
@@ -89,9 +95,9 @@ def _restrict(v: RatVector, indices) -> RatVector:
   return RatVector.of([v[i] if i in idx else Fraction(0) for i in range(len(v))])
 
 
-def _recipe_equations_hold(A: RatMatrix, recipe: WitnessRecipe) -> bool:
-  """Exact re-check of the defining equations of a rational recipe."""
-  B = recipe.frame.conjugate(A) if recipe.frame is not None else A
+def _recipe_equations_hold(B: RatMatrix, recipe: WitnessRecipe) -> bool:
+  """Exact re-check of the defining equations of a rational recipe, on the
+  matrix B it refers to (the conjugated one when it carries a frame)."""
   x_inf = recipe.x_inf
   if not B.apply(hpow(x_inf, recipe.k)).is_zero():
     return False
@@ -143,8 +149,8 @@ def laurent_coords(recipe: WitnessRecipe) -> list[dict]:
   """Each coordinate of x_n as a Laurent polynomial in t = gamma^(1/3).
 
   The polynomials map exponents to rational coefficients, so the dominant
-  orders of x + B(x^k) can cancel symbolically instead of in floating
-  point, where they would drown the residual at large gamma.
+  orders of x + B(x^k) can cancel exactly instead of in floating point,
+  where they would drown the residual at large gamma.
   """
   m = len(recipe.x_inf)
   coords: list[dict] = [{} for _ in range(m)]
@@ -174,20 +180,20 @@ def laurent_coords(recipe: WitnessRecipe) -> list[dict]:
   return coords
 
 
-def eval_laurent(poly: dict, t: float) -> float:
-  return sum(float(c) * t ** e for e, c in poly.items())
+def _float_polys(coords: list[dict]) -> list[dict]:
+  """The Laurent polynomials with each coefficient read as a float once."""
+  return [{e: float(c) for e, c in p.items()} for p in coords]
 
 
-def witness_points(recipe: WitnessRecipe, gammas) -> list[tuple[float, ...]]:
-  """Concrete escape points at the given gammas, in float coordinates.
+def _evaluate(polys: list[dict], t: float) -> list[float]:
+  """Float Laurent polynomials at t, each a sum in its exponents' order."""
+  return [sum(c * t ** e for e, c in p.items()) for p in polys]
 
-  Only recipe-internal sanity is enforced here (matrix equations are the
-  validator's job): gammas must be positive, a simple recipe needs a fully
-  nonzero x_inf, a nonzero u and k >= 2, a chain recipe needs a cubic 0/1
-  pattern x_inf.  Each point is `laurent_coords` at t = gamma^(1/3).
-  """
-  if not all(g > 0 for g in gammas):
-    raise ValueError("gamma must be positive")
+
+def _check_recipe(recipe: WitnessRecipe) -> None:
+  """Recipe-internal sanity, raising ValueError: a simple recipe needs a
+  fully nonzero x_inf, a nonzero u and k >= 2, a chain recipe a cubic 0/1
+  pattern x_inf."""
   if recipe.kind == "simple":
     if any(a == 0 for a in recipe.x_inf):
       raise ValueError("simple recipe requires x_inf with no zero coordinate")
@@ -200,9 +206,22 @@ def witness_points(recipe: WitnessRecipe, gammas) -> list[tuple[float, ...]]:
       raise ValueError("chain recipe requires a 0/1 pattern x_inf")
     if recipe.k != 3:
       raise ValueError("chain recipes are cubic only")
-  coords = laurent_coords(recipe)
-  return [tuple(eval_laurent(p, g ** (1.0 / 3.0)) for p in coords)
-          for g in gammas]
+
+
+def witness_points(recipe: WitnessRecipe, gammas) -> list[tuple[float, ...]]:
+  """Concrete escape points at the given gammas, in float coordinates.
+
+  Only recipe-internal sanity is enforced here (matrix equations are the
+  validator's job): gammas must be positive, a simple recipe needs a fully
+  nonzero x_inf, a nonzero u and k >= 2, a chain recipe needs a cubic 0/1
+  pattern x_inf (`_check_recipe`).  Each point is `laurent_coords` at
+  t = gamma^(1/3).
+  """
+  if not all(g > 0 for g in gammas):
+    raise ValueError("gamma must be positive")
+  _check_recipe(recipe)
+  polys = _float_polys(laurent_coords(recipe))
+  return [tuple(_evaluate(polys, g ** (1.0 / 3.0))) for g in gammas]
 
 
 def build_witness_point(recipe: WitnessRecipe, gamma: float) -> tuple[float, ...]:

@@ -3,9 +3,13 @@
 A NonProper certificate is only as good as its escape points, so this
 module regenerates them at a geometric schedule of scales and measures,
 in floating point, everything the refutation claims: image residuals
-decaying, point norms growing, directions converging.  It also hosts the
-general-power witness constructor and a numeric properness probe that
-minimizes the map norm over spheres of growing radius.
+decaying, point norms growing, directions converging.  One validation
+expands the recipe's Laurent curve once.  The points come from it, and so
+do the residuals x + B(x^k): exact integer Laurent polynomials, whose
+growing orders cancel before any coefficient is read as a float.  The
+module also hosts the general-power witness constructor and a numeric
+properness probe that minimizes the map norm over spheres of growing
+radius.
 """
 
 from __future__ import annotations
@@ -13,16 +17,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .hadamard import hpow
 from .linalg import RatMatrix, RatVector, kernel_basis
 from .recipes import (
   WitnessRecipe,
+  _check_recipe,
+  _evaluate,
+  _float_polys,
   _recipe_equations_hold,
-  eval_laurent,
   laurent_coords,
-  witness_points,
 )
 
 DEFAULT_GAMMAS = tuple(10.0 ** e for e in range(1, 7))
@@ -79,39 +83,48 @@ def _norm(x) -> float:
   return math.sqrt(sum(t * t for t in x))
 
 
-def _laurent_mul(p: dict, q: dict) -> dict:
-  out: dict = {}
-  for e1, c1 in p.items():
-    for e2, c2 in q.items():
-      out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-  return out
+def _laurent_residuals(B: RatMatrix, coords: list[dict], k: int
+                       ) -> list[dict]:
+  """Coordinates of x + B(x^k) as Laurent polynomials in t = gamma^(1/3),
+  for x given by its `laurent_coords`, with float coefficients.
 
-
-def _laurent_residuals(B: RatMatrix, recipe: WitnessRecipe) -> list[dict]:
-  """Coordinates of x + B(x^k) as Laurent polynomials in t = gamma^(1/3)."""
-  coords = laurent_coords(recipe)
-  m = len(coords)
+  The expansion is exact and runs on ints.  With D the common denominator
+  of every coefficient, P_i = D x_i has integer coefficients, and with
+  row i of B equal to b_i / d_i (B's integer rows), residual i is the
+  integer polynomial D^(k-1) d_i P_i + sum_j b_ij P_j^k over D^k d_i.
+  Each nonzero coefficient is then read as a float once, by int true
+  division, which rounds correctly.
+  """
+  D = math.lcm(*(c.denominator for p in coords for c in p.values()))
+  ints = [{e: c.numerator * (D // c.denominator) for e, c in p.items()}
+          for p in coords]
   pows = []
-  for p in coords:
-    acc = {0: Fraction(1)}
-    for _ in range(recipe.k):
-      acc = _laurent_mul(acc, p)
+  for p in ints:
+    acc = {0: 1}
+    for _ in range(k):
+      prod: dict = {}
+      for e1, c1 in acc.items():
+        for e2, c2 in p.items():
+          prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
+      acc = prod
     pows.append(acc)
+  int_rows, denoms = B._integer_rows
   out = []
-  for i in range(m):
-    acc = dict(coords[i])
-    for j in range(m):
-      bij = B.entry(i, j)
+  for p, row, d in zip(ints, int_rows, denoms):
+    scale = D ** (k - 1) * d
+    acc = {e: scale * c for e, c in p.items()}
+    for bij, pk in zip(row, pows):
       if bij:
-        for e, c in pows[j].items():
-          acc[e] = acc.get(e, Fraction(0)) + bij * c
-    out.append({e: c for e, c in acc.items() if c != 0})
+        for e, c in pk.items():
+          acc[e] = acc.get(e, 0) + bij * c
+    q = D * scale
+    out.append({e: n / q for e, n in acc.items() if n})
   return out
 
 
-def _numeric_equations_ok(A: RatMatrix, recipe: WitnessRecipe) -> bool:
-  """Tolerance version of the recipe equations, for float-born recipes."""
-  B = recipe.frame.conjugate(A) if recipe.frame is not None else A
+def _numeric_equations_ok(B: RatMatrix, recipe: WitnessRecipe) -> bool:
+  """Tolerance version of the recipe equations, for float-born recipes, on
+  the matrix B the recipe refers to."""
   Bf = _float_matrix(B)
   x_inf = [float(t) for t in recipe.x_inf]
   u = [float(t) for t in recipe.u]
@@ -150,14 +163,18 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   if any(g <= 0 for g in gammas):
     raise ValueError("gammas must be positive")
   gammas = tuple(sorted(float(g) for g in gammas))
+  if any(a == b for a, b in zip(gammas, gammas[1:])):
+    # a repeated scale cannot show the point norms strictly growing
+    raise ValueError("gammas must be distinct")
 
+  B = recipe.frame.conjugate(A) if recipe.frame is not None else A
   if recipe.numeric:
-    invariant_ok = _numeric_equations_ok(A, recipe)
+    invariant_ok = _numeric_equations_ok(B, recipe)
   else:
-    invariant_ok = _recipe_equations_hold(A, recipe)
+    invariant_ok = _recipe_equations_hold(B, recipe)
 
   try:
-    points = witness_points(recipe, gammas)
+    _check_recipe(recipe)
   except ValueError as err:
     return WitnessValidationReport(
       gammas=gammas, residuals=(), point_norms=(), direction_errors=(),
@@ -165,26 +182,30 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
       negative_image_coordinates=False, passed=False,
       note=f"recipe rejected: {err}")
 
-  B = recipe.frame.conjugate(A) if recipe.frame is not None else A
-  Bf = _float_matrix(B)
   k = recipe.k
+  # only even powers have an image sign to watch
+  Bf = _float_matrix(B) if k % 2 == 0 else None
   x_ref = [float(t) for t in recipe.x_inf]
   ref_norm = _norm(x_ref)
   x_hat = [t / ref_norm for t in x_ref]
 
-  # residual coordinates in closed form: the gamma^k-order terms cancel
-  # exactly in the rational coefficients, so evaluation stays accurate at
-  # scales where the direct float computation of x + B(x^k) loses every
-  # significant digit to cancellation
-  resid_polys = _laurent_residuals(B, recipe)
+  # one expansion gives the points and, in closed form, the residual
+  # coordinates: the gamma^k-order terms cancel exactly in the integer
+  # coefficients, so evaluation stays accurate at scales where the direct
+  # float computation of x + B(x^k) loses every significant digit to
+  # cancellation
+  coords = laurent_coords(recipe)
+  point_polys = _float_polys(coords)
+  resid_polys = _laurent_residuals(B, coords, k)
 
   residuals = []
   norms = []
   dir_errors = []
   negative_image = False
-  for g, x in zip(gammas, points):
+  for g in gammas:
     t13 = g ** (1.0 / 3.0)
-    residuals.append(_norm([eval_laurent(p, t13) for p in resid_polys]))
+    x = _evaluate(point_polys, t13)
+    residuals.append(_norm(_evaluate(resid_polys, t13)))
     n = _norm(x)
     norms.append(n)
     dir_errors.append(_norm([a / n - b for a, b in zip(x, x_hat)]))

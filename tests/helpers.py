@@ -123,6 +123,38 @@ def f_exact(A: RatMatrix, x: RatVector, k: int = 3) -> RatVector:
   return RatVector.of([x[i] + ax[i] ** k for i in range(A.m)])
 
 
+def laurent_residual_oracle(B: RatMatrix, coords: list[dict], k: int
+                            ) -> list[dict]:
+  """x + B(x^k) as Laurent polynomials with Fraction coefficients, for x
+  given by one {exponent: coefficient} dict per coordinate.  Each
+  coordinate's k-th power is k convolutions in Fractions, starting from the
+  constant 1, and B is applied entry by entry.  Exponents keep the order in
+  which the sums first meet them; zero coefficients are dropped."""
+  def mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+      for e2, c2 in q.items():
+        out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return out
+
+  pows = []
+  for p in coords:
+    acc = {0: Fraction(1)}
+    for _ in range(k):
+      acc = mul(acc, p)
+    pows.append(acc)
+  out = []
+  for i, p in enumerate(coords):
+    acc = dict(p)
+    for j, pk in enumerate(pows):
+      bij = B.entry(i, j)
+      if bij:
+        for e, c in pk.items():
+          acc[e] = acc.get(e, Fraction(0)) + bij * c
+    out.append({e: c for e, c in acc.items() if c != 0})
+  return out
+
+
 def naive_jacobian(A: RatMatrix, x, k: int = 3) -> list[list[Fraction]]:
   """I + k diag((Ax)^(k-1)) A, entry by entry."""
   m = A.m

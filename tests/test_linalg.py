@@ -345,6 +345,30 @@ def test_plain_solve_round_trip(A):
   assert A.apply(x) == b
 
 
+@settings(deadline=None, max_examples=80)
+@given(apply_inputs())
+# the first pivot sits in the second row, so the elimination swaps rows
+@example(([[Fraction(0), Fraction(1, 2), Fraction(1)],
+           [Fraction(3), Fraction(0), Fraction(-1, 5)]],
+          [Fraction(1, 3), Fraction(2), Fraction(0)]))
+def test_cached_integer_rows_survive_every_elimination(inputs):
+  # kernels, images and solves eliminate on the matrix's cached integer
+  # rows in place of a fresh copy, so each must leave them as they were
+  rows, x = inputs
+  M = RatMatrix.of(rows)
+  cached = M._integer_rows
+  snapshot = ([list(r) for r in cached[0]], list(cached[1]))
+  kernel, row_space = kernel_and_row_space(M)
+  image_basis(M)
+  subspace_image(M, row_space)
+  intersect(row_space, kernel)
+  b = M.apply(RatVector.of(x))
+  assert M.apply(solve(M, b)) == b
+  assert M.apply(solve_affine_in_subspace(M, b, row_space)) == b
+  assert M._integer_rows is cached
+  assert ([list(r) for r in cached[0]], list(cached[1])) == snapshot
+
+
 @settings(deadline=None, max_examples=40)
 @given(square_matrices(4))
 def test_orthogonal_complement_dimensions(A):

@@ -1,5 +1,6 @@
 """Witness validation, the sphere-minimum probe, and the linear fast path."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -9,13 +10,16 @@ import numpy as np
 import pytest
 
 from helpers import (
+  laurent_residual_oracle,
   naive_det,
   ones_kernel_sample,
   planted_pattern,
   rand_int_matrix,
   rows_of,
   sphere_grid_min,
+  two_class_kernel,
 )
+import propermap.witness as witness_module
 from propermap.certify import NONPROPER, PROPER, certify, k1_properness
 from propermap.forge import (
   Family3x3Params,
@@ -25,8 +29,14 @@ from propermap.forge import (
   shift_5x5,
 )
 from propermap.linalg import RatMatrix, RatVector
-from propermap.recipes import WitnessRecipe, build_witness_point
+from propermap.recipes import (
+  ConjugationFrame,
+  WitnessRecipe,
+  build_witness_point,
+  laurent_coords,
+)
 from propermap.witness import (
+  _laurent_residuals,
   _newton_table,
   general_k_witness,
   probe_mu,
@@ -93,6 +103,111 @@ def test_gamma_schedule_is_validated():
     validate_witness(A, recipe, gammas=(10.0,))
   with pytest.raises(ValueError):
     validate_witness(A, recipe, gammas=(-1.0, 10.0, 100.0))
+  # a repeated scale would leave the point norms unable to strictly grow
+  with pytest.raises(ValueError, match="gammas must be distinct"):
+    validate_witness(A, recipe, gammas=(10, 10, 100))
+  with pytest.raises(ValueError, match="gammas must be distinct"):
+    validate_witness(A, recipe, gammas=(100.0, 10.0, 1e2))
+  assert validate_witness(A, recipe, gammas=(100.0, 10.0, 1000.0)).passed
+
+
+def _framed_golden():
+  """golden_3x3's recipe with a frame, on the matrix the frame conjugates
+  to golden_3x3."""
+  G = golden_3x3()
+  frame = ConjugationFrame((2, 0, 1), (Fraction(1, 2), Fraction(3), Fraction(-1)))
+  rows = [[Fraction(0)] * 3 for _ in range(3)]
+  for i, oi in enumerate(frame.perm):
+    for j, oj in enumerate(frame.perm):
+      rows[oi][oj] = G.entry(i, j) * frame.diag[oj] ** 3 / frame.diag[oi]
+  A = RatMatrix.of(rows)
+  assert frame.conjugate(A) == G
+  return A, dataclasses.replace(certify(G).witness(), frame=frame)
+
+
+def test_framed_recipe_replays_once_as_its_conjugate(monkeypatch):
+  A, framed = _framed_golden()
+  calls = Counter()
+
+  def counted(name, fn):
+    def wrapper(*args):
+      calls[name] += 1
+      return fn(*args)
+    return wrapper
+  monkeypatch.setattr(ConjugationFrame, "conjugate",
+                      counted("conjugate", ConjugationFrame.conjugate))
+  monkeypatch.setattr(witness_module, "laurent_coords",
+                      counted("laurent_coords", laurent_coords))
+  rep = validate_witness(A, framed)
+  assert calls == {"conjugate": 1, "laurent_coords": 1}
+  assert rep.passed
+  plain = dataclasses.replace(framed, frame=None)
+  assert repr(rep) == repr(validate_witness(golden_3x3(), plain))
+
+
+def _rat(rng, nonzero=False):
+  num = rng.randint(1, 7) * rng.choice([1, -1]) if nonzero else rng.randint(-7, 7)
+  return Fraction(num, rng.choice([1, 2, 3, 5, 9]))
+
+
+def _oracle_cases():
+  """(B, recipe) pairs: seeded random recipes and matrices, whose residuals
+  keep every order, and certified recipes, whose leading orders cancel."""
+  rng = random.Random(18)
+  cases = []
+  for k in range(2, 6):
+    for _ in range(4):
+      m = rng.randint(2, 4)
+      B = RatMatrix.of([[_rat(rng) for _ in range(m)] for _ in range(m)])
+      x_inf = RatVector.of([_rat(rng, nonzero=True) for _ in range(m)])
+      u = RatVector.of([_rat(rng) for _ in range(m)])
+      cases.append((B, WitnessRecipe(kind="simple", x_inf=x_inf, u=u, k=k)))
+  for depth in (1, 2):
+    for _ in range(4):
+      m = rng.randint(3, 5)
+      B = RatMatrix.of([[_rat(rng) for _ in range(m)] for _ in range(m)])
+      pattern = [1] + [rng.randint(0, 1) for _ in range(m - 1)]
+      vec = lambda: RatVector.of([_rat(rng) for _ in range(m)])
+      extra = {}
+      if depth == 2:
+        extra = dict(v=vec(), v1=vec(), u_hat_root=RatVector.of(
+          [0 if p else _rat(rng) for p in pattern]))
+      cases.append((B, WitnessRecipe(kind="corank-chain",
+                                     x_inf=RatVector.of(pattern), u=vec(),
+                                     u1=vec(), **extra)))
+  certified = [golden_3x3(), planted_pattern(random.Random(70), 3),
+               planted_pattern(random.Random(837), 4),
+               planted_pattern(random.Random(57), 4),
+               two_class_kernel(random.Random(119))]
+  recipes = [(A, certify(A).witness()) for A in certified] + [_framed_golden()]
+  kinds = {(r.kind, r.u_hat_root is not None, r.frame is not None, r.numeric)
+           for _, r in recipes}
+  assert kinds == {("simple", False, False, False),
+                   ("corank-chain", False, False, False),
+                   ("corank-chain", True, False, False),
+                   ("corank-chain", True, False, True),
+                   ("simple", False, False, True),
+                   ("simple", False, True, False)}
+  for A, r in recipes:
+    cases.append((r.frame.conjugate(A) if r.frame is not None else A, r))
+  return cases
+
+
+def test_laurent_residuals_match_the_fraction_oracle():
+  cases = _oracle_cases()
+  for B, recipe in cases:
+    coords = laurent_coords(recipe)
+    got = _laurent_residuals(B, coords, recipe.k)
+    want = laurent_residual_oracle(B, coords, recipe.k)
+    assert [list(p.items()) for p in got] == \
+        [[(e, float(c)) for e, c in p.items()] for p in want]
+  # x = t^3 x_inf + ..., so B(x^k) starts at order t^(3k); a certified
+  # recipe whose equations hold exactly cancels every order down to t^0
+  exact = [(B, r) for B, r in cases[-6:] if not r.numeric]
+  assert len(exact) == 4
+  for B, recipe in exact:
+    for p in _laurent_residuals(B, laurent_coords(recipe), recipe.k):
+      assert all(e < 0 for e in p), recipe
 
 
 def test_recipe_shape_errors():
