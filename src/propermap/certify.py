@@ -31,6 +31,7 @@ from .hadamard import (
   cube_root_in_subspace,
   hpow,
   hprod,
+  integer_kth_root,
   rational_cube_root_direction,
   rational_kth_root,
   rational_kth_root_approx,
@@ -39,12 +40,13 @@ from .linalg import (
   RatMatrix,
   RatVector,
   Subspace,
+  _integer_matrix,
   _integer_rref,
   _integerized_rows,
   _pivot_solution,
+  _reduced,
   as_rat,
   det,
-  image_basis,
   intersect,
   kernel_and_row_space,
   kernel_basis,
@@ -211,8 +213,17 @@ class Analysis:
     return self.A.n_cols - self.kernel.dim
 
   @cached_property
+  def _columns(self) -> list[tuple[int, ...]]:
+    """The columns of L A, L the lcm of A's row denominators."""
+    return list(zip(*_integer_matrix(self.A)))
+
+  @cached_property
   def image(self) -> Subspace:
-    return image_basis(self.A)
+    """Im A, reduced from the r columns of L A at the row space's pivot
+    columns, which are a basis of it.  Computed only when read: the screens
+    never read it."""
+    return _reduced(self.A.n_rows,
+                    [self._columns[p] for p in self.row_space.pivots])
 
   @cached_property
   def row_space(self) -> Subspace:
@@ -224,22 +235,36 @@ class Analysis:
     `_coeff_enumeration`, widest support first, then smallest sum of |y|,
     then table order; at most CANDIDATE_CAP of them.
 
-    Only the +-1 coefficient tuples are tested.  With w = D * sum c_j b_j on
-    the canonical kernel basis, the pivot identity w[p_j] = D c_j makes
+    Take w = D * sum c_j b_j on the canonical kernel basis b_j, with D the
+    common denominator, so w is an integer vector.  Each b_j is 1 at its
+    pivot p_j and 0 at the other pivots, so w[p_j] = D c_j.
+
+    Only the +-1 coefficient tuples are tested.  The pivot identity makes
     every ratio c_j / c_l of nonzero coefficients a ratio of coordinates of
     w, so a rational direction needs each of them to be a rational cube.
     For |c_j| <= CANDIDATE_BOX < 8 the only such ratios are +-1, and the
-    tuples are primitive, so every nonzero c_j is +-1.  The directions are
-    pairwise non-parallel without a dedupe: distinct primitive
-    sign-normalized tuples span distinct kernel lines, and y^3 spans the
-    line y came from.
+    tuples are primitive, so every nonzero c_j is +-1.
+
+    Only the non-pivot coordinates are tested.  Every b_j vanishes before
+    its pivot, so the first nonzero entry f of w is w[p] = D c_j = +-D at
+    the smallest pivot p with c_j != 0, and f^2 = D^2.  A coordinate x of w
+    gives a rational cube x / f = x f^2 / f^3 exactly when x D^2 is an
+    integer cube.  At a pivot coordinate x D^2 is 0 or +-D^3, which always
+    passes, so `_cube_line` forms the non-pivot coordinates one integer dot
+    product at a time and stops at the first that fails.  Only a tuple that
+    passes builds its direction, through `rational_cube_root_direction`.
+
+    The directions are pairwise non-parallel without a dedupe: distinct
+    primitive sign-normalized tuples span distinct kernel lines, and y^3
+    spans the line y came from.
     """
-    columns, _ = _integer_columns(self.kernel)
-    found = []
-    for c in _unit_tuples(self.kernel.dim):
-      y = rational_cube_root_direction(_combine(c, columns))
-      if y is not None:
-        found.append(y)
+    columns, scale = _integer_columns(self.kernel)
+    taken = set(self.kernel.pivots)
+    free = [col for i, col in enumerate(columns) if i not in taken]
+    scale2 = scale * scale
+    found = [rational_cube_root_direction(_combine(c, columns))
+             for c in _unit_tuples(self.kernel.dim)
+             if _cube_line(c, free, scale2)]
     found.sort(key=lambda v: (-len(v.support()),
                               sum(abs(x) for x in v.entries)))
     return tuple(found[:CANDIDATE_CAP])
@@ -403,10 +428,21 @@ def _combine(c: tuple[int, ...], columns: list[tuple[int, ...]]
   return tuple([sum(map(operator.mul, c, col)) for col in columns])
 
 
-def _disjoint_supports(vectors) -> bool:
+def _cube_line(c: tuple[int, ...], free: list[tuple[int, ...]],
+               scale2: int) -> bool:
+  """Whether x * scale2 is an integer cube for every coordinate
+  x = sum c_j col_j of the combination, over the given columns; stops at
+  the first that is not."""
+  for col in free:
+    if integer_kth_root(sum(map(operator.mul, c, col)) * scale2, 3) is None:
+      return False
+  return True
+
+
+def _disjoint_supports(rows) -> bool:
   seen: set[int] = set()
-  for v in vectors:
-    s = set(v.support())
+  for row in rows:
+    s = {i for i, x in enumerate(row) if x}
     if seen & s:
       return False
     seen |= s
@@ -437,8 +473,10 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
       raise AssertionError("image vector without row-space preimage")
     return EscapeSearch(x, y, True, "candidate found")
 
-  if _disjoint_supports(K.basis):
-    directions = [rational_cube_root_direction(b) for b in K.basis]
+  if _disjoint_supports(K.rows):
+    # each integer row is its basis vector times a positive scale, which
+    # keeps the support and the cube-root direction
+    directions = [rational_cube_root_direction(r) for r in K.rows]
     if all(d is not None for d in directions):
       # cube roots act per coordinate, so with disjoint supports every cube
       # root of a kernel vector is a combination of the per-vector roots
@@ -473,14 +511,13 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
 
 def _kernel_in_gram_kernel(an: Analysis) -> bool:
   """Ker A inside Ker(A A^T), tested as A^T k = 0 on a kernel basis: over
-  the rationals Ker(A A^T) = Ker A^T.  The sums run on integers: each
-  column of A is scaled by its common denominator and the kernel is read
-  as its integer rows, which leaves every zero test unchanged."""
+  the rationals Ker(A A^T) = Ker A^T.  The sums run on integers: the
+  columns of A scaled by one common L and the kernel's integer rows, which
+  leaves every zero test unchanged."""
   if an.kernel.dim == 0:
     return True
-  columns, _ = _integerized_rows(zip(*an.A.rows))
   return all(sum(map(operator.mul, col, k)) == 0
-             for k in an.kernel.rows for col in columns)
+             for k in an.kernel.rows for col in an._columns)
 
 
 def sufficient_screens(A: RatMatrix | Analysis

@@ -124,8 +124,10 @@ def frame_from_json(obj) -> ConjugationFrame:
      any(isinstance(p, bool) or not isinstance(p, int) for p in perm):
     raise ValueError("field 'perm' must be a list of integers")
   diag = obj["diag"]
-  if not isinstance(diag, list) or len(diag) != len(perm):
-    raise ValueError("field 'diag' must be a list matching 'perm' in length")
+  if not isinstance(diag, list):
+    raise ValueError("field 'diag' must be a list")
+  # the frame itself rejects a perm that is not a permutation, a diag of
+  # another length and a zero diag entry
   return ConjugationFrame(tuple(perm), _rat_entries(diag, "diag[{}]"))
 
 

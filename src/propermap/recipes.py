@@ -51,18 +51,33 @@ class ConjugationFrame:
   perm: tuple[int, ...]
   diag: tuple[Fraction, ...]
 
+  def __post_init__(self):
+    m = len(self.perm)
+    if sorted(self.perm) != list(range(m)):
+      raise ValueError(f"frame field 'perm' must be a permutation of "
+                       f"0..{m - 1}, got {list(self.perm)}")
+    if len(self.diag) != m:
+      raise ValueError("frame field 'diag' must match 'perm' in length")
+    for i, d in enumerate(self.diag):
+      if d == 0:
+        raise ValueError(f"frame field 'diag' has a zero entry at {i}")
+
   def conjugate(self, A: RatMatrix) -> RatMatrix:
+    """B[i][j] = d_i a / d_j^3 with a = A[perm[i]][perm[j]] and d the
+    permuted diagonal, built as one Fraction(p_i q_j^3 num(a),
+    q_i p_j^3 den(a)) from d = p / q; the cubes are taken once per
+    column."""
     m = A.m
-    if len(self.perm) != m or len(self.diag) != m:
+    if len(self.perm) != m:
       raise ValueError("frame size does not match matrix")
+    ds = [self.diag[o] for o in self.perm]
+    cubes = [(d.numerator ** 3, d.denominator ** 3) for d in ds]
     rows = []
-    for i in range(m):
-      oi = self.perm[i]
-      row = []
-      for j in range(m):
-        oj = self.perm[j]
-        row.append(self.diag[oi] * A.entry(oi, oj) / self.diag[oj] ** 3)
-      rows.append(tuple(row))
+    for oi, d in zip(self.perm, ds):
+      p, q = d.numerator, d.denominator
+      row = [A.rows[oi][oj] for oj in self.perm]
+      rows.append(tuple([Fraction(p * q3 * a.numerator, q * p3 * a.denominator)
+                         for a, (p3, q3) in zip(row, cubes)]))
     return RatMatrix(tuple(rows))
 
 

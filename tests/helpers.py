@@ -117,6 +117,14 @@ def f_hat_exact(A: RatMatrix, x: RatVector, k: int = 3) -> RatVector:
       for i in range(A.m)])
 
 
+def conjugate_oracle(perm, diag, A: RatMatrix) -> RatMatrix:
+  """B = P D A D^(-3) P^T entry by entry in Fractions:
+  B[i][j] = diag[perm[i]] A[perm[i]][perm[j]] / diag[perm[j]]^3."""
+  return RatMatrix(tuple(
+      tuple(diag[oi] * A.entry(oi, oj) / diag[oj] ** 3 for oj in perm)
+      for oi in perm))
+
+
 def f_exact(A: RatMatrix, x: RatVector, k: int = 3) -> RatVector:
   """x + (Ax)^k computed from scratch in Fractions."""
   ax = [sum(A.entry(i, j) * x[j] for j in range(A.m)) for i in range(A.m)]

@@ -2,9 +2,12 @@
 
 import itertools
 import json
+import random
 import time
 
 import pytest
+
+from helpers import planted_pattern
 
 from propermap.certify import certify
 from propermap.cli import main
@@ -159,6 +162,24 @@ def test_witness_rejects_extra_fields(tmp_path, capsys):
   code, _, err = run(capsys, ["witness", "--input", str(path)])
   assert code == 1
   assert "unexpected field 'note'" in err
+
+
+@pytest.mark.parametrize("frame, field", [
+  ({"perm": [0, 1, 2, 3], "diag": ["0", "1", "1", "1"]}, "diag"),
+  ({"perm": [99, 1, 2, 3], "diag": ["1", "1", "1", "1"]}, "perm"),
+])
+def test_witness_rejects_a_frame_that_cannot_conjugate(tmp_path, capsys,
+                                                       frame, field):
+  A = planted_pattern(random.Random(57), 4)
+  recipe = recipe_to_json(certify(A).witness())
+  assert recipe["kind"] == "corank-chain"
+  recipe["frame"] = frame
+  path = tmp_path / "pair.json"
+  path.write_text(dumps({"matrix": matrix_to_json(A), "recipe": recipe}))
+  code, out, err = run(capsys, ["witness", "--input", str(path)])
+  assert (code, out) == (1, "")
+  assert err.startswith("error: ") and f"'{field}'" in err
+  assert "Traceback" not in err
 
 
 def test_witness_requires_a_recipe(tmp_path, capsys):

@@ -88,6 +88,21 @@ def test_frame_round_trip():
     frame_from_json({"perm": [0, 1], "diag": ["1"]})
 
 
+@pytest.mark.parametrize("perm, diag, field", [
+  ([99, 1, 2, 3], ["1", "1", "1", "1"], "perm"),
+  ([0, 0, 2, 3], ["1", "1", "1", "1"], "perm"),
+  ([1, 2, 3, 4], ["1", "1", "1", "1"], "perm"),
+  ([-1, 0, 1, 2], ["1", "1", "1", "1"], "perm"),
+  ([0, 1, 2, 3], ["0", "1", "1", "1"], "diag"),
+  ([0, 1, 2, 3], ["1", "-2", "0/5", "1"], "diag"),
+])
+def test_frame_rejects_what_cannot_conjugate(perm, diag, field):
+  with pytest.raises(ValueError, match=f"'{field}'"):
+    frame_from_json({"perm": perm, "diag": diag})
+  with pytest.raises(ValueError, match=f"'{field}'"):
+    ConjugationFrame(tuple(perm), tuple(Fraction(d) for d in diag))
+
+
 def test_recipe_round_trip_simple():
   rec = WitnessRecipe(kind="simple", x_inf=RatVector.of([1, 1, 1]),
                       u=RatVector.of([1, 0, 0]))
@@ -312,8 +327,14 @@ def test_entry_fast_path_matches_general_parser(x):
               x, "field 'x_inf'[0]",
               lambda q: WitnessRecipe(kind="simple", x_inf=RatVector.of([q]),
                                       u=RatVector.of([1])))
-  check_entry(lambda: frame_from_json({"perm": [0, 1], "diag": ["2", x]}), x,
-              "diag[1]", lambda q: ConjugationFrame((0, 1), (Fraction(2), q)))
+  frame = {"perm": [0, 1], "diag": ["2", x]}
+  if expected_entry(x, "diag[1]")[0] == 0:
+    # the entry parses, and the frame refuses a zero scale
+    with pytest.raises(ValueError, match="'diag' has a zero entry at 1$"):
+      frame_from_json(frame)
+  else:
+    check_entry(lambda: frame_from_json(frame), x, "diag[1]",
+                lambda q: ConjugationFrame((0, 1), (Fraction(2), q)))
 
 
 def test_entry_table_holds_exact_fractions():

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+  conjugate_oracle,
   laurent_residual_oracle,
   naive_det,
   ones_kernel_sample,
   planted_pattern,
   rand_int_matrix,
+  rand_rat_matrix,
   rows_of,
   sphere_grid_min,
   two_class_kernel,
@@ -123,6 +125,23 @@ def _framed_golden():
   A = RatMatrix.of(rows)
   assert frame.conjugate(A) == G
   return A, dataclasses.replace(certify(G).witness(), frame=frame)
+
+
+def test_integer_conjugate_matches_the_fraction_formula():
+  signs = set()
+  for seed in range(200):
+    rng = random.Random(seed)
+    m = rng.randint(1, 6)
+    A = rand_rat_matrix(rng, m)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    diag = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                          rng.randint(1, 5)) for _ in range(m))
+    signs |= {d < 0 for d in diag}
+    B = ConjugationFrame(tuple(perm), diag).conjugate(A)
+    assert B == conjugate_oracle(perm, diag, A)
+    assert all(type(x) is Fraction for row in B.rows for x in row)
+  assert signs == {True, False}
 
 
 def test_framed_recipe_replays_once_as_its_conjugate(monkeypatch):
