@@ -86,6 +86,10 @@ REASON_LINEAR_SINGULAR = "linear-map-singular"
 
 FLOAT_TOL = 1e-9
 
+# the escape chain's first membership failure; _decide_direction gives it
+# without running the chain for a direction outside the image
+_X_INF_OUTSIDE_V = "x_inf is not in the reduced subspace"
+
 # kernel candidates are small integer combinations of the kernel basis with
 # coefficients in [-CANDIDATE_BOX, CANDIDATE_BOX], the whole box while it
 # has at most FULL_BOX_CAP points; the escape search and the corank >= 2
@@ -220,8 +224,8 @@ class Analysis:
   @cached_property
   def image(self) -> Subspace:
     """Im A, reduced from the r columns of L A at the row space's pivot
-    columns, which are a basis of it.  Computed only when read: the screens
-    never read it."""
+    columns, which are a basis of it.  Computed only when read: of the
+    screens only the all-ones kernel line reads it."""
     return _reduced(self.A.n_rows,
                     [self._columns[p] for p in self.row_space.pivots])
 
@@ -458,6 +462,11 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
   matrices, corank one (through cube-ratio classes, even when the cube
   root is irrational), and kernels with a disjoint-support basis of
   rational cube-root directions.
+
+  The image is read only by the branches that test against it.  In the
+  bounded search each direction is tested for membership in Im A first,
+  and only a direction inside it is solved for its row-space preimage,
+  which then exists.
   """
   an = _analysis(A)
   A = an.A
@@ -465,7 +474,7 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
   if an.rank == m:
     return EscapeSearch(None, None, True,
                         "matrix invertible: only Ax = 0 solves A((Ax)^3) = 0")
-  K, Im, rowspace = an.kernel, an.image, an.row_space
+  K, rowspace = an.kernel, an.row_space
 
   def found(y: RatVector) -> EscapeSearch:
     x = solve_affine_in_subspace(A, y, rowspace)
@@ -481,7 +490,7 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
       # cube roots act per coordinate, so with disjoint supports every cube
       # root of a kernel vector is a combination of the per-vector roots
       roots = Subspace.span(directions, m)
-      meet = intersect(roots, Im)
+      meet = intersect(roots, an.image)
       if meet.dim == 0:
         return EscapeSearch(None, None, True,
                             "no cube root of a kernel vector lies in the "
@@ -496,15 +505,14 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
     g = RatVector.of(K.rows[0])
     # one basis vector always has disjoint supports, so a kernel line gets
     # here only when its cube root is irrational
-    if not cube_root_in_subspace(g, Im):
+    if not cube_root_in_subspace(g, an.image):
       return EscapeSearch(None, None, True,
                           "kernel-line cube root avoids the image")
     return EscapeSearch(None, None, False,
                         "an escape image vector exists but is irrational")
   for d in an.cube_root_directions:
-    x = solve_affine_in_subspace(A, d, rowspace)
-    if x is not None:
-      return EscapeSearch(x, d, True, "candidate found")
+    if an.image.contains(d):
+      return found(d)
   return EscapeSearch(None, None, False,
                       "bounded search over rational directions found nothing")
 
@@ -730,7 +738,7 @@ def condition_chain(A: RatMatrix | Analysis,
   if not A.apply(x_inf).is_zero():
     return report(False, "x_inf^3 is not in the kernel")
   if not V.contains(x_inf):
-    return report(False, "x_inf is not in the reduced subspace")
+    return report(False, _X_INF_OUTSIDE_V)
   u0 = solve(A, -x_inf)
   if u0 is None:
     return report(False, "-x_inf has no preimage")
@@ -847,23 +855,27 @@ def _numeric_chain_recipe(report: ConditionSetReport,
 def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
   """Decide one rational direction y whose cube y^3 lies in the kernel.
 
-  With no zero coordinate the direct escape characterization decides: y
-  outside the reduced subspace or failing the escape check blocks the
-  direction (Proper), passing it gives a simple witness.  With zeros, y is
-  brought to a 0/1 pattern and the chain conditions decide: unsatisfied
-  and exact is Proper, satisfied with a depth of at most two gives a chain
-  witness, and anything else is Undecided.  The audit holds only this
-  direction's steps.
+  Membership comes first: y is tested once against A's image V, the
+  reduced subspace, before any solve or conjugation.  With no zero
+  coordinate the direct escape characterization decides: y outside V or
+  failing the escape check blocks the direction (Proper), passing it gives
+  a simple witness.  With zeros, y is brought to a 0/1 pattern and the
+  chain conditions decide: unsatisfied and exact is Proper, satisfied with
+  a depth of at most two gives a chain witness, and anything else is
+  Undecided.  A y with zeros outside V gets the chain's first membership
+  failure without normalizing A or running the chain.  The audit holds
+  only this direction's steps.
   """
   A, V = an.A, an.image
   audit: list[AuditEntry] = []
+  in_V = V.contains(y)
 
   def cert(verdict: str, reason: str, **evidence) -> Certificate:
     return Certificate(verdict, reason, A, evidence=evidence,
                        audit=tuple(audit))
 
   if all(a != 0 for a in y):
-    if V.contains(y):
+    if in_V:
       ok, u, note = escape_direction_check(A, V, y)
       audit.append(AuditEntry("escape-direction",
                               "satisfied" if ok else "fails", note))
@@ -879,14 +891,21 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
                 failed=note)
 
   # zeros present: bring the direction to a 0/1 pattern, then run the chain
-  if all(a in (0, 1) for a in y.entries):
-    anB, frame, x_pat = an, None, y
-  else:
-    norm = normalize_kernel_direction(A, hpow(y, 3))
-    anB, frame, x_pat = Analysis(norm.matrix), norm.frame, norm.generator
-    audit.append(AuditEntry("normalize", "done",
-                            f"support size {norm.support_size}"))
-  rep = condition_chain(anB, x_pat)
+  anB, frame, x_pat = an, None, y
+  if any(a not in (0, 1) for a in y.entries):
+    n = len(y.support())
+    if in_V:
+      norm = normalize_kernel_direction(A, hpow(y, 3))
+      anB, frame, x_pat = Analysis(norm.matrix), norm.frame, norm.generator
+    else:
+      # the generator normalize_kernel_direction gives: support first
+      x_pat = RatVector.of([1] * n + [0] * (len(y) - n))
+    audit.append(AuditEntry("normalize", "done", f"support size {n}"))
+  # the conjugate B = P D A D^-3 P^T has Im B = P D Im A, and P D sends y
+  # to x_pat, so the chain's first membership fails exactly when y is
+  # outside V; its kernel check cannot fail first, as y^3 is in Ker A
+  rep = (condition_chain(anB, x_pat) if in_V else
+         ConditionSetReport(x_pat, False, (), failure=_X_INF_OUTSIDE_V))
   audit.append(AuditEntry("condition-chain",
                           "satisfied" if rep.satisfied else "unsatisfied",
                           rep.failure or f"depth {rep.depth}"))

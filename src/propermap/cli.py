@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -107,6 +108,9 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     values = tuple(float(tok) for tok in text.split(",") if tok.strip())
   except ValueError:
     raise ValueError(f"{flag} must be a comma-separated list of numbers")
+  if not all(map(math.isfinite, values)):
+    # NaN passes every ordering test below, and inf is no scale
+    raise ValueError(f"{flag} values must be finite numbers")
   if len(values) < 2:
     raise ValueError(f"{flag} needs at least two values")
   if any(b <= a for a, b in zip(values, values[1:])) or values[0] <= 0:

@@ -160,6 +160,8 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   """
   if len(gammas) < 2:
     raise ValueError("need at least two gammas to judge a trend")
+  if not all(map(math.isfinite, gammas)):
+    raise ValueError("gammas must be finite")
   if any(g <= 0 for g in gammas):
     raise ValueError("gammas must be positive")
   gammas = tuple(sorted(float(g) for g in gammas))
@@ -301,6 +303,10 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     radii = [float(2 ** j) for j in range(11)]
   else:
     radii = [float(r) for r in radii]
+    if not all(map(math.isfinite, radii)):
+      # NaN passes every ordering test, and a NaN or inf radius gives NaN
+      # starts that the chained batches never match, so they never settle
+      raise ValueError("radii must be finite")
     if len(radii) < 4 or any(r <= 0 for r in radii) or \
        any(b <= a for a, b in zip(radii, radii[1:])):
       raise ValueError("radii must be at least four increasing positive values")

@@ -5,7 +5,6 @@ import hashlib
 import importlib
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+  chain_first_decide,
   f_exact,
   f_hat_exact,
   naive_cube_direction,
@@ -30,6 +30,7 @@ from helpers import (
   rand_symmetric,
   reference_candidates,
   reference_kernel_directions,
+  src_env,
   two_class_kernel,
   two_pattern_kernel,
 )
@@ -608,6 +609,62 @@ def test_kernel_is_enumerated_at_most_once_per_certify(monkeypatch):
     assert sum(basis == kernel for basis in calls) == 1, name
 
 
+def _rank_samples():
+  for m, r in ((4, 2), (5, 3), (6, 3), (6, 4), (8, 4)):
+    for s in range(30):
+      yield sample_rank_r(m, r, seed=s)
+
+
+def test_membership_first_decides_like_the_chain_first_path():
+  kinds = set()
+  matrices = itertools.chain(
+    _rank_samples(),
+    (two_pattern_kernel(random.Random(s)) for s in range(10000, 10200)))
+  for A in matrices:
+    an = Analysis(A)
+    for y in an.cube_root_directions:
+      # 2y keeps y's line and membership but is never a 0/1 pattern
+      for d in (y, y.scale(2)):
+        got = certify_module._decide_direction(an, d)
+        assert got == chain_first_decide(A, d), (A, d)
+        shape = ("full" if all(d) else
+                 "pattern" if all(a in (0, 1) for a in d) else "scaled")
+        kinds.add((an.image.contains(d), shape))
+  assert kinds == {(inside, shape) for inside in (False, True)
+                   for shape in ("full", "pattern", "scaled")}
+
+
+def test_directions_outside_the_image_are_never_normalized(monkeypatch):
+  calls = []
+
+  def counting(name):
+    real = getattr(certify_module, name)
+
+    def wrapped(*args):
+      calls.append(name)
+      return real(*args)
+    return wrapped
+  for name in ("normalize_kernel_direction", "condition_chain"):
+    monkeypatch.setattr(certify_module, name, counting(name))
+  outside = unread = 0
+  for A in _rank_samples():
+    an = Analysis(A)
+    if not an.cube_root_directions:
+      # the bounded search has nothing to test, so it never needs Im A
+      search = necessary_escape_search(an)
+      assert search.candidate is None and not search.none_is_proof
+      assert "image" not in an.__dict__
+      unread += 1
+    for y in an.cube_root_directions:
+      if not an.image.contains(y):
+        for d in (y, y.scale(2)):
+          certify_module._decide_direction(an, d)
+          outside += 1
+    certify(A)
+  assert outside > 0 and unread > 0
+  assert calls == []
+
+
 # a non-integer basis whose entries need more than 64 bits
 BIG_BASIS = [[Fraction(2 ** 64 + 3, 7), 0, Fraction(-5, 2 ** 65 + 1), 1, 0],
              [1, Fraction(3 ** 50, 11), 0, 2, Fraction(-1, 2)],
@@ -927,10 +984,7 @@ for A in (RatMatrix.identity(3), golden_3x3(), shift_5x5(),
   assert verify_certificate(A, cert) == cert.decided, cert.reason
 assert "numpy" not in sys.modules, "numpy was imported"
 """ % (IRRATIONAL_KERNEL_PLANE,)
-  src = str(Path(certify_module.__file__).resolve().parents[1])
-  env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    filter(None, [src, os.environ.get("PYTHONPATH")])))
-  done = subprocess.run([sys.executable, "-c", code], env=env,
+  done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                         capture_output=True, text=True, timeout=120)
   assert done.returncode == 0, done.stderr
 

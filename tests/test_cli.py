@@ -3,11 +3,13 @@
 import itertools
 import json
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from helpers import planted_pattern
+from helpers import planted_pattern, src_env
 
 from propermap.certify import certify
 from propermap.cli import main
@@ -225,6 +227,28 @@ def test_probe_bad_radii_exits_one(tmp_path, capsys):
   code, _, err = run(capsys, ["probe", "--input", path, "--radii", "4,2,1"])
   assert code == 1
   assert "--radii" in err
+
+
+@pytest.mark.parametrize("command, flag, values", [
+  ("probe", "--radii", "1,2,4,inf"),
+  ("probe", "--radii", "1,2,4,nan"),
+  ("witness", "--schedule", "10,nan,100"),
+  ("witness", "--schedule", "10,100,inf"),
+])
+def test_non_finite_schedules_exit_one(tmp_path, command, flag, values):
+  # a non-finite radius once sent the probe into an endless loop, so the
+  # command runs in a child process under a timeout
+  if command == "probe":
+    path = write_matrix(tmp_path / "i.json", RatMatrix.identity(2))
+  else:
+    path = tmp_path / "cert.json"
+    path.write_text(dumps(certificate_to_json(certify(golden_3x3()))))
+  proc = subprocess.run(
+    [sys.executable, "-m", "propermap.cli", command, "--input", str(path),
+     flag, values], capture_output=True, text=True, env=src_env(), timeout=60)
+  assert proc.returncode == 1
+  assert proc.stdout == ""
+  assert f"{flag} values must be finite" in proc.stderr
 
 
 def test_forge_3x3_payload(capsys):

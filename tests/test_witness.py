@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from helpers import (
   rand_rat_matrix,
   rows_of,
   sphere_grid_min,
+  src_env,
   two_class_kernel,
 )
 import propermap.witness as witness_module
@@ -110,6 +113,10 @@ def test_gamma_schedule_is_validated():
     validate_witness(A, recipe, gammas=(10, 10, 100))
   with pytest.raises(ValueError, match="gammas must be distinct"):
     validate_witness(A, recipe, gammas=(100.0, 10.0, 1e2))
+  # NaN passes every ordering test, so non-finite scales are named outright
+  for bad in (float("nan"), float("inf")):
+    with pytest.raises(ValueError, match="gammas must be finite"):
+      validate_witness(A, recipe, gammas=(10.0, bad, 100.0))
   assert validate_witness(A, recipe, gammas=(100.0, 10.0, 1000.0)).passed
 
 
@@ -272,6 +279,18 @@ def test_probe_schedule_validation():
     probe_mu(A, radii=(1.0, 2.0, 2.0, 4.0))
   with pytest.raises(ValueError):
     probe_mu(A, radii=(-1.0, 1.0, 2.0, 4.0))
+  # a non-finite radius once sent the probe into an endless loop, so it is
+  # tried in a child process under a timeout
+  for bad in ("nan", "inf"):
+    code = ("from propermap.linalg import RatMatrix\n"
+            "from propermap.witness import probe_mu\n"
+            "try:\n"
+            f"  probe_mu(RatMatrix.identity(2), radii=(1, 2, 4, float('{bad}')))\n"
+            "except ValueError as err:\n"
+            "  print(err)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env(), timeout=60)
+    assert proc.stdout == "radii must be finite\n"
 
 
 def test_probe_is_deterministic_for_a_seed():
