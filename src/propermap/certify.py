@@ -1120,12 +1120,15 @@ def k1_properness(A: RatMatrix) -> Certificate:
 def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   """Independently re-establish the decisive condition a certificate names.
 
+  The certificate's matrix must be A.  The two are compared by their
+  canonical integer rows, which a JSON parse of integer literals supplies,
+  so no Fraction is compared.
   Proper reasons are recomputed from A alone, through a fresh Analysis;
   NonProper reasons re-run the witness validation, whose pass requires the
   recipe equations to hold exactly (rational recipes) or within tolerance
   (numeric ones).
   """
-  if cert.matrix != A:
+  if cert.matrix._integer_rows != A._integer_rows:
     return False
   an = Analysis(A)
   reason = cert.reason

@@ -9,9 +9,12 @@ keys, fixed indentation) so identical inputs produce identical bytes.
 sort_keys=True)` plus a newline, but writes it directly: with `indent` set
 the standard library skips its C encoder and walks every token through the
 generators of its pure-Python one, which cost about as much as deciding a
-screened matrix.  Parsing reads small integer literals, the bulk of every
-certificate, from a constant table of Fractions, because building a
-Fraction is what an entry costs.
+screened matrix.  It tests exact types first, and a list of strings, such
+as a matrix row, is one `map`.  Parsing reads small integer literals, the
+bulk of every certificate, from constant tables, because building a
+Fraction is what an entry costs; a matrix of such literals also keeps the
+ints it was read as (`RatMatrix.of_integers`), so comparing it with
+another compares ints.
 """
 
 from __future__ import annotations
@@ -39,21 +42,20 @@ def _parse_rat(value, where: str) -> Fraction:
     raise ValueError(f"{where}: {err}") from None
 
 
-# Fractions of the integer literals -64..64, keyed by their `str` text.
-_INT_LITERALS = {str(n): Fraction(n) for n in range(-64, 65)}
+# The integer literals -64..64, keyed by their `str` text, as ints and Fractions.
+_INT_VALUES = {str(n): n for n in range(-64, 65)}
+_INT_LITERALS = {key: Fraction(n) for key, n in _INT_VALUES.items()}
 
 
 def _rat_entries(values: list, label: str, *args) -> tuple:
-  """The entries of a JSON list as Fractions.
-
-  A list of integer literals in `_INT_LITERALS` is read from the table; any
-  other list goes entry by entry through `_parse_rat`, naming entry j
-  `label.format(*args, j)`, so a label is formatted only on that path.
-  """
+  """The entries of a JSON list as Fractions, read from `_INT_LITERALS`
+  where they are in it.  Only the others go through `_parse_rat`, naming
+  entry j `label.format(*args, j)`, so only they format a label."""
   try:
     return tuple([_INT_LITERALS[x] for x in values])
   except (KeyError, TypeError):
-    return tuple(_parse_rat(x, label.format(*args, j))
+    return tuple(_INT_LITERALS[x] if isinstance(x, str) and x in _INT_LITERALS
+                 else _parse_rat(x, label.format(*args, j))
                  for j, x in enumerate(values))
 
 
@@ -71,8 +73,10 @@ def _require_keys(obj: dict, allowed: set, required: set, what: str) -> None:
 def matrix_to_json(A: RatMatrix) -> dict:
   if not A.is_square():
     raise ValueError("only square matrices serialize to matrix JSON")
+  int_rows, denoms = A._integer_rows
   return {"m": A.m,
-          "rows": [[rat_str(q) for q in row] for row in A.rows]}
+          "rows": [list(map(str, ints)) if d == 1 else [rat_str(q) for q in row]
+                   for row, ints, d in zip(A.rows, int_rows, denoms)]}
 
 
 def matrix_from_json(obj) -> RatMatrix:
@@ -88,7 +92,11 @@ def matrix_from_json(obj) -> RatMatrix:
     if not isinstance(row, list) or len(row) != m:
       raise ValueError(f"row {i} must be a list of {m} entries")
     parsed.append(_rat_entries(row, "entry ({},{})", i))
-  return RatMatrix(tuple(parsed))
+  try:
+    ints = [[_INT_VALUES[x] for x in row] for row in rows]
+  except KeyError:
+    return RatMatrix(tuple(parsed))
+  return RatMatrix.of_integers(tuple(parsed), ints)
 
 
 def vector_to_json(v: RatVector) -> dict:
@@ -267,25 +275,13 @@ def certificate_from_json(obj) -> Certificate:
                      audit=tuple(audit))
 
 
-def validation_report_to_json(report: WitnessValidationReport) -> dict:
-  return {"gammas": list(report.gammas),
-          "residuals": list(report.residuals),
-          "point_norms": list(report.point_norms),
-          "direction_errors": list(report.direction_errors),
-          "invariant_ok": report.invariant_ok,
-          "rejected": report.rejected,
-          "fitted_decay_exponent": report.fitted_decay_exponent,
-          "negative_image_coordinates": report.negative_image_coordinates,
-          "passed": report.passed,
-          "note": report.note}
+def _report_to_json(report: WitnessValidationReport | MuProbeReport) -> dict:
+  """A report's fields by name, each tuple as a list."""
+  return {k: list(v) if isinstance(v, tuple) else v
+          for k, v in vars(report).items()}
 
 
-def probe_report_to_json(report: MuProbeReport) -> dict:
-  return {"radii": list(report.radii),
-          "mu_values": list(report.mu_values),
-          "classification": report.classification,
-          "seed": report.seed,
-          "note": report.note}
+validation_report_to_json = probe_report_to_json = _report_to_json
 
 
 _INF = float("inf")
@@ -320,38 +316,49 @@ def _key(key) -> str:
 
 def _encode(o, indent: str) -> str:
   """JSON text of `o` whose closing bracket follows `indent` (a newline and
-  its spaces).  Types dispatch in the order of the standard library's
-  encoder, so subclasses (bool of int, numpy.float64 of float) come out as
-  they do there.  Payloads are trees built by the `*_to_json` functions,
-  so there is no circular-reference check: a cycle ends in RecursionError.
+  its spaces).  Exact str, list and dict come first, and a list of strings
+  is written with one `map`.  Other types dispatch in the order of the
+  standard library's encoder, so subclasses (bool of int, numpy.float64 of
+  float) come out as they do there.  Payloads are trees built by the
+  `*_to_json` functions, so a cycle ends in RecursionError.
   """
-  if isinstance(o, str):
+  t = o.__class__
+  if t is str:
     return _encode_str(o)
-  if o is None:
-    return "null"
-  if o is True:
-    return "true"
-  if o is False:
-    return "false"
-  if isinstance(o, int):
-    return int.__repr__(o)
-  if isinstance(o, float):
-    return _floatstr(o)
+  if t is not list and t is not dict:
+    if isinstance(o, str):
+      return _encode_str(o)
+    if o is None:
+      return "null"
+    if o is True:
+      return "true"
+    if o is False:
+      return "false"
+    if isinstance(o, int):
+      return int.__repr__(o)
+    if isinstance(o, float):
+      return _floatstr(o)
+    t = (list if isinstance(o, (list, tuple)) else
+         dict if isinstance(o, dict) else None)
+    if t is None:
+      raise TypeError(f"Object of type {o.__class__.__name__} "
+                      f"is not JSON serializable")
+  if not o:
+    return "[]" if t is list else "{}"
   inner = indent + "  "
-  if isinstance(o, (list, tuple)):
-    if not o:
-      return "[]"
-    return ("[" + inner + ("," + inner).join([_encode(x, inner) for x in o])
-            + indent + "]")
-  if isinstance(o, dict):
-    if not o:
-      return "{}"
+  sep = "," + inner
+  if t is dict:
     return ("{" + inner
-            + ("," + inner).join([_encode_str(_key(k)) + ": " + _encode(v, inner)
-                                  for k, v in sorted(o.items())])
+            + sep.join([_encode_str(k if k.__class__ is str else _key(k))
+                        + ": " + _encode(v, inner)
+                        for k, v in sorted(o.items())])
             + indent + "}")
-  raise TypeError(f"Object of type {o.__class__.__name__} "
-                  f"is not JSON serializable")
+  if o[0].__class__ is str:
+    try:
+      return "[" + inner + sep.join(map(_encode_str, o)) + indent + "]"
+    except TypeError:
+      pass  # a later entry is no string
+  return "[" + inner + sep.join([_encode(x, inner) for x in o]) + indent + "]"
 
 
 def dumps(obj) -> str:

@@ -8,7 +8,7 @@ manner of Bareiss (Math. Comp. 22, 1968): each input row's denominators are
 cleared once, ranks and determinants come from fraction-free elimination
 with partial pivoting on magnitude, and reduced row echelon form comes from
 Gauss-Jordan elimination that divides each updated row by the gcd of its
-entries.
+entries and stops after its forward pass at full column rank.
 
 A `Subspace` keeps its canonical basis as integer rows: the reduced row
 echelon rows, each scaled to coprime integers with a positive pivot entry.
@@ -129,6 +129,15 @@ class RatMatrix:
     return RatMatrix(tuple(out))
 
   @staticmethod
+  def of_integers(rows: tuple[tuple[Fraction, ...], ...],
+                  int_rows: list[list[int]]) -> "RatMatrix":
+    """The matrix `rows`, whose parser also read its entries as the ints
+    `int_rows`: they become `_integer_rows`, with every denominator 1."""
+    M = RatMatrix(rows)
+    M.__dict__["_integer_rows"] = (int_rows, [1] * len(int_rows))
+    return M
+
+  @staticmethod
   def identity(n: int) -> "RatMatrix":
     return RatMatrix(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
                            for i in range(n)))
@@ -217,12 +226,11 @@ class RatMatrix:
     return self.matmul(self.transpose())
 
   def is_upper_triangular(self) -> bool:
-    return all(self.rows[i][j] == 0
-               for i in range(self.n_rows) for j in range(min(i, self.n_cols)))
+    return not any(any(row[:i]) for i, row in enumerate(self._integer_rows[0]))
 
   def is_lower_triangular(self) -> bool:
-    return all(self.rows[i][j] == 0
-               for i in range(self.n_rows) for j in range(i + 1, self.n_cols))
+    return not any(any(row[i + 1:])
+                   for i, row in enumerate(self._integer_rows[0]))
 
   def __repr__(self) -> str:
     body = "; ".join(" ".join(str(a) for a in row) for row in self.rows)
@@ -324,15 +332,34 @@ def rref(rows: Sequence[Sequence[int | Fraction]]
   cleared once.  The returned rows are the nonzero ones only, each scaled
   to coprime integers with a positive entry at its pivot column, so row i
   divided by its entry at pivots[i] is the i-th reduced row over the
-  rationals.  Every row update is divided by the gcd of its entries, which
-  keeps the rows primitive throughout.
+  rationals.  That form is unique, so it does not depend on how
+  `_integer_rref` reaches it.
   """
   return _integer_rref(_integerized_rows(rows)[0])
+
+
+def _clear_column(work: list, targets: range, row: Sequence[int], col: int
+                  ) -> None:
+  """Clear column col of work[i], i in targets, with the pivot row `row`.
+  Each new row replaces the old one, divided by the gcd of its entries."""
+  p = row[col]
+  for i in targets:
+    f = work[i][col]
+    if f:
+      g = gcd(p, f)
+      a, b = p // g, f // g
+      new = [a * v - b * w for v, w in zip(work[i], row)]
+      c = gcd(*new)
+      work[i] = [v // c for v in new] if c > 1 else new
 
 
 def _integer_rref(rows: Sequence[Sequence[int]]
                   ) -> tuple[list[Sequence[int]], list[int]]:
   """`rref` of rows that already hold ints, without clearing denominators.
+
+  A forward pass clears below each pivot, the first nonzero entry of its
+  column.  At full column rank the reduced rows are the unit rows, returned
+  at once; only a rank-deficient input goes on to clear above its pivots.
 
   The rows are left as they are: the elimination swaps rows in its own
   copy of the outer list and replaces a row instead of writing into it, so
@@ -346,12 +373,10 @@ def _integer_rref(rows: Sequence[Sequence[int]]
   for col in range(n_cols):
     if r == n_rows:
       break
-    pivot_row = None
-    for i in range(r, n_rows):
-      if work[i][col] != 0:
-        pivot_row = i
+    for pivot_row in range(r, n_rows):
+      if work[pivot_row][col]:
         break
-    if pivot_row is None:
+    else:
       continue
     row = work[pivot_row]
     c = gcd(*row)
@@ -359,17 +384,13 @@ def _integer_rref(rows: Sequence[Sequence[int]]
       row = [v // c for v in row]
     work[pivot_row] = work[r]
     work[r] = row
-    p = row[col]
-    for i in range(n_rows):
-      f = work[i][col]
-      if i != r and f != 0:
-        g = gcd(p, f)
-        a, b = p // g, f // g
-        new = [a * v - b * w for v, w in zip(work[i], row)]
-        c = gcd(*new)
-        work[i] = [v // c for v in new] if c > 1 else new
     pivots.append(col)
     r += 1
+    if r == n_cols:
+      return [[int(i == j) for j in range(n_cols)] for i in range(n_cols)], pivots
+    _clear_column(work, range(r, n_rows), row, col)
+  for k in range(r - 1, 0, -1):
+    _clear_column(work, range(k), work[k], pivots[k])
   return ([row if row[p] > 0 else [-v for v in row]
            for row, p in zip(work, pivots)], pivots)
 

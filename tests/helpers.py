@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -95,6 +96,20 @@ def naive_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     pivots.append(c)
     r += 1
   return work, pivots
+
+
+def naive_integer_rref(rows) -> tuple[list[list[int]], list[int]]:
+  """`naive_rref` in the form `linalg.rref` returns: the nonzero reduced
+  rows only, each times the lcm of its denominators.  A reduced row has 1
+  at its pivot, so that makes it coprime integers with a positive pivot."""
+  reduced, pivots = naive_rref(rows)
+  out = []
+  for row in reduced[:len(pivots)]:
+    d = 1
+    for x in row:
+      d = d * x.denominator // math.gcd(d, x.denominator)
+    out.append([int(x * d) for x in row])
+  return out, pivots
 
 
 def naive_solve_in_subspace(rows, b, spanning) -> list[Fraction] | None:

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from propermap import jsonio
 from propermap.certify import certify, verify_certificate
 from propermap.forge import golden_3x3, shift_5x5
 from propermap.jsonio import (
   _INT_LITERALS,
+  _INT_VALUES,
   certificate_from_json,
   certificate_to_json,
   dumps,
@@ -29,7 +31,7 @@ from propermap.jsonio import (
   vector_from_json,
   vector_to_json,
 )
-from propermap.linalg import RatMatrix, RatVector, as_rat
+from propermap.linalg import RatMatrix, RatVector, _integerized_rows, as_rat
 from propermap.recipes import ConjugationFrame, WitnessRecipe
 from propermap.witness import probe_mu, validate_witness
 
@@ -243,6 +245,10 @@ def test_dumps_matches_stdlib_on_non_str_keys(obj):
   assert_same_as_stdlib(obj)
 
 
+class _Text(str):
+  """A str subclass, which takes the `isinstance` path of `dumps`."""
+
+
 @pytest.mark.parametrize("obj", [
   {"x": numpy.float64(0.1), "y": [numpy.float64("nan"), numpy.float64(-0.0)],
    "z": numpy.float64("inf"), "w": -numpy.float64("inf")},
@@ -252,6 +258,9 @@ def test_dumps_matches_stdlib_on_non_str_keys(obj):
   {None: 1},
   {math.nan: 1, math.inf: 2, -0.0: 3},
   {2 ** 70: "big", -3: "neg"},
+  # a list that opens with a string but holds other values too
+  ["a", 1, None, ["b", 2.5], {"c": "d"}, "e"],
+  [_Text("sub"), "class"],
   "top-level \u00e9 text",
   7,
   -0.0,
@@ -267,6 +276,7 @@ def test_dumps_matches_stdlib_on_pinned_cases(obj):
   {(1, 2): 3},
   {"a": {1: "x", "y": 2}},
   [Fraction(1, 2)],
+  ["a", Fraction(1, 2)],
   {"a": {1, 2}},
   numpy.int64(3),
 ])
@@ -341,9 +351,108 @@ def test_entry_table_holds_exact_fractions():
   assert len(_INT_LITERALS) == 2 * _B + 1
   for text, q in _INT_LITERALS.items():
     assert type(q) is Fraction and q == Fraction(text) and rat_str(q) == text
+  assert _INT_VALUES.keys() == _INT_LITERALS.keys()
+  assert all(type(n) is int and _INT_LITERALS[text] == n
+             for text, n in _INT_VALUES.items())
   parsed = matrix_from_json({"m": 2, "rows": [["-1", "1/2"], ["64", "65"]]})
   assert all(type(q) is Fraction for row in parsed.rows for q in row)
   assert all(type(r) is tuple for r in parsed.rows)
+
+
+def test_mixed_list_reads_its_integer_literals_from_the_table(monkeypatch):
+  calls = []
+  real = jsonio._parse_rat
+
+  def spy(value, where):
+    calls.append((value, where))
+    return real(value, where)
+
+  monkeypatch.setattr(jsonio, "_parse_rat", spy)
+  v = vector_from_json({"entries": ["1", "1/2", "-64", "65", 3, "0"]})
+  assert v == RatVector.of([1, Fraction(1, 2), -64, 65, 3, 0])
+  # only the entries off the table reach the general parser, under their
+  # own labels
+  assert calls == [("1/2", "entry 1"), ("65", "entry 3"), (3, "entry 4")]
+  assert all(v[j] is _INT_LITERALS[text]
+             for j, text in ((0, "1"), (2, "-64"), (5, "0")))
+  calls.clear()
+  M = matrix_from_json({"m": 2, "rows": [["2", "1/3"], ["-1", "4"]]})
+  assert M == RatMatrix.of([[2, Fraction(1, 3)], [-1, 4]])
+  assert calls == [("1/3", "entry (0,1)")]
+  with pytest.raises(ValueError, match=r"^entry \(1,1\): not a rational "
+                                       r"literal: 'x'$"):
+    matrix_from_json({"m": 2, "rows": [["1/3", "2"], ["0", "x"]]})
+
+
+@pytest.mark.parametrize("rows", [
+  [["1", "-2"], ["0", "64"]],
+  [["65", "-3"], ["7", "-100"]],
+  [[1, "2"], ["3", -4]],
+  [["1/2", "2"], ["-3", "4/6"]],
+  [["1/2", "1/3"], ["2/5", "-7"]],
+  [["1", "2"], ["3", "4/2"]],
+], ids=["table", "off-table", "json-ints", "fractions", "all-fractions",
+        "integral-fraction"])
+def test_parsed_integer_rows_are_the_cleared_rows(rows):
+  M = matrix_from_json({"m": 2, "rows": rows})
+  # a matrix of table literals is read as ints by the parse itself
+  assert ("_integer_rows" in vars(M)) == all(
+    isinstance(x, str) and x in _INT_VALUES for row in rows for x in row)
+  assert M._integer_rows == _integerized_rows(M.rows)
+
+
+def _screen_round_trips():
+  """Round-tripped certificates of each screen reason, with the matrix."""
+  for rows in ([[1, 2, 0], [2, -1, 3], [0, 3, 2]],    # symmetric
+               [[0, 1, -2], [-1, 0, 3], [2, -3, 0]],  # antisymmetric
+               [[2, 1], [1, 1]],                      # invertible
+               [[1, -1, 1], [2, -2, 2], [0, 0, 0]],   # rank one
+               [[1, 2, 3], [0, 0, 1], [0, 0, 2]]):    # upper triangular
+    A = RatMatrix.of(rows)
+    cert = certify(A)
+    assert cert.evidence and cert.audit[-1].step.startswith("screen:")
+    text = dumps(certificate_to_json(cert))
+    yield RatMatrix.of(rows), cert, json.loads(text)
+
+
+def test_verify_fails_after_any_one_matrix_entry_changes():
+  for A, cert, obj in _screen_round_trips():
+    assert verify_certificate(A, certificate_from_json(obj))
+    m = obj["matrix"]["m"]
+    for i in range(m):
+      for j in range(m):
+        for new in (str(int(obj["matrix"]["rows"][i][j]) + 1), "1/2"):
+          changed = json.loads(json.dumps(obj))
+          changed["matrix"]["rows"][i][j] = new
+          assert not verify_certificate(A, certificate_from_json(changed))
+
+
+def test_verify_reads_an_unreduced_fraction_as_its_integer():
+  A = RatMatrix.of([[2, 1], [1, 1]])
+  obj = json.loads(dumps(certificate_to_json(certify(A))))
+  assert obj["matrix"]["rows"][0][0] == "2"
+  obj["matrix"]["rows"][0][0] = "4/2"
+  back = certificate_from_json(obj)
+  assert "_integer_rows" not in vars(back.matrix)
+  assert verify_certificate(A, back)
+
+
+def test_verifying_a_screen_certificate_compares_no_fractions(monkeypatch):
+  calls = []
+  real = Fraction.__eq__
+
+  def counting(self, other):
+    calls.append(other)
+    return real(self, other)
+
+  round_trips = list(_screen_round_trips())
+  reasons = {cert.reason for _, cert, _ in round_trips}
+  assert reasons == {"kernel-in-gram-kernel", "gram-rank-1", "triangular"}
+  backs = [(A, certificate_from_json(obj)) for A, _, obj in round_trips]
+  monkeypatch.setattr(Fraction, "__eq__", counting)
+  assert all(verify_certificate(A, back) for A, back in backs)
+  monkeypatch.undo()
+  assert calls == []
 
 
 def test_report_json_shapes():
@@ -352,7 +461,14 @@ def test_report_json_shapes():
   val = validation_report_to_json(validate_witness(A, cert.witness()))
   assert val["passed"] is True
   assert len(val["residuals"]) == len(val["gammas"])
+  assert set(val) == {"gammas", "residuals", "point_norms", "direction_errors",
+                      "invariant_ok", "rejected", "fitted_decay_exponent",
+                      "negative_image_coordinates", "passed", "note"}
   probe = probe_report_to_json(probe_mu(RatMatrix.identity(2), seed=3))
+  assert set(probe) == {"radii", "mu_values", "classification", "seed", "note"}
+  assert all(type(val[k]) is list for k in ("gammas", "residuals",
+                                            "point_norms", "direction_errors"))
+  assert all(type(probe[k]) is list for k in ("radii", "mu_values"))
   assert probe["classification"] == "GrowthObserved"
   assert len(probe["mu_values"]) == len(probe["radii"])
   assert probe["seed"] == 3

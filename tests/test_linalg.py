@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (naive_det, naive_rank, naive_rref,
+from helpers import (naive_det, naive_integer_rref, naive_rank, naive_rref,
                      naive_solve_in_subspace, rows_of)
 from propermap.linalg import (
   RatMatrix,
@@ -30,6 +30,7 @@ from propermap.linalg import (
   solve_affine_in_subspace,
   subspace_image,
 )
+from propermap.linalg import _integer_rref
 from propermap.forge import shift_5x5
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
@@ -257,6 +258,65 @@ def test_rref_matches_naive_gauss_jordan(rows):
                   for row, p in zip(reduced, pivots)]
   as_fractions += [[Fraction(0)] * len(rows[0])] * (len(rows) - len(reduced))
   assert (as_fractions, pivots) == naive_rref(rows)
+
+
+@st.composite
+def integer_rref_inputs(draw):
+  """Integer rows of any shape up to 7 x 7, tall, wide or square, of any
+  rank from 0 to full: a product L R of an n_rows x k and a k x n_cols
+  factor, then some rows and some columns set to zero.  L's entries are
+  small or large enough that those of L R reach 10^12, and no further."""
+  n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+  k = draw(st.integers(0, min(n_rows, n_cols)))
+  big = draw(st.sampled_from([3, 10 ** 12 // (3 * max(k, 1))]))
+  L = draw(st.lists(st.lists(st.integers(-big, big), min_size=k, max_size=k),
+                    min_size=n_rows, max_size=n_rows))
+  R = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n_cols,
+                             max_size=n_cols), min_size=k, max_size=k))
+  zero_rows = draw(st.sets(st.integers(0, n_rows - 1), max_size=2))
+  zero_cols = draw(st.sets(st.integers(0, n_cols - 1), max_size=2))
+  return [[0 if i in zero_rows or j in zero_cols else
+           sum(L[i][t] * R[t][j] for t in range(k)) for j in range(n_cols)]
+          for i in range(n_rows)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(integer_rref_inputs(),
+                 # square or tall full column rank, entries up to 10^12
+                 st.integers(1, 6).flatmap(lambda n: st.lists(
+                   st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=n,
+                            max_size=n), min_size=n, max_size=n + 2))))
+@example([])
+@example([[]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, 2, 4], [0, 3, 6], [0, 0, 0]])
+@example([[10 ** 12, 1], [1, 10 ** 12], [0, 0]])
+@example([[2, 4, 6, 8]])
+def test_integer_rref_matches_the_fraction_oracle(rows):
+  snapshot = [list(r) for r in rows]
+  row_objects = list(rows)
+  reduced, pivots = _integer_rref(rows)
+  assert rows == snapshot and all(a is b for a, b in zip(rows, row_objects))
+  assert (list(map(list, reduced)), pivots) == naive_integer_rref(rows)
+  assert all(type(x) is int for row in reduced for x in row)
+  n_cols = len(rows[0]) if rows else 0
+  if len(pivots) == n_cols:
+    assert list(map(list, reduced)) == [[int(i == j) for j in range(n_cols)]
+                                        for i in range(n_cols)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(rref_inputs(), st.booleans())
+def test_triangular_tests_match_the_entrywise_definition(rows, upper):
+  if upper:  # zero below the diagonal, so that the test also passes
+    rows = [[0 if j < i else x for j, x in enumerate(r)]
+            for i, r in enumerate(rows)]
+  M = RatMatrix.of(rows)
+  n_rows, n_cols = len(rows), len(rows[0])
+  assert M.is_upper_triangular() == all(
+    rows[i][j] == 0 for i in range(n_rows) for j in range(min(i, n_cols)))
+  assert M.is_lower_triangular() == all(
+    rows[i][j] == 0 for i in range(n_rows) for j in range(i + 1, n_cols))
 
 
 def apply_inputs():
