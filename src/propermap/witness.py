@@ -286,14 +286,16 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   random starts (plus dense sampling in dimension at most 3) on spheres
   of radius 2^0 .. 2^10 by default, entirely in floats, deterministically
   for a fixed seed.  Every descent is a row of a numpy array with its own
-  radius and damping, and it leaves the batch once its progress is at
-  rounding level, so each sphere's value is a converged local minimum
-  rather than wherever a round cap stopped.  The fixed starts of all
-  spheres share one batch.  The chained rows (continuation up the radii,
-  then refinement back down) rerun in batches until every row's start
-  agrees with the results before it, at most 2n - 1 batches for n
-  spheres.  It observes rather than proves: the outcome is
-  GrowthObserved, BoundedObserved, or Inconclusive.
+  radius and damping.  A row leaves the batch at its rounding floor, the
+  first trial whose value differs from its own by at most 1e-12 of it,
+  so each sphere's value is a converged local minimum rather than
+  wherever a round cap stopped; and its damping grows faster with every
+  rejection in a row, so an overshooting start wastes few rounds.  The
+  fixed starts of all spheres share one batch.  The chained rows
+  (continuation up the radii, then refinement back down) rerun in batches
+  until every row's start agrees with the results before it, at most
+  2n - 1 batches for n spheres.  It observes rather than proves: the
+  outcome is GrowthObserved, BoundedObserved, or Inconclusive.
   """
   import numpy as np
   m = A.m
@@ -334,10 +336,18 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
       P, P1 = P1, P1 * AX
     return P, P1, P1 * AX
 
+  def evaluate(X):
+    # every row's descent state [w | d | x | F] and squared map norm |F|^2,
+    # for a = Ax, F = x + a^k, d = k a^(k-1) and w = d^2 + k(k-1) F a^(k-2)
+    P2, P1, Pk = powers(X @ AfT)
+    F = X + Pk
+    D = k * P1
+    W = D * D + k * (k - 1) * F * P2
+    return np.concatenate([W, D, X, F], axis=1), row_dots(F, F)
+
   def h(X):
     # squared map norm of every row of X
-    Y = X + powers(X @ AfT)[2]
-    return row_dots(Y, Y)
+    return evaluate(X)[1]
 
   starts = []
   ones = np.ones(m) / math.sqrt(m)
@@ -381,6 +391,8 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   table, eye = _newton_table(Af)
   # the diagonal of the leading m x m block of a flattened bordered matrix
   shift = slice(0, m * (m + 2), m + 2)
+  # the x columns of a descent state [w | d | x | F]
+  xcols = slice(2 * m, 3 * m)
 
   def descend(S, R):
     """Damped Riemannian Newton descent from every row of S on the sphere
@@ -392,38 +404,41 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     s solves the bordered system [[H - sigma I + lam I, u], [u^T, 0]]
     [s; nu] = [-g; 0] with u = x/r and sigma = g.u/r: a Newton step of
     the Riemannian Hessian on the tangent space, shifted by lam.  A row
-    accepts the trial point r (x + s)/|x + s| only on strict decrease.
-    Its lam starts at 1e-6 (1 + sum |H|), falls by 3 on an accepted step
-    and rises by 4 on a rejected one; a singular system counts as
-    rejected.  Apart from its diagonal shift the bordered matrix is linear
-    in w = d^2 + k(k-1) F a^(k-2), d and u, so one matmul of hstack([w, d,
-    u]) with the per-matrix table of _newton_table, plus the identity,
-    builds every row's matrix, and lam - sigma is added through a strided
-    view of the diagonal.  A row stops, and leaves the batch, once an
-    accepted decrease is at most 1e-15 of its value, its step is at most
-    1e-13 r, or lam exceeds 1e12; the loop ends when every row has stopped
-    or after PROBE_ITERATIONS rounds.  Up to matmul rounding, a row's
-    result does not depend on the other rows.
+    accepts the trial point r (x + s)/|x + s| only on strict decrease, and
+    then carries the trial's state (see evaluate) instead of recomputing
+    it.  Its lam starts at 1e-6 (1 + sum |H|) and moves by the
+    Levenberg-Marquardt rule of Madsen, Nielsen and Tingleff (2004): an
+    accepted step divides lam by 3, and a rejected one multiplies it by a
+    factor that starts at 4 and doubles with every rejection in a row; a
+    singular system counts as rejected.  Apart from its diagonal shift the
+    bordered matrix is linear in w = d^2 + k(k-1) F a^(k-2), d and u, so
+    one matmul of [w | d | u] with the per-matrix table of _newton_table,
+    plus the identity, builds every row's matrix, and lam - sigma is added
+    through a strided view of the diagonal.  A row stops, and leaves the
+    batch, once a trial's value differs from its own by at most 1e-12 of
+    it (after the trial is accepted if it is lower): the rounding floor,
+    below which no step changes the minimum found.  It also stops once its step is at
+    most 1e-13 r or lam exceeds 1e12.  The loop ends when every row has
+    stopped or after PROBE_ITERATIONS rounds.  Up to matmul rounding, a
+    row's result does not depend on the other rows.
     """
-    X = S * R[:, None]
-    fx = h(X)
-    out_f, out_x = fx.copy(), X.copy()
-    rows = np.arange(len(X))  # the output row of every working row
-    lam = None
+    Z, fx = evaluate(S * R[:, None])
+    out_f, out_x = fx.copy(), Z[:, xcols].copy()
+    rows = np.arange(len(Z))  # the output row of every working row
+    lam = grow = None
     for _ in range(PROBE_ITERATIONS):
       if not len(rows):
         break
-      P2, P1, Pk = powers(X @ AfT)
-      F = X + Pk
-      D = k * P1
+      D, X, F = Z[:, m:2 * m], Z[:, xcols], Z[:, 3 * m:]
       G = F + (D * F) @ Af
       U = X / R[:, None]
-      M = np.hstack([D * D + k * (k - 1) * F * P2, D, U]) @ table
+      M = np.concatenate([Z[:, :2 * m], U], axis=1) @ table
       M += eye
       n_rows = len(rows)
       if lam is None:
         H = M.reshape(n_rows, m + 1, m + 1)[:, :m, :m]
         lam = 1e-6 * (1.0 + np.abs(H).sum(axis=(1, 2)))
+        grow = np.full(n_rows, 4.0)
       M[:, shift] += (lam - row_dots(G, U) / R)[:, None]
       M = M.reshape(n_rows, m + 1, m + 1)
       rhs = np.zeros((n_rows, m + 1, 1))
@@ -445,18 +460,21 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
       tiny = ok & (row_norms(s) <= 1e-13 * R)
       trial = X + s
       trial *= (R / row_norms(trial))[:, None]
-      ft = h(trial)
+      Zt, ft = evaluate(trial)
       better = ok & ~tiny & (ft < fx)
-      done = tiny | (better & (fx - ft <= 1e-15 * fx))
-      np.copyto(X, trial, where=better[:, None])
+      done = tiny | (ok & (np.abs(fx - ft) <= 1e-12 * fx))
+      np.copyto(Z, Zt, where=better[:, None])
       np.copyto(fx, ft, where=better)
-      lam = np.where(better, lam / 3.0, lam * 4.0)
+      lam = np.where(better, lam / 3.0, lam * grow)
+      grow = np.where(better, 4.0, grow * 2.0)
       done |= lam > 1e12
       if done.any():
-        out_f[rows[done]], out_x[rows[done]] = fx[done], X[done]
+        out_f[rows[done]] = fx[done]
+        out_x[rows[done]] = Z[done, xcols]
         keep = ~done
-        X, fx, R, lam, rows = X[keep], fx[keep], R[keep], lam[keep], rows[keep]
-    out_f[rows], out_x[rows] = fx, X
+        Z, fx, R, rows = Z[keep], fx[keep], R[keep], rows[keep]
+        lam, grow = lam[keep], grow[keep]
+    out_f[rows], out_x[rows] = fx, Z[:, xcols]
     return out_f, out_x / row_norms(out_x)[:, None]
 
   # the fixed starts depend on no descent result, so every sphere's block

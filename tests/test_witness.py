@@ -306,7 +306,9 @@ def test_probe_is_deterministic_for_a_seed():
 # rounding level.  The rows it kept within rel=1e-9 (identity, and golden and
 # shift on radii 1..8) hold values recorded from the earlier gradient
 # descents: golden's r = 8 sits 7.5e-10 above the converged minimum, the
-# rest within 1e-15
+# rest within 1e-15.  Stopping each row at its rounding floor (a trial
+# within 1e-12 of its value) and escalating the damping on repeated
+# rejections left every value here within rel=1e-9
 RECORDED_MU = {
   ("golden", None): (
     0.18392219605285673, 0.16815514549980257, 0.1470174634711069,
@@ -470,6 +472,69 @@ def test_probe_solves_row_by_row_when_a_batch_is_refused(monkeypatch):
   monkeypatch.setattr(np.linalg, "solve", refuse_batches)
   rep = probe_mu(A, seed=0, radii=(1, 2, 4, 8))
   assert rep.mu_values == pytest.approx(want, rel=1e-12)
+
+
+# batched solves, one per descent round, of probe_mu at seed 0 on radii
+# 1, 2, 4, 8; and the counts before rows stopped at their rounding floor
+# and damping escalated on repeated rejections
+PROBE_ROUNDS = {"golden": 48, "shift": 115}
+EARLIER_PROBE_ROUNDS = {"golden": 78, "shift": 211}
+
+
+@pytest.mark.parametrize("name", list(PROBE_ROUNDS))
+def test_probe_round_count_is_pinned(monkeypatch, name):
+  solve = np.linalg.solve
+  rounds = 0
+
+  def counting(a, b):
+    nonlocal rounds
+    rounds += a.ndim == 3
+    return solve(a, b)
+
+  monkeypatch.setattr(np.linalg, "solve", counting)
+  probe_mu(PROBE_FIXTURES[name](), seed=0, radii=(1, 2, 4, 8))
+  assert rounds == PROBE_ROUNDS[name]
+  assert rounds < EARLIER_PROBE_ROUNDS[name]
+
+
+# mu_values and classifications of the bench's observe strata (all-ones
+# kernels of size 3 and 4, and forge_3x3 members), recorded at seed 0 on
+# radii 1, 2, 4, 8 before the descent stopped rows at their rounding floor:
+# the faster rules must find the same minima.  The Proper ones4-b read
+# BoundedObserved and the NonProper family-a Inconclusive are the probe's
+# known misreadings (slow growth, and a minimum falling like 1/r).
+OBSERVE_MU = {
+  "ones3-a": ([[2, 2, -4], [1, -3, 2], [-3, -1, 4]], "GrowthObserved", (
+    0.643706708459097, 1.4427313592382736, 3.055706591675057,
+    6.305861036947204)),
+  "ones3-b": ([[2, 2, -4], [-3, -3, 6], [0, 2, -2]], "GrowthObserved", (
+    0.8214298434100579, 1.6520600909728331, 3.286406716540763,
+    6.411887279725344)),
+  "ones4-a": ([[0, -2, -2, 4], [-3, -2, -3, 8], [-1, -2, -3, 6],
+               [1, 1, -1, -1]], "GrowthObserved", (
+    0.018857260463674436, 0.3329560708771697, 1.1161995158592162,
+    2.7612568554514874)),
+  "ones4-b": ([[-3, -2, 2, 3], [-3, -2, 2, 3], [3, -1, -1, -1],
+               [3, -3, 0, 0]], "BoundedObserved", (
+    0.1970843441286732, 0.25876624596192116, 0.33289724223443296,
+    0.4278217615275182)),
+  "family-a": ([[2, -2, 0], [-1, 0, 1], [8, -6, -2]], "Inconclusive", (
+    0.47434424326011754, 0.30395166147966823, 0.18516519046070237,
+    0.12831095052683564)),
+  "family-b": ([[5, 2, -7], [5, -1, -4], [5, -1, -4]], "BoundedObserved", (
+    0.021204953275864153, 0.016103259264621268, 0.012437841814081824,
+    0.009706493928368726)),
+}
+
+
+@pytest.mark.parametrize("name", list(OBSERVE_MU))
+def test_probe_matches_recorded_observe_strata(name):
+  rows, cls, mu = OBSERVE_MU[name]
+  if name.startswith("ones"):
+    assert all(sum(row) == 0 for row in rows)
+  rep = probe_mu(RatMatrix.of(rows), seed=0, radii=(1, 2, 4, 8))
+  assert rep.classification == cls
+  assert rep.mu_values == pytest.approx(mu, rel=1e-9)
 
 
 def _sigma_min(M: RatMatrix) -> float:
