@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from .hadamard import (
   cube_root_classes,
@@ -46,6 +46,7 @@ from .linalg import (
   _pivot_solution,
   _reduced,
   as_rat,
+  cached,
   det,
   intersect,
   kernel_and_row_space,
@@ -85,6 +86,9 @@ REASON_LINEAR_INVERTIBLE = "linear-map-invertible"
 REASON_LINEAR_SINGULAR = "linear-map-singular"
 
 FLOAT_TOL = 1e-9
+
+# the escape search's note when no cube root of a kernel vector is in Im A
+_NO_ROOT_IN_IMAGE = "no cube root of a kernel vector lies in the image"
 
 # the escape chain's first membership failure; _decide_direction gives it
 # without running the chain for a direction outside the image
@@ -199,29 +203,32 @@ class Analysis:
 
   `certify` and `verify_certificate` build one per call and hand it to every
   step; the public steps also accept a bare matrix and then build their own.
-  Nothing outlives the object, so no state is shared between calls.
+  Each part is computed at its first read and kept in the object's own
+  `__dict__` (`linalg.cached`, which takes no lock), so the object stays
+  frozen.  Nothing outlives the object, so no state is shared between
+  calls.
   """
 
   A: RatMatrix
 
-  @cached_property
+  @cached
   def _kernel_and_row_space(self) -> tuple[Subspace, Subspace]:
     return kernel_and_row_space(self.A)
 
-  @cached_property
+  @cached
   def kernel(self) -> Subspace:
     return self._kernel_and_row_space[0]
 
-  @cached_property
+  @cached
   def rank(self) -> int:
     return self.A.n_cols - self.kernel.dim
 
-  @cached_property
+  @cached
   def _columns(self) -> list[tuple[int, ...]]:
     """The columns of L A, L the lcm of A's row denominators."""
     return list(zip(*_integer_matrix(self.A)))
 
-  @cached_property
+  @cached
   def image(self) -> Subspace:
     """Im A, reduced from the r columns of L A at the row space's pivot
     columns, which are a basis of it.  Computed only when read: of the
@@ -229,11 +236,11 @@ class Analysis:
     return _reduced(self.A.n_rows,
                     [self._columns[p] for p in self.row_space.pivots])
 
-  @cached_property
+  @cached
   def row_space(self) -> Subspace:
     return self._kernel_and_row_space[1]
 
-  @cached_property
+  @cached
   def cube_root_directions(self) -> tuple[RatVector, ...]:
     """The rational cube-root directions of the kernel combinations of
     `_coeff_enumeration`, widest support first, then smallest sum of |y|,
@@ -463,7 +470,9 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
   root is irrational), and kernels with a disjoint-support basis of
   rational cube-root directions.
 
-  The image is read only by the branches that test against it.  In the
+  The image is read only by the branches that test against it.  A kernel
+  line with a rational cube-root direction d is one membership test: the
+  roots meet Im A in span(d) when d is in it and in zero otherwise.  In the
   bounded search each direction is tested for membership in Im A first,
   and only a direction inside it is solved for its row-space preimage,
   which then exists.
@@ -489,12 +498,16 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
     if all(d is not None for d in directions):
       # cube roots act per coordinate, so with disjoint supports every cube
       # root of a kernel vector is a combination of the per-vector roots
-      roots = Subspace.span(directions, m)
-      meet = intersect(roots, an.image)
+      if K.dim == 1:
+        # a line's roots meet the image in span(d) or in zero; d's first
+        # nonzero entry is 1, so d is the widest combination of span(d)
+        [d] = directions
+        if not an.image.contains(d):
+          return EscapeSearch(None, None, True, _NO_ROOT_IN_IMAGE)
+        return found(d)
+      meet = intersect(Subspace.span(directions, m), an.image)
       if meet.dim == 0:
-        return EscapeSearch(None, None, True,
-                            "no cube root of a kernel vector lies in the "
-                            "image")
+        return EscapeSearch(None, None, True, _NO_ROOT_IN_IMAGE)
       # the widest-support combination, the first in table order on ties
       columns, scale = _integer_columns(meet)
       widest = max((_combine(c, columns)
@@ -580,11 +593,11 @@ def _ones_kernel_screen(an: Analysis,
     audit.append(AuditEntry("screen:kernel-line-blocked", "skipped",
                             "kernel is not a line"))
     return None
-  g = RatVector.of(K.rows[0])
-  if any(x != 1 for x in g):
+  if any(x != 1 for x in K.rows[0]):
     audit.append(AuditEntry("screen:kernel-line-blocked", "skipped",
                             "kernel line is not the all-ones direction"))
     return None
+  g = RatVector.of(K.rows[0])
   V = an.image
   in_V = V.contains(g)
   in_AV = solve_affine_in_subspace(A, g, V) is not None
@@ -613,7 +626,7 @@ def escape_direction_check(A: RatMatrix, V: Subspace, x_inf: RatVector
   """
   if any(a == 0 for a in x_inf):
     raise ValueError("direction has zero coordinates: use condition_chain")
-  if not A.apply(hpow(x_inf, 3)).is_zero():
+  if not A.residual_zero(hpow(x_inf, 3)):
     return False, None, "x_inf^3 is not in the kernel"
   scaled = Subspace.span([hprod(b, hpow(x_inf, 2)) for b in V.basis],
                          V.ambient_dim)
@@ -636,7 +649,7 @@ def normalize_kernel_direction(A: RatMatrix, g: RatVector) -> NormalizedKernel:
     raise ValueError("kernel vector dimension does not match the matrix")
   if g.is_zero():
     raise ValueError("kernel direction must be nonzero")
-  if not A.apply(g).is_zero():
+  if not A.residual_zero(g):
     raise ValueError("vector is not in the kernel")
   roots: list[Fraction] = []
   for i, a in enumerate(g):
@@ -657,7 +670,7 @@ def normalize_kernel_direction(A: RatMatrix, g: RatVector) -> NormalizedKernel:
   frame = ConjugationFrame(perm=perm, diag=diag)
   B = frame.conjugate(A)
   gen = RatVector.of([1] * len(support) + [0] * len(others))
-  if not B.apply(gen).is_zero():
+  if not B.residual_zero(gen):
     raise AssertionError("normalization lost the kernel direction")
   return NormalizedKernel(matrix=B, frame=frame, generator=gen,
                           support_size=len(support))
@@ -735,7 +748,7 @@ def condition_chain(A: RatMatrix | Analysis,
                               stages=tuple(stages), failure=failure,
                               numeric_only=numeric, extrapolated=extrapolated)
 
-  if not A.apply(x_inf).is_zero():
+  if not A.residual_zero(x_inf):
     return report(False, "x_inf^3 is not in the kernel")
   if not V.contains(x_inf):
     return report(False, _X_INF_OUTSIDE_V)
@@ -1139,7 +1152,7 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
     if reason == REASON_LINEAR_SINGULAR:
       z = cert.evidence.get("kernel_vector")
       return (cert.verdict == NONPROPER and isinstance(z, RatVector)
-              and not z.is_zero() and M.apply(z).is_zero())
+              and not z.is_zero() and M.residual_zero(z))
     return False
   if cert.verdict == PROPER:
     if reason == REASON_KERNEL_GRAM:

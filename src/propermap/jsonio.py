@@ -246,6 +246,22 @@ def _str_field(obj: dict, key: str, prefix: str = "", default=None) -> str:
   return value
 
 
+def _audit_entry(entry, i: int) -> AuditEntry:
+  """Audit entry i.  A well-formed one, an object of three string fields
+  as `certificate_to_json` writes it, is taken in one step; anything else
+  goes through the checks that name the offending field."""
+  if entry.__class__ is dict and len(entry) == 3:
+    step, outcome, detail = (entry.get("step"), entry.get("outcome"),
+                             entry.get("detail"))
+    if step.__class__ is outcome.__class__ is detail.__class__ is str:
+      return AuditEntry(step, outcome, detail)
+  where = f"audit entry {i}"
+  _require_keys(entry, {"step", "outcome", "detail"}, {"step", "outcome"},
+                where)
+  return AuditEntry(*(_str_field(entry, key, f"{where} ", "")
+                      for key in ("step", "outcome", "detail")))
+
+
 def certificate_from_json(obj) -> Certificate:
   allowed = {"verdict", "reason", "k", "matrix", "evidence", "audit"}
   _require_keys(obj, allowed, {"verdict", "reason", "matrix"},
@@ -259,13 +275,7 @@ def certificate_from_json(obj) -> Certificate:
   audit_raw = obj.get("audit", [])
   if not isinstance(audit_raw, list):
     raise ValueError("field 'audit' must be a list")
-  audit = []
-  for i, entry in enumerate(audit_raw):
-    where = f"audit entry {i}"
-    _require_keys(entry, {"step", "outcome", "detail"}, {"step", "outcome"},
-                  where)
-    audit.append(AuditEntry(*(_str_field(entry, key, f"{where} ", "")
-                              for key in ("step", "outcome", "detail"))))
+  audit = [_audit_entry(entry, i) for i, entry in enumerate(audit_raw)]
   return Certificate(verdict=_str_field(obj, "verdict"),
                      reason=_str_field(obj, "reason"),
                      matrix=matrix_from_json(obj["matrix"]),
@@ -316,8 +326,9 @@ def _key(key) -> str:
 
 def _encode(o, indent: str) -> str:
   """JSON text of `o` whose closing bracket follows `indent` (a newline and
-  its spaces).  Exact str, list and dict come first, and a list of strings
-  is written with one `map`.  Other types dispatch in the order of the
+  its spaces).  Exact str, list and dict come first, a dict's exact str
+  values are written in place, and a list of strings is written with one
+  `map`.  Other types dispatch in the order of the
   standard library's encoder, so subclasses (bool of int, numpy.float64 of
   float) come out as they do there.  Payloads are trees built by the
   `*_to_json` functions, so a cycle ends in RecursionError.
@@ -350,7 +361,8 @@ def _encode(o, indent: str) -> str:
   if t is dict:
     return ("{" + inner
             + sep.join([_encode_str(k if k.__class__ is str else _key(k))
-                        + ": " + _encode(v, inner)
+                        + ": " + (_encode_str(v) if v.__class__ is str
+                                  else _encode(v, inner))
                         for k, v in sorted(o.items())])
             + indent + "}")
   if o[0].__class__ is str:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
@@ -30,6 +29,31 @@ from typing import Iterable, Sequence
 
 
 Scalar = int | str | Fraction
+
+
+class cached:
+  """A method read as an attribute, computed at its first read and stored
+  in the instance's `__dict__`, where every later read finds it without
+  calling the descriptor.  That is `functools.cached_property` as Python
+  3.12 has it; the 3.10 and 3.11 one takes a lock at every first read.
+
+  The value is written past `__setattr__`, so a frozen dataclass can cache
+  and still refuses assignment, and it lives on its instance alone: two
+  instances built from equal values share nothing.
+  """
+
+  def __init__(self, func):
+    self.func = func
+    self.__doc__ = func.__doc__
+
+  def __set_name__(self, owner, name):
+    self.name = name
+
+  def __get__(self, instance, owner=None):
+    if instance is None:
+      return self
+    value = instance.__dict__[self.name] = self.func(instance)
+    return value
 
 
 def as_rat(value: Scalar) -> Fraction:
@@ -43,9 +67,14 @@ def as_rat(value: Scalar) -> Fraction:
   if isinstance(value, str):
     s = value.strip()
     try:
-      # a plain ASCII integer skips the regex parse Fraction(str) runs
-      if s.isascii() and (s[1:] if s[:1] in "+-" else s).isdigit():
-        return Fraction(int(s))
+      # an integer or p/q literal of ASCII digits skips the regex parse
+      # Fraction(str) runs; anything else, such as "3 / 4", goes to it
+      num, slash, den = s.partition("/")
+      if s.isascii() and (num[1:] if num[:1] in "+-" else num).isdigit():
+        if not slash:
+          return Fraction(int(num))
+        if den.isdigit():
+          return Fraction(int(num), int(den))
       return Fraction(s)
     except ZeroDivisionError:
       raise ValueError(f"zero denominator in rational literal {value!r}") from None
@@ -183,7 +212,7 @@ class RatMatrix:
   def entry(self, i: int, j: int) -> Fraction:
     return self.rows[i][j]
 
-  @cached_property
+  @cached
   def _integer_rows(self) -> tuple[list[list[int]], list[int]]:
     """`_integerized_rows` of the rows, computed once per matrix and shared
     by every call: read it, never modify it."""
@@ -199,6 +228,22 @@ class RatMatrix:
     [xs], [d] = _integerized_rows([x.entries])
     return RatVector(tuple(Fraction(sum(map(mul, row, xs)), rd * d)
                            for row, rd in zip(int_rows, denoms)))
+
+  def residual_zero(self, x: RatVector, y: RatVector | None = None) -> bool:
+    """Whether M x + y = 0 (M x = 0 without y), on integers: with row i of
+    M its integer row over d_i and x, y over their lcms dx, dy, row i
+    reads dy (row . x) + d_i dx y_i = 0.  No Fraction is built."""
+    if len(x) != self.n_cols:
+      raise ValueError(f"matrix is {self.n_rows}x{self.n_cols}, vector has length {len(x)}")
+    int_rows, denoms = self._integer_rows
+    [xs], [dx] = _integerized_rows([x.entries])
+    if y is None:
+      return not any(sum(map(mul, row, xs)) for row in int_rows)
+    if len(y) != self.n_rows:
+      return False
+    [ys], [dy] = _integerized_rows([y.entries])
+    return not any(dy * sum(map(mul, row, xs)) + d * dx * v
+                   for row, d, v in zip(int_rows, denoms, ys))
 
   def matmul(self, other: "RatMatrix") -> "RatMatrix":
     if self.n_cols != other.n_rows:
@@ -530,11 +575,11 @@ class Subspace:
   def dim(self) -> int:
     return len(self.rows)
 
-  @cached_property
+  @cached
   def pivots(self) -> tuple[int, ...]:
     return tuple(next(j for j, x in enumerate(r) if x) for r in self.rows)
 
-  @cached_property
+  @cached
   def basis(self) -> tuple[RatVector, ...]:
     zero = Fraction(0)
     return tuple(RatVector(tuple(Fraction(v, r[p]) if v else zero for v in r))

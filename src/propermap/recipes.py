@@ -112,14 +112,15 @@ def _restrict(v: RatVector, indices) -> RatVector:
 
 def _recipe_equations_hold(B: RatMatrix, recipe: WitnessRecipe) -> bool:
   """Exact re-check of the defining equations of a rational recipe, on the
-  matrix B it refers to (the conjugated one when it carries a frame)."""
+  matrix B it refers to (the conjugated one when it carries a frame).  The
+  equations B x_inf^k = 0, B u + x_inf = 0 and B v + root = 0 are compared
+  on B's integer rows."""
   x_inf = recipe.x_inf
-  if not B.apply(hpow(x_inf, recipe.k)).is_zero():
+  if not (B.residual_zero(hpow(x_inf, recipe.k))
+          and B.residual_zero(recipe.u, x_inf)):
     return False
   if recipe.kind == "simple":
-    return B.apply(recipe.u) == -x_inf
-  if B.apply(recipe.u) != -x_inf:
-    return False
+    return True
   V = image_basis(B)    # the reduced subspace, Im(B B^T) = Im B
   if not V.contains(x_inf):
     return False
@@ -139,7 +140,7 @@ def _recipe_equations_hold(B: RatMatrix, recipe: WitnessRecipe) -> bool:
         return False
     elif root[i] ** 3 != u_hat[i]:
       return False
-  if recipe.v is None or B.apply(recipe.v) != -root:
+  if recipe.v is None or not B.residual_zero(recipe.v, root):
     return False
   nz = set(root.support())
   # v must vanish where the hat of u does, or the gamma^(1/3) orders clash

@@ -297,6 +297,9 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   2n - 1 batches for n spheres.  It observes rather than proves: the
   outcome is GrowthObserved, BoundedObserved, or Inconclusive.
   """
+  if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    # powers() would measure another map: at k = 0 it returns (Ax)^2
+    raise ValueError(f"k must be a positive integer, got {k!r}")
   import numpy as np
   m = A.m
   Af = np.array(_float_matrix(A), dtype=float)
@@ -567,8 +570,8 @@ def general_k_witness(A: RatMatrix, x_inf: RatVector, u: RatVector,
     raise ValueError("power k must be an integer >= 2")
   if any(a == 0 for a in x_inf):
     raise ValueError("x_inf must have no zero coordinate")
-  if not A.apply(hpow(x_inf, k)).is_zero():
+  if not A.residual_zero(hpow(x_inf, k)):
     raise ValueError("precondition A(x_inf^k) = 0 fails")
-  if A.apply(u) != -x_inf:
+  if not A.residual_zero(u, x_inf):
     raise ValueError("precondition A u + x_inf = 0 fails")
   return WitnessRecipe(kind="simple", x_inf=x_inf, u=u, k=k)

@@ -340,6 +340,22 @@ def two_class_kernel(rng: random.Random, box: int = 2) -> RatMatrix:
                         for j in range(4)] for i in range(4)])
 
 
+def family_member(rng: random.Random) -> RatMatrix:
+  """A `forge_3x3` member with Fraction entries: four free parameters
+  p / q, p in [-6, 6] and q in {1, 1, 2, 3}, redrawn until they are
+  feasible, in the order the bench's family-3 stratum draws them."""
+  from propermap.forge import Family3x3Params, forge_3x3
+
+  def free():
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+  while True:
+    try:
+      p = Family3x3Params.from_free(free(), free(), free(), free())
+    except ValueError:
+      continue
+    return forge_3x3(p)
+
+
 def full_minor_walk(A: RatMatrix, k: int = 3) -> bool:
   """det JF == 1 for k >= 2, from the principal-minor expansion over every
   index set: each P_s must vanish on the simplex lattice of degree s(k-1)

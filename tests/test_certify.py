@@ -8,7 +8,7 @@ import json
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from helpers import (
   chain_first_decide,
   f_exact,
   f_hat_exact,
+  family_member,
   naive_cube_direction,
   ones_kernel_sample,
   planted_pattern,
@@ -493,6 +494,32 @@ def test_rank_sample_certificate_bytes_are_pinned():
   assert digest.hexdigest() == RANK_SAMPLE_CERTIFICATES_SHA256
 
 
+# the sha256 of the certificate JSON texts of family_member(Random(s)) for
+# s = 0..99, then two_class_kernel(Random(s)) for s = 0..199: corank-1
+# matrices with Fraction entries, which the planted and rank-sample digests
+# never parse.  None reaches a float chain, so every recipe is pinned.
+FRACTION_CORANK1_CERTIFICATES_SHA256 = (
+  "c1e90f9267da8609071c71eb32c71bf87b000240e8e0ee038e170306c6d7832d")
+
+
+def test_fraction_corank1_certificate_bytes_are_pinned():
+  digest = hashlib.sha256()
+  reasons = set()
+  matrices = ([family_member(random.Random(s)) for s in range(100)]
+              + [two_class_kernel(random.Random(s)) for s in range(200)])
+  for A in matrices:
+    cert = certify(A)
+    reasons.add(cert.reason)
+    text = dumps(certificate_to_json(cert))
+    digest.update(text.encode())
+    if cert.decided:
+      back = certificate_from_json(json.loads(text))
+      assert verify_certificate(A, back), text
+  assert reasons == {"escape-direction", "escape-direction-numeric",
+                     "outside-decidable-screens"}
+  assert digest.hexdigest() == FRACTION_CORANK1_CERTIFICATES_SHA256
+
+
 def test_linear_case_regression():
   for A, expected in ((golden_3x3(), (PROPER, "linear-map-invertible")),
                       (RatMatrix.identity(2).scale(-1),
@@ -888,6 +915,54 @@ def test_analysis_image_reads_the_pivot_columns(data):
   assert an.rank == r
   assert an.image == image_basis(A)
   assert an.image.dim == r
+
+
+def test_analysis_caches_on_its_own_object_and_stays_frozen():
+  A = RatMatrix.of(BLOCKED_DIRECTION)
+  a, b = Analysis(A), Analysis(A)
+  parts = ("kernel", "rank", "row_space", "image", "cube_root_directions")
+  first = [getattr(a, name) for name in parts]
+  assert all(getattr(a, name) is v for name, v in zip(parts, first))
+  # reading a computed nothing for b, and b computes its own values
+  assert vars(b) == {"A": A}
+  assert b.kernel == a.kernel and b.kernel is not a.kernel
+  assert b.image == a.image and b.image is not a.image
+  for name in ("A", "kernel", "image"):
+    with pytest.raises(FrozenInstanceError):
+      setattr(a, name, None)
+  assert a.kernel is first[0]
+
+
+def test_certify_eliminates_each_kernel_once_per_analysis(monkeypatch):
+  matrices = []
+  real = certify_module.kernel_and_row_space
+
+  def counting(M):
+    matrices.append(M)
+    return real(M)
+  monkeypatch.setattr(certify_module, "kernel_and_row_space", counting)
+  # the last has the kernel line (8, 1, 0) and (2, 1, 0) in its image,
+  # so its direction is normalized
+  samples = ([planted_pattern(random.Random(s), 3 + s % 2) for s in range(60)]
+             + [golden_3x3(), shift_5x5(), sample_rank_r(6, 3, seed=1),
+                RatMatrix.of([[2, -16, 0], [1, -8, 0], [0, 0, 1]])])
+  normalized = rechecked = 0
+  for A in samples:
+    matrices.clear()
+    cert = certify(A)
+    # one Analysis of A, plus one per normalized direction, each of its
+    # own matrix: no matrix is eliminated twice
+    assert sum(M is A for M in matrices) == 1
+    assert len({id(M) for M in matrices}) == len(matrices)
+    normalized += len(matrices) - 1
+    before = len(matrices)
+    assert verify_certificate(A, cert) == cert.decided
+    if cert.verdict == PROPER and cert.reason != "triangular":
+      # its recheck reads A's kernel from an Analysis of its own: nothing
+      # is cached across calls
+      assert sum(M is A for M in matrices[before:]) == 1
+      rechecked += 1
+  assert normalized > 0 and rechecked > 0
 
 
 def test_candidate_box_stays_below_the_first_cube_ratio():

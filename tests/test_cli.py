@@ -229,6 +229,15 @@ def test_probe_bad_radii_exits_one(tmp_path, capsys):
   assert "--radii" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_probe_non_positive_k_exits_one(tmp_path, capsys, k):
+  path = write_matrix(tmp_path / "i.json", RatMatrix.of([[1, 1], [-1, -1]]))
+  code, out, err = run(capsys, ["probe", "--input", path, "--k", k])
+  assert code == 1
+  assert out == ""
+  assert "field 'k' must be a positive integer" in err
+
+
 @pytest.mark.parametrize("command, flag, values", [
   ("probe", "--radii", "1,2,4,inf"),
   ("probe", "--radii", "1,2,4,nan"),

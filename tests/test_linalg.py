@@ -87,6 +87,10 @@ def test_as_rat_rejects_imprecise_and_malformed_input():
 def test_as_rat_string_parse_matches_fraction(text):
   # the plain-integer shortcut must accept and refuse exactly what
   # Fraction(str) does, with the same messages
+  _assert_parses_as_fraction(text)
+
+
+def _assert_parses_as_fraction(text):
   try:
     want = Fraction(text.strip())
   except ZeroDivisionError:
@@ -99,6 +103,21 @@ def test_as_rat_string_parse_matches_fraction(text):
     return
   with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
     as_rat(text)
+
+
+@pytest.mark.parametrize("text", [
+  "44/5", "-44/5", "+3/4", "007/010", "0/5", "-0/3", "1/0", "-1/00",
+  "3/-4", "3/+4", "3 / 4", " 3/4\t", "3/ 4", "/4", "3/", "1/2/3", "-/4",
+  "\u0663/4", "3/\u0664", "1_0/3", "3/1_0", "1.5/2", "\u00b2/3"])
+def test_as_rat_fraction_literal_matches_fraction(text):
+  # the p/q shortcut takes ASCII digits only and sends the rest to Fraction
+  _assert_parses_as_fraction(text)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.text(alphabet="0123456789+-/ _.eE\t\u0663\u00b2", max_size=8))
+def test_as_rat_parses_literals_as_fraction_does(text):
+  _assert_parses_as_fraction(text)
 
 
 def test_rank_identity_and_zero():
@@ -345,6 +364,22 @@ def test_apply_matches_the_fraction_sum(inputs):
     got = A.apply(v)
     assert list(got) == want
     assert all(type(y) is Fraction for y in got)
+
+
+@settings(deadline=None, max_examples=100)
+@given(apply_inputs(), st.data())
+def test_residual_zero_matches_the_fraction_sum(inputs, data):
+  rows, x = inputs
+  A, v = RatMatrix.of(rows), RatVector.of(x)
+  image = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+  assert A.residual_zero(v) == (not any(image))
+  # -Ax itself, then -Ax with one entry moved, and a vector too short
+  y = [-t for t in image]
+  assert A.residual_zero(v, RatVector.of(y))
+  i = data.draw(st.integers(0, len(y) - 1), label="i")
+  y[i] += data.draw(st.sampled_from([Fraction(1, 3), Fraction(-2), 1]))
+  assert not A.residual_zero(v, RatVector.of(y))
+  assert not A.residual_zero(v, RatVector.of(y + [0]))
 
 
 @settings(deadline=None, max_examples=80)

@@ -293,6 +293,14 @@ def test_probe_schedule_validation():
     assert proc.stdout == "radii must be finite\n"
 
 
+@pytest.mark.parametrize("k", [0, -1, True, 2.0, "3"])
+def test_probe_rejects_a_k_that_is_not_a_positive_integer(k):
+  # at k = 0 the descent once measured x + (Ax)^2 and called this blocked
+  # kernel line GrowthObserved
+  with pytest.raises(ValueError, match="k must be a positive integer"):
+    probe_mu(RatMatrix.of([[1, 1], [-1, -1]]), k=k)
+
+
 def test_probe_is_deterministic_for_a_seed():
   A = golden_3x3()
   r1 = probe_mu(A, seed=7)
