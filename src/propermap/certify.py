@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import cache
 
 from .hadamard import (
-  cube_root_classes,
   cube_root_in_subspace,
   hpow,
   hprod,
@@ -944,54 +943,75 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
 
 
 def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
-  """Decision procedure when the kernel of A is one line.
+  """Decision procedure when the kernel of A is one line: what `certify`
+  decides for such a matrix once no structural screen has fired.
 
-  When the cube root of the kernel direction is rational and has no zero
-  coordinate, the direct escape characterization is an equivalence and
-  the verdict is exact.  With zeros, the direction goes through the chain
-  conditions.  An unsatisfied exact chain proves properness, and a
-  satisfied one of depth at most two gives a witness; a deeper one ends
-  Undecided.  A chain that needs an irrational cube root switches to
-  floats and ends NonProper with a "-numeric" reason, or Undecided.
-  Irrational directions get an exact blocking test, then a numeric
-  fallback that can only refute.
-
-  From certify the exact blocking branch is never reached:
-  necessary_escape_search runs first and applies the same
-  cube_root_in_subspace test to an irrational kernel line, so a line whose
-  cube root avoids the image already ends no-escape-direction there.  Only
-  a direct call ends kernel-line-blocked on it; for example
-  [[-2, 1, 0], [0, 0, 1], [-2, 1, 1]] gets no-escape-direction from
-  certify and kernel-line-blocked from corank1_decide.
+  The escape search runs first, and a line whose cube roots provably miss
+  the image ends no-escape-direction.  A rational cube-root direction
+  inside the image is decided by `_decide_direction`: with no zero
+  coordinate the direct escape characterization is an equivalence; with
+  zeros the direction goes through the chain conditions, where an
+  unsatisfied exact chain proves properness, a satisfied one of depth at
+  most two gives a witness and a deeper one ends Undecided.  A chain that
+  needs an irrational cube root switches to floats and ends NonProper with
+  a "-numeric" reason, or Undecided.  An irrational direction whose cube
+  root lies in the image gets a numeric fallback that can only refute.
   """
   an = _analysis(A)
-  K = an.kernel
-  if K.dim != 1:
+  if an.kernel.dim != 1:
     raise ValueError("corank1_decide requires a matrix of corank exactly one")
-  g = RatVector.of(K.rows[0])
-  audit = [AuditEntry("kernel-line", "found",
-                      "primitive generator (" +
-                      ", ".join(str(x) for x in g) + ")")]
-  y = rational_cube_root_direction(g)
-  if y is None:
-    return _corank1_irrational(an.A, g, an.image, audit)
-  decided = _decide_direction(an, y)
-  return replace(decided, audit=tuple(audit) + decided.audit)
+  return _after_search(an, necessary_escape_search(an))
+
+
+def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
+  """The decision once the escape search has run, its audit entry first.
+
+  Provable emptiness is Proper.  A kernel line is decided on the direction
+  the search found inside the image, or, when that direction is irrational
+  (no image vector), by the numeric fallback.  A wider kernel goes through
+  the sweep of cube-root directions, where only a witness decides.  Every
+  NonProper passes the float witness validation.
+  """
+  A = an.A
+  audit = [AuditEntry(
+    "escape-search",
+    "candidate" if search.candidate is not None else
+    ("provably empty" if search.none_is_proof else "nothing found"),
+    search.note)]
+  if search.candidate is None and search.none_is_proof:
+    return Certificate(PROPER, REASON_NO_ESCAPE, A,
+                       evidence={"note": search.note}, audit=tuple(audit))
+
+  K = an.kernel
+  if K.dim == 1:
+    g = RatVector.of(K.rows[0])
+    audit.append(AuditEntry("kernel-line", "found",
+                            "primitive generator (" +
+                            ", ".join(str(x) for x in g) + ")"))
+    if search.image_vector is None:
+      return _validated(A, _corank1_irrational(A, g, an.image, audit))
+    decided = _decide_direction(an, search.image_vector)
+    return _validated(A, replace(decided, audit=tuple(audit) + decided.audit))
+
+  candidates = kernel_cuberoot_candidates(an)
+  audit.append(AuditEntry("candidate-sweep", "enumerated",
+                          f"{len(candidates)} rational direction(s)"))
+  for y in candidates:
+    decided = _decide_direction(an, y)
+    audit.extend(decided.audit)
+    # a kernel combination is not the whole kernel, so only a witness decides
+    if decided.verdict == NONPROPER:
+      return _validated(A, replace(decided, audit=tuple(audit)))
+  return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
+                     evidence={"note": "no screen fired and the candidate "
+                               "sweep was not decisive"},
+                     audit=tuple(audit))
 
 
 def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
                         audit: list[AuditEntry]) -> Certificate:
-  """Kernel direction with an irrational cube root: exact blocking test
-  first, then a numeric escape check that can only refute."""
-  if not cube_root_in_subspace(g, V):
-    audit.append(AuditEntry("membership", "fails",
-                            "irrational kernel cube root provably avoids the "
-                            "reduced subspace"))
-    return Certificate(PROPER, REASON_KERNEL_LINE, A,
-                       evidence={"generator": g,
-                                 "failed": "direction not in reduced subspace",
-                                 "classes": len(cube_root_classes(g))},
-                       audit=tuple(audit))
+  """Kernel direction whose irrational cube root lies in the reduced
+  subspace V: a numeric escape check that can only refute."""
   audit.append(AuditEntry("membership", "holds",
                           "irrational kernel cube root lies in the reduced "
                           "subspace"))
@@ -1042,16 +1062,15 @@ def certify(A: RatMatrix) -> Certificate:
   """Decide properness of x + (Ax)^3 and certify the verdict.
 
   Pipeline: the structural screens; when none fires, the exact search for
-  escape raw material, whose provable emptiness proves properness; the
-  corank-one procedure; then a sweep of kernel cube-root directions, each
-  decided like the corank-one direction, until one refutes properness.
-  The first decisive step wins.  One Analysis of A serves every step.  The
-  audit trail opens with the escape search, marked skipped when a screen
-  decided, and records everything evaluated.
+  escape raw material, whose provable emptiness proves properness; then a
+  kernel line's direction, decided by `corank1_decide` as a direct call
+  decides it, or a sweep of kernel cube-root directions, each decided like
+  the corank-one direction, until one refutes properness.  The first
+  decisive step wins.  One Analysis of A serves every step.  The audit
+  trail opens with the escape search, marked skipped when a screen decided,
+  then the screens' entries and everything evaluated after them.
   """
   an = Analysis(A)
-  m = A.m
-
   screen_cert, screen_audit = sufficient_screens(an)
   if screen_cert is not None:
     audit = [AuditEntry("escape-search", "skipped",
@@ -1059,38 +1078,10 @@ def certify(A: RatMatrix) -> Certificate:
     return Certificate(screen_cert.verdict, screen_cert.reason, A,
                        evidence=screen_cert.evidence, audit=tuple(audit))
 
-  search = necessary_escape_search(an)
-  audit = [AuditEntry(
-    "escape-search",
-    "candidate" if search.candidate is not None else
-    ("provably empty" if search.none_is_proof else "nothing found"),
-    search.note)] + screen_audit
-
-  if search.candidate is None and search.none_is_proof:
-    return Certificate(PROPER, REASON_NO_ESCAPE, A,
-                       evidence={"note": search.note}, audit=tuple(audit))
-
-  corank = m - an.rank
-  if corank == 1:
-    inner = corank1_decide(an)
-    cert = Certificate(inner.verdict, inner.reason, A,
-                       evidence=inner.evidence,
-                       audit=tuple(audit) + inner.audit)
-    return _validated(A, cert)
-
-  candidates = kernel_cuberoot_candidates(an)
-  audit.append(AuditEntry("candidate-sweep", "enumerated",
-                          f"{len(candidates)} rational direction(s)"))
-  for y in candidates:
-    decided = _decide_direction(an, y)
-    audit.extend(decided.audit)
-    # a kernel combination is not the whole kernel, so only a witness decides
-    if decided.verdict == NONPROPER:
-      return _validated(A, replace(decided, audit=tuple(audit)))
-  return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
-                     evidence={"note": "no screen fired and the candidate "
-                               "sweep was not decisive"},
-                     audit=tuple(audit))
+  cert = (corank1_decide(an) if an.kernel.dim == 1 else
+          _after_search(an, necessary_escape_search(an)))
+  return replace(cert, audit=cert.audit[:1] + tuple(screen_audit)
+                 + cert.audit[1:])
 
 
 def _validated(A: RatMatrix, cert: Certificate) -> Certificate:
@@ -1135,7 +1126,10 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
 
   The certificate's matrix must be A.  The two are compared by their
   canonical integer rows, which a JSON parse of integer literals supplies,
-  so no Fraction is compared.
+  so no Fraction is compared.  The power must be the one the reason is
+  about: the linear reasons hold at k = 1, every other reason only at
+  k = 3, and a witness recipe must be for the certificate's k.  Evidence
+  whose vectors or frame do not fit A's size fails.
   Proper reasons are recomputed from A alone, through a fresh Analysis;
   NonProper reasons re-run the witness validation, whose pass requires the
   recipe equations to hold exactly (rational recipes) or within tolerance
@@ -1143,7 +1137,6 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   """
   if cert.matrix._integer_rows != A._integer_rows:
     return False
-  an = Analysis(A)
   reason = cert.reason
   if cert.k == 1:
     M = RatMatrix.identity(A.m).add(A)
@@ -1152,8 +1145,11 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
     if reason == REASON_LINEAR_SINGULAR:
       z = cert.evidence.get("kernel_vector")
       return (cert.verdict == NONPROPER and isinstance(z, RatVector)
-              and not z.is_zero() and M.residual_zero(z))
+              and len(z) == A.m and not z.is_zero() and M.residual_zero(z))
     return False
+  if cert.k != 3:
+    return False
+  an = Analysis(A)
   if cert.verdict == PROPER:
     if reason == REASON_KERNEL_GRAM:
       return _kernel_in_gram_kernel(an)
@@ -1163,13 +1159,9 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
       return A.is_upper_triangular() or A.is_lower_triangular()
     if reason in (REASON_KERNEL_LINE, REASON_CHAIN_UNSAT):
       K = an.kernel
-      if K.dim != 1:
-        return False
-      g = RatVector.of(K.rows[0])
-      y = rational_cube_root_direction(g)
+      y = rational_cube_root_direction(K.rows[0]) if K.dim == 1 else None
       if y is None:
-        return (reason == REASON_KERNEL_LINE
-                and not cube_root_in_subspace(g, an.image))
+        return False
       decided = _decide_direction(an, y)
       return decided.verdict == PROPER and decided.reason == reason
     if reason == REASON_NO_ESCAPE:
@@ -1178,8 +1170,16 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
     return False
   if cert.verdict == NONPROPER:
     recipe = cert.witness()
-    if recipe is None:
+    if recipe is None or recipe.k != cert.k or not _recipe_fits(recipe, A.m):
       return False
     return validate_witness(A, recipe).passed
   return False
 
+
+def _recipe_fits(recipe: WitnessRecipe, m: int) -> bool:
+  """Whether every vector of the recipe has length m and its frame, if
+  any, has size m."""
+  vectors = (recipe.x_inf, recipe.u, recipe.v, recipe.u1, recipe.v1,
+             recipe.u_hat_root)
+  return (all(v is None or len(v) == m for v in vectors)
+          and (recipe.frame is None or len(recipe.frame.perm) == m))

@@ -22,6 +22,9 @@ from .witness import validate_witness
 
 # golden_3x3_params searches free parameters in [-GOLDEN_BOX, GOLDEN_BOX]
 GOLDEN_BOX = 3
+# sample_rank_r draws the entries of its two factors from
+# [-RANK_SAMPLE_BOX, RANK_SAMPLE_BOX]
+RANK_SAMPLE_BOX = 3
 
 
 @dataclass(frozen=True)
@@ -140,12 +143,11 @@ def shift_5x5() -> RatMatrix:
   return RatMatrix.of(rows)
 
 
-def sample_rank_r(m: int, r: int, coeff_box: int = 3,
-                  seed: int = 0) -> RatMatrix:
+def sample_rank_r(m: int, r: int, seed: int = 0) -> RatMatrix:
   """Random m x m integer matrix of exact rank r, drawn as a product B*C.
 
-  B is m x r and C is r x m with entries uniform in [-coeff_box, coeff_box];
-  the draw repeats until the product has rank exactly r.
+  B is m x r and C is r x m with entries uniform in [-RANK_SAMPLE_BOX,
+  RANK_SAMPLE_BOX]; the draw repeats until the product has rank exactly r.
   """
   if not 0 <= r <= m:
     raise ValueError(f"rank {r} is not between 0 and {m}")
@@ -153,12 +155,11 @@ def sample_rank_r(m: int, r: int, coeff_box: int = 3,
     raise ValueError("matrix size must be at least 1")
   if r == 0:
     return RatMatrix.zero(m, m)
+  box = RANK_SAMPLE_BOX
   rng = random.Random(seed)
   while True:
-    B = [[rng.randint(-coeff_box, coeff_box) for _ in range(r)]
-         for _ in range(m)]
-    C = [[rng.randint(-coeff_box, coeff_box) for _ in range(m)]
-         for _ in range(r)]
+    B = [[rng.randint(-box, box) for _ in range(r)] for _ in range(m)]
+    C = [[rng.randint(-box, box) for _ in range(m)] for _ in range(r)]
     A = RatMatrix.of([[sum(B[i][t] * C[t][j] for t in range(r))
                        for j in range(m)] for i in range(m)])
     if rank(A) == r:
@@ -196,8 +197,8 @@ class DensitySummary:
     return buf.getvalue()
 
 
-def density_experiment(m: int, r: int, trials: int, seed: int = 0,
-                       coeff_box: int = 3) -> DensitySummary:
+def density_experiment(m: int, r: int, trials: int,
+                       seed: int = 0) -> DensitySummary:
   """Certify `trials` random rank-r samples; trial i uses seed + i."""
   if trials < 1:
     raise ValueError("trials must be at least 1")
@@ -205,7 +206,7 @@ def density_experiment(m: int, r: int, trials: int, seed: int = 0,
   counts: dict = {}
   for i in range(trials):
     trial_seed = seed + i
-    A = sample_rank_r(m, r, coeff_box=coeff_box, seed=trial_seed)
+    A = sample_rank_r(m, r, seed=trial_seed)
     cert = certify(A)
     rows.append(DensityRow(trial_seed, m, r, cert.verdict, cert.reason))
     counts[cert.verdict] = counts.get(cert.verdict, 0) + 1

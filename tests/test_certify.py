@@ -70,7 +70,7 @@ from propermap.linalg import (
   rank,
   solve_affine_in_subspace,
 )
-from propermap.recipes import build_witness_point
+from propermap.recipes import ConjugationFrame, build_witness_point
 
 # the package re-exports the function certify, which hides the module
 certify_module = importlib.import_module("propermap.certify")
@@ -450,6 +450,44 @@ def test_verify_certificate_rejects_a_perturbed_recipe():
                                                   *entries[1:]])})
     broken = replace(back, evidence=dict(back.evidence, recipe=bad))
     assert not verify_certificate(A, broken), (name, field)
+
+
+def _json_round_trip(cert):
+  return certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+
+
+def test_verify_certificate_rejects_another_power():
+  # the reasons argue about x + (Ax)^3, and a recipe about its own k
+  A = golden_3x3()
+  nonproper = certify(A)
+  assert nonproper.verdict == NONPROPER and nonproper.witness().k == 3
+  B = RatMatrix.of([[1, 2], [2, 1]])
+  proper = certify(B)
+  assert proper.verdict == PROPER
+  for M, cert, k in ((A, nonproper, 5), (B, proper, 2)):
+    assert verify_certificate(M, _json_round_trip(cert))
+    assert not verify_certificate(M, replace(cert, k=k)), (cert.reason, k)
+    assert not verify_certificate(M, _json_round_trip(replace(cert, k=k)))
+
+
+def test_verify_certificate_rejects_evidence_of_another_size():
+  A = golden_3x3()
+  singular = RatMatrix.identity(3).scale(-1)
+  linear = k1_properness(singular)
+  assert verify_certificate(singular, linear)
+  long_z = RatVector.of([*linear.evidence["kernel_vector"].entries, 1])
+  assert not verify_certificate(
+    singular, replace(linear, evidence=dict(linear.evidence,
+                                            kernel_vector=long_z)))
+  cert = certify(A)
+  recipe = cert.witness()
+  short = replace(recipe, x_inf=RatVector.of(recipe.x_inf.entries[:2]),
+                  u=RatVector.of(recipe.u.entries[:2]))
+  framed = replace(recipe, frame=ConjugationFrame(perm=(1, 0), diag=(1, 1)))
+  for bad in (short, framed):
+    broken = replace(cert, evidence=dict(cert.evidence, recipe=bad))
+    assert not verify_certificate(A, broken)
+    assert not verify_certificate(A, _json_round_trip(broken))
 
 
 # sha256 over the certificate JSON of planted_pattern(Random(s), 3 + s % 2)
@@ -1031,19 +1069,48 @@ def test_bounded_search_that_finds_nothing_ends_with_the_base_note():
 
 def test_corank1_irrational_kernel_line_avoiding_the_image_is_proper():
   # kernel line (1, 2, 0): the classes (1, 0, 0) and (0, 1, 0) of its cube
-  # root (1, 2^(1/3), 0) do not both lie in the image span((1,0,1), (0,1,1))
+  # root (1, 2^(1/3), 0) do not both lie in the image span((1,0,1), (0,1,1)),
+  # so the escape search proves that no direction escapes
   A = RatMatrix.of([[-2, 1, 0], [0, 0, 1], [-2, 1, 1]])
   assert kernel_basis(A).rows == ((1, 2, 0),)
-  cert = corank1_decide(A)
-  assert (cert.verdict, cert.reason) == (PROPER, "kernel-line-blocked")
-  assert cert.evidence["generator"] == RatVector.of([1, 2, 0])
-  assert cert.evidence["classes"] == 2
-  back = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
-  assert verify_certificate(A, back)
+  for cert in (certify(A), corank1_decide(A)):
+    assert (cert.verdict, cert.reason) == (PROPER, "no-escape-direction")
+    assert verify_certificate(A, _json_round_trip(cert))
+  # the line has no rational cube-root direction for a blocking argument
+  blocked = replace(cert, reason="kernel-line-blocked",
+                    evidence={"generator": RatVector.of([1, 2, 0]),
+                              "failed": "direction not in reduced subspace"})
+  assert not verify_certificate(A, _json_round_trip(blocked))
   # the same line inside the image {x3 = 0} is not blocked
   inside = RatMatrix.of([[-2, 1, 0], [0, 0, 1], [0, 0, 0]])
   assert corank1_decide(inside).reason != "kernel-line-blocked"
-  assert not verify_certificate(inside, replace(back, matrix=inside))
+  for c in (cert, blocked):
+    assert not verify_certificate(inside, replace(c, matrix=inside))
+
+
+def test_corank1_decide_is_certify_after_the_screens():
+  # a direct call gives certify's certificate less the screens' entries
+  rng = random.Random(47)
+  matrices = ([planted_pattern(random.Random(s), 3 + s % 2)
+               for s in range(300)]
+              + [ones_kernel_sample(rng, rng.choice([3, 4]))
+                 for _ in range(60)]
+              + [two_class_kernel(random.Random(s)) for s in range(60)]
+              + [family_member(random.Random(s)) for s in range(20)])
+  reasons = set()
+  for A in matrices:
+    if Analysis(A).kernel.dim != 1:
+      continue
+    cert = certify(A)
+    if cert.audit[0].outcome == "skipped":
+      continue
+    unscreened = tuple(a for a in cert.audit
+                       if not a.step.startswith("screen:"))
+    assert corank1_decide(A) == replace(cert, audit=unscreened)
+    reasons.add(cert.reason)
+  assert reasons == {"no-escape-direction", "escape-direction",
+                     "escape-chain", "escape-chain-unsat",
+                     "escape-chain-numeric", "outside-decidable-screens"}
 
 
 def test_exact_certify_does_not_import_numpy():
