@@ -89,20 +89,9 @@ FLOAT_TOL = 1e-9
 # the escape search's note when no cube root of a kernel vector is in Im A
 _NO_ROOT_IN_IMAGE = "no cube root of a kernel vector lies in the image"
 
-# the escape chain's first membership failure; _decide_direction gives it
-# without running the chain for a direction outside the image
-_X_INF_OUTSIDE_V = "x_inf is not in the reduced subspace"
-
-# kernel candidates are small integer combinations of the kernel basis with
-# coefficients in [-CANDIDATE_BOX, CANDIDATE_BOX], the whole box while it
-# has at most FULL_BOX_CAP points; the escape search and the corank >= 2
-# sweep read the same list of at most CANDIDATE_CAP rational directions.
-# CANDIDATE_BOX stays below 8: no ratio of two coefficients can then be a
-# rational cube other than +-1, which lets the sweep cube-test only the
-# +-1 tuples (at 8 the ratio 8 = 2^3 would break that)
-CANDIDATE_BOX = 3
+# the escape search and the corank >= 2 sweep read the same list of at most
+# CANDIDATE_CAP rational directions, the cube roots of +-1 kernel combinations
 CANDIDATE_CAP = 400
-FULL_BOX_CAP = 3000
 
 
 @dataclass(frozen=True)
@@ -242,18 +231,17 @@ class Analysis:
   @cached
   def cube_root_directions(self) -> tuple[RatVector, ...]:
     """The rational cube-root directions of the kernel combinations of
-    `_coeff_enumeration`, widest support first, then smallest sum of |y|,
-    then table order; at most CANDIDATE_CAP of them.
+    `_unit_tuples`, widest support first, then smallest sum of |y|, then
+    table order; at most CANDIDATE_CAP of them.
 
     Take w = D * sum c_j b_j on the canonical kernel basis b_j, with D the
     common denominator, so w is an integer vector.  Each b_j is 1 at its
     pivot p_j and 0 at the other pivots, so w[p_j] = D c_j.
 
-    Only the +-1 coefficient tuples are tested.  The pivot identity makes
-    every ratio c_j / c_l of nonzero coefficients a ratio of coordinates of
-    w, so a rational direction needs each of them to be a rational cube.
-    For |c_j| <= CANDIDATE_BOX < 8 the only such ratios are +-1, and the
-    tuples are primitive, so every nonzero c_j is +-1.
+    Only +-1 coefficient tuples are tested.  The pivot identity makes every
+    ratio c_j / c_l of nonzero coefficients a ratio of coordinates of w, so
+    a rational direction needs each of them to be a rational cube: while
+    every |c_j| < 8, a coefficient other than +-1 adds no direction.
 
     Only the non-pivot coordinates are tested.  Every b_j vanishes before
     its pivot, so the first nonzero entry f of w is w[p] = D c_j = +-D at
@@ -354,69 +342,28 @@ def _solve_preferring_zero_tail(u0: RatVector, kernel: Subspace,
 
 
 @cache
-def _coeff_enumeration(dim: int) -> tuple[tuple[int, ...], ...]:
-  """Small integer coefficient tuples, primitive and sign-normalized, in
-  tie-break order: smallest sum of |c| first, then those without a negative
-  coefficient, then lexicographic.  The whole box [-CANDIDATE_BOX,
-  CANDIDATE_BOX]^dim while it has at most FULL_BOX_CAP points; past that
-  the tuples with one or two nonzero entries, plus the sign tuples up to
-  dim 8 and the all-ones tuple beyond.
+def _unit_tuples(dim: int) -> tuple[tuple[int, ...], ...]:
+  """The coefficient tuples with entries in {-1, 0, 1} and first nonzero
+  entry 1, sorted by (sum of |c|, has a -1, c).  Up to dim 4 every such
+  tuple; past that those with one or two nonzero entries, plus those with
+  no zero entry: all of them up to dim 8, only the all-ones tuple beyond.
 
   The table depends only on dim, so it is built once per process and
   returned as a tuple that no caller can change.
   """
   from itertools import combinations, product
-  from math import gcd
 
-  box = CANDIDATE_BOX
-  seen: set[tuple[int, ...]] = set()
-  out: list[tuple[int, ...]] = []
-
-  def push(c):
-    if all(x == 0 for x in c):
-      return
-    g = 0
-    for x in c:
-      g = gcd(g, abs(x))
-    c = tuple(x // g for x in c)
-    for x in c:
-      if x != 0:
-        if x < 0:
-          c = tuple(-y for y in c)
-        break
-    if c not in seen:
-      seen.add(c)
-      out.append(c)
-
-  if (2 * box + 1) ** dim <= FULL_BOX_CAP:
-    for c in product(range(-box, box + 1), repeat=dim):
-      push(c)
-  else:
-    for i in range(dim):
-      for a in range(1, box + 1):
+  out = []
+  for k in (range(1, dim + 1) if dim <= 4 else (1, 2, dim)):
+    tails = list(product((1, -1), repeat=k - 1)) if k <= 8 else [(1,) * (k - 1)]
+    for support in combinations(range(dim), k):
+      for tail in tails:
         c = [0] * dim
-        c[i] = a
-        push(tuple(c))
-    for i, j in combinations(range(dim), 2):
-      for a in range(-box, box + 1):
-        for b in range(1, box + 1):
-          c = [0] * dim
-          c[i], c[j] = a, b
-          push(tuple(c))
-    if dim <= 8:
-      for signs in product((1, -1), repeat=dim):
-        push(signs)
-    else:
-      push(tuple([1] * dim))
-  out.sort(key=lambda c: (sum(map(abs, c)), min(c) < 0, c))
+        for i, x in zip(support, (1, *tail)):
+          c[i] = x
+        out.append(tuple(c))
+  out.sort(key=lambda c: (sum(map(abs, c)), -1 in c, c))
   return tuple(out)
-
-
-@cache
-def _unit_tuples(dim: int) -> tuple[tuple[int, ...], ...]:
-  """The rows of `_coeff_enumeration(dim)` whose nonzero entries are all
-  +-1, in table order, listed once per process."""
-  return tuple(c for c in _coeff_enumeration(dim) if max(map(abs, c)) == 1)
 
 
 def _integer_columns(space: Subspace) -> tuple[list[tuple[int, ...]], int]:
@@ -510,7 +457,7 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
       # the widest-support combination, the first in table order on ties
       columns, scale = _integer_columns(meet)
       widest = max((_combine(c, columns)
-                    for c in _coeff_enumeration(meet.dim)),
+                    for c in _unit_tuples(meet.dim)),
                    key=lambda w: sum(1 for x in w if x))
       return found(RatVector(tuple(Fraction(x, scale) for x in widest)))
   if K.dim == 1:
@@ -750,7 +697,7 @@ def condition_chain(A: RatMatrix | Analysis,
   if not A.residual_zero(x_inf):
     return report(False, "x_inf^3 is not in the kernel")
   if not V.contains(x_inf):
-    return report(False, _X_INF_OUTSIDE_V)
+    return report(False, "x_inf is not in the reduced subspace")
   u0 = solve(A, -x_inf)
   if u0 is None:
     return report(False, "-x_inf has no preimage")
@@ -867,27 +814,24 @@ def _numeric_chain_recipe(report: ConditionSetReport,
 def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
   """Decide one rational direction y whose cube y^3 lies in the kernel.
 
-  Membership comes first: y is tested once against A's image V, the
-  reduced subspace, before any solve or conjugation.  With no zero
-  coordinate the direct escape characterization decides: y outside V or
-  failing the escape check blocks the direction (Proper), passing it gives
-  a simple witness.  With zeros, y is brought to a 0/1 pattern and the
-  chain conditions decide: unsatisfied and exact is Proper, satisfied with
-  a depth of at most two gives a chain witness, and anything else is
-  Undecided.  A y with zeros outside V gets the chain's first membership
-  failure without normalizing A or running the chain.  The audit holds
-  only this direction's steps.
+  With no zero coordinate the direct escape characterization decides: y
+  outside A's image V, the reduced subspace, or failing the escape check
+  blocks the direction (Proper), passing it gives a simple witness.  V is
+  tested first, before any solve.  With zeros, y is brought to a 0/1
+  pattern and the chain conditions decide: unsatisfied and exact is
+  Proper, satisfied with a depth of at most two gives a chain witness, and
+  anything else is Undecided.  The audit holds only this direction's
+  steps.
   """
   A, V = an.A, an.image
   audit: list[AuditEntry] = []
-  in_V = V.contains(y)
 
   def cert(verdict: str, reason: str, **evidence) -> Certificate:
     return Certificate(verdict, reason, A, evidence=evidence,
                        audit=tuple(audit))
 
   if all(a != 0 for a in y):
-    if in_V:
+    if V.contains(y):
       ok, u, note = escape_direction_check(A, V, y)
       audit.append(AuditEntry("escape-direction",
                               "satisfied" if ok else "fails", note))
@@ -905,19 +849,11 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
   # zeros present: bring the direction to a 0/1 pattern, then run the chain
   anB, frame, x_pat = an, None, y
   if any(a not in (0, 1) for a in y.entries):
-    n = len(y.support())
-    if in_V:
-      norm = normalize_kernel_direction(A, hpow(y, 3))
-      anB, frame, x_pat = Analysis(norm.matrix), norm.frame, norm.generator
-    else:
-      # the generator normalize_kernel_direction gives: support first
-      x_pat = RatVector.of([1] * n + [0] * (len(y) - n))
-    audit.append(AuditEntry("normalize", "done", f"support size {n}"))
-  # the conjugate B = P D A D^-3 P^T has Im B = P D Im A, and P D sends y
-  # to x_pat, so the chain's first membership fails exactly when y is
-  # outside V; its kernel check cannot fail first, as y^3 is in Ker A
-  rep = (condition_chain(anB, x_pat) if in_V else
-         ConditionSetReport(x_pat, False, (), failure=_X_INF_OUTSIDE_V))
+    norm = normalize_kernel_direction(A, hpow(y, 3))
+    anB, frame, x_pat = Analysis(norm.matrix), norm.frame, norm.generator
+    audit.append(AuditEntry("normalize", "done",
+                            f"support size {norm.support_size}"))
+  rep = condition_chain(anB, x_pat)
   audit.append(AuditEntry("condition-chain",
                           "satisfied" if rep.satisfied else "unsatisfied",
                           rep.failure or f"depth {rep.depth}"))
@@ -969,8 +905,8 @@ def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
   Provable emptiness is Proper.  A kernel line is decided on the direction
   the search found inside the image, or, when that direction is irrational
   (no image vector), by the numeric fallback.  A wider kernel goes through
-  the sweep of cube-root directions, where only a witness decides.  Every
-  NonProper passes the float witness validation.
+  the sweep of cube-root directions inside the image, where only a witness
+  decides.  Every NonProper passes the float witness validation.
   """
   A = an.A
   audit = [AuditEntry(
@@ -993,10 +929,13 @@ def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
     decided = _decide_direction(an, search.image_vector)
     return _validated(A, replace(decided, audit=tuple(audit) + decided.audit))
 
+  # a direction outside Im A can only end Proper, which the sweep ignores
   candidates = kernel_cuberoot_candidates(an)
+  inside = [y for y in candidates if an.image.contains(y)]
   audit.append(AuditEntry("candidate-sweep", "enumerated",
-                          f"{len(candidates)} rational direction(s)"))
-  for y in candidates:
+                          f"{len(candidates)} rational direction(s), "
+                          f"{len(inside)} in the image"))
+  for y in inside:
     decided = _decide_direction(an, y)
     audit.extend(decided.audit)
     # a kernel combination is not the whole kernel, so only a witness decides
@@ -1053,8 +992,8 @@ def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
 
 def kernel_cuberoot_candidates(A: RatMatrix | Analysis) -> list[RatVector]:
   """Rational directions y with y^3 in Ker(A), widest support first: the
-  cube roots of the +-1 kernel combinations of `_coeff_enumeration`, at
-  most CANDIDATE_CAP of them (see `Analysis.cube_root_directions`)."""
+  cube roots of the +-1 kernel combinations of `_unit_tuples`, at most
+  CANDIDATE_CAP of them (see `Analysis.cube_root_directions`)."""
   return list(_analysis(A).cube_root_directions)
 
 
@@ -1064,11 +1003,12 @@ def certify(A: RatMatrix) -> Certificate:
   Pipeline: the structural screens; when none fires, the exact search for
   escape raw material, whose provable emptiness proves properness; then a
   kernel line's direction, decided by `corank1_decide` as a direct call
-  decides it, or a sweep of kernel cube-root directions, each decided like
-  the corank-one direction, until one refutes properness.  The first
-  decisive step wins.  One Analysis of A serves every step.  The audit
-  trail opens with the escape search, marked skipped when a screen decided,
-  then the screens' entries and everything evaluated after them.
+  decides it, or a sweep of the kernel cube-root directions inside Im A,
+  each decided like the corank-one direction, until one refutes
+  properness.  The first decisive step wins.  One Analysis of A serves
+  every step.  The audit trail opens with the escape search, marked
+  skipped when a screen decided, then the screens' entries and everything
+  evaluated after them.
   """
   an = Analysis(A)
   screen_cert, screen_audit = sufficient_screens(an)
@@ -1130,10 +1070,13 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   about: the linear reasons hold at k = 1, every other reason only at
   k = 3, and a witness recipe must be for the certificate's k.  Evidence
   whose vectors or frame do not fit A's size fails.
-  Proper reasons are recomputed from A alone, through a fresh Analysis;
-  NonProper reasons re-run the witness validation, whose pass requires the
-  recipe equations to hold exactly (rational recipes) or within tolerance
-  (numeric ones).
+  Proper reasons are recomputed from A alone, through a fresh Analysis; a
+  kernel-line-blocked certificate must also carry exactly the evidence
+  that the all-ones screen or `_decide_direction` writes for A's kernel
+  line (`certify` writes the screen's, a direct `corank1_decide` call the
+  other).  NonProper reasons re-run the witness validation, whose pass
+  requires the recipe equations to hold exactly (rational recipes) or
+  within tolerance (numeric ones).
   """
   if cert.matrix._integer_rows != A._integer_rows:
     return False
@@ -1159,11 +1102,19 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
       return A.is_upper_triangular() or A.is_lower_triangular()
     if reason in (REASON_KERNEL_LINE, REASON_CHAIN_UNSAT):
       K = an.kernel
-      y = rational_cube_root_direction(K.rows[0]) if K.dim == 1 else None
+      if K.dim != 1:
+        return False
+      if reason == REASON_KERNEL_LINE and all(x == 1 for x in K.rows[0]):
+        screen = _ones_kernel_screen(an, [])
+        if screen is not None and screen.evidence == cert.evidence:
+          return True
+      y = rational_cube_root_direction(K.rows[0])
       if y is None:
         return False
       decided = _decide_direction(an, y)
-      return decided.verdict == PROPER and decided.reason == reason
+      return (decided.verdict == PROPER and decided.reason == reason
+              and (reason == REASON_CHAIN_UNSAT
+                   or decided.evidence == cert.evidence))
     if reason == REASON_NO_ESCAPE:
       s = necessary_escape_search(an)
       return s.candidate is None and s.none_is_proof

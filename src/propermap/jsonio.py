@@ -182,7 +182,6 @@ def recipe_from_json(obj) -> WitnessRecipe:
 
 def _chain_summary(report: ConditionSetReport) -> dict:
   return {"type": "chain",
-          "mode": "S",
           "satisfied": report.satisfied,
           "depth": report.depth,
           "numeric_only": report.numeric_only,

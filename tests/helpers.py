@@ -4,14 +4,11 @@ Everything here is deliberately naive: plain Gaussian elimination and
 cofactor expansion over Fraction, and brute-force float grids, with no
 imports from the package's linear algebra.  Slow but obviously correct, so
 package results can be checked against an implementation that shares no
-code with them.  The one exception, `chain_first_decide`, composes the
-package's own steps in the order a shortcut skips, so the shortcut can be
-checked against the long way round.
+code with them.
 """
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import math
 import os
@@ -421,6 +418,45 @@ def naive_cube_direction(v) -> RatVector | None:
   return RatVector.of(out)
 
 
+def box_coefficient_table(dim: int) -> list[tuple[int, ...]]:
+  """The reference coefficient box: primitive, sign-normalized integer
+  tuples with entries in [-3, 3], smallest sum of |c| first, then those
+  without a negative entry, then lexicographic.  The whole box while it has
+  at most 3000 points (dim <= 4); past that the tuples with one or two
+  nonzero entries, plus the sign tuples up to dim 8 and the all-ones tuple
+  beyond."""
+  box, seen, out = 3, set(), []
+
+  def push(c):
+    g = math.gcd(*c)
+    if g == 0:
+      return
+    c = tuple(x // g for x in c)
+    if next(x for x in c if x) < 0:
+      c = tuple(-x for x in c)
+    if c not in seen:
+      seen.add(c)
+      out.append(c)
+
+  if (2 * box + 1) ** dim <= 3000:
+    for c in itertools.product(range(-box, box + 1), repeat=dim):
+      push(c)
+  else:
+    for i, j in itertools.combinations(range(dim), 2):
+      for a in range(-box, box + 1):
+        for b in range(-box, box + 1):
+          c = [0] * dim
+          c[i], c[j] = a, b
+          push(c)
+    if dim <= 8:
+      for signs in itertools.product((1, -1), repeat=dim):
+        push(signs)
+    else:
+      push([1] * dim)
+  out.sort(key=lambda c: (sum(map(abs, c)), min(c) < 0, c))
+  return out
+
+
 def reference_candidates(basis, table) -> list[RatVector]:
   """Every combination sum c_j b_j for the coefficient tuples c of `table`,
   formed in Fractions, one per line, sorted by (-support, sum of |c|,
@@ -452,70 +488,3 @@ def reference_kernel_directions(basis, table, count: int) -> list[RatVector]:
     if d is not None:
       out.append(d)
   return out
-
-
-def chain_first_decide(A: RatMatrix, y: RatVector):
-  """The certificate `certify._decide_direction` gives for y, reached
-  without testing y against Im A first: a direction with zeros is
-  normalized unless it is a 0/1 pattern, the conjugate gets a fresh
-  Analysis, and the escape chain runs from its first check."""
-  # the package exports a function named certify, so the module is looked up
-  C = importlib.import_module("propermap.certify")
-  from propermap.hadamard import hpow
-  from propermap.linalg import primitive_integer_vector
-  from propermap.recipes import WitnessRecipe
-
-  audit = []
-
-  def cert(verdict, reason, **evidence):
-    return C.Certificate(verdict, reason, A, evidence=evidence,
-                         audit=tuple(audit))
-
-  V = C.Analysis(A).image
-  if all(a != 0 for a in y):
-    if V.contains(y):
-      ok, u, note = C.escape_direction_check(A, V, y)
-      audit.append(C.AuditEntry("escape-direction",
-                                "satisfied" if ok else "fails", note))
-      if ok:
-        recipe = WitnessRecipe(kind="simple", x_inf=y, u=u)
-        return cert(C.NONPROPER, C.REASON_ESCAPE, recipe=recipe, direction=y,
-                    u=u)
-    else:
-      audit.append(C.AuditEntry("membership", "fails", "kernel cube root is "
-                                "outside the reduced subspace"))
-      note = "direction not in reduced subspace"
-    return cert(C.PROPER, C.REASON_KERNEL_LINE,
-                generator=primitive_integer_vector(hpow(y, 3)), direction=y,
-                failed=note)
-  if all(a in (0, 1) for a in y.entries):
-    B, frame, x_pat = A, None, y
-  else:
-    norm = C.normalize_kernel_direction(A, hpow(y, 3))
-    B, frame, x_pat = norm.matrix, norm.frame, norm.generator
-    audit.append(C.AuditEntry("normalize", "done",
-                              f"support size {norm.support_size}"))
-  anB = C.Analysis(B)
-  rep = C.condition_chain(anB, x_pat)
-  audit.append(C.AuditEntry("condition-chain",
-                            "satisfied" if rep.satisfied else "unsatisfied",
-                            rep.failure or f"depth {rep.depth}"))
-  if not rep.satisfied:
-    if rep.numeric_only:
-      return cert(C.UNDECIDED, C.REASON_OUT_OF_SCOPE, chain=rep,
-                  note="numeric chain unsatisfied; properness cannot be "
-                  "certified from floats")
-    return cert(C.PROPER, C.REASON_CHAIN_UNSAT, chain=rep)
-  if rep.numeric_only:
-    recipe = C._numeric_chain_recipe(rep, frame)
-    reason = C.REASON_CHAIN + C.NUMERIC_SUFFIX
-  else:
-    recipe = C._chain_recipe(rep, anB.image, frame)
-    reason = C.REASON_CHAIN
-    if recipe is None:
-      audit.append(C.AuditEntry("witness", "unsupported",
-                                f"chain depth {rep.depth} has no closed-form "
-                                "points"))
-  if recipe is not None:
-    return cert(C.NONPROPER, reason, recipe=recipe, chain=rep)
-  return cert(C.UNDECIDED, C.REASON_OUT_OF_SCOPE, chain=rep)

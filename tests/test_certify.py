@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-  chain_first_decide,
+  box_coefficient_table,
   f_exact,
   f_hat_exact,
   family_member,
@@ -456,6 +456,23 @@ def _json_round_trip(cert):
   return certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
 
 
+def test_verify_certificate_reads_kernel_line_evidence():
+  # the all-ones line is blocked by its screen, the other by
+  # _decide_direction: evidence that is not what that step writes for A
+  # fails, even though the reason holds
+  forged = {"generator": RatVector.of([5, 7, 9]),
+            "in_reduced_subspace": False}
+  for A in (RatMatrix.of([[-2, -3, 5], [0, -1, 1], [-2, -3, 5]]),
+            RatMatrix.of(BLOCKED_DIRECTION)):
+    cert = certify(A)
+    assert (cert.verdict, cert.reason) == (PROPER, "kernel-line-blocked")
+    assert verify_certificate(A, _json_round_trip(cert))
+    for evidence in ({}, forged, dict(cert.evidence, **forged)):
+      broken = replace(cert, evidence=evidence)
+      assert not verify_certificate(A, broken), (A, evidence)
+      assert not verify_certificate(A, _json_round_trip(broken))
+
+
 def test_verify_certificate_rejects_another_power():
   # the reasons argue about x + (Ax)^3, and a recipe about its own k
   A = golden_3x3()
@@ -496,7 +513,7 @@ def test_verify_certificate_rejects_evidence_of_another_size():
 # changed byte changes the digest: move it only with a deliberate change
 # of verdicts or of the certificate format.
 PLANTED_CERTIFICATES_SHA256 = (
-  "f65e3ef981f596d116332620ac3a04dbbcb84526281956d5abb735eba38e671a")
+  "ada246686253b14ed9b82ae90805007e04bc97e03f25df1b65f7565e213f1394")
 
 
 def test_planted_certificate_bytes_are_pinned():
@@ -520,7 +537,7 @@ def test_planted_certificate_bytes_are_pinned():
 # corank >= 2 strata m/r = 4/2, 5/3, 6/3, 6/4, 8/4, seeds 0-59 each, in
 # that order; it moves only with a change of verdicts or of the format
 RANK_SAMPLE_CERTIFICATES_SHA256 = (
-  "639dc17cd250ca6f53e663b5f932cd6855fd9f39a88e649294bab926570a2f68")
+  "ed655f43972cffbc7c7e79ada4fc630202e10778fe0938211fdb5fb8e9e9e7fc")
 
 
 def test_rank_sample_certificate_bytes_are_pinned():
@@ -533,11 +550,13 @@ def test_rank_sample_certificate_bytes_are_pinned():
 
 
 # the sha256 of the certificate JSON texts of family_member(Random(s)) for
-# s = 0..99, then two_class_kernel(Random(s)) for s = 0..199: corank-1
-# matrices with Fraction entries, which the planted and rank-sample digests
-# never parse.  None reaches a float chain, so every recipe is pinned.
+# s = 0..99, then two_class_kernel(Random(s)) for s = 0..199: matrices with
+# Fraction entries, which the planted and rank-sample digests never parse.
+# Most are corank 1, but 34 two_class_kernel draws are corank 2 and end in
+# the corank >= 2 sweep, whose audit entries the digest pins too.  None
+# reaches a float chain, so every recipe is pinned.
 FRACTION_CORANK1_CERTIFICATES_SHA256 = (
-  "c1e90f9267da8609071c71eb32c71bf87b000240e8e0ee038e170306c6d7832d")
+  "1cd34558b7f95956264f3d4a95ce81565a157b1882d90384c5f051b605b57786")
 
 
 def test_fraction_corank1_certificate_bytes_are_pinned():
@@ -590,6 +609,28 @@ def test_certify_and_witness_share_no_private_names():
   assert not private
   assert "witness" in {source for source, _ in _package_imports("certify")}
   assert "certify" not in {source for source, _ in _package_imports("witness")}
+
+
+def test_every_private_module_name_is_named_elsewhere_in_src():
+  # a module-level _function or _Class that no other line of the package
+  # names is dead code
+  package = Path(certify_module.__file__).parent
+  defined, named = [], set()
+  for path in sorted(package.glob("*.py")):
+    tree = ast.parse(path.read_text())
+    defined += [(path.name, node.name) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")]
+    for node in ast.walk(tree):
+      if isinstance(node, ast.Name):
+        named.add(node.id)
+      elif isinstance(node, ast.Attribute):
+        named.add(node.attr)
+      elif isinstance(node, ast.alias):
+        named.add(node.name)
+  assert len(defined) > 20
+  assert [d for d in defined if d[1] not in named] == []
 
 
 def test_screens_decide_without_the_escape_search(monkeypatch):
@@ -680,39 +721,19 @@ def _rank_samples():
       yield sample_rank_r(m, r, seed=s)
 
 
-def test_membership_first_decides_like_the_chain_first_path():
-  kinds = set()
+def test_sweep_never_decides_a_direction_outside_the_image(monkeypatch):
+  real = certify_module._decide_direction
+  decided = []
+
+  def recording(an, y):
+    decided.append(an.image.contains(y))
+    return real(an, y)
+  monkeypatch.setattr(certify_module, "_decide_direction", recording)
+  outside = unread = swept = 0
   matrices = itertools.chain(
     _rank_samples(),
     (two_pattern_kernel(random.Random(s)) for s in range(10000, 10200)))
   for A in matrices:
-    an = Analysis(A)
-    for y in an.cube_root_directions:
-      # 2y keeps y's line and membership but is never a 0/1 pattern
-      for d in (y, y.scale(2)):
-        got = certify_module._decide_direction(an, d)
-        assert got == chain_first_decide(A, d), (A, d)
-        shape = ("full" if all(d) else
-                 "pattern" if all(a in (0, 1) for a in d) else "scaled")
-        kinds.add((an.image.contains(d), shape))
-  assert kinds == {(inside, shape) for inside in (False, True)
-                   for shape in ("full", "pattern", "scaled")}
-
-
-def test_directions_outside_the_image_are_never_normalized(monkeypatch):
-  calls = []
-
-  def counting(name):
-    real = getattr(certify_module, name)
-
-    def wrapped(*args):
-      calls.append(name)
-      return real(*args)
-    return wrapped
-  for name in ("normalize_kernel_direction", "condition_chain"):
-    monkeypatch.setattr(certify_module, name, counting(name))
-  outside = unread = 0
-  for A in _rank_samples():
     an = Analysis(A)
     if not an.cube_root_directions:
       # the bounded search has nothing to test, so it never needs Im A
@@ -720,14 +741,22 @@ def test_directions_outside_the_image_are_never_normalized(monkeypatch):
       assert search.candidate is None and not search.none_is_proof
       assert "image" not in an.__dict__
       unread += 1
-    for y in an.cube_root_directions:
-      if not an.image.contains(y):
-        for d in (y, y.scale(2)):
-          certify_module._decide_direction(an, d)
-          outside += 1
+    decided.clear()
     certify(A)
-  assert outside > 0 and unread > 0
-  assert calls == []
+    assert all(decided), A
+    swept += len(decided)
+    for y in an.cube_root_directions:
+      if an.image.contains(y) or all(y):
+        continue
+      # only verify_certificate can pass such a direction: it is brought
+      # to a 0/1 pattern, and the chain fails at its first membership
+      for d in (y, y.scale(2)):
+        got = real(an, d)
+        assert (got.verdict, got.reason) == (PROPER, "escape-chain-unsat")
+        assert got.evidence["chain"].failure == \
+          "x_inf is not in the reduced subspace"
+        outside += 1
+  assert outside > 0 and unread > 0 and swept > 0
 
 
 # a non-integer basis whose entries need more than 64 bits
@@ -757,7 +786,7 @@ def _reference_directions(space: Subspace) -> list[RatVector]:
   """The oracle for `Analysis.cube_root_directions`: the reference
   directions of the first 1600 reference candidates, every candidate
   tested, sorted stably by (-support, sum of |y|) and cut to 400."""
-  table = certify_module._coeff_enumeration(space.dim)
+  table = box_coefficient_table(space.dim)
   found = reference_kernel_directions(space.basis, table, 1600)
   found.sort(key=lambda v: (-len(v.support()),
                             sum(abs(x) for x in v.entries)))
@@ -851,8 +880,8 @@ def _planted_escape_matrix(seed: int) -> tuple[RatMatrix, RatVector]:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_escape_search_and_sweep_read_one_horizon(seed):
-  # the low-support direction sits late among the 1120 combinations of the
-  # dim-4 table; the escape search must reach every direction the sweep does
+  # the low-support direction sits late among the 40 tuples of the dim-4
+  # table; the escape search must reach every direction the sweep does
   A, y = _planted_escape_matrix(seed)
   s = necessary_escape_search(A)
   assert s.candidate is not None
@@ -902,9 +931,12 @@ def test_disjoint_support_pick_is_the_widest_reference_candidate():
       s = necessary_escape_search(A)
       assert s.none_is_proof and s.note == "candidate found"
       want = reference_candidates(meet.basis,
-                                  certify_module._coeff_enumeration(d))[0]
+                                  certify_module._unit_tuples(d))[0]
       assert rank(RatMatrix((s.image_vector.entries, want.entries))) == 1
       assert s.image_vector == A.apply(s.candidate)
+      # the whole coefficient box widens the pick no further
+      box = reference_candidates(meet.basis, box_coefficient_table(d))[0]
+      assert s.image_vector.support() == box.support()
       ones = sum(meet.basis, RatVector.zero(meet.ambient_dim))
       cancelled += len(ones.support()) < len(want.support())
   # some meets lose support in the all-ones combination, so the pick is
@@ -1004,25 +1036,28 @@ def test_certify_eliminates_each_kernel_once_per_analysis(monkeypatch):
 
 
 def test_candidate_box_stays_below_the_first_cube_ratio():
-  box = certify_module.CANDIDATE_BOX
-  assert box < 8
-  # a ratio a / b of coefficients in the box is a rational cube only when
-  # a = b, so the sweep may cube-test the +-1 tuples alone
-  for a in range(-box, box + 1):
-    for b in range(1, box + 1):
+  # a ratio a / b of coefficients with |a|, b <= 7 is a rational cube only
+  # when |a| = b, so a primitive tuple with entries below 8 has a rational
+  # direction only when its nonzero entries are +-1
+  for a in range(-7, 8):
+    for b in range(1, 8):
       if a != 0:
         assert (rational_cube_root_direction((b, a)) is not None) == \
             (abs(a) == b)
-  # at box 8, c = (1, 8) on two unit vectors would have a rational direction
+  # at 8, c = (1, 8) on two unit vectors would have a rational direction
   assert rational_cube_root_direction((1, 8)) == RatVector.of([1, 2])
 
 
 def test_coefficient_table_is_one_fixed_tuple():
-  tables = [certify_module._coeff_enumeration(dim) for dim in range(1, 7)]
+  tables = [certify_module._unit_tuples(dim) for dim in range(1, 7)]
   assert all(isinstance(t, tuple) for t in tables)
-  # dims 1-4 take the full box [-3, 3]^dim, dims 5 and 6 the pairs and signs
-  assert [len(t) for t in tables] == [1, 16, 145, 1120, 161, 248]
-  assert certify_module._coeff_enumeration(4) is tables[3]
+  # dims 1-4 take every +-1 tuple, dims 5 and 6 the pairs and signs
+  assert [len(t) for t in tables] == [1, 4, 13, 40, 41, 68]
+  assert certify_module._unit_tuples(4) is tables[3]
+  # the +-1 rows of the reference box, in its order
+  for dim in range(1, 11):
+    assert list(certify_module._unit_tuples(dim)) == [
+      c for c in box_coefficient_table(dim) if max(map(abs, c)) == 1]
 
 
 def test_kernel_cuberoot_candidates_are_pairwise_non_parallel():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import planted_pattern
 from propermap import jsonio
 from propermap.certify import certify, verify_certificate
 from propermap.forge import golden_3x3, shift_5x5
@@ -158,6 +160,20 @@ def test_certificate_round_trip_keeps_witness_recipe():
   rec = back.witness()
   assert rec == cert.witness()
   assert validate_witness(A, rec).passed
+
+
+def test_chain_evidence_with_the_old_mode_key_still_verifies():
+  # chain summaries once carried a constant "mode": "S"; a certificate
+  # written then still parses, and the extra key changes no verdict
+  for seed, m in ((1, 4), (70, 3), (837, 4)):
+    A = planted_pattern(random.Random(seed), m)
+    obj = json.loads(dumps(certificate_to_json(certify(A))))
+    chain = obj["evidence"]["chain"]
+    assert chain["type"] == "chain" and "mode" not in chain
+    chain["mode"] = "S"
+    back = certificate_from_json(json.loads(json.dumps(obj)))
+    assert back.evidence["chain"]["mode"] == "S"
+    assert verify_certificate(A, back)
 
 
 def test_certificate_parse_is_strict():
