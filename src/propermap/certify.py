@@ -160,19 +160,44 @@ class ConditionSetReport:
   def depth(self) -> int:
     return len(self.stages)
 
+  def summary(self) -> dict:
+    """The report as certificate evidence carries it through JSON."""
+    return {"type": "chain",
+            "satisfied": self.satisfied,
+            "depth": self.depth,
+            "numeric_only": self.numeric_only,
+            "extrapolated": self.extrapolated,
+            "failure": self.failure}
+
 
 @dataclass(frozen=True)
 class EscapeSearch:
   """Result of looking for x with Ax != 0 and A((Ax)^3) = 0, x in Im(A^T).
 
-  ``none_is_proof`` is True when the absence of a candidate is an exact
-  theorem about A rather than the failure of a bounded search.
+  ``image_vector`` is the y = Ax found, or None.  ``none_is_proof`` is True
+  when the absence of a candidate is an exact theorem about A rather than
+  the failure of a bounded search.  The preimage ``candidate`` x is solved
+  in the row space at its first read, from the matrix and row space the
+  search keeps; the decision itself only asks whether y exists, so most
+  searches never solve it.  The kept inputs take no part in eq or repr.
   """
 
-  candidate: RatVector | None
   image_vector: RatVector | None
   none_is_proof: bool
   note: str = ""
+  _preimage_of: tuple[RatMatrix, Subspace] | None = field(
+    default=None, compare=False, repr=False)
+
+  @cached
+  def candidate(self) -> RatVector | None:
+    """The x in the row space with Ax = image_vector, or None."""
+    if self.image_vector is None:
+      return None
+    A, rowspace = self._preimage_of
+    x = solve_affine_in_subspace(A, self.image_vector, rowspace)
+    if x is None:
+      raise AssertionError("image vector without row-space preimage")
+    return x
 
 
 @dataclass(frozen=True)
@@ -419,23 +444,21 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
   The image is read only by the branches that test against it.  A kernel
   line with a rational cube-root direction d is one membership test: the
   roots meet Im A in span(d) when d is in it and in zero otherwise.  In the
-  bounded search each direction is tested for membership in Im A first,
-  and only a direction inside it is solved for its row-space preimage,
-  which then exists.
+  bounded search each direction is tested for membership in Im A.  The
+  search returns the direction y it found inside Im A; its row-space
+  preimage, which then exists, is solved only when the result's
+  `candidate` is read.
   """
   an = _analysis(A)
   A = an.A
   m = A.m
   if an.rank == m:
-    return EscapeSearch(None, None, True,
+    return EscapeSearch(None, True,
                         "matrix invertible: only Ax = 0 solves A((Ax)^3) = 0")
   K, rowspace = an.kernel, an.row_space
 
   def found(y: RatVector) -> EscapeSearch:
-    x = solve_affine_in_subspace(A, y, rowspace)
-    if x is None:
-      raise AssertionError("image vector without row-space preimage")
-    return EscapeSearch(x, y, True, "candidate found")
+    return EscapeSearch(y, True, "candidate found", (A, rowspace))
 
   if _disjoint_supports(K.rows):
     # each integer row is its basis vector times a positive scale, which
@@ -449,11 +472,11 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
         # nonzero entry is 1, so d is the widest combination of span(d)
         [d] = directions
         if not an.image.contains(d):
-          return EscapeSearch(None, None, True, _NO_ROOT_IN_IMAGE)
+          return EscapeSearch(None, True, _NO_ROOT_IN_IMAGE)
         return found(d)
       meet = intersect(Subspace.span(directions, m), an.image)
       if meet.dim == 0:
-        return EscapeSearch(None, None, True, _NO_ROOT_IN_IMAGE)
+        return EscapeSearch(None, True, _NO_ROOT_IN_IMAGE)
       # the widest-support combination, the first in table order on ties
       columns, scale = _integer_columns(meet)
       widest = max((_combine(c, columns)
@@ -465,14 +488,14 @@ def necessary_escape_search(A: RatMatrix | Analysis) -> EscapeSearch:
     # one basis vector always has disjoint supports, so a kernel line gets
     # here only when its cube root is irrational
     if not cube_root_in_subspace(g, an.image):
-      return EscapeSearch(None, None, True,
+      return EscapeSearch(None, True,
                           "kernel-line cube root avoids the image")
-    return EscapeSearch(None, None, False,
+    return EscapeSearch(None, False,
                         "an escape image vector exists but is irrational")
   for d in an.cube_root_directions:
     if an.image.contains(d):
       return found(d)
-  return EscapeSearch(None, None, False,
+  return EscapeSearch(None, False,
                       "bounded search over rational directions found nothing")
 
 
@@ -485,6 +508,27 @@ def _kernel_in_gram_kernel(an: Analysis) -> bool:
     return True
   return all(sum(map(operator.mul, col, k)) == 0
              for k in an.kernel.rows for col in an._columns)
+
+
+def _gram_kernel_evidence(an: Analysis) -> dict | None:
+  """The evidence the kernel-in-gram-kernel screen writes for A, or None
+  when it does not fire."""
+  if not _kernel_in_gram_kernel(an):
+    return None
+  kdim = an.kernel.dim
+  return {"kernel_dim": kdim,
+          "note": ("matrix invertible" if kdim == 0 else
+                   f"all {kdim} kernel direction(s) also kill the Gram "
+                   "matrix")}
+
+
+def _orientation(A: RatMatrix) -> str | None:
+  """Which triangle A lies in, "upper" before "lower", or None."""
+  if A.is_upper_triangular():
+    return "upper"
+  if A.is_lower_triangular():
+    return "lower"
+  return None
 
 
 def sufficient_screens(A: RatMatrix | Analysis
@@ -501,14 +545,11 @@ def sufficient_screens(A: RatMatrix | Analysis
   A = an.A
   audit: list[AuditEntry] = []
 
-  if _kernel_in_gram_kernel(an):
-    kdim = an.kernel.dim
-    detail = ("matrix invertible" if kdim == 0 else
-              f"all {kdim} kernel direction(s) also kill the Gram matrix")
-    audit.append(AuditEntry("screen:kernel-in-gram-kernel", "fires", detail))
-    cert = Certificate(PROPER, REASON_KERNEL_GRAM, A,
-                       evidence={"kernel_dim": kdim, "note": detail})
-    return cert, audit
+  evidence = _gram_kernel_evidence(an)
+  if evidence is not None:
+    audit.append(AuditEntry("screen:kernel-in-gram-kernel", "fires",
+                            evidence["note"]))
+    return Certificate(PROPER, REASON_KERNEL_GRAM, A, evidence=evidence), audit
   audit.append(AuditEntry("screen:kernel-in-gram-kernel", "no"))
 
   if an.rank == 1:
@@ -518,8 +559,8 @@ def sufficient_screens(A: RatMatrix | Analysis
     return cert, audit
   audit.append(AuditEntry("screen:gram-rank-1", "no"))
 
-  if A.is_upper_triangular() or A.is_lower_triangular():
-    orientation = "upper" if A.is_upper_triangular() else "lower"
+  orientation = _orientation(A)
+  if orientation is not None:
     audit.append(AuditEntry("screen:triangular", "fires", orientation))
     cert = Certificate(PROPER, REASON_TRIANGULAR, A,
                        evidence={"orientation": orientation})
@@ -911,10 +952,10 @@ def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
   A = an.A
   audit = [AuditEntry(
     "escape-search",
-    "candidate" if search.candidate is not None else
+    "candidate" if search.image_vector is not None else
     ("provably empty" if search.none_is_proof else "nothing found"),
     search.note)]
-  if search.candidate is None and search.none_is_proof:
+  if search.image_vector is None and search.none_is_proof:
     return Certificate(PROPER, REASON_NO_ESCAPE, A,
                        evidence={"note": search.note}, audit=tuple(audit))
 
@@ -1070,11 +1111,14 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   about: the linear reasons hold at k = 1, every other reason only at
   k = 3, and a witness recipe must be for the certificate's k.  Evidence
   whose vectors or frame do not fit A's size fails.
-  Proper reasons are recomputed from A alone, through a fresh Analysis; a
-  kernel-line-blocked certificate must also carry exactly the evidence
-  that the all-ones screen or `_decide_direction` writes for A's kernel
-  line (`certify` writes the screen's, a direct `corank1_decide` call the
-  other).  NonProper reasons re-run the witness validation, whose pass
+  Proper reasons are recomputed from A alone, through a fresh Analysis,
+  and the certificate must carry exactly the evidence that the deciding
+  step writes for A: a screen's fields, the escape search's note, or what
+  `_decide_direction` writes for A's kernel line, with a chain report
+  compared in the summary form a JSON round trip leaves.  A
+  kernel-line-blocked certificate may instead carry the all-ones screen's
+  evidence (`certify` writes the screen's, a direct `corank1_decide` call
+  the other).  NonProper reasons re-run the witness validation, whose pass
   requires the recipe equations to hold exactly (rational recipes) or
   within tolerance (numeric ones).
   """
@@ -1093,31 +1137,34 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   if cert.k != 3:
     return False
   an = Analysis(A)
+  evidence = cert.evidence
   if cert.verdict == PROPER:
     if reason == REASON_KERNEL_GRAM:
-      return _kernel_in_gram_kernel(an)
+      return evidence == _gram_kernel_evidence(an)
     if reason == REASON_GRAM_RANK1:
-      return an.rank == 1
+      return an.rank == 1 and evidence == {"gram_rank": 1}
     if reason == REASON_TRIANGULAR:
-      return A.is_upper_triangular() or A.is_lower_triangular()
+      orientation = _orientation(A)
+      return (orientation is not None
+              and evidence == {"orientation": orientation})
     if reason in (REASON_KERNEL_LINE, REASON_CHAIN_UNSAT):
       K = an.kernel
       if K.dim != 1:
         return False
       if reason == REASON_KERNEL_LINE and all(x == 1 for x in K.rows[0]):
         screen = _ones_kernel_screen(an, [])
-        if screen is not None and screen.evidence == cert.evidence:
+        if screen is not None and screen.evidence == evidence:
           return True
       y = rational_cube_root_direction(K.rows[0])
       if y is None:
         return False
       decided = _decide_direction(an, y)
       return (decided.verdict == PROPER and decided.reason == reason
-              and (reason == REASON_CHAIN_UNSAT
-                   or decided.evidence == cert.evidence))
+              and _evidence_form(decided.evidence) == _evidence_form(evidence))
     if reason == REASON_NO_ESCAPE:
       s = necessary_escape_search(an)
-      return s.candidate is None and s.none_is_proof
+      return (s.image_vector is None and s.none_is_proof
+              and evidence == {"note": s.note})
     return False
   if cert.verdict == NONPROPER:
     recipe = cert.witness()
@@ -1125,6 +1172,18 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
       return False
     return validate_witness(A, recipe).passed
   return False
+
+
+def _evidence_form(evidence: dict) -> dict:
+  """Evidence as a JSON round trip leaves it, for comparison: a chain
+  report becomes its summary, and the constant "mode": "S" that older
+  chain summaries carry is dropped."""
+  chain = evidence.get("chain")
+  if isinstance(chain, ConditionSetReport):
+    return dict(evidence, chain=chain.summary())
+  if isinstance(chain, dict) and chain.get("mode") == "S":
+    return dict(evidence, chain={k: v for k, v in chain.items() if k != "mode"})
+  return evidence
 
 
 def _recipe_fits(recipe: WitnessRecipe, m: int) -> bool:

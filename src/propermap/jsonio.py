@@ -180,15 +180,6 @@ def recipe_from_json(obj) -> WitnessRecipe:
                        k=k, numeric=numeric, **kwargs)
 
 
-def _chain_summary(report: ConditionSetReport) -> dict:
-  return {"type": "chain",
-          "satisfied": report.satisfied,
-          "depth": report.depth,
-          "numeric_only": report.numeric_only,
-          "extrapolated": report.extrapolated,
-          "failure": report.failure}
-
-
 def _encode_evidence(value):
   if isinstance(value, bool) or value is None:
     return value
@@ -203,7 +194,7 @@ def _encode_evidence(value):
   if isinstance(value, WitnessRecipe):
     return {"type": "recipe", **recipe_to_json(value)}
   if isinstance(value, ConditionSetReport):
-    return _chain_summary(value)
+    return value.summary()
   if isinstance(value, (list, tuple)):
     return [_encode_evidence(x) for x in value]
   if isinstance(value, dict):

@@ -166,21 +166,26 @@ def laurent_coords(recipe: WitnessRecipe) -> list[dict]:
 
   The polynomials map exponents to rational coefficients, so the dominant
   orders of x + B(x^k) can cancel exactly instead of in floating point,
-  where they would drown the residual at large gamma.
+  where they would drown the residual at large gamma.  A simple recipe's
+  coordinate is t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)), the second
+  coefficient built as one Fraction from the integer parts of u and x_inf.
   """
   m = len(recipe.x_inf)
   coords: list[dict] = [{} for _ in range(m)]
 
   def add(i, e, c):
+    # the exponents of one coordinate are distinct, so nothing accumulates
     if c:
-      coords[i][e] = coords[i].get(e, Fraction(0)) + c
+      coords[i][e] = c
 
   if recipe.kind == "simple":
     k = recipe.k
-    for i in range(m):
-      xi = recipe.x_inf[i]
+    low = -3 * (k - 2)
+    for i, (xi, ui) in enumerate(zip(recipe.x_inf, recipe.u)):
       add(i, 3, xi)
-      add(i, -3 * (k - 2), recipe.u[i] / (k * xi ** (k - 1)))
+      if ui:
+        add(i, low, Fraction(ui.numerator * xi.denominator ** (k - 1),
+                             ui.denominator * k * xi.numerator ** (k - 1)))
     return coords
   u1 = recipe.u1 if recipe.u1 is not None else recipe.u
   for i in range(m):
@@ -197,13 +202,16 @@ def laurent_coords(recipe: WitnessRecipe) -> list[dict]:
 
 
 def _float_polys(coords: list[dict]) -> list[dict]:
-  """The Laurent polynomials with each coefficient read as a float once."""
-  return [{e: float(c) for e, c in p.items()} for p in coords]
+  """The Laurent polynomials with each coefficient n/d read as the float
+  n / d, which is what `float` returns for it."""
+  return [{e: c.numerator / c.denominator for e, c in p.items()}
+          for p in coords]
 
 
-def _evaluate(polys: list[dict], t: float) -> list[float]:
-  """Float Laurent polynomials at t, each a sum in its exponents' order."""
-  return [sum(c * t ** e for e, c in p.items()) for p in polys]
+def _evaluate(polys: list[dict], powers: dict) -> list[float]:
+  """Float Laurent polynomials at t, given powers[e] = t ** e for each of
+  their exponents, each a sum in its exponents' order."""
+  return [sum([c * powers[e] for e, c in p.items()]) for p in polys]
 
 
 def _check_recipe(recipe: WitnessRecipe) -> None:
@@ -237,7 +245,12 @@ def witness_points(recipe: WitnessRecipe, gammas) -> list[tuple[float, ...]]:
     raise ValueError("gamma must be positive")
   _check_recipe(recipe)
   polys = _float_polys(laurent_coords(recipe))
-  return [tuple(_evaluate(polys, g ** (1.0 / 3.0))) for g in gammas]
+  exponents = set().union(*polys)
+  points = []
+  for g in gammas:
+    t = g ** (1.0 / 3.0)
+    points.append(tuple(_evaluate(polys, {e: t ** e for e in exponents})))
+  return points
 
 
 def build_witness_point(recipe: WitnessRecipe, gamma: float) -> tuple[float, ...]:

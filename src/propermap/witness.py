@@ -6,10 +6,12 @@ in floating point, everything the refutation claims: image residuals
 decaying, point norms growing, directions converging.  One validation
 expands the recipe's Laurent curve once.  The points come from it, and so
 do the residuals x + B(x^k): exact integer Laurent polynomials, whose
-growing orders cancel before any coefficient is read as a float.  The
-module also hosts the general-power witness constructor and a numeric
-properness probe that minimizes the map norm over spheres of growing
-radius.
+growing orders cancel before any coefficient is read as a float.  For a
+rational simple recipe the same expansion also decides its invariants:
+B x_inf^k = 0 and B u + x_inf = 0 hold exactly when the residuals keep no
+t^(3k) and no t^3 term.  The module also hosts the general-power witness
+constructor and a numeric properness probe that minimizes the map norm
+over spheres of growing radius.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _apply_f(mat, x):
 
 
 def _norm(x) -> float:
-  return math.sqrt(sum(t * t for t in x))
+  return math.sqrt(sum([t * t for t in x]))
 
 
 def _laurent_residuals(B: RatMatrix, coords: list[dict], k: int
@@ -100,8 +102,8 @@ def _laurent_residuals(B: RatMatrix, coords: list[dict], k: int
           for p in coords]
   pows = []
   for p in ints:
-    acc = {0: 1}
-    for _ in range(k):
+    acc = p
+    for _ in range(k - 1):
       prod: dict = {}
       for e1, c1 in acc.items():
         for e2, c2 in p.items():
@@ -144,6 +146,14 @@ def _numeric_equations_ok(B: RatMatrix, recipe: WitnessRecipe) -> bool:
   return True
 
 
+def _equations_ok(B: RatMatrix, recipe: WitnessRecipe) -> bool:
+  """The recipe equations checked without an expansion: within tolerance
+  for a float-born recipe, exactly for a rational one."""
+  if recipe.numeric:
+    return _numeric_equations_ok(B, recipe)
+  return _recipe_equations_hold(B, recipe)
+
+
 def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
                      gammas: tuple[float, ...] = DEFAULT_GAMMAS
                      ) -> WitnessValidationReport:
@@ -157,6 +167,15 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   within twice their small-gamma level).  Structurally impossible recipes
   are reported rejected; recipes whose equations fail are still evaluated
   so the report shows the residual growth.
+
+  The invariants of a rational simple recipe come from the residual
+  expansion: with x = t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)), residual
+  i has (B x_inf^k)_i at t^(3k) and (x_inf + B u)_i at t^3, and for k >= 2
+  no other term reaches either order.  The equations of a chain recipe,
+  which include memberships no expansion shows, and of a rejected recipe,
+  which is not expanded, are checked by `_recipe_equations_hold`; those of
+  a float-born recipe within tolerance.  A recipe whose vectors do not fit
+  B's size raises ValueError.
   """
   if len(gammas) < 2:
     raise ValueError("need at least two gammas to judge a trend")
@@ -170,19 +189,17 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
     raise ValueError("gammas must be distinct")
 
   B = recipe.frame.conjugate(A) if recipe.frame is not None else A
-  if recipe.numeric:
-    invariant_ok = _numeric_equations_ok(B, recipe)
-  else:
-    invariant_ok = _recipe_equations_hold(B, recipe)
-
+  if len(recipe.x_inf) != B.n_cols:
+    raise ValueError(f"matrix is {B.n_rows}x{B.n_cols}, recipe vectors have "
+                     f"length {len(recipe.x_inf)}")
   try:
     _check_recipe(recipe)
   except ValueError as err:
     return WitnessValidationReport(
       gammas=gammas, residuals=(), point_norms=(), direction_errors=(),
-      invariant_ok=invariant_ok, rejected=True, fitted_decay_exponent=None,
-      negative_image_coordinates=False, passed=False,
-      note=f"recipe rejected: {err}")
+      invariant_ok=_equations_ok(B, recipe), rejected=True,
+      fitted_decay_exponent=None, negative_image_coordinates=False,
+      passed=False, note=f"recipe rejected: {err}")
 
   k = recipe.k
   # only even powers have an image sign to watch
@@ -199,6 +216,13 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   coords = laurent_coords(recipe)
   point_polys = _float_polys(coords)
   resid_polys = _laurent_residuals(B, coords, k)
+  if recipe.kind == "simple" and not recipe.numeric:
+    # (B x_inf^k)_i sits at t^(3k) and (x_inf + B u)_i at t^3, and only
+    # nonzero coefficients are kept
+    invariant_ok = not any(3 in p or 3 * k in p for p in resid_polys)
+  else:
+    invariant_ok = _equations_ok(B, recipe)
+  exponents = set().union(*point_polys, *resid_polys)
 
   residuals = []
   norms = []
@@ -206,8 +230,9 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   negative_image = False
   for g in gammas:
     t13 = g ** (1.0 / 3.0)
-    x = _evaluate(point_polys, t13)
-    residuals.append(_norm(_evaluate(resid_polys, t13)))
+    powers = {e: t13 ** e for e in exponents}
+    x = _evaluate(point_polys, powers)
+    residuals.append(_norm(_evaluate(resid_polys, powers)))
     n = _norm(x)
     norms.append(n)
     dir_errors.append(_norm([a / n - b for a, b in zip(x, x_hat)]))

@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 import random
+import statistics
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,6 +188,109 @@ def laurent_residual_oracle(B: RatMatrix, coords: list[dict], k: int
           acc[e] = acc.get(e, Fraction(0)) + bij * c
     out.append({e: c for e, c in acc.items() if c != 0})
   return out
+
+
+# the planted_pattern(Random(s), 3 + s % 2) seeds in 0..2999 that certify
+# escape-direction: full-support kernel lines refuted by a simple recipe
+ESCAPE_DIRECTION_SEEDS = (92, 298, 346, 622, 1240, 1614, 1778, 2348, 2812,
+                          2910)
+
+
+def reference_coords(recipe) -> list[dict]:
+  """The escape curve of a recipe as one {exponent of t: Fraction} dict per
+  coordinate, t = gamma^(1/3), written out from the recipe's formulas:
+  t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)) for a simple recipe, and
+  t^3 x_inf + t^(-3) u1 / 3 + t^(-5) v1 / 3 + t r + t^(-1) v / (3 r^2) for
+  a chain (u1 defaults to u, r is the hat cube root)."""
+  coords = []
+  for i in range(len(recipe.x_inf)):
+    terms = {3: recipe.x_inf[i]}
+    if recipe.kind == "simple":
+      k = recipe.k
+      terms[-3 * (k - 2)] = recipe.u[i] / (k * recipe.x_inf[i] ** (k - 1))
+    else:
+      terms[-3] = (recipe.u1 if recipe.u1 is not None else recipe.u)[i] / 3
+      if recipe.v1 is not None:
+        terms[-5] = recipe.v1[i] / 3
+      if recipe.u_hat_root is not None:
+        r = recipe.u_hat_root[i]
+        terms[1] = r
+        if r != 0 and recipe.v is not None:
+          terms[-1] = recipe.v[i] / (3 * r ** 2)
+    coords.append({e: c for e, c in terms.items() if c != 0})
+  return coords
+
+
+def reference_replay(B: RatMatrix, recipe, gammas, invariant_ok=None) -> dict:
+  """What `validate_witness` reports for a recipe on the matrix B it refers
+  to (its frame is not applied), field by field, computed naively.
+
+  Each residual coordinate is `laurent_residual_oracle`'s Fraction
+  polynomial, each point coordinate `reference_coords`' one, and both are
+  evaluated term by term in floats.  A simple recipe's equations are
+  checked here in Fractions; pass `invariant_ok` for any other recipe.
+  The pass rule is the documented one: the equations hold, point norms
+  strictly grow, direction errors do not grow, and the residuals' log-log
+  slope is at most -0.2 or they stay within twice their early level.
+  """
+  k, x_inf, m = recipe.k, recipe.x_inf, B.m
+  gammas = tuple(sorted(float(g) for g in gammas))
+  if recipe.kind == "simple":
+    if invariant_ok is None:
+      xk = [a ** k for a in x_inf]
+      invariant_ok = all(
+        sum(B.entry(i, j) * xk[j] for j in range(m)) == 0
+        and sum(B.entry(i, j) * recipe.u[j] for j in range(m)) + x_inf[i] == 0
+        for i in range(m))
+    rejected = (any(a == 0 for a in x_inf) or all(a == 0 for a in recipe.u)
+                or k < 2)
+  else:
+    rejected = any(a not in (0, 1) for a in x_inf) or k != 3
+  if rejected:
+    return dict(gammas=gammas, residuals=(), point_norms=(),
+                direction_errors=(), invariant_ok=invariant_ok, rejected=True,
+                fitted_decay_exponent=None, negative_image_coordinates=False,
+                passed=False)
+  coords = reference_coords(recipe)
+  resid = laurent_residual_oracle(B, coords, k)
+
+  def at(polys, t):
+    out = []
+    for p in polys:
+      total = 0.0
+      for e, c in p.items():
+        total += float(c) * t ** e
+      out.append(total)
+    return out
+
+  ref = [float(a) for a in x_inf]
+  x_hat = [a / math.sqrt(sum(a * a for a in ref)) for a in ref]
+  residuals, norms, errors = [], [], []
+  negative = False
+  for g in gammas:
+    t = g ** (1.0 / 3.0)
+    x = at(coords, t)
+    residuals.append(math.sqrt(sum(a * a for a in at(resid, t))))
+    n = math.sqrt(sum(a * a for a in x))
+    norms.append(n)
+    errors.append(math.sqrt(sum((a / n - b) ** 2 for a, b in zip(x, x_hat))))
+    if k % 2 == 0:
+      bx = [sum(float(B.entry(i, j)) * x[j] for j in range(m))
+            for i in range(m)]
+      negative = negative or any(a < -1e-12 for a in bx)
+  logs = [math.log(g) for g in gammas]
+  slope = statistics.linear_regression(
+    logs, [math.log(max(r, 1e-300)) for r in residuals]).slope
+  grow = all(b > a for a, b in zip(norms, norms[1:]))
+  shrink = (all(b <= max(a * (1 + 1e-9), 1e-14)
+                for a, b in zip(errors, errors[1:]))
+            and errors[-1] <= max(errors[0], 1e-14))
+  decay = slope <= -0.2 or max(residuals) <= 2.0 * max(residuals[:2])
+  return dict(gammas=gammas, residuals=tuple(residuals),
+              point_norms=tuple(norms), direction_errors=tuple(errors),
+              invariant_ok=invariant_ok, rejected=False,
+              fitted_decay_exponent=slope, negative_image_coordinates=negative,
+              passed=invariant_ok and grow and shrink and decay)
 
 
 def naive_jacobian(A: RatMatrix, x, k: int = 3) -> list[list[Fraction]]:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+  ESCAPE_DIRECTION_SEEDS,
   box_coefficient_table,
   f_exact,
   f_hat_exact,
@@ -71,9 +72,11 @@ from propermap.linalg import (
   solve_affine_in_subspace,
 )
 from propermap.recipes import ConjugationFrame, build_witness_point
+from propermap.witness import validate_witness
 
 # the package re-exports the function certify, which hides the module
 certify_module = importlib.import_module("propermap.certify")
+linalg_module = importlib.import_module("propermap.linalg")
 
 # corank 1 with kernel line (1,1,2): the cube root of the kernel direction
 # is irrational, every membership it needs holds, and the escape system has
@@ -428,11 +431,14 @@ def test_verify_certificate_rejects_a_swapped_proper_reason():
     assert verify_certificate(A, cert)
     assert not verify_certificate(A, replace(cert, reason=reason)), \
       (name, reason)
-  # a swap to an argument that also holds is still a valid certificate: the
-  # kernel line of planted-0 is all ones and misses the image
+  # a swap to an argument that also holds is still a valid certificate once
+  # it carries that argument's evidence: the kernel line of planted-0 is
+  # all ones and misses the image
   A = REGRESSION["planted-0"][0]()
-  assert verify_certificate(
-    A, replace(certify(A), reason="no-escape-direction"))
+  swapped = replace(certify(A), reason="no-escape-direction")
+  assert not verify_certificate(A, swapped)
+  note = necessary_escape_search(A).note
+  assert verify_certificate(A, replace(swapped, evidence={"note": note}))
 
 
 def test_verify_certificate_rejects_a_perturbed_recipe():
@@ -471,6 +477,89 @@ def test_verify_certificate_reads_kernel_line_evidence():
       broken = replace(cert, evidence=evidence)
       assert not verify_certificate(A, broken), (A, evidence)
       assert not verify_certificate(A, _json_round_trip(broken))
+
+
+def _edits(value):
+  """Values that differ from `value` in one field: a changed scalar or
+  vector entry, or, for a dict, one field changed or dropped."""
+  if isinstance(value, bool):
+    return [not value]
+  if isinstance(value, int):
+    return [value + 1]
+  if isinstance(value, str):
+    return [value + " (edited)"]
+  if value is None:
+    return ["edited"]
+  if isinstance(value, RatVector):
+    return [RatVector.of([value[0] + 1, *value.entries[1:]])]
+  if isinstance(value, dict):
+    changed = [dict(value, **{key: e}) for key, v in value.items()
+               for e in _edits(v)]
+    dropped = [{k2: v2 for k2, v2 in value.items() if k2 != key}
+               for key in value]
+    return changed + dropped
+  raise TypeError(type(value).__name__)
+
+
+# one matrix per Proper reason of x + (Ax)^3
+PROPER_BY_REASON = {
+  "kernel-in-gram-kernel": lambda: RatMatrix.of([[1, 2], [2, 1]]),
+  "gram-rank-1": lambda: RatMatrix.of([[1, 2], [3, 6]]),
+  "triangular": lambda: RatMatrix.of([[1, 1, 1], [0, 0, 1], [0, 0, 1]]),
+  "kernel-line-blocked": lambda: planted_pattern(random.Random(0), 3),
+  "escape-chain-unsat": lambda: planted_pattern(random.Random(1), 4),
+  "no-escape-direction": lambda: planted_pattern(random.Random(2), 3),
+}
+
+
+def test_verify_certificate_checks_every_proper_reasons_evidence():
+  # each Proper certificate must carry exactly what its deciding step
+  # writes for A; one field changed or dropped fails it, in memory and
+  # after a JSON round trip, where a chain report is a plain summary dict
+  for reason, build in PROPER_BY_REASON.items():
+    A = build()
+    cert = certify(A)
+    assert (cert.verdict, cert.reason) == (PROPER, reason)
+    back = _json_round_trip(cert)
+    assert verify_certificate(A, cert) and verify_certificate(A, back)
+    for source in (cert, back):
+      if reason == "escape-chain-unsat" and source is cert:
+        continue     # the in-memory chain is a report, edited through JSON
+      for evidence in _edits(dict(source.evidence)):
+        broken = replace(source, evidence=evidence)
+        assert not verify_certificate(A, broken), (reason, evidence)
+        assert not verify_certificate(A, _json_round_trip(broken))
+  for reason in ("escape-chain-unsat", "no-escape-direction"):
+    A = PROPER_BY_REASON[reason]()
+    cert = certify(A)
+    for evidence in ({}, {"note": "anything"}):
+      assert not verify_certificate(A, replace(cert, evidence=evidence))
+  A = PROPER_BY_REASON["kernel-in-gram-kernel"]()
+  cert = certify(A)
+  assert cert.evidence == {"kernel_dim": 0, "note": "matrix invertible"}
+  assert not verify_certificate(
+    A, replace(cert, evidence=dict(cert.evidence, kernel_dim=5)))
+
+
+def test_full_support_corank1_refutations_verify_and_replay():
+  # kernel lines with no zero coordinate that reach the escape check and
+  # are refuted by a simple recipe, past every screen
+  for s in ESCAPE_DIRECTION_SEEDS:
+    A = planted_pattern(random.Random(s), 3 + s % 2)
+    cert = certify(A)
+    assert (cert.verdict, cert.reason) == (NONPROPER, "escape-direction"), s
+    assert cert.audit[1:5] == tuple(sufficient_screens(A)[1])
+    back = _json_round_trip(cert)
+    assert verify_certificate(A, back)
+    recipe = back.witness()
+    assert recipe.kind == "simple" and validate_witness(A, recipe).passed
+    # u + e_j breaks A u = -x_inf by column j of A, which is not zero
+    for j in range(A.m):
+      e_j = RatVector.of([int(i == j) for i in range(A.m)])
+      bumped = replace(recipe, u=recipe.u + e_j)
+      assert not validate_witness(A, bumped).invariant_ok, (s, j)
+      assert not verify_certificate(
+        A, replace(back, evidence=dict(back.evidence, recipe=bumped)))
 
 
 def test_verify_certificate_rejects_another_power():
@@ -1033,6 +1122,41 @@ def test_certify_eliminates_each_kernel_once_per_analysis(monkeypatch):
       assert sum(M is A for M in matrices[before:]) == 1
       rechecked += 1
   assert normalized > 0 and rechecked > 0
+
+
+def test_elimination_budget_of_a_request(monkeypatch):
+  # the integer eliminations of certify + JSON round trip + verify, as a
+  # bench request runs them; the escape search solves the preimage of its
+  # direction only when `candidate` is read, which no decision does
+  calls = 0
+  real = linalg_module._integer_rref
+
+  def counting(rows):
+    nonlocal calls
+    calls += 1
+    return real(rows)
+  monkeypatch.setattr(linalg_module, "_integer_rref", counting)
+  monkeypatch.setattr(certify_module, "_integer_rref", counting)
+  budget = {"golden_3x3": (golden_3x3(), "escape-direction", 6),
+            "no-escape": (planted_pattern(random.Random(2), 3),
+                          "no-escape-direction", 6),
+            "blocked": (planted_pattern(random.Random(0), 3),
+                        "kernel-line-blocked", 8)}
+  for name, (A, reason, want) in budget.items():
+    calls = 0
+    cert = certify(A)
+    assert cert.reason == reason
+    assert verify_certificate(A, _json_round_trip(cert))
+    assert calls == want, (name, calls)
+  # reading the candidate solves it then, once
+  search = necessary_escape_search(golden_3x3())
+  calls = 0
+  assert search.candidate is search.candidate is not None
+  assert calls == 1
+  # the matrix and row space it keeps for that take no part in eq or repr
+  again = necessary_escape_search(golden_3x3())
+  assert again == search and repr(again) == repr(search)
+  assert "RatMatrix" not in repr(search)
 
 
 def test_candidate_box_stays_below_the_first_cube_ratio():

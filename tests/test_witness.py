@@ -1,6 +1,7 @@
 """Witness validation, the sphere-minimum probe, and the linear fast path."""
 
 import dataclasses
+import itertools
 import math
 import random
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+  ESCAPE_DIRECTION_SEEDS,
   conjugate_oracle,
   laurent_residual_oracle,
   naive_det,
@@ -19,6 +21,7 @@ from helpers import (
   planted_pattern,
   rand_int_matrix,
   rand_rat_matrix,
+  reference_replay,
   rows_of,
   sphere_grid_min,
   src_env,
@@ -37,12 +40,15 @@ from propermap.linalg import RatMatrix, RatVector
 from propermap.recipes import (
   ConjugationFrame,
   WitnessRecipe,
+  _recipe_equations_hold,
   build_witness_point,
   laurent_coords,
 )
 from propermap.witness import (
+  DEFAULT_GAMMAS,
   _laurent_residuals,
   _newton_table,
+  _numeric_equations_ok,
   general_k_witness,
   probe_mu,
   validate_witness,
@@ -101,6 +107,16 @@ def test_zero_u_recipe_is_rejected_not_crashed():
   assert "rejected" in rep.note
 
 
+def test_recipe_of_another_size_is_refused():
+  # checked before the expansion, which would pair entries silently
+  A = golden_3x3()
+  short = WitnessRecipe(kind="simple", x_inf=RatVector.of([1, 1]),
+                        u=RatVector.of([1, 0]))
+  for recipe in (short, dataclasses.replace(short, numeric=True)):
+    with pytest.raises(ValueError, match="length 2"):
+      validate_witness(A, recipe)
+
+
 def test_gamma_schedule_is_validated():
   A = golden_3x3()
   recipe = certify(A).witness()
@@ -120,18 +136,25 @@ def test_gamma_schedule_is_validated():
   assert validate_witness(A, recipe, gammas=(100.0, 10.0, 1000.0)).passed
 
 
+def _unconjugated(frame: ConjugationFrame, B: RatMatrix) -> RatMatrix:
+  """The matrix A with frame.conjugate(A) == B."""
+  m = B.m
+  rows = [[Fraction(0)] * m for _ in range(m)]
+  for i, oi in enumerate(frame.perm):
+    for j, oj in enumerate(frame.perm):
+      rows[oi][oj] = B.entry(i, j) * frame.diag[oj] ** 3 / frame.diag[oi]
+  A = RatMatrix.of(rows)
+  assert frame.conjugate(A) == B
+  return A
+
+
 def _framed_golden():
   """golden_3x3's recipe with a frame, on the matrix the frame conjugates
   to golden_3x3."""
   G = golden_3x3()
   frame = ConjugationFrame((2, 0, 1), (Fraction(1, 2), Fraction(3), Fraction(-1)))
-  rows = [[Fraction(0)] * 3 for _ in range(3)]
-  for i, oi in enumerate(frame.perm):
-    for j, oj in enumerate(frame.perm):
-      rows[oi][oj] = G.entry(i, j) * frame.diag[oj] ** 3 / frame.diag[oi]
-  A = RatMatrix.of(rows)
-  assert frame.conjugate(A) == G
-  return A, dataclasses.replace(certify(G).witness(), frame=frame)
+  return (_unconjugated(frame, G),
+          dataclasses.replace(certify(G).witness(), frame=frame))
 
 
 def test_integer_conjugate_matches_the_fraction_formula():
@@ -234,6 +257,120 @@ def test_laurent_residuals_match_the_fraction_oracle():
   for B, recipe in exact:
     for p in _laurent_residuals(B, laurent_coords(recipe), recipe.k):
       assert all(e < 0 for e in p), recipe
+
+
+def _solve2(w, u, j0, j1, a, b):
+  """The vector z, zero outside coordinates j0 and j1, with z.w = a and
+  z.u = b; None when those two coordinates cannot fix both products."""
+  det = w[j0] * u[j1] - w[j1] * u[j0]
+  if det == 0:
+    return None
+  z = [Fraction(0)] * len(w)
+  z[j0] = (a * u[j1] - b * w[j1]) / det
+  z[j1] = (b * w[j0] - a * u[j0]) / det
+  return z
+
+
+def _simple_case(rng, x_inf, k, eq1, eq2):
+  """A matrix B and a simple recipe on it for which B x_inf^k = 0 holds
+  exactly when eq1 and B u + x_inf = 0 exactly when eq2: each row of B is
+  a random row moved onto both equations, then row 0 is moved off the
+  ones that should fail."""
+  m = len(x_inf)
+  w = [a ** k for a in x_inf]
+  dot = lambda r, v: sum(a * b for a, b in zip(r, v))
+  while True:
+    u = [_rat(rng) for _ in range(m)]
+    j0, j1 = rng.sample(range(m), 2)
+    if _solve2(w, u, j0, j1, 1, 0) is not None:
+      break
+  rows = []
+  for xi in x_inf:
+    r = [_rat(rng) for _ in range(m)]
+    z = _solve2(w, u, j0, j1, -dot(r, w), -xi - dot(r, u))
+    rows.append([a + b for a, b in zip(r, z)])
+  bump = _solve2(w, u, j0, j1, int(not eq1), int(not eq2))
+  rows[0] = [a + b for a, b in zip(rows[0], bump)]
+  for i, row in enumerate(rows):
+    assert (dot(row, w) == 0) == (eq1 or i > 0)
+    assert (dot(row, u) + x_inf[i] == 0) == (eq2 or i > 0)
+  return RatMatrix.of(rows), WitnessRecipe(
+    kind="simple", x_inf=RatVector.of(x_inf), u=RatVector.of(u), k=k)
+
+
+def test_expansion_invariants_equal_the_exact_check():
+  # an exact simple recipe's invariants are read off its residual
+  # expansion: residual i carries (B x_inf^k)_i at t^(3k) and
+  # (x_inf + B u)_i at t^3, so both equations hold exactly when neither
+  # order survives; `_recipe_equations_hold` checks them without one
+  rng = random.Random(26)
+  combos = Counter()
+  for k in range(2, 6):
+    for eq1, eq2 in itertools.product((True, False), repeat=2):
+      for n in range(30):
+        x_inf = [_rat(rng, nonzero=True) for _ in range(rng.randint(2, 4))]
+        B, recipe = _simple_case(rng, x_inf, k, eq1, eq2)
+        exact = _recipe_equations_hold(B, recipe)
+        assert exact == (eq1 and eq2)
+        if n % 3 == 0:
+          # the same recipe with a frame, on the matrix it conjugates to B
+          perm = list(range(len(x_inf)))
+          rng.shuffle(perm)
+          frame = ConjugationFrame(tuple(perm), tuple(
+            _rat(rng, nonzero=True) for _ in perm))
+          rep = validate_witness(_unconjugated(frame, B),
+                                 dataclasses.replace(recipe, frame=frame))
+          assert repr(rep) == repr(validate_witness(B, recipe))
+        else:
+          rep = validate_witness(B, recipe)
+        assert not rep.rejected
+        assert rep.invariant_ok == exact
+        assert rep.passed == exact
+        assert rep.note == ("" if exact else "recipe equations do not hold")
+        combos[eq1, eq2] += 1
+  assert len(combos) == 4 and min(combos.values()) >= 100
+  # a rejected recipe is not expanded, and its report still carries the
+  # exact check's answer
+  for holds in (True, False):
+    B, recipe = _simple_case(rng, [Fraction(1), Fraction(0), Fraction(2)], 3,
+                             holds, holds)
+    rep = validate_witness(B, recipe)
+    assert rep.rejected and not rep.passed
+    assert rep.invariant_ok == _recipe_equations_hold(B, recipe) == holds
+
+
+def _assert_matches_reference(rep, ref):
+  """Booleans and None exactly, floats to a relative 1e-12."""
+  for name, want in ref.items():
+    got = getattr(rep, name)
+    if isinstance(want, tuple):
+      assert len(got) == len(want), name
+      assert all(math.isclose(a, b, rel_tol=1e-12)
+                 for a, b in zip(got, want)), (name, got, want)
+    elif isinstance(want, float):
+      assert math.isclose(got, want, rel_tol=1e-12), (name, got, want)
+    else:
+      assert got == want, (name, got, want)
+
+
+def test_replay_matches_the_naive_reference():
+  cases = [(B, dataclasses.replace(r, frame=None)) for B, r in _oracle_cases()]
+  cases += [(A, certify(A).witness()) for A in
+            (planted_pattern(random.Random(s), 3 + s % 2)
+             for s in ESCAPE_DIRECTION_SEEDS)]
+  passed = Counter()
+  for B, recipe in cases:
+    rep = validate_witness(B, recipe)
+    if recipe.numeric:
+      invariant = _numeric_equations_ok(B, recipe)
+    elif recipe.kind != "simple":
+      invariant = _recipe_equations_hold(B, recipe)
+    else:
+      invariant = None
+    _assert_matches_reference(rep, reference_replay(B, recipe, DEFAULT_GAMMAS,
+                                                    invariant))
+    passed[rep.passed] += 1
+  assert passed[True] >= len(ESCAPE_DIRECTION_SEEDS) + 5 and passed[False]
 
 
 def test_recipe_shape_errors():
