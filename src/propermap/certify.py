@@ -1113,8 +1113,9 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   whose vectors or frame do not fit A's size fails.
   Proper reasons are recomputed from A alone, through a fresh Analysis,
   and the certificate must carry exactly the evidence that the deciding
-  step writes for A: a screen's fields, the escape search's note, or what
-  `_decide_direction` writes for A's kernel line, with a chain report
+  step writes for A, value for value and of the same type (1 is not true,
+  nor 2.0 the integer 2): a screen's fields, the escape search's note, or
+  what `_decide_direction` writes for A's kernel line, with a chain report
   compared in the summary form a JSON round trip leaves.  A
   kernel-line-blocked certificate may instead carry the all-ones screen's
   evidence (`certify` writes the screen's, a direct `corank1_decide` call
@@ -1140,31 +1141,32 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   evidence = cert.evidence
   if cert.verdict == PROPER:
     if reason == REASON_KERNEL_GRAM:
-      return evidence == _gram_kernel_evidence(an)
+      return _same(evidence, _gram_kernel_evidence(an))
     if reason == REASON_GRAM_RANK1:
-      return an.rank == 1 and evidence == {"gram_rank": 1}
+      return an.rank == 1 and _same(evidence, {"gram_rank": 1})
     if reason == REASON_TRIANGULAR:
       orientation = _orientation(A)
       return (orientation is not None
-              and evidence == {"orientation": orientation})
+              and _same(evidence, {"orientation": orientation}))
     if reason in (REASON_KERNEL_LINE, REASON_CHAIN_UNSAT):
       K = an.kernel
       if K.dim != 1:
         return False
       if reason == REASON_KERNEL_LINE and all(x == 1 for x in K.rows[0]):
         screen = _ones_kernel_screen(an, [])
-        if screen is not None and screen.evidence == evidence:
+        if screen is not None and _same(screen.evidence, evidence):
           return True
       y = rational_cube_root_direction(K.rows[0])
       if y is None:
         return False
       decided = _decide_direction(an, y)
       return (decided.verdict == PROPER and decided.reason == reason
-              and _evidence_form(decided.evidence) == _evidence_form(evidence))
+              and _same(_evidence_form(decided.evidence),
+                        _evidence_form(evidence)))
     if reason == REASON_NO_ESCAPE:
       s = necessary_escape_search(an)
       return (s.image_vector is None and s.none_is_proof
-              and evidence == {"note": s.note})
+              and _same(evidence, {"note": s.note}))
     return False
   if cert.verdict == NONPROPER:
     recipe = cert.witness()
@@ -1184,6 +1186,19 @@ def _evidence_form(evidence: dict) -> dict:
   if isinstance(chain, dict) and chain.get("mode") == "S":
     return dict(evidence, chain={k: v for k, v in chain.items() if k != "mode"})
   return evidence
+
+
+def _same(a, b) -> bool:
+  """a == b, with every value of the same type on both sides, down through
+  dicts and lists: == alone takes true for 1 and 2.0 for 2, which are
+  different evidence."""
+  if type(a) is not type(b):
+    return False
+  if type(a) is dict:
+    return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+  if type(a) is list or type(a) is tuple:
+    return len(a) == len(b) and all(map(_same, a, b))
+  return a == b
 
 
 def _recipe_fits(recipe: WitnessRecipe, m: int) -> bool:

@@ -315,12 +315,15 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   first trial whose value differs from its own by at most 1e-12 of it,
   so each sphere's value is a converged local minimum rather than
   wherever a round cap stopped; and its damping grows faster with every
-  rejection in a row, so an overshooting start wastes few rounds.  The
-  fixed starts of all spheres share one batch.  The chained rows
-  (continuation up the radii, then refinement back down) rerun in batches
-  until every row's start agrees with the results before it, at most
-  2n - 1 batches for n spheres.  It observes rather than proves: the
-  outcome is GrowthObserved, BoundedObserved, or Inconclusive.
+  rejection in a row, so an overshooting start wastes few rounds.  All
+  descents share one batch, which the fixed starts of every sphere begin.
+  The chained rows (continuation up the radii, then refinement back down)
+  join it once every sphere has a stopped row and no more fixed rows run
+  than the chain has jobs, each from the best result so far; a job joins
+  again whenever the results before it give it a new start, until every
+  job's start agrees with them, and each (job, start) descends once.  It
+  observes rather than proves: the outcome is GrowthObserved,
+  BoundedObserved, or Inconclusive.
   """
   if isinstance(k, bool) or not isinstance(k, int) or k < 1:
     # powers() would measure another map: at k = 0 it returns (Ax)^2
@@ -334,8 +337,8 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   else:
     radii = [float(r) for r in radii]
     if not all(map(math.isfinite, radii)):
-      # NaN passes every ordering test, and a NaN or inf radius gives NaN
-      # starts that the chained batches never match, so they never settle
+      # NaN passes every ordering test, and a NaN or inf radius makes every
+      # point and value on its sphere NaN, so no minimum is measured there
       raise ValueError("radii must be finite")
     if len(radii) < 4 or any(r <= 0 for r in radii) or \
        any(b <= a for a, b in zip(radii, radii[1:])):
@@ -352,7 +355,6 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
 
   def row_norms(X):
     return np.sqrt(row_dots(X, X))
-
   def powers(AX):
     # (AX)^(k-2), (AX)^(k-1) and (AX)^k by repeated products: numpy's **
     # calls libm pow per element, several times the cost of a multiply.
@@ -422,9 +424,10 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   # the x columns of a descent state [w | d | x | F]
   xcols = slice(2 * m, 3 * m)
 
-  def descend(S, R):
+  def descend(S, R, join):
     """Damped Riemannian Newton descent from every row of S on the sphere
-    of radius R[row] (Absil, Mahony and Sepulchre 2008, ch. 6).
+    of radius R[row] (Absil, Mahony and Sepulchre 2008, ch. 6), in one
+    batch that rows may join while it runs.
 
     At x, with a = Ax, F = x + a^k and d = k a^(k-1), the half squared
     norm |F|^2 / 2 has gradient g = F + A^T(d F) and Hessian H = I +
@@ -434,39 +437,48 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     the Riemannian Hessian on the tangent space, shifted by lam.  A row
     accepts the trial point r (x + s)/|x + s| only on strict decrease, and
     then carries the trial's state (see evaluate) instead of recomputing
-    it.  Its lam starts at 1e-6 (1 + sum |H|) and moves by the
-    Levenberg-Marquardt rule of Madsen, Nielsen and Tingleff (2004): an
-    accepted step divides lam by 3, and a rejected one multiplies it by a
-    factor that starts at 4 and doubles with every rejection in a row; a
-    singular system counts as rejected.  Apart from its diagonal shift the
-    bordered matrix is linear in w = d^2 + k(k-1) F a^(k-2), d and u, so
-    one matmul of [w | d | u] with the per-matrix table of _newton_table,
-    plus the identity, builds every row's matrix, and lam - sigma is added
-    through a strided view of the diagonal.  A row stops, and leaves the
-    batch, once a trial's value differs from its own by at most 1e-12 of
-    it (after the trial is accepted if it is lower): the rounding floor,
-    below which no step changes the minimum found.  It also stops once its step is at
-    most 1e-13 r or lam exceeds 1e12.  The loop ends when every row has
-    stopped or after PROBE_ITERATIONS rounds.  Up to matmul rounding, a
+    it.  Its lam starts at 1e-6 (1 + sum |H|) of its own first matrix and
+    moves by the Levenberg-Marquardt rule of Madsen, Nielsen and Tingleff
+    (2004): an accepted step divides lam by 3, and a rejected one
+    multiplies it by a factor that starts at 4 and doubles with every
+    rejection in a row; a singular system counts as rejected.  Apart from
+    its diagonal shift the bordered matrix is linear in w = d^2 + k(k-1) F
+    a^(k-2), d and u, so one matmul of [w | d | u] with the per-matrix
+    table of _newton_table, plus the identity, builds every row's matrix,
+    and lam - sigma is added through a strided view of the diagonal.  A
+    row stops, and leaves the batch, once a trial's value differs from its
+    own by at most 1e-12 of it (after the trial is accepted if it is
+    lower): the rounding floor, below which no step changes the minimum
+    found.  It also stops once its step is at most 1e-13 r, once lam
+    exceeds 1e12, or after PROBE_ITERATIONS rounds of its own.
+
+    Rows are numbered in the order they join, those of S first.  Row i's
+    squared map norm and point are out_f[i] and out_x[i]: inf and its start
+    until it stops.  In every round where rows stop, join(ids, out_f,
+    out_x) receives their numbers and returns None or the unit starts and
+    radii (S, R) of rows that join the batch.  The loop ends when no row is
+    left, and descend returns out_f and out_x.  Up to matmul rounding, a
     row's result does not depend on the other rows.
     """
     Z, fx = evaluate(S * R[:, None])
-    out_f, out_x = fx.copy(), Z[:, xcols].copy()
-    rows = np.arange(len(Z))  # the output row of every working row
-    lam = grow = None
-    for _ in range(PROBE_ITERATIONS):
-      if not len(rows):
-        break
+    out_f, out_x = np.full(len(Z), np.inf), Z[:, xcols].copy()
+    rows = np.arange(len(Z))  # the number of every working row
+    born = np.zeros(len(Z), dtype=int)  # the round every working row joined
+    lam = grow = np.empty(0)
+    fresh = len(Z)  # working rows, at the end, still without a lam
+    t = 0
+    while len(rows):
       D, X, F = Z[:, m:2 * m], Z[:, xcols], Z[:, 3 * m:]
       G = F + (D * F) @ Af
       U = X / R[:, None]
       M = np.concatenate([Z[:, :2 * m], U], axis=1) @ table
       M += eye
       n_rows = len(rows)
-      if lam is None:
-        H = M.reshape(n_rows, m + 1, m + 1)[:, :m, :m]
-        lam = 1e-6 * (1.0 + np.abs(H).sum(axis=(1, 2)))
-        grow = np.full(n_rows, 4.0)
+      if fresh:
+        H = M[-fresh:].reshape(fresh, m + 1, m + 1)[:, :m, :m]
+        lam = np.concatenate([lam, 1e-6 * (1.0 + np.abs(H).sum(axis=(1, 2)))])
+        grow = np.concatenate([grow, np.full(fresh, 4.0)])
+        fresh = 0
       M[:, shift] += (lam - row_dots(G, U) / R)[:, None]
       M = M.reshape(n_rows, m + 1, m + 1)
       rhs = np.zeros((n_rows, m + 1, 1))
@@ -496,17 +508,31 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
       lam = np.where(better, lam / 3.0, lam * grow)
       grow = np.where(better, 4.0, grow * 2.0)
       done |= lam > 1e12
+      t += 1
+      # born is non-decreasing, so born[0] is the oldest working row
+      if t - born[0] >= PROBE_ITERATIONS:
+        done |= t - born >= PROBE_ITERATIONS
       if done.any():
-        out_f[rows[done]] = fx[done]
-        out_x[rows[done]] = Z[done, xcols]
+        ids = rows[done]
+        out_f[ids], out_x[ids] = fx[done], Z[done, xcols]
+        new = join(ids, out_f, out_x)
         keep = ~done
         Z, fx, R, rows = Z[keep], fx[keep], R[keep], rows[keep]
-        lam, grow = lam[keep], grow[keep]
-    out_f[rows], out_x[rows] = fx, Z[:, xcols]
-    return out_f, out_x / row_norms(out_x)[:, None]
+        lam, grow, born = lam[keep], grow[keep], born[keep]
+        if new is not None:
+          S, R_new = new
+          Z_new, fx_new = evaluate(S * R_new[:, None])
+          fresh = len(S)
+          rows = np.concatenate([rows, len(out_f) + np.arange(fresh)])
+          Z, fx = np.concatenate([Z, Z_new]), np.concatenate([fx, fx_new])
+          R = np.concatenate([R, R_new])
+          born = np.concatenate([born, np.full(fresh, t)])
+          out_f = np.concatenate([out_f, np.full(fresh, np.inf)])
+          out_x = np.concatenate([out_x, Z_new[:, xcols]])
+    return out_f, out_x
 
   # the fixed starts depend on no descent result, so every sphere's block
-  # descends in one batch; the first minimum of a block is its sphere's best
+  # starts at once; the first minimum of a block is its sphere's best
   if dense is None:
     blocks = [starts] * n
   else:
@@ -514,12 +540,12 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
     vals = h((np.array(radii)[:, None, None] * dense).reshape(-1, m))
     best = np.argsort(vals.reshape(n, -1), axis=1, kind="stable")[:, :3]
     blocks = [np.vstack([starts, dense[b]]) for b in best]
-  size = len(blocks[0])
-  fx, dirs = descend(np.vstack(blocks), np.repeat(radii, size))
-  fx, dirs = fx.reshape(n, size), dirs.reshape(n, size, m)
-  first = [int(np.argmin(row)) for row in fx]
-  fixed_sq = [float(fx[i, j]) for i, j in enumerate(first)]
-  fixed_dirs = [dirs[i, j] for i, j in enumerate(first)]
+  fixed = np.vstack(blocks)
+  n_fixed, size = len(fixed), len(blocks[0])
+  waiting = n_fixed  # fixed rows still descending
+  # the spheres' squared minima and unit directions over the stopped fixed
+  # rows, kept until another fixed row stops
+  fixed_best = None
 
   # the chain: continuation descends sphere i from sphere i-1's best, which
   # tracks a valley upward (without it the narrow escape channels of
@@ -528,30 +554,60 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   # the measured envelope.  Each job is (sphere, sphere its start comes from).
   chain = [(i, i - 1) for i in range(1, n)] + \
       [(i, i + 1) for i in range(n - 2, -1, -1)]
-  ran = {}  # job -> (start, fx, dir) of its latest descent
-  while True:
-    # a job's result counts only if it descended from the start the results
-    # before it now give; the rest rerun together.  The first stale job's
-    # start rests on consistent results only, so each batch settles at
-    # least one more job: at most 2n - 2 batches after the fixed one, as
-    # many descent loops as running the chain one job at a time.
-    mu_sq, best_dirs = list(fixed_sq), list(fixed_dirs)
+  ran = {}  # (job, start bytes) -> (fx, dir) of its descent, None while it runs
+  keys = []  # the (job, start bytes) of every chained row, in joining order
+
+  def settle(out_f, out_x):
+    # the spheres' bests from the stopped rows: a job's result counts only
+    # if it descended from the start the results before it now give.
+    # Returns the squared minima, and the start and radius of every job
+    # whose start never ran, which is marked running.
+    nonlocal fixed_best
+    if fixed_best is None:
+      block = out_f[:n_fixed].reshape(n, size)
+      first = [i * size + int(np.argmin(row)) for i, row in enumerate(block)]
+      best = out_x[first]
+      fixed_best = out_f[first].tolist(), list(best / row_norms(best)[:, None])
+    mu_sq, best_dirs = list(fixed_best[0]), list(fixed_best[1])
     stale = []
     for job, (i, src) in enumerate(chain):
-      start = best_dirs[src]
-      if job in ran and np.array_equal(ran[job][0], start):
-        _, f, d = ran[job]
+      key = (job, best_dirs[src].tobytes())
+      if key not in ran:
+        ran[key] = None
+        keys.append(key)
+        stale.append((best_dirs[src], radii[i]))
+      elif ran[key] is not None:
+        f, d = ran[key]
         # the warm row wins ties; a refinement must strictly improve
         if (f <= mu_sq[i]) if src < i else (f < mu_sq[i]):
           mu_sq[i], best_dirs[i] = f, d
-      else:
-        stale.append((job, start))
-    if not stale:
-      break
-    fx, dirs = descend(np.array([s for _, s in stale]),
-                       np.array([radii[chain[job][0]] for job, _ in stale]))
-    for row, (job, start) in enumerate(stale):
-      ran[job] = (start, float(fx[row]), dirs[row])
+    return mu_sq, stale
+
+  def join(ids, out_f, out_x):
+    # the chain joins in a wave once every sphere has a stopped fixed row
+    # and no more fixed rows run than the chain has jobs; when the last
+    # fixed row stops, and whenever a chained row stops, the jobs whose
+    # start changed join.  Each (job, start) runs at most once.
+    nonlocal waiting, fixed_best
+    # ids ascend, and the fixed rows are numbered first
+    cut = len(ids) if ids[-1] < n_fixed else int((ids < n_fixed).sum())
+    if cut:
+      waiting -= cut
+      fixed_best = None
+    if cut < len(ids):
+      X = out_x[ids[cut:]]
+      for i, d in zip(ids[cut:], X / row_norms(X)[:, None]):
+        ran[keys[i - n_fixed]] = (float(out_f[i]), d)
+    if cut == len(ids) and waiting and (
+        keys or waiting > len(chain)
+        or not (out_f[:n_fixed] < np.inf).reshape(n, size).any(axis=1).all()):
+      return None
+    stale = settle(out_f, out_x)[1]
+    if stale:
+      return (np.array([d for d, _ in stale]),
+              np.array([r for _, r in stale]))
+
+  mu_sq = settle(*descend(fixed, np.repeat(radii, size), join))[0]
   mu_values = [math.sqrt(v) for v in mu_sq]
 
   slope = _loglog_slope(radii[-4:], mu_values[-4:])

@@ -481,11 +481,12 @@ def test_verify_certificate_reads_kernel_line_evidence():
 
 def _edits(value):
   """Values that differ from `value` in one field: a changed scalar or
-  vector entry, or, for a dict, one field changed or dropped."""
+  vector entry, a number of another type that == takes as equal, or, for
+  a dict, one field changed or dropped."""
   if isinstance(value, bool):
-    return [not value]
+    return [not value, int(value)]
   if isinstance(value, int):
-    return [value + 1]
+    return [value + 1, float(value)] + [bool(value)] * (value in (0, 1))
   if isinstance(value, str):
     return [value + " (edited)"]
   if value is None:

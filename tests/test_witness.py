@@ -15,6 +15,7 @@ import pytest
 from helpers import (
   ESCAPE_DIRECTION_SEEDS,
   conjugate_oracle,
+  family_member,
   laurent_residual_oracle,
   naive_det,
   ones_kernel_sample,
@@ -620,10 +621,11 @@ def test_probe_solves_row_by_row_when_a_batch_is_refused(monkeypatch):
 
 
 # batched solves, one per descent round, of probe_mu at seed 0 on radii
-# 1, 2, 4, 8; and the counts before rows stopped at their rounding floor
+# 1, 2, 4, 8, with the chain joining the running batch (ones4's chain
+# reruns jobs); and the counts before rows stopped at their rounding floor
 # and damping escalated on repeated rejections
-PROBE_ROUNDS = {"golden": 48, "shift": 115}
-EARLIER_PROBE_ROUNDS = {"golden": 78, "shift": 211}
+PROBE_ROUNDS = {"golden": 48, "shift": 89, "ones4": 60}
+EARLIER_PROBE_ROUNDS = {"golden": 78, "shift": 211, "ones4": 77}
 
 
 @pytest.mark.parametrize("name", list(PROBE_ROUNDS))
@@ -637,9 +639,19 @@ def test_probe_round_count_is_pinned(monkeypatch, name):
     return solve(a, b)
 
   monkeypatch.setattr(np.linalg, "solve", counting)
-  probe_mu(PROBE_FIXTURES[name](), seed=0, radii=(1, 2, 4, 8))
+  A = {**MORE_FIXTURES, **PROBE_FIXTURES}[name]()
+  probe_mu(A, seed=0, radii=(1, 2, 4, 8))
   assert rounds == PROBE_ROUNDS[name]
   assert rounds < EARLIER_PROBE_ROUNDS[name]
+
+
+def test_probe_ends_when_every_row_hits_the_round_cap(monkeypatch):
+  # PROBE_ITERATIONS caps each row's own rounds, rows joining late included
+  monkeypatch.setattr(witness_module, "PROBE_ITERATIONS", 2)
+  for A in (golden_3x3(), shift_5x5(), MORE_FIXTURES["ones4"]()):
+    rep = probe_mu(A, seed=0, radii=(1, 2, 4, 8))
+    assert len(rep.mu_values) == 4
+    assert all(map(math.isfinite, rep.mu_values))
 
 
 # mu_values and classifications of the bench's observe strata (all-ones
@@ -680,6 +692,149 @@ def test_probe_matches_recorded_observe_strata(name):
   rep = probe_mu(RatMatrix.of(rows), seed=0, radii=(1, 2, 4, 8))
   assert rep.classification == cls
   assert rep.mu_values == pytest.approx(mu, rel=1e-9)
+
+
+# classifications and mu_values of every matrix drawn by
+# ones_kernel_sample(Random(s), 3 + s % 2) and family_member(Random(s)),
+# s = 0..19, probed at seed s on radii 1, 2, 4, 8, recorded while the chain
+# still waited for the fixed batch.  Minima near an escape curve reproduce
+# only to about 3e-7, so values below 0.01 are not compared
+SAMPLED_MU = {
+  ("ones", 0): ("GrowthObserved", (
+    0.6887584562305585, 1.2173768322352168, 1.9660605002853795,
+    2.6321034253843143)),
+  ("ones", 1): ("GrowthObserved", (
+    0.6764968497938857, 1.4296777091654254, 2.952627767660821,
+    6.018417230110704)),
+  ("ones", 2): ("GrowthObserved", (
+    0.2297284098512413, 1.2348600870909632, 2.9708852865574893,
+    6.297250911507196)),
+  ("ones", 3): ("GrowthObserved", (
+    0.15401550815720894, 0.5733402998873226, 1.4732420109384063,
+    3.346563130541316)),
+  ("ones", 4): ("GrowthObserved", (
+    0.3761881005641465, 0.920119995554282, 2.0294805121630635,
+    4.278926775688494)),
+  ("ones", 5): ("GrowthObserved", (
+    0.3792982376438641, 0.6736693306069566, 1.2550123127083774,
+    2.404735595655581)),
+  ("ones", 6): ("GrowthObserved", (
+    0.47132776067136967, 1.0441542441107345, 2.2017276306850353,
+    4.5348726364290854)),
+  ("ones", 7): ("GrowthObserved", (
+    0.4034004541475191, 0.8915154245496139, 1.8745242143493754,
+    3.8511836099978365)),
+  ("ones", 8): ("GrowthObserved", (
+    0.4369828467600812, 0.9776957069098453, 2.086522285103704, 4.3388146758294)),
+  ("ones", 9): ("Inconclusive", (
+    0.23954003926701004, 0.23505252877930377, 0.1999874617164082,
+    0.060910412161215274)),
+  ("ones", 10): ("GrowthObserved", (
+    0.5405369016096452, 1.2265119797392436, 2.6190443014478526,
+    5.433418601640372)),
+  ("ones", 11): ("GrowthObserved", (
+    0.2292916524429045, 1.0332114752395885, 2.5233831638401516,
+    5.403480506269017)),
+  ("ones", 12): ("GrowthObserved", (
+    0.24126838795554784, 0.7570189634632803, 1.8300772143502446,
+    4.03264988614541)),
+  ("ones", 13): ("GrowthObserved", (
+    0.21967909034630412, 0.7295733752815199, 1.7874575229887713,
+    3.9565238760268135)),
+  ("ones", 14): ("GrowthObserved", (
+    0.580208168331179, 1.1945793871820907, 2.386623053871559,
+    4.7359755891527255)),
+  ("ones", 15): ("GrowthObserved", (
+    0.40166029045340523, 0.9166107429667834, 1.9739689868790737,
+    4.122441969386916)),
+  ("ones", 16): ("GrowthObserved", (
+    7.096232913279682e-17, 0.7813667434602, 1.9362591017021975,
+    4.010881448100904)),
+  ("ones", 17): ("GrowthObserved", (
+    0.4171264009109091, 1.1708609583930558, 2.3530669456636626,
+    4.712595669664029)),
+  ("ones", 18): ("GrowthObserved", (
+    0.3519104116424341, 0.5841372783436456, 1.048591191470251,
+    1.9613778421066341)),
+  ("ones", 19): ("GrowthObserved", (
+    0.30492587378639996, 0.760471108821665, 1.710310647715338,
+    3.6479328652392526)),
+  ("family", 0): ("BoundedObserved", (
+    0.05565992913239801, 0.04398850214096588, 0.03470632752460963,
+    0.027406652389708765)),
+  ("family", 1): ("BoundedObserved", (
+    0.025193436581588968, 0.02081036254851202, 0.01693129715424188,
+    0.013648033628078999)),
+  ("family", 2): ("BoundedObserved", (
+    0.02721399719296505, 0.02248797190600548, 0.018149992990783126,
+    0.014502066696888336)),
+  ("family", 3): ("BoundedObserved", (
+    0.021270052590076832, 0.016529363421439274, 0.012954306309878353,
+    0.010203394835637872)),
+  ("family", 4): ("BoundedObserved", (
+    0.01398922402190112, 0.010298737673890302, 0.007839282770604205,
+    0.0060710391042455856)),
+  ("family", 5): ("BoundedObserved", (
+    0.0017832047239747131, 0.001411941336645592, 0.0011315242023835308,
+    0.0009070884966445878)),
+  ("family", 6): ("BoundedObserved", (
+    0.005131449386251229, 0.004160327832579526, 0.003346725583145758,
+    0.002678933354335763)),
+  ("family", 7): ("Inconclusive", (
+    0.12425219742544864, 0.06242818821353337, 0.040616729496051336,
+    0.028953862706507225)),
+  ("family", 8): ("Inconclusive", (
+    0.019627030401851053, 0.009927758187449356, 0.006403406375739102,
+    0.004524280060133579)),
+  ("family", 9): ("BoundedObserved", (
+    0.008467704680985996, 0.006581606790191694, 0.005159568593882641,
+    0.004064652688280907)),
+  ("family", 10): ("BoundedObserved", (
+    0.009109282407730351, 0.007216675707802467, 0.005723077234516906,
+    0.0045407764898759825)),
+  ("family", 11): ("BoundedObserved", (
+    0.04700091382886938, 0.040028080761072504, 0.03330194908841202,
+    0.027281139774833776)),
+  ("family", 12): ("BoundedObserved", (
+    0.022229333195564176, 0.018740384713316256, 0.015487120712874749,
+    0.012624594543148852)),
+  ("family", 13): ("BoundedObserved", (
+    0.004598095499411464, 0.003637246761721772, 0.0028806614459163816,
+    0.0022832505101533836)),
+  ("family", 14): ("BoundedObserved", (
+    0.015176753439257777, 0.01179860528745486, 0.009276257528498196,
+    0.007325186215235484)),
+  ("family", 15): ("Inconclusive", (
+    0.04276654095688824, 0.020488312115442563, 0.013457470768080647,
+    0.009687494097711729)),
+  ("family", 16): ("BoundedObserved", (
+    0.007709296951507596, 0.005907743059641133, 0.0045912302919070115,
+    0.0035973826165768717)),
+  ("family", 17): ("BoundedObserved", (
+    0.01958843198061664, 0.01607278688364623, 0.013034579680314712,
+    0.010489852267059023)),
+  ("family", 18): ("BoundedObserved", (
+    0.013965123206711987, 0.010971118194268622, 0.008662798269056055,
+    0.006856412103899896)),
+  ("family", 19): ("BoundedObserved", (
+    0.022539575260584557, 0.01615896358376494, 0.01212994647470167,
+    0.009318279257120095)),
+}
+SAMPLERS = {
+  "ones": lambda s: ones_kernel_sample(random.Random(s), 3 + s % 2),
+  "family": lambda s: family_member(random.Random(s)),
+}
+
+
+@pytest.mark.parametrize("stratum", list(SAMPLERS))
+def test_probe_matches_recorded_samples(stratum):
+  for s in range(20):
+    cls, mu = SAMPLED_MU[(stratum, s)]
+    rep = probe_mu(SAMPLERS[stratum](s), seed=s, radii=(1, 2, 4, 8))
+    assert rep.classification == cls, s
+    for got, want in zip(rep.mu_values, mu):
+      if want >= 0.01:
+        assert got == pytest.approx(want, rel=1e-9), s
 
 
 def _sigma_min(M: RatMatrix) -> float:
