@@ -40,7 +40,6 @@ from .linalg import (
   RatVector,
   Subspace,
   _integer_matrix,
-  _integer_rref,
   _integerized_rows,
   _pivot_solution,
   _reduced,
@@ -48,10 +47,10 @@ from .linalg import (
   cached,
   det,
   intersect,
-  kernel_and_row_space,
   kernel_basis,
+  orthogonal_complement,
   primitive_integer_vector,
-  solve,
+  rref,
   solve_affine_in_subspace,
   subspace_image,
 )
@@ -225,16 +224,17 @@ class Analysis:
   A: RatMatrix
 
   @cached
-  def _kernel_and_row_space(self) -> tuple[Subspace, Subspace]:
-    return kernel_and_row_space(self.A)
+  def row_space(self) -> Subspace:
+    """One `rref` of A's integer rows."""
+    return _reduced(self.A.n_cols, self.A._integer_rows[0])
 
   @cached
   def kernel(self) -> Subspace:
-    return self._kernel_and_row_space[0]
+    return orthogonal_complement(self.row_space)
 
   @cached
   def rank(self) -> int:
-    return self.A.n_cols - self.kernel.dim
+    return self.row_space.dim
 
   @cached
   def _columns(self) -> list[tuple[int, ...]]:
@@ -248,10 +248,6 @@ class Analysis:
     screens only the all-ones kernel line reads it."""
     return _reduced(self.A.n_rows,
                     [self._columns[p] for p in self.row_space.pivots])
-
-  @cached
-  def row_space(self) -> Subspace:
-    return self._kernel_and_row_space[1]
 
   @cached
   def cube_root_directions(self) -> tuple[RatVector, ...]:
@@ -309,15 +305,10 @@ def _repair_solution(u0: RatVector, kernel: Subspace,
 
   The solution set of the original linear system is u0 + Ker; each
   membership constraint is linear, so feasibility is one joint solve over
-  the kernel coefficients and the target-subspace coordinates.
+  the kernel coefficients and the target-subspace coordinates.  The caller
+  passes at least one condition and a nonzero kernel: `condition_chain`
+  always imposes the support condition, and its kernel holds x_inf.
   """
-  if not conditions:
-    return u0
-  if kernel.dim == 0:
-    for L, W in conditions:
-      if not W.contains(L.apply(u0)):
-        return None
-    return u0
   # the joint system on the integer rows k_t of the kernel and w_s of each
   # W, row i of each L times its denominator lcm d_i and the whole row times
   # the denominator lcm of u0: scaling a column moves no pivot, so the
@@ -338,7 +329,7 @@ def _repair_solution(u0: RatVector, kernel: Subspace,
       out[ncols] = -sum(map(operator.mul, row, u0_int))
       rows.append(out)
     col_offset += W.dim
-  solution = _pivot_solution(*_integer_rref(rows), ncols)
+  solution = _pivot_solution(*rref(rows), ncols)
   if solution is None:
     return None
   coeffs, denom = solution
@@ -739,7 +730,8 @@ def condition_chain(A: RatMatrix | Analysis,
     return report(False, "x_inf^3 is not in the kernel")
   if not V.contains(x_inf):
     return report(False, "x_inf is not in the reduced subspace")
-  u0 = solve(A, -x_inf)
+  full = Subspace.full(m)
+  u0 = solve_affine_in_subspace(A, -x_inf, full)
   if u0 is None:
     return report(False, "-x_inf has no preimage")
   block = [i for i in range(m) if i not in support]
@@ -761,7 +753,7 @@ def condition_chain(A: RatMatrix | Analysis,
     root = RatVector.of(roots)
     if not V.contains(root):
       return report(False, "cube root of the hat vector leaves V")
-    v0 = solve(A, -root)
+    v0 = solve_affine_in_subspace(A, -root, full)
     if v0 is None:
       return report(False, "hat cube root has no preimage")
     pair_mat = RatMatrix.diagonal(
@@ -1009,7 +1001,8 @@ def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
   M = RatMatrix(tuple(tuple(im[i] for im in images) for i in range(A.m)))
   # least squares in exact arithmetic: normal equations are always solvable
   Mt = M.transpose()
-  c = solve(Mt.matmul(M), Mt.apply(-x_tilde))
+  c = solve_affine_in_subspace(Mt.matmul(M), Mt.apply(-x_tilde),
+                               Subspace.full(M.n_cols))
   u = RatVector.zero(A.m)
   if c is not None:
     for j, col in enumerate(cols):
@@ -1202,9 +1195,8 @@ def _same(a, b) -> bool:
 
 
 def _recipe_fits(recipe: WitnessRecipe, m: int) -> bool:
-  """Whether every vector of the recipe has length m and its frame, if
-  any, has size m."""
-  vectors = (recipe.x_inf, recipe.u, recipe.v, recipe.u1, recipe.v1,
-             recipe.u_hat_root)
-  return (all(v is None or len(v) == m for v in vectors)
+  """Whether the recipe lives in R^m: its x_inf has length m, which the
+  recipe's own check extends to every vector, and its frame, if any, has
+  size m."""
+  return (len(recipe.x_inf) == m
           and (recipe.frame is None or len(recipe.frame.perm) == m))

@@ -6,10 +6,7 @@ The maps under study are
     F_hat(x) = x + A (x^k)
 
 for a square rational matrix A and odd power k (k = 3 is the main case).
-Coordinatewise products and powers are provided over both Fraction entries
-(exact) and float entries (IEEE).  A single generic implementation covers
-both: Fraction arithmetic stays closed, and mixing in a float input yields
-float output.
+Coordinatewise products and powers are exact, on `RatVector`s.
 
 Also here: exact recognition of rational k-th roots, and the grouping of a
 rational vector's coordinates into perfect-cube-ratio classes.  Cube roots
@@ -24,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from .linalg import RatVector, Subspace, orthogonal_complement
 
@@ -33,29 +29,18 @@ from .linalg import RatVector, Subspace, orthogonal_complement
 APPROX_DIGITS = 48
 
 
-def _same_kind(template, values):
-  if isinstance(template, RatVector):
-    return RatVector(tuple(values))
-  return tuple(values)
-
-
-def _entries(x) -> Sequence:
-  return x.entries if isinstance(x, RatVector) else tuple(x)
-
-
-def hprod(x, y):
+def hprod(x: RatVector, y: RatVector) -> RatVector:
   """Coordinatewise product."""
-  xs, ys = _entries(x), _entries(y)
-  if len(xs) != len(ys):
-    raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-  return _same_kind(x, (a * b for a, b in zip(xs, ys)))
+  if len(x) != len(y):
+    raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+  return RatVector(tuple(a * b for a, b in zip(x.entries, y.entries)))
 
 
-def hpow(x, k: int):
+def hpow(x: RatVector, k: int) -> RatVector:
   """Coordinatewise k-th power, k >= 1."""
   if k < 1:
     raise ValueError("power must be >= 1")
-  return _same_kind(x, (a ** k for a in _entries(x)))
+  return RatVector(tuple(a ** k for a in x.entries))
 
 
 def integer_kth_root(n: int, k: int) -> int | None:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
-from .linalg import (RatMatrix, RatVector, det, image_basis,
-                     nonzero_principal_minors, solve)
+from .linalg import (RatMatrix, RatVector, Subspace, det, image_basis,
+                     nonzero_principal_minors, solve_affine_in_subspace)
 
 # most minors plus (lattice point, minor) products one test evaluates
 LATTICE_CAP = 200_000
@@ -88,7 +88,7 @@ def _simplex_lattice(r: int, d: int):
 def _refute(A: RatMatrix, k: int, y: RatVector, r: int,
             note: str) -> UnimodularReport:
   """Report False with the first of x, 2x, .., rx off det JF = 1, Ax = y."""
-  x = solve(A, y)
+  x = solve_affine_in_subspace(A, y, Subspace.full(A.m))
   for mu in range(1, r + 1):
     value = det(jacobian_at_point(A, x.scale(mu), k))
     if value != 1:
@@ -274,19 +274,18 @@ def _sign_pattern_holds(A: RatMatrix, p: SignPattern) -> bool:
 
 
 def invertibility_verdict(A: RatMatrix, properness_verdict: str, *,
-                          jacobian_never_vanishes: bool = False,
                           k: int = 3) -> str:
   """Combine a properness verdict with Jacobian information.
 
   A continuously differentiable map whose Jacobian never vanishes is a
   global diffeomorphism exactly when it is proper; and a continuous
   bijection of R^m is automatically a homeomorphism, hence proper.  So:
-  NonProper always means not invertible; Proper plus a never-vanishing
-  Jacobian means invertible; anything else is undetermined.
+  NonProper always means not invertible; Proper plus det JF identically 1
+  (`is_druzkowski`), a Jacobian that never vanishes, means invertible;
+  anything else is undetermined.
   """
   if properness_verdict == "NonProper":
     return "not invertible"
-  if properness_verdict == "Proper":
-    if jacobian_never_vanishes or is_druzkowski(A, k).unimodular:
-      return "invertible"
+  if properness_verdict == "Proper" and is_druzkowski(A, k).unimodular:
+    return "invertible"
   return "undetermined"

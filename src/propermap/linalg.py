@@ -5,10 +5,15 @@ kernels, images, subspace membership and intersections, and affine solves
 restricted to a subspace.  Values are exact and floating point never
 enters.  Every elimination runs on Python ints, integer-preserving in the
 manner of Bareiss (Math. Comp. 22, 1968): each input row's denominators are
-cleared once, ranks and determinants come from fraction-free elimination
-with partial pivoting on magnitude, and reduced row echelon form comes from
-Gauss-Jordan elimination that divides each updated row by the gcd of its
-entries and stops after its forward pass at full column rank.
+cleared once, and ranks and determinants come from fraction-free
+elimination with partial pivoting on magnitude.
+
+`rref` is the one Gauss-Jordan elimination: every row space, image,
+intersection and solve goes through it.  It divides each updated row by
+the gcd of its entries and stops after its forward pass at full column
+rank.  The kernel of a matrix is the orthogonal complement of its row
+space, and `solve_affine_in_subspace` is the one routine that returns a
+particular solution (over the whole space, pass `Subspace.full`).
 
 A `Subspace` keeps its canonical basis as integer rows: the reduced row
 echelon rows, each scaled to coprime integers with a positive pivot entry.
@@ -369,20 +374,6 @@ def nonzero_principal_minors(M: RatMatrix, size: int
   return out
 
 
-def rref(rows: Sequence[Sequence[int | Fraction]]
-         ) -> tuple[list[list[int]], list[int]]:
-  """Reduced row echelon form on integers.  Returns (rows, pivot columns).
-
-  The input rows hold ints or Fractions; each row's denominators are
-  cleared once.  The returned rows are the nonzero ones only, each scaled
-  to coprime integers with a positive entry at its pivot column, so row i
-  divided by its entry at pivots[i] is the i-th reduced row over the
-  rationals.  That form is unique, so it does not depend on how
-  `_integer_rref` reaches it.
-  """
-  return _integer_rref(_integerized_rows(rows)[0])
-
-
 def _clear_column(work: list, targets: range, row: Sequence[int], col: int
                   ) -> None:
   """Clear column col of work[i], i in targets, with the pivot row `row`.
@@ -398,9 +389,17 @@ def _clear_column(work: list, targets: range, row: Sequence[int], col: int
       work[i] = [v // c for v in new] if c > 1 else new
 
 
-def _integer_rref(rows: Sequence[Sequence[int]]
-                  ) -> tuple[list[Sequence[int]], list[int]]:
-  """`rref` of rows that already hold ints, without clearing denominators.
+def rref(rows: Sequence[Sequence[int]]
+         ) -> tuple[list[Sequence[int]], list[int]]:
+  """Reduced row echelon form of integer rows: the one Gauss-Jordan
+  elimination of the package.  Returns (rows, pivot columns).
+
+  The returned rows are the nonzero ones only, each scaled to coprime
+  integers with a positive entry at its pivot column, so row i divided by
+  its entry at pivots[i] is the i-th reduced row over the rationals.  That
+  form is unique, so it does not depend on how the elimination reaches it.
+  Rows of Fractions are cleared of denominators first, by
+  `_integerized_rows`.
 
   A forward pass clears below each pivot, the first nonzero entry of its
   column.  At full column rank the reduced rows are the unit rows, returned
@@ -462,11 +461,14 @@ def _kernel_spanners(rows: Sequence[Sequence[int]], pivots: Sequence[int],
 
 
 def _reduced(ambient_dim: int, rows: list[Sequence[int]]) -> "Subspace":
-  """The subspace of R^ambient_dim spanned by integer rows."""
+  """The subspace of R^ambient_dim spanned by integer rows.  The pivots
+  `rref` returns seed the cached `Subspace.pivots`."""
   if not rows:
     return Subspace(ambient_dim, ())
-  reduced, _ = _integer_rref(rows)
-  return Subspace(ambient_dim, tuple(map(tuple, reduced)))
+  reduced, pivots = rref(rows)
+  s = Subspace(ambient_dim, tuple(map(tuple, reduced)))
+  s.__dict__["pivots"] = tuple(pivots)
+  return s
 
 
 def _pivot_solution(rows: list[list[int]], pivots: list[int], n: int
@@ -493,44 +495,16 @@ def _integer_matrix(M: RatMatrix) -> list[list[int]]:
   return [[(L // d) * v for v in row] for row, d in zip(int_rows, denoms)]
 
 
-def kernel_and_row_space(M: RatMatrix) -> tuple["Subspace", "Subspace"]:
-  """Null space and row space of M, canonical subspaces of R^{n_cols}.
-
-  One `rref` of M's integer rows gives the row space's rows directly.  The
-  kernel spanners are built from them in integers and reduced by a second
-  `rref` (none when M has full column rank).
-  """
-  n = M.n_cols
-  rows, pivots = _integer_rref(M._integer_rows[0])
-  kernel = _reduced(n, _kernel_spanners(rows, pivots, n))
-  return kernel, Subspace(n, tuple(map(tuple, rows)))
-
-
 def kernel_basis(M: RatMatrix) -> "Subspace":
-  """Null space of M, as a canonical subspace of R^{n_cols}."""
-  return kernel_and_row_space(M)[0]
+  """Null space of M, as a canonical subspace of R^{n_cols}: the orthogonal
+  complement of the row space, which is one `rref` of M's integer rows."""
+  return orthogonal_complement(_reduced(M.n_cols, M._integer_rows[0]))
 
 
 def image_basis(M: RatMatrix) -> "Subspace":
   """Column space of M, as a canonical subspace of R^{n_rows}: one `rref`
   of the columns of the integer matrix L M."""
   return _reduced(M.n_rows, list(zip(*_integer_matrix(M))))
-
-
-def solve(M: RatMatrix, b: RatVector) -> RatVector | None:
-  """One exact solution of M x = b (free coordinates set to zero), or None."""
-  if len(b) != M.n_rows:
-    raise ValueError("right-hand side length mismatch")
-  int_rows, denoms = M._integer_rows
-  [bs], [db] = _integerized_rows([b.entries])
-  # row i of [M | b] times d_i db, in integers
-  rows, pivots = _integer_rref([[db * v for v in row] + [d * bv] for row, d, bv
-                                in zip(int_rows, denoms, bs)])
-  solution = _pivot_solution(rows, pivots, M.n_cols)
-  if solution is None:
-    return None  # pivot in the augmented column: inconsistent
-  x, denom = solution
-  return RatVector(tuple(Fraction(v, denom) for v in x))
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +587,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
   a_cols = list(zip(*a.rows))
   stacked = [list(col) + [-x for x in neg]
              for col, neg in zip(a_cols, zip(*b.rows))]
-  rows, pivots = _integer_rref(stacked)
+  rows, pivots = rref(stacked)
   # map stops at a's coefficients, the first a.dim entries of c
   vecs = [[sum(map(mul, c, col)) for col in a_cols]
           for c in _kernel_spanners(rows, pivots, a.dim + b.dim)]
@@ -657,7 +631,7 @@ def solve_affine_in_subspace(M: RatMatrix, b: RatVector, w: Subspace) -> RatVect
   # d_i b_i, all in integers
   system = [[db * sum(map(mul, row, r)) for r in w.rows] + [d * bv]
             for row, d, bv in zip(int_rows, denoms, bs)]
-  rows, pivots = _integer_rref(system)
+  rows, pivots = rref(system)
   solution = _pivot_solution(rows, pivots, w.dim)
   if solution is None:
     return None

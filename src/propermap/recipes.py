@@ -101,8 +101,12 @@ class WitnessRecipe:
       raise ValueError(f"unknown recipe kind {self.kind!r}")
     if self.k < 1:
       raise ValueError("power k must be >= 1")
-    if len(self.u) != len(self.x_inf):
-      raise ValueError("u and x_inf live in different dimensions")
+    n = len(self.x_inf)
+    for name in ("u", "v", "u1", "v1", "u_hat_root"):
+      vec = getattr(self, name)
+      if vec is not None and len(vec) != n:
+        raise ValueError(f"recipe field '{name}' lives in dimension "
+                         f"{len(vec)}, x_inf in dimension {n}")
 
 
 def _restrict(v: RatVector, indices) -> RatVector:

@@ -324,6 +324,13 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
   job's start agrees with them, and each (job, start) descends once.  It
   observes rather than proves: the outcome is GrowthObserved,
   BoundedObserved, or Inconclusive.
+
+  A schedule should start near radius 1 and at most double from one
+  radius to the next.  The continuation from the sphere before is what
+  finds a narrow escape valley, and the radii check accepts any increasing
+  schedule: `golden_3x3()`, whose map has an exact escape curve, reads
+  BoundedObserved on 1, 2, 4, 8 and on 2^10 .. 2^13, but GrowthObserved
+  on 1e5 .. 1e8 and on 2^24 .. 2^27.
   """
   if isinstance(k, bool) or not isinstance(k, int) or k < 1:
     # powers() would measure another map: at k = 0 it returns (Ax)^2

@@ -1095,12 +1095,13 @@ def test_analysis_caches_on_its_own_object_and_stays_frozen():
 
 def test_certify_eliminates_each_kernel_once_per_analysis(monkeypatch):
   matrices = []
-  real = certify_module.kernel_and_row_space
+  # every kernel an Analysis reads is the complement of its row space
+  real = certify_module.Analysis.row_space.func
 
-  def counting(M):
-    matrices.append(M)
-    return real(M)
-  monkeypatch.setattr(certify_module, "kernel_and_row_space", counting)
+  def counting(an):
+    matrices.append(an.A)
+    return real(an)
+  monkeypatch.setattr(certify_module.Analysis.row_space, "func", counting)
   # the last has the kernel line (8, 1, 0) and (2, 1, 0) in its image,
   # so its direction is normalized
   samples = ([planted_pattern(random.Random(s), 3 + s % 2) for s in range(60)]
@@ -1130,14 +1131,14 @@ def test_elimination_budget_of_a_request(monkeypatch):
   # bench request runs them; the escape search solves the preimage of its
   # direction only when `candidate` is read, which no decision does
   calls = 0
-  real = linalg_module._integer_rref
+  real = linalg_module.rref
 
   def counting(rows):
     nonlocal calls
     calls += 1
     return real(rows)
-  monkeypatch.setattr(linalg_module, "_integer_rref", counting)
-  monkeypatch.setattr(certify_module, "_integer_rref", counting)
+  monkeypatch.setattr(linalg_module, "rref", counting)
+  monkeypatch.setattr(certify_module, "rref", counting)
   budget = {"golden_3x3": (golden_3x3(), "escape-direction", 6),
             "no-escape": (planted_pattern(random.Random(2), 3),
                           "no-escape-direction", 6),

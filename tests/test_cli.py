@@ -184,6 +184,24 @@ def test_witness_rejects_a_frame_that_cannot_conjugate(tmp_path, capsys,
   assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("change", ["short", "long"])
+@pytest.mark.parametrize("field", ["v", "u1", "v1", "u_hat_root"])
+def test_witness_rejects_a_recipe_vector_of_another_length(tmp_path, capsys,
+                                                           field, change):
+  # a short vector used to fail with an IndexError, and a long u1, v1 or
+  # u_hat_root used to pass: the float equations zip the vectors short
+  A = planted_pattern(random.Random(57), 4)
+  recipe = recipe_to_json(certify(A).witness())
+  recipe[field] = (recipe[field][:-1] if change == "short"
+                   else recipe[field] + ["0"])
+  path = tmp_path / "pair.json"
+  path.write_text(dumps({"matrix": matrix_to_json(A), "recipe": recipe}))
+  code, out, err = run(capsys, ["witness", "--input", str(path)])
+  assert (code, out) == (1, "")
+  assert err.startswith("error: ") and f"'{field}'" in err
+  assert "Traceback" not in err
+
+
 def test_witness_requires_a_recipe(tmp_path, capsys):
   path = tmp_path / "cert.json"
   path.write_text(dumps(certificate_to_json(certify(shift_5x5()))))

@@ -142,6 +142,16 @@ def test_recipe_parse_rejects_bad_fields():
     recipe_from_json({**base, "gamma": 10})
 
 
+@pytest.mark.parametrize("change", ["short", "long"])
+@pytest.mark.parametrize("field", ["u", "v", "u1", "v1", "u_hat_root"])
+def test_recipe_parse_rejects_a_vector_of_another_length(field, change):
+  obj = recipe_to_json(certify(planted_pattern(random.Random(57), 4)).witness())
+  assert obj["kind"] == "corank-chain" and field in obj
+  obj[field] = obj[field][:-1] if change == "short" else obj[field] + ["0"]
+  with pytest.raises(ValueError, match=f"'{field}'"):
+    recipe_from_json(obj)
+
+
 def test_certificate_round_trip_preserves_verification():
   for A in (golden_3x3(), shift_5x5(), RatMatrix.identity(3)):
     cert = certify(A)

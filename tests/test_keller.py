@@ -310,5 +310,3 @@ def test_invertibility_verdict_cases():
   # identity is proper but not unimodular, so properness alone cannot settle it
   assert invertibility_verdict(RatMatrix.identity(2), "Proper") == "undetermined"
   assert invertibility_verdict(RatMatrix.identity(2), "Undecided") == "undetermined"
-  assert invertibility_verdict(
-    RatMatrix.identity(2), "Proper", jacobian_never_vanishes=True) == "invertible"

@@ -19,18 +19,16 @@ from propermap.linalg import (
   det,
   image_basis,
   intersect,
-  kernel_and_row_space,
   kernel_basis,
   nonzero_principal_minors,
   orthogonal_complement,
   primitive_integer_vector,
   rank,
   rref,
-  solve,
   solve_affine_in_subspace,
   subspace_image,
 )
-from propermap.linalg import _integer_rref
+from propermap.linalg import _integerized_rows
 from propermap.forge import shift_5x5
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
@@ -270,7 +268,7 @@ def test_principal_minors_agree_with_cofactor_expansion(A):
           [Fraction(0), Fraction(0)], [Fraction(-1, 13), Fraction(2 ** 100)]])
 @example([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)]])
 def test_rref_matches_naive_gauss_jordan(rows):
-  reduced, pivots = rref(rows)
+  reduced, pivots = rref(_integerized_rows(rows)[0])
   assert all(type(x) is int for row in reduced for x in row)
   # each integer row over its pivot entry, then the zero rows rref drops
   as_fractions = [[Fraction(v, row[p]) for v in row]
@@ -314,7 +312,7 @@ def integer_rref_inputs(draw):
 def test_integer_rref_matches_the_fraction_oracle(rows):
   snapshot = [list(r) for r in rows]
   row_objects = list(rows)
-  reduced, pivots = _integer_rref(rows)
+  reduced, pivots = rref(rows)
   assert rows == snapshot and all(a is b for a, b in zip(rows, row_objects))
   assert (list(map(list, reduced)), pivots) == naive_integer_rref(rows)
   assert all(type(x) is int for row in reduced for x in row)
@@ -393,8 +391,12 @@ def test_rank_nullity(A):
 def test_kernel_orthogonal_to_row_space(A):
   K = kernel_basis(A)
   R = image_basis(A.transpose())
-  # one elimination yields both, byte for byte
-  assert kernel_and_row_space(A) == (K, R)
+  # the kernel is the complement of the row space, and the pivots the
+  # elimination seeds are those of the rows
+  assert K == orthogonal_complement(R)
+  for s in (K, R):
+    assert s.pivots == tuple(next(j for j, x in enumerate(r) if x)
+                             for r in s.rows)
   assert K.dim + R.dim == A.m
   for kb in K.basis:
     assert A.apply(kb).is_zero()
@@ -435,7 +437,7 @@ def test_solve_affine_result_verifies(A, raw):
 @given(square_matrices())
 def test_plain_solve_round_trip(A):
   b = A.apply(RatVector.of(list(range(1, A.m + 1))))
-  x = solve(A, b)
+  x = solve_affine_in_subspace(A, b, Subspace.full(A.m))
   assert x is not None
   assert A.apply(x) == b
 
@@ -453,12 +455,13 @@ def test_cached_integer_rows_survive_every_elimination(inputs):
   M = RatMatrix.of(rows)
   cached = M._integer_rows
   snapshot = ([list(r) for r in cached[0]], list(cached[1]))
-  kernel, row_space = kernel_and_row_space(M)
+  kernel = kernel_basis(M)
+  row_space = orthogonal_complement(kernel)
   image_basis(M)
   subspace_image(M, row_space)
   intersect(row_space, kernel)
   b = M.apply(RatVector.of(x))
-  assert M.apply(solve(M, b)) == b
+  assert M.apply(solve_affine_in_subspace(M, b, Subspace.full(M.n_cols))) == b
   assert M.apply(solve_affine_in_subspace(M, b, row_space)) == b
   assert M._integer_rows is cached
   assert ([list(r) for r in cached[0]], list(cached[1])) == snapshot
