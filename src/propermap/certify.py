@@ -43,7 +43,6 @@ from .linalg import (
   _integerized_rows,
   _pivot_solution,
   _reduced,
-  as_rat,
   cached,
   det,
   intersect,
@@ -501,25 +500,58 @@ def _kernel_in_gram_kernel(an: Analysis) -> bool:
              for k in an.kernel.rows for col in an._columns)
 
 
-def _gram_kernel_evidence(an: Analysis) -> dict | None:
-  """The evidence the kernel-in-gram-kernel screen writes for A, or None
-  when it does not fire."""
+def _gram_kernel_screen(an: Analysis) -> tuple[dict | None, str, str]:
   if not _kernel_in_gram_kernel(an):
-    return None
+    return None, "no", ""
   kdim = an.kernel.dim
-  return {"kernel_dim": kdim,
-          "note": ("matrix invertible" if kdim == 0 else
-                   f"all {kdim} kernel direction(s) also kill the Gram "
-                   "matrix")}
+  note = ("matrix invertible" if kdim == 0 else
+          f"all {kdim} kernel direction(s) also kill the Gram matrix")
+  return {"kernel_dim": kdim, "note": note}, "fires", note
 
 
-def _orientation(A: RatMatrix) -> str | None:
-  """Which triangle A lies in, "upper" before "lower", or None."""
-  if A.is_upper_triangular():
-    return "upper"
-  if A.is_lower_triangular():
-    return "lower"
-  return None
+def _gram_rank1_screen(an: Analysis) -> tuple[dict | None, str, str]:
+  if an.rank != 1:
+    return None, "no", ""
+  return {"gram_rank": 1}, "fires", ""
+
+
+def _triangular_screen(an: Analysis) -> tuple[dict | None, str, str]:
+  """A triangular, its orientation "upper" tried before "lower"."""
+  A = an.A
+  orientation = ("upper" if A.is_upper_triangular() else
+                 "lower" if A.is_lower_triangular() else None)
+  if orientation is None:
+    return None, "no", ""
+  return {"orientation": orientation}, "fires", orientation
+
+
+def _ones_kernel_screen(an: Analysis) -> tuple[dict | None, str, str]:
+  K = an.kernel
+  if K.dim != 1:
+    return None, "skipped", "kernel is not a line"
+  if any(x != 1 for x in K.rows[0]):
+    return None, "skipped", "kernel line is not the all-ones direction"
+  g = RatVector.of(K.rows[0])
+  V = an.image
+  in_V = V.contains(g)
+  in_AV = solve_affine_in_subspace(an.A, g, V) is not None
+  if in_V and in_AV:
+    return None, "no", ("all-ones direction reaches the reduced subspace "
+                        "and its image")
+  which = ("the reduced subspace" if not in_V
+           else "the image of the reduced subspace")
+  return ({"generator": g, "in_reduced_subspace": in_V,
+           "reachable_from_reduced_subspace": in_AV},
+          "fires", f"all-ones direction misses {which}")
+
+
+# reason -> screen, in the order `sufficient_screens` tries them.  A screen
+# returns the evidence it writes for A, or None when it does not fire, and
+# its audit outcome and detail.
+_SCREENS = {REASON_KERNEL_GRAM: _gram_kernel_screen,
+            REASON_GRAM_RANK1: _gram_rank1_screen,
+            REASON_TRIANGULAR: _triangular_screen,
+            REASON_KERNEL_LINE: _ones_kernel_screen}
 
 
 def sufficient_screens(A: RatMatrix | Analysis
@@ -533,65 +565,13 @@ def sufficient_screens(A: RatMatrix | Analysis
   misses the reduced subspace or its image.
   """
   an = _analysis(A)
-  A = an.A
   audit: list[AuditEntry] = []
-
-  evidence = _gram_kernel_evidence(an)
-  if evidence is not None:
-    audit.append(AuditEntry("screen:kernel-in-gram-kernel", "fires",
-                            evidence["note"]))
-    return Certificate(PROPER, REASON_KERNEL_GRAM, A, evidence=evidence), audit
-  audit.append(AuditEntry("screen:kernel-in-gram-kernel", "no"))
-
-  if an.rank == 1:
-    audit.append(AuditEntry("screen:gram-rank-1", "fires"))
-    cert = Certificate(PROPER, REASON_GRAM_RANK1, A,
-                       evidence={"gram_rank": 1})
-    return cert, audit
-  audit.append(AuditEntry("screen:gram-rank-1", "no"))
-
-  orientation = _orientation(A)
-  if orientation is not None:
-    audit.append(AuditEntry("screen:triangular", "fires", orientation))
-    cert = Certificate(PROPER, REASON_TRIANGULAR, A,
-                       evidence={"orientation": orientation})
-    return cert, audit
-  audit.append(AuditEntry("screen:triangular", "no"))
-
-  cert = _ones_kernel_screen(an, audit)
-  if cert is not None:
-    return cert, audit
+  for reason, screen in _SCREENS.items():
+    evidence, outcome, detail = screen(an)
+    audit.append(AuditEntry("screen:" + reason, outcome, detail))
+    if evidence is not None:
+      return Certificate(PROPER, reason, an.A, evidence=evidence), audit
   return None, audit
-
-
-def _ones_kernel_screen(an: Analysis,
-                        audit: list[AuditEntry]) -> Certificate | None:
-  A, K = an.A, an.kernel
-  if K.dim != 1:
-    audit.append(AuditEntry("screen:kernel-line-blocked", "skipped",
-                            "kernel is not a line"))
-    return None
-  if any(x != 1 for x in K.rows[0]):
-    audit.append(AuditEntry("screen:kernel-line-blocked", "skipped",
-                            "kernel line is not the all-ones direction"))
-    return None
-  g = RatVector.of(K.rows[0])
-  V = an.image
-  in_V = V.contains(g)
-  in_AV = solve_affine_in_subspace(A, g, V) is not None
-  if not (in_V and in_AV):
-    which = ("the reduced subspace" if not in_V
-             else "the image of the reduced subspace")
-    audit.append(AuditEntry("screen:kernel-line-blocked", "fires",
-                            f"all-ones direction misses {which}"))
-    return Certificate(PROPER, REASON_KERNEL_LINE, A,
-                       evidence={"generator": g,
-                                 "in_reduced_subspace": in_V,
-                                 "reachable_from_reduced_subspace": in_AV})
-  audit.append(AuditEntry("screen:kernel-line-blocked", "no",
-                          "all-ones direction reaches the reduced subspace "
-                          "and its image"))
-  return None
 
 
 def escape_direction_check(A: RatMatrix, V: Subspace, x_inf: RatVector
@@ -706,7 +686,9 @@ def condition_chain(A: RatMatrix | Analysis,
   ends after at most m stages.
 
   At the first irrational hat cube root the chain continues in floats and
-  the report is flagged numeric_only.
+  the report is flagged numeric_only.  The exact solves of -x_inf and of a
+  hat cube root each follow a test that the vector lies in V = Im A, which
+  guarantees a preimage.
   """
   support = x_inf.support()
   if not support:
@@ -732,8 +714,6 @@ def condition_chain(A: RatMatrix | Analysis,
     return report(False, "x_inf is not in the reduced subspace")
   full = Subspace.full(m)
   u0 = solve_affine_in_subspace(A, -x_inf, full)
-  if u0 is None:
-    return report(False, "-x_inf has no preimage")
   block = [i for i in range(m) if i not in support]
   v = _solve_preferring_zero_tail(u0, K, [(pr, pr_V)], block)
   if v is None:
@@ -754,8 +734,6 @@ def condition_chain(A: RatMatrix | Analysis,
     if not V.contains(root):
       return report(False, "cube root of the hat vector leaves V")
     v0 = solve_affine_in_subspace(A, -root, full)
-    if v0 is None:
-      return report(False, "hat cube root has no preimage")
     pair_mat = RatMatrix.diagonal(
       [Fraction(1) / root[i] ** 2 if i in nz else Fraction(0)
        for i in range(m)])
@@ -795,44 +773,37 @@ def condition_chain(A: RatMatrix | Analysis,
 
 def _chain_recipe(report: ConditionSetReport, V: Subspace,
                   frame: ConjugationFrame | None) -> WitnessRecipe | None:
-  """Convert a satisfied depth <= 2 exact chain into a witness recipe."""
-  if not report.satisfied or report.numeric_only or report.depth > 2:
+  """Convert a satisfied exact chain into a witness recipe, or None past
+  depth two.  Its only caller passes satisfied exact chains, whose support
+  memberships (pr u and pr v in pr(V)) guarantee the lifts u1 and v1."""
+  if report.depth > 2:
     return None
   pr = _indicator_matrix(len(report.x_inf), report.x_inf.support())
-  u = RatVector.of([as_rat(x) for x in report.stages[0].solution])
+  u = RatVector(report.stages[0].solution)
   # lifts: the vectors of V whose support parts match those of u and v
   u1 = solve_affine_in_subspace(pr, pr.apply(u), V)
-  if u1 is None:
-    return None
   if report.depth == 1:
     return WitnessRecipe(kind="corank-chain", x_inf=report.x_inf, u=u,
                          u1=u1, frame=frame)
   stage = report.stages[1]
-  root = RatVector.of([as_rat(x) for x in stage.target])
-  v = RatVector.of([as_rat(x) for x in stage.solution])
-  v1 = solve_affine_in_subspace(pr, pr.apply(v), V)
-  if v1 is None:
-    return None
+  v = RatVector(stage.solution)
   return WitnessRecipe(kind="corank-chain", x_inf=report.x_inf, u=u, v=v,
-                       u1=u1, v1=v1, u_hat_root=root, frame=frame)
+                       u1=u1, v1=solve_affine_in_subspace(pr, pr.apply(v), V),
+                       u_hat_root=RatVector(stage.target), frame=frame)
 
 
 def _numeric_chain_recipe(report: ConditionSetReport,
                           frame: ConjugationFrame | None) -> WitnessRecipe | None:
-  """Float chain to a recipe with limited-denominator rational entries."""
-  if not report.satisfied or report.depth > 2:
+  """Float chain to a recipe with limited-denominator rational entries, or
+  None past depth two.  Its only caller passes satisfied chains, whose
+  stages hold only Fractions and floats."""
+  if report.depth > 2:
     return None
 
   def vec(values) -> RatVector:
-    out = []
-    for x in values:
-      if isinstance(x, Fraction):
-        out.append(x)
-      elif isinstance(x, float):
-        out.append(Fraction(x).limit_denominator(10 ** 12))
-      else:
-        out.append(as_rat(x))
-    return RatVector.of(out)
+    return RatVector(tuple(
+      x if isinstance(x, Fraction) else Fraction(x).limit_denominator(10 ** 12)
+      for x in values))
 
   u = vec(report.stages[0].solution)
   if report.depth == 1:
@@ -869,8 +840,8 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
       audit.append(AuditEntry("escape-direction",
                               "satisfied" if ok else "fails", note))
       if ok:
-        recipe = WitnessRecipe(kind="simple", x_inf=y, u=u)
-        return cert(NONPROPER, REASON_ESCAPE, recipe=recipe, direction=y, u=u)
+        return _refutation(A, WitnessRecipe(kind="simple", x_inf=y, u=u),
+                           audit)
     else:
       audit.append(AuditEntry("membership", "fails",
                               "kernel cube root is outside the reduced subspace"))
@@ -892,23 +863,21 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
                           rep.failure or f"depth {rep.depth}"))
   if not rep.satisfied:
     if rep.numeric_only:
-      return cert(UNDECIDED, REASON_OUT_OF_SCOPE, chain=rep,
+      return cert(UNDECIDED, REASON_OUT_OF_SCOPE, chain=rep.summary(),
                   note="numeric chain unsatisfied; properness cannot be "
                   "certified from floats")
-    return cert(PROPER, REASON_CHAIN_UNSAT, chain=rep)
+    return cert(PROPER, REASON_CHAIN_UNSAT, chain=rep.summary())
   if rep.numeric_only:
     recipe = _numeric_chain_recipe(rep, frame)
-    reason = REASON_CHAIN + NUMERIC_SUFFIX
   else:
     recipe = _chain_recipe(rep, anB.image, frame)
-    reason = REASON_CHAIN
     if recipe is None:
       audit.append(AuditEntry("witness", "unsupported",
                               f"chain depth {rep.depth} has no closed-form "
                               "points"))
   if recipe is not None:
-    return cert(NONPROPER, reason, recipe=recipe, chain=rep)
-  return cert(UNDECIDED, REASON_OUT_OF_SCOPE, chain=rep)
+    return _refutation(A, recipe, audit)
+  return cert(UNDECIDED, REASON_OUT_OF_SCOPE, chain=rep.summary())
 
 
 def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
@@ -947,9 +916,10 @@ def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
     "candidate" if search.image_vector is not None else
     ("provably empty" if search.none_is_proof else "nothing found"),
     search.note)]
-  if search.image_vector is None and search.none_is_proof:
-    return Certificate(PROPER, REASON_NO_ESCAPE, A,
-                       evidence={"note": search.note}, audit=tuple(audit))
+  proof = _search_proof(search)
+  if proof is not None:
+    return Certificate(PROPER, REASON_NO_ESCAPE, A, evidence=proof,
+                       audit=tuple(audit))
 
   K = an.kernel
   if K.dim == 1:
@@ -977,6 +947,39 @@ def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
   return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
                      evidence={"note": "no screen fired and the candidate "
                                "sweep was not decisive"},
+                     audit=tuple(audit))
+
+
+def _search_proof(search: EscapeSearch) -> dict | None:
+  """The no-escape-direction evidence of a search whose empty result is a
+  theorem about A, or None."""
+  if search.image_vector is None and search.none_is_proof:
+    return {"note": search.note}
+  return None
+
+
+def _refutation(A: RatMatrix, recipe: WitnessRecipe, audit) -> Certificate:
+  """The NonProper certificate a witness recipe of A gives, read off the
+  recipe alone.  The reason is its kind's, with NUMERIC_SUFFIX for a
+  numeric recipe.  An exact simple recipe also shows its direction and u.
+  A chain recipe shows the summary of the satisfied chain it came from:
+  one solve, or two when it has a v; a deeper chain gives no recipe, so
+  none is extrapolated.
+  """
+  evidence = {"recipe": recipe}
+  if recipe.kind == "corank-chain":
+    reason = REASON_CHAIN
+    evidence["chain"] = {"type": "chain", "satisfied": True,
+                         "depth": 1 if recipe.v is None else 2,
+                         "numeric_only": recipe.numeric,
+                         "extrapolated": False, "failure": None}
+  else:
+    reason = REASON_ESCAPE
+    if not recipe.numeric:
+      evidence["direction"], evidence["u"] = recipe.x_inf, recipe.u
+  if recipe.numeric:
+    reason += NUMERIC_SUFFIX
+  return Certificate(NONPROPER, reason, A, evidence=evidence,
                      audit=tuple(audit))
 
 
@@ -1011,11 +1014,10 @@ def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
   resid_norm = math.sqrt(sum(float(t) * float(t) for t in resid))
   scale = math.sqrt(sum(float(t) * float(t) for t in x_tilde))
   if c is not None and resid_norm <= FLOAT_TOL * max(1.0, scale):
-    recipe = WitnessRecipe(kind="simple", x_inf=x_tilde, u=u, numeric=True)
     audit.append(AuditEntry("escape-direction", "satisfied numerically",
                             f"residual {resid_norm:.2e}"))
-    return Certificate(NONPROPER, REASON_ESCAPE + NUMERIC_SUFFIX, A,
-                       evidence={"recipe": recipe}, audit=tuple(audit))
+    return _refutation(A, WitnessRecipe(kind="simple", x_inf=x_tilde, u=u,
+                                        numeric=True), audit)
   audit.append(AuditEntry("escape-direction", "unsatisfied numerically",
                           f"residual {resid_norm:.2e}"))
   return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
@@ -1059,16 +1061,11 @@ def certify(A: RatMatrix) -> Certificate:
 
 
 def _validated(A: RatMatrix, cert: Certificate) -> Certificate:
-  """Run the float validator over any NonProper witness before returning."""
+  """Run the float validator over any NonProper witness before returning.
+  Every NonProper comes from `_refutation`, which always carries a recipe."""
   if cert.verdict != NONPROPER:
     return cert
-  recipe = cert.witness()
-  if recipe is None:
-    return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
-                       evidence=dict(cert.evidence,
-                                     note="refutation lacked a recipe"),
-                       audit=cert.audit)
-  rep = validate_witness(A, recipe)
+  rep = validate_witness(A, cert.witness())
   if rep.passed:
     return cert
   audit = cert.audit + (AuditEntry("witness-validation", "failed",
@@ -1096,86 +1093,51 @@ def k1_properness(A: RatMatrix) -> Certificate:
 
 
 def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
-  """Independently re-establish the decisive condition a certificate names.
+  """Whether the certificate is exactly what its reason's writer writes
+  for A: the same verdict, reason and evidence, value for value and of the
+  same type (1 is not true, nor 2.0 the integer 2).
 
-  The certificate's matrix must be A.  The two are compared by their
-  canonical integer rows, which a JSON parse of integer literals supplies,
-  so no Fraction is compared.  The power must be the one the reason is
-  about: the linear reasons hold at k = 1, every other reason only at
-  k = 3, and a witness recipe must be for the certificate's k.  Evidence
-  whose vectors or frame do not fit A's size fails.
-  Proper reasons are recomputed from A alone, through a fresh Analysis,
-  and the certificate must carry exactly the evidence that the deciding
-  step writes for A, value for value and of the same type (1 is not true,
-  nor 2.0 the integer 2): a screen's fields, the escape search's note, or
-  what `_decide_direction` writes for A's kernel line, with a chain report
-  compared in the summary form a JSON round trip leaves.  A
-  kernel-line-blocked certificate may instead carry the all-ones screen's
-  evidence (`certify` writes the screen's, a direct `corank1_decide` call
-  the other).  NonProper reasons re-run the witness validation, whose pass
-  requires the recipe equations to hold exactly (rational recipes) or
-  within tolerance (numeric ones).
+  The certificate's matrix must be A, compared by their canonical integer
+  rows, which a JSON parse of integer literals supplies.  The writer of a
+  k = 1 certificate is `k1_properness`.  At k = 3 the writer of a Proper
+  certificate is its reason's screen in `_SCREENS`, or else the exact path
+  of `certify` past the screens, run on a fresh Analysis of A: the escape
+  search's `_search_proof`, then the kernel line's `_decide_direction`.
+  A NonProper certificate needs a recipe for R^m at its own k that passes
+  the witness validation, exactly for a rational recipe and within
+  tolerance for a numeric one, and its writer is `_refutation` of that
+  recipe.  Any other power or verdict fails.  A chain summary's constant
+  "mode": "S", which older certificates carry, is ignored.
   """
   if cert.matrix._integer_rows != A._integer_rows:
     return False
-  reason = cert.reason
+  evidence = _evidence_form(cert.evidence)
   if cert.k == 1:
-    M = RatMatrix.identity(A.m).add(A)
-    if reason == REASON_LINEAR_INVERTIBLE:
-      return cert.verdict == PROPER and det(M) != 0
-    if reason == REASON_LINEAR_SINGULAR:
-      z = cert.evidence.get("kernel_vector")
-      return (cert.verdict == NONPROPER and isinstance(z, RatVector)
-              and len(z) == A.m and not z.is_zero() and M.residual_zero(z))
+    written = k1_properness(A)
+  elif cert.k != 3:
     return False
-  if cert.k != 3:
-    return False
-  an = Analysis(A)
-  evidence = cert.evidence
-  if cert.verdict == PROPER:
-    if reason == REASON_KERNEL_GRAM:
-      return _same(evidence, _gram_kernel_evidence(an))
-    if reason == REASON_GRAM_RANK1:
-      return an.rank == 1 and _same(evidence, {"gram_rank": 1})
-    if reason == REASON_TRIANGULAR:
-      orientation = _orientation(A)
-      return (orientation is not None
-              and _same(evidence, {"orientation": orientation}))
-    if reason in (REASON_KERNEL_LINE, REASON_CHAIN_UNSAT):
-      K = an.kernel
-      if K.dim != 1:
-        return False
-      if reason == REASON_KERNEL_LINE and all(x == 1 for x in K.rows[0]):
-        screen = _ones_kernel_screen(an, [])
-        if screen is not None and _same(screen.evidence, evidence):
-          return True
-      y = rational_cube_root_direction(K.rows[0])
-      if y is None:
-        return False
-      decided = _decide_direction(an, y)
-      return (decided.verdict == PROPER and decided.reason == reason
-              and _same(_evidence_form(decided.evidence),
-                        _evidence_form(evidence)))
-    if reason == REASON_NO_ESCAPE:
-      s = necessary_escape_search(an)
-      return (s.image_vector is None and s.none_is_proof
-              and _same(evidence, {"note": s.note}))
-    return False
-  if cert.verdict == NONPROPER:
+  elif cert.verdict == PROPER:
+    an = Analysis(A)
+    screen = _SCREENS.get(cert.reason)
+    if screen is not None and _same(evidence, screen(an)[0]):
+      return True
+    written = _after_search(an, necessary_escape_search(an))
+  elif cert.verdict == NONPROPER:
     recipe = cert.witness()
-    if recipe is None or recipe.k != cert.k or not _recipe_fits(recipe, A.m):
+    if (recipe is None or recipe.k != cert.k or not _recipe_fits(recipe, A.m)
+        or not validate_witness(A, recipe).passed):
       return False
-    return validate_witness(A, recipe).passed
-  return False
+    written = _refutation(A, recipe, ())
+  else:
+    return False
+  return (written.verdict == cert.verdict and written.reason == cert.reason
+          and _same(evidence, written.evidence))
 
 
 def _evidence_form(evidence: dict) -> dict:
-  """Evidence as a JSON round trip leaves it, for comparison: a chain
-  report becomes its summary, and the constant "mode": "S" that older
-  chain summaries carry is dropped."""
+  """Evidence without the constant "mode": "S" that older chain summaries
+  carry."""
   chain = evidence.get("chain")
-  if isinstance(chain, ConditionSetReport):
-    return dict(evidence, chain=chain.summary())
   if isinstance(chain, dict) and chain.get("mode") == "S":
     return dict(evidence, chain={k: v for k, v in chain.items() if k != "mode"})
   return evidence

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .certify import AuditEntry, Certificate, ConditionSetReport
+from .certify import AuditEntry, Certificate
 from .linalg import RatMatrix, RatVector, as_rat
 from .recipes import ConjugationFrame, WitnessRecipe
 from .witness import MuProbeReport, WitnessValidationReport
@@ -193,8 +193,6 @@ def _encode_evidence(value):
     return {"type": "matrix", **matrix_to_json(value)}
   if isinstance(value, WitnessRecipe):
     return {"type": "recipe", **recipe_to_json(value)}
-  if isinstance(value, ConditionSetReport):
-    return value.summary()
   if isinstance(value, (list, tuple)):
     return [_encode_evidence(x) for x in value]
   if isinstance(value, dict):

@@ -491,6 +491,8 @@ def _edits(value):
     return [value + " (edited)"]
   if value is None:
     return ["edited"]
+  if isinstance(value, Fraction):
+    return [value + 1] + [int(value)] * (value.denominator == 1)
   if isinstance(value, RatVector):
     return [RatVector.of([value[0] + 1, *value.entries[1:]])]
   if isinstance(value, dict):
@@ -512,24 +514,45 @@ PROPER_BY_REASON = {
   "no-escape-direction": lambda: planted_pattern(random.Random(2), 3),
 }
 
+# one matrix per NonProper reason of x + (Ax)^3, the chain reasons at depth
+# one (planted-70) and two (planted-837, planted-57)
+NONPROPER_BY_REASON = {
+  "escape-direction": [golden_3x3],
+  "escape-direction-numeric": [lambda: two_class_kernel(random.Random(119))],
+  "escape-chain": [lambda: planted_pattern(random.Random(70), 3),
+                   lambda: planted_pattern(random.Random(837), 4)],
+  "escape-chain-numeric": [lambda: planted_pattern(random.Random(57), 4)],
+}
+
+ALL_REASONS = sorted({*PROPER_BY_REASON, *NONPROPER_BY_REASON,
+                      "outside-decidable-screens", "linear-map-invertible",
+                      "linear-map-singular", "made-up"})
+
+
+def _assert_only_the_written_certificate_verifies(A, cert):
+  """cert verifies, and no copy of it verifies that has another reason,
+  one evidence field besides the recipe changed or dropped, or one field
+  added: in memory and after a JSON round trip."""
+  assert verify_certificate(A, cert)
+  assert verify_certificate(A, _json_round_trip(cert))
+  recipe = {k: v for k, v in cert.evidence.items() if k == "recipe"}
+  rest = {k: v for k, v in cert.evidence.items() if k != "recipe"}
+  broken = [replace(cert, reason=r) for r in ALL_REASONS if r != cert.reason]
+  broken += [replace(cert, evidence={**recipe, **e}) for e in _edits(rest)]
+  broken.append(replace(cert, evidence=dict(cert.evidence, note="edited")))
+  for bad in broken:
+    assert not verify_certificate(A, bad), (bad.reason, bad.evidence)
+    assert not verify_certificate(A, _json_round_trip(bad))
+
 
 def test_verify_certificate_checks_every_proper_reasons_evidence():
   # each Proper certificate must carry exactly what its deciding step
-  # writes for A; one field changed or dropped fails it, in memory and
-  # after a JSON round trip, where a chain report is a plain summary dict
+  # writes for A
   for reason, build in PROPER_BY_REASON.items():
     A = build()
     cert = certify(A)
     assert (cert.verdict, cert.reason) == (PROPER, reason)
-    back = _json_round_trip(cert)
-    assert verify_certificate(A, cert) and verify_certificate(A, back)
-    for source in (cert, back):
-      if reason == "escape-chain-unsat" and source is cert:
-        continue     # the in-memory chain is a report, edited through JSON
-      for evidence in _edits(dict(source.evidence)):
-        broken = replace(source, evidence=evidence)
-        assert not verify_certificate(A, broken), (reason, evidence)
-        assert not verify_certificate(A, _json_round_trip(broken))
+    _assert_only_the_written_certificate_verifies(A, cert)
   for reason in ("escape-chain-unsat", "no-escape-direction"):
     A = PROPER_BY_REASON[reason]()
     cert = certify(A)
@@ -540,6 +563,44 @@ def test_verify_certificate_checks_every_proper_reasons_evidence():
   assert cert.evidence == {"kernel_dim": 0, "note": "matrix invertible"}
   assert not verify_certificate(
     A, replace(cert, evidence=dict(cert.evidence, kernel_dim=5)))
+
+
+def test_verify_certificate_checks_every_nonproper_reasons_evidence():
+  # a NonProper certificate must be what `_refutation` writes for its
+  # recipe: a passing recipe does not carry another reason or evidence
+  for reason, builds in NONPROPER_BY_REASON.items():
+    for build in builds:
+      A = build()
+      cert = certify(A)
+      assert (cert.verdict, cert.reason) == (NONPROPER, reason)
+      _assert_only_the_written_certificate_verifies(A, cert)
+
+
+def test_verify_certificate_checks_the_linear_evidence():
+  for A, reason in ((golden_3x3(), "linear-map-invertible"),
+                    (RatMatrix.identity(3).scale(-1), "linear-map-singular")):
+    cert = k1_properness(A)
+    assert cert.reason == reason
+    _assert_only_the_written_certificate_verifies(A, cert)
+
+
+def _digest_matrices():
+  """The matrices of REGRESSION and of the planted and rank-sample
+  certificate digests."""
+  for build, _ in REGRESSION.values():
+    yield build()
+  for s in range(300):
+    yield planted_pattern(random.Random(s), 3 + s % 2)
+  for m, r in ((4, 2), (5, 3), (6, 3), (6, 4), (8, 4)):
+    for s in range(60):
+      yield sample_rank_r(m, r, seed=s)
+
+
+def test_certificate_json_round_trip_is_the_identity():
+  # the in-memory certificate holds only what its JSON text holds
+  for A in _digest_matrices():
+    cert = certify(A)
+    assert _json_round_trip(cert) == cert, cert.reason
 
 
 def test_full_support_corank1_refutations_verify_and_replay():
@@ -843,7 +904,7 @@ def test_sweep_never_decides_a_direction_outside_the_image(monkeypatch):
       for d in (y, y.scale(2)):
         got = real(an, d)
         assert (got.verdict, got.reason) == (PROPER, "escape-chain-unsat")
-        assert got.evidence["chain"].failure == \
+        assert got.evidence["chain"]["failure"] == \
           "x_inf is not in the reduced subspace"
         outside += 1
   assert outside > 0 and unread > 0 and swept > 0

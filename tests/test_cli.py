@@ -133,6 +133,22 @@ def test_witness_from_certificate(tmp_path, capsys):
   assert payload["gammas"][-1] == 1e6
 
 
+def test_witness_refuses_a_certificate_that_does_not_verify(tmp_path, capsys):
+  # the certificate must be exactly what certify writes for its matrix: a
+  # passing recipe does not carry another reason or direction
+  obj = certificate_to_json(certify(golden_3x3()))
+  relabelled = dict(obj, reason="triangular")
+  edited = json.loads(json.dumps(obj))
+  edited["evidence"]["direction"]["entries"] = ["5", "5", "5"]
+  for payload, want in ((obj, 0), (relabelled, 1), (edited, 1)):
+    path = tmp_path / "cert.json"
+    path.write_text(dumps(payload))
+    code, out, err = run(capsys, ["witness", "--input", str(path)])
+    assert code == want, payload
+    if want:
+      assert out == "" and "does not verify" in err
+
+
 def test_witness_schedule_override(tmp_path, capsys):
   A = golden_3x3()
   path = tmp_path / "cert.json"
