@@ -53,7 +53,7 @@ from .linalg import (
   solve_affine_in_subspace,
   subspace_image,
 )
-from .recipes import ConjugationFrame, WitnessRecipe, _restrict
+from .recipes import ConjugationFrame, WitnessRecipe
 from .witness import validate_witness
 
 PROPER = "Proper"
@@ -296,6 +296,11 @@ def _indicator_matrix(m: int, indices) -> RatMatrix:
   idx = set(indices)
   return RatMatrix.diagonal([Fraction(1) if i in idx else Fraction(0)
                              for i in range(m)])
+
+
+def _restrict(v: RatVector, indices) -> RatVector:
+  idx = set(indices)
+  return RatVector.of([v[i] if i in idx else Fraction(0) for i in range(len(v))])
 
 
 def _repair_solution(u0: RatVector, kernel: Subspace,
@@ -908,7 +913,7 @@ def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
   the search found inside the image, or, when that direction is irrational
   (no image vector), by the numeric fallback.  A wider kernel goes through
   the sweep of cube-root directions inside the image, where only a witness
-  decides.  Every NonProper passes the float witness validation.
+  decides.  Every NonProper passes the witness validation.
   """
   A = an.A
   audit = [AuditEntry(
@@ -1061,7 +1066,7 @@ def certify(A: RatMatrix) -> Certificate:
 
 
 def _validated(A: RatMatrix, cert: Certificate) -> Certificate:
-  """Run the float validator over any NonProper witness before returning.
+  """Run the witness validation over any NonProper witness before returning.
   Every NonProper comes from `_refutation`, which always carries a recipe."""
   if cert.verdict != NONPROPER:
     return cert
@@ -1104,10 +1109,12 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   of `certify` past the screens, run on a fresh Analysis of A: the escape
   search's `_search_proof`, then the kernel line's `_decide_direction`.
   A NonProper certificate needs a recipe for R^m at its own k that passes
-  the witness validation, exactly for a rational recipe and within
-  tolerance for a numeric one, and its writer is `_refutation` of that
-  recipe.  Any other power or verdict fails.  A chain summary's constant
-  "mode": "S", which older certificates carry, is ignored.
+  the witness validation, and its writer is `_refutation` of that recipe.
+  A rational recipe passes only if its curve lies in Im B and x + B(x^k)
+  keeps no positive power of t, both checked exactly; a numeric one only
+  if its equations hold within tolerance.  Any other power or verdict
+  fails.  A chain summary's constant "mode": "S", which older certificates
+  carry, is ignored.
   """
   if cert.matrix._integer_rows != A._integer_rows:
     return False

@@ -8,7 +8,8 @@ kinds exist:
       x_n = gamma x_inf + (1/(k gamma^(k-2))) u * x_inf^(-(k-1)),
   which makes x_n^k = gamma^k x_inf^k + gamma u + lower order, so with
   A(x_inf^k) = 0 and A u = -x_inf the image under x + A(x^k) decays like
-  1/gamma^(k-2).
+  1/gamma^(k-2).  Those equations alone refute nothing: the points must
+  also lie in Im A, so u * x_inf^(-(k-1)) must too.
 
 * "corank-chain": x_inf is a 0/1 pattern (kernel direction with zeros).
   Points follow the two-stage construction
@@ -26,9 +27,12 @@ how to rebuild it from the original.
 
 `laurent_coords` is the one curve model: each coordinate of x_n as a
 Laurent polynomial in t = gamma^(1/3) with rational coefficients.  A
-validation expands it once and takes from that expansion both the escape
-points, each coefficient read as a float once, and the residuals x + B(x^k),
-which `witness` computes as exact integer polynomials.
+validation expands it once and takes from that expansion the escape
+points, each coefficient read as a float once, the residuals x + B(x^k),
+which `witness` computes as exact integer polynomials, and the one exact
+rule a rational recipe must keep: the curve lies in Im B, and the
+residuals keep no positive power of t.  The formulas above are how the
+recipes are built; the rule, not these equations, is what is checked.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hadamard import hpow
-from .linalg import RatMatrix, RatVector, image_basis
+from .linalg import RatMatrix, RatVector
 
 
 @dataclass(frozen=True)
@@ -109,62 +112,6 @@ class WitnessRecipe:
                          f"{len(vec)}, x_inf in dimension {n}")
 
 
-def _restrict(v: RatVector, indices) -> RatVector:
-  idx = set(indices)
-  return RatVector.of([v[i] if i in idx else Fraction(0) for i in range(len(v))])
-
-
-def _recipe_equations_hold(B: RatMatrix, recipe: WitnessRecipe) -> bool:
-  """Exact re-check of the defining equations of a rational recipe, on the
-  matrix B it refers to (the conjugated one when it carries a frame).  The
-  equations B x_inf^k = 0, B u + x_inf = 0 and B v + root = 0 are compared
-  on B's integer rows."""
-  x_inf = recipe.x_inf
-  if not (B.residual_zero(hpow(x_inf, recipe.k))
-          and B.residual_zero(recipe.u, x_inf)):
-    return False
-  if recipe.kind == "simple":
-    return True
-  V = image_basis(B)    # the reduced subspace, Im(B B^T) = Im B
-  if not V.contains(x_inf):
-    return False
-  m = len(x_inf)
-  support = set(x_inf.support())
-  u_hat = _restrict(recipe.u, [i for i in range(m) if i not in support])
-  if recipe.u_hat_root is None:
-    if not u_hat.is_zero():
-      return False
-    if recipe.u1 is None or not V.contains(recipe.u1):
-      return False
-    return _restrict(recipe.u1, support) == _restrict(recipe.u, support)
-  root = recipe.u_hat_root
-  for i in range(m):
-    if i in support:
-      if root[i] != 0:
-        return False
-    elif root[i] ** 3 != u_hat[i]:
-      return False
-  if recipe.v is None or not B.residual_zero(recipe.v, root):
-    return False
-  nz = set(root.support())
-  # v must vanish where the hat of u does, or the gamma^(1/3) orders clash
-  for i in range(m):
-    if i not in support and i not in nz and recipe.v[i] != 0:
-      return False
-  if not V.contains(root):
-    return False
-  paired = RatVector.of([recipe.v[i] / root[i] ** 2 if i in nz else Fraction(0)
-                         for i in range(m)])
-  if not V.contains(paired):
-    return False
-  for lifted, original in ((recipe.u1, recipe.u), (recipe.v1, recipe.v)):
-    if lifted is None or not V.contains(lifted):
-      return False
-    if _restrict(lifted, support) != _restrict(original, support):
-      return False
-  return True
-
-
 def laurent_coords(recipe: WitnessRecipe) -> list[dict]:
   """Each coordinate of x_n as a Laurent polynomial in t = gamma^(1/3).
 
@@ -220,8 +167,9 @@ def _evaluate(polys: list[dict], powers: dict) -> list[float]:
 
 def _check_recipe(recipe: WitnessRecipe) -> None:
   """Recipe-internal sanity, raising ValueError: a simple recipe needs a
-  fully nonzero x_inf, a nonzero u and k >= 2, a chain recipe a cubic 0/1
-  pattern x_inf."""
+  fully nonzero x_inf, a nonzero u and k >= 2, a chain recipe a cubic
+  nonzero 0/1 pattern x_inf.  Either way the curve's t^3 term x_inf is
+  not zero, so its points grow without bound."""
   if recipe.kind == "simple":
     if any(a == 0 for a in recipe.x_inf):
       raise ValueError("simple recipe requires x_inf with no zero coordinate")
@@ -230,8 +178,9 @@ def _check_recipe(recipe: WitnessRecipe) -> None:
     if recipe.k < 2:
       raise ValueError("simple recipe needs k >= 2")
   else:
-    if any(recipe.x_inf[i] != 1 for i in recipe.x_inf.support()):
-      raise ValueError("chain recipe requires a 0/1 pattern x_inf")
+    support = recipe.x_inf.support()
+    if not support or any(recipe.x_inf[i] != 1 for i in support):
+      raise ValueError("chain recipe requires a nonzero 0/1 pattern x_inf")
     if recipe.k != 3:
       raise ValueError("chain recipes are cubic only")
 
@@ -241,8 +190,8 @@ def witness_points(recipe: WitnessRecipe, gammas) -> list[tuple[float, ...]]:
 
   Only recipe-internal sanity is enforced here (matrix equations are the
   validator's job): gammas must be positive, a simple recipe needs a fully
-  nonzero x_inf, a nonzero u and k >= 2, a chain recipe needs a cubic 0/1
-  pattern x_inf (`_check_recipe`).  Each point is `laurent_coords` at
+  nonzero x_inf, a nonzero u and k >= 2, a chain recipe needs a cubic
+  nonzero 0/1 pattern x_inf (`_check_recipe`).  Each point is `laurent_coords` at
   t = gamma^(1/3).
   """
   if not all(g > 0 for g in gammas):

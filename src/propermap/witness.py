@@ -7,9 +7,9 @@ decaying, point norms growing, directions converging.  One validation
 expands the recipe's Laurent curve once.  The points come from it, and so
 do the residuals x + B(x^k): exact integer Laurent polynomials, whose
 growing orders cancel before any coefficient is read as a float.  For a
-rational simple recipe the same expansion also decides its invariants:
-B x_inf^k = 0 and B u + x_inf = 0 hold exactly when the residuals keep no
-t^(3k) and no t^3 term.  The module also hosts the general-power witness
+rational recipe the same expansion decides, exactly, the one rule that
+makes the curve a refutation: it lies in Im B, and its residuals keep no
+positive power of t.  The module also hosts the general-power witness
 constructor and a numeric properness probe that minimizes the map norm
 over spheres of growing radius.
 """
@@ -19,15 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .hadamard import hpow
-from .linalg import RatMatrix, RatVector, kernel_basis
+from .linalg import RatMatrix, RatVector, image_basis, kernel_basis
 from .recipes import (
   WitnessRecipe,
   _check_recipe,
   _evaluate,
   _float_polys,
-  _recipe_equations_hold,
   laurent_coords,
 )
 
@@ -39,6 +38,10 @@ PROBE_ITERATIONS = 150
 
 # relative tolerance of the recipe equations of a float-born recipe
 NUMERIC_REL_TOL = 1e-6
+
+# the report note of a recipe whose equations fail: for an exact recipe,
+# its residuals keep a growing order
+EQUATIONS_FAIL = "recipe equations do not hold"
 
 
 def _loglog_slope(xs, ys) -> float | None:
@@ -146,12 +149,32 @@ def _numeric_equations_ok(B: RatMatrix, recipe: WitnessRecipe) -> bool:
   return True
 
 
-def _equations_ok(B: RatMatrix, recipe: WitnessRecipe) -> bool:
-  """The recipe equations checked without an expansion: within tolerance
-  for a float-born recipe, exactly for a rational one."""
-  if recipe.numeric:
-    return _numeric_equations_ok(B, recipe)
-  return _recipe_equations_hold(B, recipe)
+def _curve_defect(B: RatMatrix, coords: list[dict], resid_polys: list[dict]
+                  ) -> tuple[int, bool] | None:
+  """Where an exact curve, given by its `laurent_coords` and the
+  `_laurent_residuals` of x + B(x^k), breaks the witness rule; None when it
+  keeps it.
+
+  The rule: no residual keeps a term of positive order in t, and for each
+  exponent e the coefficient vector (coords[i][e])_i lies in Im B.  The
+  first failure found is returned as (e, True) for the highest order e > 0
+  the residuals keep, else as (e, False) for the highest exponent whose
+  coefficient vector leaves Im B.
+
+  Why the rule refutes properness: write the curve x = B y with y in B's
+  row space, and put z = y - pi_ker(F(y)) for F(y) = y + (B y)^k.  Then
+  B F(y) = x + B(x^k) stays bounded, so pi_row F(y) does, and F(z) =
+  pi_row F(y) stays bounded while |z| >= |y| grows without bound.
+  """
+  kept = [e for p in resid_polys for e in p if e > 0]
+  if kept:
+    return max(kept), True
+  V = image_basis(B)
+  zero = Fraction(0)
+  for e in sorted(set().union(*coords), reverse=True):
+    if not V.contains(RatVector(tuple(p.get(e, zero) for p in coords))):
+      return e, False
+  return None
 
 
 def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
@@ -160,22 +183,20 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   """Regenerate escape points and measure whether the refutation holds up.
 
   The map measured is x + B(x^k) where B is the (possibly conjugated)
-  matrix the recipe refers to; boundedness of those images transfers to
-  non-properness of the original map.  A recipe passes when its exact
-  invariants hold, point norms strictly grow, direction errors shrink,
-  and residuals decay with a fitted log-log slope at most -0.2 (or stay
-  within twice their small-gamma level).  Structurally impossible recipes
-  are reported rejected; recipes whose equations fail are still evaluated
-  so the report shows the residual growth.
+  matrix the recipe refers to; boundedness of those images along a curve
+  in Im B transfers to non-properness of the original map.  A recipe
+  passes when its invariants hold, point norms strictly grow, direction
+  errors shrink, and residuals decay with a fitted log-log slope at most
+  -0.2 (or stay within twice their small-gamma level).  Structurally
+  impossible recipes are reported rejected, with invariant_ok false: they
+  have no curve.  Recipes whose invariants fail are still evaluated so the
+  report shows the residual growth.
 
-  The invariants of a rational simple recipe come from the residual
-  expansion: with x = t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)), residual
-  i has (B x_inf^k)_i at t^(3k) and (x_inf + B u)_i at t^3, and for k >= 2
-  no other term reaches either order.  The equations of a chain recipe,
-  which include memberships no expansion shows, and of a rejected recipe,
-  which is not expanded, are checked by `_recipe_equations_hold`; those of
-  a float-born recipe within tolerance.  A recipe whose vectors do not fit
-  B's size raises ValueError.
+  The invariants of a rational recipe are the exact witness rule of
+  `_curve_defect`, read off the one expansion: the curve lies in Im B and
+  no residual keeps a positive power of t.  A float-born recipe's
+  equations are checked within tolerance instead.  A recipe whose vectors
+  do not fit B's size raises ValueError.
   """
   if len(gammas) < 2:
     raise ValueError("need at least two gammas to judge a trend")
@@ -197,7 +218,7 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   except ValueError as err:
     return WitnessValidationReport(
       gammas=gammas, residuals=(), point_norms=(), direction_errors=(),
-      invariant_ok=_equations_ok(B, recipe), rejected=True,
+      invariant_ok=False, rejected=True,
       fitted_decay_exponent=None, negative_image_coordinates=False,
       passed=False, note=f"recipe rejected: {err}")
 
@@ -216,12 +237,13 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   coords = laurent_coords(recipe)
   point_polys = _float_polys(coords)
   resid_polys = _laurent_residuals(B, coords, k)
-  if recipe.kind == "simple" and not recipe.numeric:
-    # (B x_inf^k)_i sits at t^(3k) and (x_inf + B u)_i at t^3, and only
-    # nonzero coefficients are kept
-    invariant_ok = not any(3 in p or 3 * k in p for p in resid_polys)
+  if recipe.numeric:
+    note = "" if _numeric_equations_ok(B, recipe) else EQUATIONS_FAIL
   else:
-    invariant_ok = _equations_ok(B, recipe)
+    defect = _curve_defect(B, coords, resid_polys)
+    note = ("" if defect is None else EQUATIONS_FAIL if defect[1]
+            else "the escape curve leaves Im B")
+  invariant_ok = not note
   exponents = set().union(*point_polys, *resid_polys)
 
   residuals = []
@@ -252,7 +274,6 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   resid_ok = (slope is not None and slope <= -0.2) or \
       max(residuals) <= 2.0 * early
   passed = invariant_ok and norms_grow and dirs_shrink and resid_ok
-  note = "" if invariant_ok else "recipe equations do not hold"
   return WitnessValidationReport(
     gammas=gammas, residuals=tuple(residuals), point_norms=tuple(norms),
     direction_errors=tuple(dir_errors), invariant_ok=invariant_ok,
@@ -650,16 +671,27 @@ def general_k_witness(A: RatMatrix, x_inf: RatVector, u: RatVector,
                       k: int) -> WitnessRecipe:
   """Escape recipe for x + (Ax)^k from a fully nonzero limit direction.
 
-  Requires exact A(x_inf^k) = 0 and A u = -x_inf; the failed equation is
-  named in the error.  The same data refutes properness for every power,
-  with points gamma x_inf + u * x_inf^(1-k) / (k gamma^(k-2)).
+  The points are gamma x_inf + u * x_inf^(1-k) / (k gamma^(k-2)), and the
+  recipe must keep the exact witness rule `validate_witness` checks
+  (`_curve_defect`).  Its residuals keep t^(3k) unless A(x_inf^k) = 0 and
+  t^3 unless A u + x_inf = 0; then both x_inf and u * x_inf^(1-k) must lie
+  in Im A.  A failure raises ValueError naming the failed equation or the
+  term that leaves Im A.  The data refutes properness for this power
+  only: another k asks another equation of x_inf and u.
   """
   if not isinstance(k, int) or k < 2:
     raise ValueError("power k must be an integer >= 2")
-  if any(a == 0 for a in x_inf):
-    raise ValueError("x_inf must have no zero coordinate")
-  if not A.residual_zero(hpow(x_inf, k)):
-    raise ValueError("precondition A(x_inf^k) = 0 fails")
-  if not A.residual_zero(u, x_inf):
-    raise ValueError("precondition A u + x_inf = 0 fails")
-  return WitnessRecipe(kind="simple", x_inf=x_inf, u=u, k=k)
+  if len(x_inf) != A.n_cols:
+    raise ValueError(f"matrix is {A.n_rows}x{A.n_cols}, x_inf has length "
+                     f"{len(x_inf)}")
+  recipe = WitnessRecipe(kind="simple", x_inf=x_inf, u=u, k=k)
+  _check_recipe(recipe)
+  coords = laurent_coords(recipe)
+  defect = _curve_defect(A, coords, _laurent_residuals(A, coords, k))
+  if defect is None:
+    return recipe
+  e, kept = defect
+  if kept:
+    equation = "A(x_inf^k) = 0" if e == 3 * k else "A u + x_inf = 0"
+    raise ValueError(f"precondition {equation} fails")
+  raise ValueError(f"the curve's t^{e} term leaves Im A")

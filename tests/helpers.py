@@ -20,7 +20,10 @@ from pathlib import Path
 import numpy as np
 
 import propermap
+from propermap.certify import NONPROPER, Certificate
+from propermap.forge import golden_3x3
 from propermap.linalg import RatMatrix, RatVector
+from propermap.recipes import WitnessRecipe
 
 
 def src_env() -> dict[str, str]:
@@ -221,36 +224,63 @@ def reference_coords(recipe) -> list[dict]:
   return coords
 
 
+def naive_equations_hold(B: RatMatrix, recipe) -> bool:
+  """The equations of an exact recipe's curve, entry by entry in Fractions:
+  B x_inf^k = 0 and B u + x_inf = 0 for a simple recipe; for a chain, that
+  `laurent_residual_oracle` of its `reference_coords` keeps no positive
+  power of t."""
+  m = B.m
+  if recipe.kind != "simple":
+    resid = laurent_residual_oracle(B, reference_coords(recipe), recipe.k)
+    return all(e <= 0 for p in resid for e in p)
+  xk = [a ** recipe.k for a in recipe.x_inf]
+  return all(
+    sum(B.entry(i, j) * xk[j] for j in range(m)) == 0
+    and sum(B.entry(i, j) * recipe.u[j] for j in range(m))
+    + recipe.x_inf[i] == 0 for i in range(m))
+
+
+def naive_curve_in_image(B: RatMatrix, recipe) -> bool:
+  """Whether the recipe's curve lies in Im B: for every exponent of
+  `reference_coords`, appending its coefficient vector to B's columns
+  leaves their `naive_rank` unchanged."""
+  coords = reference_coords(recipe)
+  cols = [[B.entry(i, j) for i in range(B.n_rows)] for j in range(B.n_cols)]
+  r = naive_rank(cols)
+  return all(naive_rank(cols + [[p.get(e, 0) for p in coords]]) == r
+             for e in set().union(*coords))
+
+
 def reference_replay(B: RatMatrix, recipe, gammas, invariant_ok=None) -> dict:
   """What `validate_witness` reports for a recipe on the matrix B it refers
   to (its frame is not applied), field by field, computed naively.
 
   Each residual coordinate is `laurent_residual_oracle`'s Fraction
   polynomial, each point coordinate `reference_coords`' one, and both are
-  evaluated term by term in floats.  A simple recipe's equations are
-  checked here in Fractions; pass `invariant_ok` for any other recipe.
-  The pass rule is the documented one: the equations hold, point norms
-  strictly grow, direction errors do not grow, and the residuals' log-log
-  slope is at most -0.2 or they stay within twice their early level.
+  evaluated term by term in floats.  An exact recipe's invariants are
+  `naive_equations_hold` and `naive_curve_in_image`; pass `invariant_ok`
+  for a numeric one.  A rejected recipe has no curve, and its invariants
+  fail.  The pass rule is the documented one: the invariants hold, point
+  norms strictly grow, direction errors do not grow, and the residuals'
+  log-log slope is at most -0.2 or they stay within twice their early
+  level.
   """
   k, x_inf, m = recipe.k, recipe.x_inf, B.m
   gammas = tuple(sorted(float(g) for g in gammas))
   if recipe.kind == "simple":
-    if invariant_ok is None:
-      xk = [a ** k for a in x_inf]
-      invariant_ok = all(
-        sum(B.entry(i, j) * xk[j] for j in range(m)) == 0
-        and sum(B.entry(i, j) * recipe.u[j] for j in range(m)) + x_inf[i] == 0
-        for i in range(m))
     rejected = (any(a == 0 for a in x_inf) or all(a == 0 for a in recipe.u)
                 or k < 2)
   else:
-    rejected = any(a not in (0, 1) for a in x_inf) or k != 3
+    rejected = (any(a not in (0, 1) for a in x_inf)
+                or all(a == 0 for a in x_inf) or k != 3)
   if rejected:
     return dict(gammas=gammas, residuals=(), point_norms=(),
-                direction_errors=(), invariant_ok=invariant_ok, rejected=True,
+                direction_errors=(), invariant_ok=False, rejected=True,
                 fitted_decay_exponent=None, negative_image_coordinates=False,
                 passed=False)
+  if invariant_ok is None:
+    invariant_ok = (naive_equations_hold(B, recipe)
+                    and naive_curve_in_image(B, recipe))
   coords = reference_coords(recipe)
   resid = laurent_residual_oracle(B, coords, k)
 
@@ -592,3 +622,29 @@ def reference_kernel_directions(basis, table, count: int) -> list[RatVector]:
     if d is not None:
       out.append(d)
   return out
+
+
+def forged_rank_one_refutation():
+  """A hand-made escape-direction certificate for the proper map of
+  [[1, -1], [1, -1]] (F1 - F2 = x1 - x2): A x_inf^3 = 0 and A u = -x_inf
+  hold, but the curve's low term u / (3 x_inf^2) = (-1/3, 0) leaves
+  Im A = span(1, 1)."""
+  A = RatMatrix.of([[1, -1], [1, -1]])
+  x_inf, u = RatVector.of([1, 1]), RatVector.of([-1, 0])
+  recipe = WitnessRecipe(kind="simple", x_inf=x_inf, u=u)
+  return A, Certificate(
+    NONPROPER, "escape-direction", A,
+    evidence={"recipe": recipe, "direction": x_inf, "u": u})
+
+
+def zero_pattern_chain_refutation():
+  """An escape-chain certificate for golden_3x3 whose chain recipe has an
+  all-zero x_inf, so its curve does not grow."""
+  A = golden_3x3()
+  recipe = WitnessRecipe(kind="corank-chain", x_inf=RatVector.zero(3),
+                         u=RatVector.of([1, 0, 0]))
+  return A, Certificate(
+    NONPROPER, "escape-chain", A,
+    evidence={"recipe": recipe, "chain": {
+      "type": "chain", "satisfied": True, "depth": 1, "numeric_only": False,
+      "extrapolated": False, "failure": None}})

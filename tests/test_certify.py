@@ -22,6 +22,7 @@ from helpers import (
   f_exact,
   f_hat_exact,
   family_member,
+  forged_rank_one_refutation,
   naive_cube_direction,
   ones_kernel_sample,
   planted_pattern,
@@ -35,6 +36,7 @@ from helpers import (
   src_env,
   two_class_kernel,
   two_pattern_kernel,
+  zero_pattern_chain_refutation,
 )
 from propermap.certify import (
   NONPROPER,
@@ -658,6 +660,28 @@ def test_verify_certificate_rejects_evidence_of_another_size():
     assert not verify_certificate(A, _json_round_trip(broken))
 
 
+def test_verify_certificate_rejects_a_curve_outside_the_image():
+  # the equations of a simple recipe hold, yet its curve leaves Im A, so it
+  # refutes nothing: the map is proper
+  A, forged = forged_rank_one_refutation()
+  assert (certify(A).verdict, certify(A).reason) == (PROPER, "gram-rank-1")
+  rep = validate_witness(A, forged.witness())
+  assert not rep.invariant_ok and not rep.passed
+  assert rep.note == "the escape curve leaves Im B"
+  assert not verify_certificate(A, forged)
+  assert not verify_certificate(A, _json_round_trip(forged))
+
+
+def test_verify_certificate_rejects_a_zero_pattern_chain():
+  # an all-zero x_inf used to raise ZeroDivisionError in the validation
+  A, forged = zero_pattern_chain_refutation()
+  rep = validate_witness(A, forged.witness())
+  assert rep.rejected and not rep.invariant_ok and not rep.passed
+  assert "nonzero 0/1 pattern" in rep.note
+  assert not verify_certificate(A, forged)
+  assert not verify_certificate(A, _json_round_trip(forged))
+
+
 # sha256 over the certificate JSON of planted_pattern(Random(s), 3 + s % 2)
 # for s = 0..299, which reach every escape-chain outcome.  A "-numeric"
 # recipe holds entries rounded from LAPACK floats, so it is left out.  Any
@@ -1190,7 +1214,8 @@ def test_certify_eliminates_each_kernel_once_per_analysis(monkeypatch):
 def test_elimination_budget_of_a_request(monkeypatch):
   # the integer eliminations of certify + JSON round trip + verify, as a
   # bench request runs them; the escape search solves the preimage of its
-  # direction only when `candidate` is read, which no decision does
+  # direction only when `candidate` is read, which no decision does, and
+  # each witness validation takes the image of its matrix once
   calls = 0
   real = linalg_module.rref
 
@@ -1200,7 +1225,7 @@ def test_elimination_budget_of_a_request(monkeypatch):
     return real(rows)
   monkeypatch.setattr(linalg_module, "rref", counting)
   monkeypatch.setattr(certify_module, "rref", counting)
-  budget = {"golden_3x3": (golden_3x3(), "escape-direction", 6),
+  budget = {"golden_3x3": (golden_3x3(), "escape-direction", 8),
             "no-escape": (planted_pattern(random.Random(2), 3),
                           "no-escape-direction", 6),
             "blocked": (planted_pattern(random.Random(0), 3),

@@ -9,7 +9,12 @@ import time
 
 import pytest
 
-from helpers import planted_pattern, src_env
+from helpers import (
+  forged_rank_one_refutation,
+  planted_pattern,
+  src_env,
+  zero_pattern_chain_refutation,
+)
 
 from propermap.certify import certify
 from propermap.cli import main
@@ -147,6 +152,34 @@ def test_witness_refuses_a_certificate_that_does_not_verify(tmp_path, capsys):
     assert code == want, payload
     if want:
       assert out == "" and "does not verify" in err
+
+
+def test_witness_refuses_a_curve_outside_the_image(tmp_path, capsys):
+  # the recipe's equations hold but its curve leaves Im A: the map is proper
+  _, forged = forged_rank_one_refutation()
+  path = tmp_path / "cert.json"
+  path.write_text(dumps(certificate_to_json(forged)))
+  code, out, err = run(capsys, ["witness", "--input", str(path)])
+  assert (code, out) == (1, "")
+  assert "does not verify" in err
+
+
+def test_witness_rejects_a_zero_pattern_chain(tmp_path, capsys):
+  # an all-zero chain x_inf used to end in a ZeroDivisionError traceback
+  A, forged = zero_pattern_chain_refutation()
+  pair = tmp_path / "pair.json"
+  pair.write_text(dumps({"matrix": matrix_to_json(A),
+                         "recipe": recipe_to_json(forged.witness())}))
+  code, out, _ = run(capsys, ["witness", "--input", str(pair)])
+  assert code == 0
+  report = json.loads(out)
+  assert report["rejected"] is True and report["passed"] is False
+  assert "nonzero 0/1 pattern" in report["note"]
+  cert = tmp_path / "cert.json"
+  cert.write_text(dumps(certificate_to_json(forged)))
+  code, out, err = run(capsys, ["witness", "--input", str(cert)])
+  assert (code, out) == (1, "")
+  assert "does not verify" in err and "Traceback" not in err
 
 
 def test_witness_schedule_override(tmp_path, capsys):

@@ -17,7 +17,10 @@ from helpers import (
   conjugate_oracle,
   family_member,
   laurent_residual_oracle,
+  naive_curve_in_image,
   naive_det,
+  naive_equations_hold,
+  naive_rref,
   ones_kernel_sample,
   planted_pattern,
   rand_int_matrix,
@@ -41,7 +44,6 @@ from propermap.linalg import RatMatrix, RatVector
 from propermap.recipes import (
   ConjugationFrame,
   WitnessRecipe,
-  _recipe_equations_hold,
   build_witness_point,
   laurent_coords,
 )
@@ -260,37 +262,47 @@ def test_laurent_residuals_match_the_fraction_oracle():
       assert all(e < 0 for e in p), recipe
 
 
-def _solve2(w, u, j0, j1, a, b):
-  """The vector z, zero outside coordinates j0 and j1, with z.w = a and
-  z.u = b; None when those two coordinates cannot fix both products."""
-  det = w[j0] * u[j1] - w[j1] * u[j0]
-  if det == 0:
+def _solve_on(cons, cols, targets):
+  """The vector z, zero outside coordinates cols, with z . cons[t] =
+  targets[t] for every t; None when those coordinates cannot fix every
+  product."""
+  aug = [[c[j] for j in cols] + [Fraction(t)] for c, t in zip(cons, targets)]
+  red, pivots = naive_rref(aug)
+  if pivots != list(range(len(cols))):
     return None
-  z = [Fraction(0)] * len(w)
-  z[j0] = (a * u[j1] - b * w[j1]) / det
-  z[j1] = (b * w[j0] - a * u[j0]) / det
+  z = [Fraction(0)] * len(cons[0])
+  for row, j in zip(red, cols):
+    z[j] = row[-1]
   return z
 
 
-def _simple_case(rng, x_inf, k, eq1, eq2):
+def _simple_case(rng, x_inf, k, eq1, eq2, inside=False):
   """A matrix B and a simple recipe on it for which B x_inf^k = 0 holds
   exactly when eq1 and B u + x_inf = 0 exactly when eq2: each row of B is
   a random row moved onto both equations, then row 0 is moved off the
-  ones that should fail."""
+  ones that should fail.  With `inside` every row also keeps B p = c for
+  a random p and the curve's low term c = u / (k x_inf^(k-1)), so the
+  curve lies in Im B when eq2 puts x_inf = -B u there too; without it
+  a generic B of rank below m leaves c outside."""
   m = len(x_inf)
   w = [a ** k for a in x_inf]
   dot = lambda r, v: sum(a * b for a, b in zip(r, v))
   while True:
     u = [_rat(rng) for _ in range(m)]
-    j0, j1 = rng.sample(range(m), 2)
-    if _solve2(w, u, j0, j1, 1, 0) is not None:
+    cons, want = [w, u], [[0, -xi] for xi in x_inf]
+    if inside:
+      c = [b / (k * a ** (k - 1)) for a, b in zip(x_inf, u)]
+      cons.append([_rat(rng) for _ in range(m)])
+      want = [t + [ci] for t, ci in zip(want, c)]
+    cols = rng.sample(range(m), len(cons))
+    if _solve_on(cons, cols, [1] + [0] * (len(cons) - 1)) is not None:
       break
   rows = []
-  for xi in x_inf:
+  for target in want:
     r = [_rat(rng) for _ in range(m)]
-    z = _solve2(w, u, j0, j1, -dot(r, w), -xi - dot(r, u))
+    z = _solve_on(cons, cols, [t - dot(r, v) for t, v in zip(target, cons)])
     rows.append([a + b for a, b in zip(r, z)])
-  bump = _solve2(w, u, j0, j1, int(not eq1), int(not eq2))
+  bump = _solve_on(cons, cols, [int(not eq1), int(not eq2), 0][:len(cons)])
   rows[0] = [a + b for a, b in zip(rows[0], bump)]
   for i, row in enumerate(rows):
     assert (dot(row, w) == 0) == (eq1 or i > 0)
@@ -300,19 +312,22 @@ def _simple_case(rng, x_inf, k, eq1, eq2):
 
 
 def test_expansion_invariants_equal_the_exact_check():
-  # an exact simple recipe's invariants are read off its residual
-  # expansion: residual i carries (B x_inf^k)_i at t^(3k) and
-  # (x_inf + B u)_i at t^3, so both equations hold exactly when neither
-  # order survives; `_recipe_equations_hold` checks them without one
+  # an exact recipe's invariants are the witness rule read off its
+  # residual expansion: x + B(x^k) keeps no positive power of t, and the
+  # curve lies in Im B.  A simple recipe's residual i carries
+  # (B x_inf^k)_i at t^(3k) and (x_inf + B u)_i at t^3; the equations
+  # alone refute nothing once the curve leaves Im B
   rng = random.Random(26)
   combos = Counter()
   for k in range(2, 6):
-    for eq1, eq2 in itertools.product((True, False), repeat=2):
+    for eq1, eq2, inside in itertools.product((True, False), repeat=3):
       for n in range(30):
-        x_inf = [_rat(rng, nonzero=True) for _ in range(rng.randint(2, 4))]
-        B, recipe = _simple_case(rng, x_inf, k, eq1, eq2)
-        exact = _recipe_equations_hold(B, recipe)
-        assert exact == (eq1 and eq2)
+        x_inf = [_rat(rng, nonzero=True)
+                 for _ in range(rng.randint(3 if inside else 2, 4))]
+        B, recipe = _simple_case(rng, x_inf, k, eq1, eq2, inside)
+        equations = naive_equations_hold(B, recipe)
+        assert equations == (eq1 and eq2)
+        exact = equations and naive_curve_in_image(B, recipe)
         if n % 3 == 0:
           # the same recipe with a frame, on the matrix it conjugates to B
           perm = list(range(len(x_inf)))
@@ -327,17 +342,19 @@ def test_expansion_invariants_equal_the_exact_check():
         assert not rep.rejected
         assert rep.invariant_ok == exact
         assert rep.passed == exact
-        assert rep.note == ("" if exact else "recipe equations do not hold")
-        combos[eq1, eq2] += 1
-  assert len(combos) == 4 and min(combos.values()) >= 100
-  # a rejected recipe is not expanded, and its report still carries the
-  # exact check's answer
+        assert rep.note == (
+          "" if exact else "the escape curve leaves Im B" if equations
+          else "recipe equations do not hold")
+        combos[equations, exact] += 1
+  assert len(combos) == 3 and min(combos.values()) >= 100
+  # a rejected recipe is not expanded: it has no curve, so its invariants
+  # fail whatever its equations say
   for holds in (True, False):
     B, recipe = _simple_case(rng, [Fraction(1), Fraction(0), Fraction(2)], 3,
                              holds, holds)
+    assert naive_equations_hold(B, recipe) == holds
     rep = validate_witness(B, recipe)
-    assert rep.rejected and not rep.passed
-    assert rep.invariant_ok == _recipe_equations_hold(B, recipe) == holds
+    assert rep.rejected and not rep.passed and not rep.invariant_ok
 
 
 def _assert_matches_reference(rep, ref):
@@ -362,12 +379,7 @@ def test_replay_matches_the_naive_reference():
   passed = Counter()
   for B, recipe in cases:
     rep = validate_witness(B, recipe)
-    if recipe.numeric:
-      invariant = _numeric_equations_ok(B, recipe)
-    elif recipe.kind != "simple":
-      invariant = _recipe_equations_hold(B, recipe)
-    else:
-      invariant = None
+    invariant = _numeric_equations_ok(B, recipe) if recipe.numeric else None
     _assert_matches_reference(rep, reference_replay(B, recipe, DEFAULT_GAMMAS,
                                                     invariant))
     passed[rep.passed] += 1
@@ -952,13 +964,19 @@ def test_general_power_five_decays_faster():
 
 
 def test_general_power_two_flags_negative_image():
-  A = RatMatrix.of([[1, -1], [1, -1]])
-  x_inf = RatVector.of([1, 1])
-  u = RatVector.of([0, 1])
-  rec = general_k_witness(A, x_inf, u, 2)
+  A = golden_3x3()
+  rec = general_k_witness(A, ONES, E1, 2)
   rep = validate_witness(A, rec)
   assert rep.passed
   assert rep.negative_image_coordinates
+
+
+def test_general_power_refuses_a_curve_outside_the_image():
+  # A x_inf^3 = 0 and A u = -x_inf hold, but u / (3 x_inf^2) = (-1/3, 0)
+  # is not in Im A = span(1, 1), and the map is proper
+  A = RatMatrix.of([[1, -1], [1, -1]])
+  with pytest.raises(ValueError, match=r"t\^-3 term leaves Im A"):
+    general_k_witness(A, RatVector.of([1, 1]), RatVector.of([-1, 0]), 3)
 
 
 def test_general_power_names_the_failed_equation():
