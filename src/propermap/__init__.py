@@ -2,7 +2,7 @@
 
 Decide whether the map built from a square rational matrix A is proper,
 emit machine-checkable certificates either way, and for non-proper maps
-produce concrete escaping sequences whose images stay bounded.
+produce explicit escape curves whose images stay bounded.
 """
 
 from .certify import (
@@ -28,7 +28,7 @@ from .forge import (
 from .hadamard import hpow, hprod, rational_kth_root
 from .keller import find_sign_pattern, invertibility_verdict, is_druzkowski
 from .linalg import RatMatrix, RatVector, Subspace, as_rat
-from .recipes import ConjugationFrame, WitnessRecipe, build_witness_point
+from .recipes import ConjugationFrame, EscapeCurve, build_witness_point
 from .witness import (
   general_k_witness,
   probe_mu,
@@ -41,11 +41,11 @@ __all__ = [
   "UNDECIDED",
   "Certificate",
   "ConjugationFrame",
+  "EscapeCurve",
   "Family3x3Params",
   "RatMatrix",
   "RatVector",
   "Subspace",
-  "WitnessRecipe",
   "as_rat",
   "build_witness_point",
   "certify",

@@ -10,8 +10,8 @@ and an audit trail of everything that was tried.
 
 Proper certificates come from structural screens (kernel conditions, Gram
 rank, triangularity, a blocked kernel line) or from exhausting all escape
-directions.  NonProper certificates carry a witness recipe whose escape
-points can be generated and validated independently.
+directions.  NonProper certificates carry an escape curve in A's own
+coordinates, whose exact rule and escape points are checked independently.
 
 All decisive arithmetic is exact over the rationals.  Floats appear only
 in clearly flagged numeric fallbacks, which can support a NonProper claim
@@ -53,7 +53,7 @@ from .linalg import (
   solve_affine_in_subspace,
   subspace_image,
 )
-from .recipes import ConjugationFrame, WitnessRecipe
+from .recipes import ConjugationFrame, EscapeCurve, chain_curve, simple_curve
 from .witness import validate_witness
 
 PROPER = "Proper"
@@ -118,9 +118,12 @@ class Certificate:
   def decided(self) -> bool:
     return self.verdict != UNDECIDED
 
-  def witness(self) -> WitnessRecipe | None:
-    recipe = self.evidence.get("recipe")
-    return recipe if isinstance(recipe, WitnessRecipe) else None
+  def witness(self) -> EscapeCurve | None:
+    """The escape curve a NonProper certificate carries as its evidence's
+    "curve", in the coordinates of its own matrix; None when the evidence
+    holds no curve."""
+    curve = self.evidence.get("curve")
+    return curve if isinstance(curve, EscapeCurve) else None
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,8 @@ class ConditionSetReport:
   `failure` names the first condition that failed when `satisfied` is
   False.  `numeric_only` marks a chain that continued in floats past an
   irrational hat cube root, which can refute but never certify properness.
-  `extrapolated` marks a chain that went past the two solves a witness
-  recipe displays.
+  `extrapolated` marks a chain that went past the two solves an escape
+  curve displays.
   """
 
   x_inf: RatVector
@@ -776,11 +779,12 @@ def condition_chain(A: RatMatrix | Analysis,
     extrapolated = len(stages) >= 2
 
 
-def _chain_recipe(report: ConditionSetReport, V: Subspace,
-                  frame: ConjugationFrame | None) -> WitnessRecipe | None:
-  """Convert a satisfied exact chain into a witness recipe, or None past
-  depth two.  Its only caller passes satisfied exact chains, whose support
-  memberships (pr u and pr v in pr(V)) guarantee the lifts u1 and v1."""
+def _chain_escape(report: ConditionSetReport, V: Subspace,
+                  frame: ConjugationFrame | None) -> EscapeCurve | None:
+  """The escape curve of a satisfied exact chain, in the coordinates of the
+  matrix the frame conjugates, or None past depth two.  Its only caller
+  passes satisfied exact chains, whose support memberships (pr u and pr v
+  in pr(V)) guarantee the lifts u1 and v1."""
   if report.depth > 2:
     return None
   pr = _indicator_matrix(len(report.x_inf), report.x_inf.support())
@@ -788,20 +792,20 @@ def _chain_recipe(report: ConditionSetReport, V: Subspace,
   # lifts: the vectors of V whose support parts match those of u and v
   u1 = solve_affine_in_subspace(pr, pr.apply(u), V)
   if report.depth == 1:
-    return WitnessRecipe(kind="corank-chain", x_inf=report.x_inf, u=u,
-                         u1=u1, frame=frame)
+    return chain_curve(report.x_inf, u1, frame=frame)
   stage = report.stages[1]
   v = RatVector(stage.solution)
-  return WitnessRecipe(kind="corank-chain", x_inf=report.x_inf, u=u, v=v,
-                       u1=u1, v1=solve_affine_in_subspace(pr, pr.apply(v), V),
-                       u_hat_root=RatVector(stage.target), frame=frame)
+  return chain_curve(report.x_inf, u1,
+                     v1=solve_affine_in_subspace(pr, pr.apply(v), V),
+                     root=RatVector(stage.target), v=v, frame=frame)
 
 
-def _numeric_chain_recipe(report: ConditionSetReport,
-                          frame: ConjugationFrame | None) -> WitnessRecipe | None:
-  """Float chain to a recipe with limited-denominator rational entries, or
-  None past depth two.  Its only caller passes satisfied chains, whose
-  stages hold only Fractions and floats."""
+def _numeric_chain_escape(report: ConditionSetReport,
+                          frame: ConjugationFrame | None
+                          ) -> EscapeCurve | None:
+  """A float chain's escape curve with limited-denominator rational
+  entries, or None past depth two.  Its only caller passes satisfied
+  chains, whose stages hold only Fractions and floats."""
   if report.depth > 2:
     return None
 
@@ -812,12 +816,11 @@ def _numeric_chain_recipe(report: ConditionSetReport,
 
   u = vec(report.stages[0].solution)
   if report.depth == 1:
-    return WitnessRecipe(kind="corank-chain", x_inf=report.x_inf, u=u, u1=u,
-                         frame=frame, numeric=True)
+    return chain_curve(report.x_inf, u, frame=frame, numeric=True)
   stage = report.stages[1]
-  return WitnessRecipe(kind="corank-chain", x_inf=report.x_inf, u=u,
-                       v=vec(stage.solution), u1=u, v1=vec(stage.solution),
-                       u_hat_root=vec(stage.target), frame=frame, numeric=True)
+  v = vec(stage.solution)
+  return chain_curve(report.x_inf, u, v1=v, root=vec(stage.target), v=v,
+                     frame=frame, numeric=True)
 
 
 def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
@@ -825,10 +828,10 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
 
   With no zero coordinate the direct escape characterization decides: y
   outside A's image V, the reduced subspace, or failing the escape check
-  blocks the direction (Proper), passing it gives a simple witness.  V is
+  blocks the direction (Proper), passing it gives a simple curve.  V is
   tested first, before any solve.  With zeros, y is brought to a 0/1
   pattern and the chain conditions decide: unsatisfied and exact is
-  Proper, satisfied with a depth of at most two gives a chain witness, and
+  Proper, satisfied with a depth of at most two gives a chain curve, and
   anything else is Undecided.  The audit holds only this direction's
   steps.
   """
@@ -845,8 +848,7 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
       audit.append(AuditEntry("escape-direction",
                               "satisfied" if ok else "fails", note))
       if ok:
-        return _refutation(A, WitnessRecipe(kind="simple", x_inf=y, u=u),
-                           audit)
+        return _refutation(A, simple_curve(y, u), audit)
     else:
       audit.append(AuditEntry("membership", "fails",
                               "kernel cube root is outside the reduced subspace"))
@@ -873,15 +875,15 @@ def _decide_direction(an: Analysis, y: RatVector) -> Certificate:
                   "certified from floats")
     return cert(PROPER, REASON_CHAIN_UNSAT, chain=rep.summary())
   if rep.numeric_only:
-    recipe = _numeric_chain_recipe(rep, frame)
+    curve = _numeric_chain_escape(rep, frame)
   else:
-    recipe = _chain_recipe(rep, anB.image, frame)
-    if recipe is None:
+    curve = _chain_escape(rep, anB.image, frame)
+    if curve is None:
       audit.append(AuditEntry("witness", "unsupported",
                               f"chain depth {rep.depth} has no closed-form "
                               "points"))
-  if recipe is not None:
-    return _refutation(A, recipe, audit)
+  if curve is not None:
+    return _refutation(A, curve, audit)
   return cert(UNDECIDED, REASON_OUT_OF_SCOPE, chain=rep.summary())
 
 
@@ -895,9 +897,9 @@ def corank1_decide(A: RatMatrix | Analysis) -> Certificate:
   coordinate the direct escape characterization is an equivalence; with
   zeros the direction goes through the chain conditions, where an
   unsatisfied exact chain proves properness, a satisfied one of depth at
-  most two gives a witness and a deeper one ends Undecided.  A chain that
-  needs an irrational cube root switches to floats and ends NonProper with
-  a "-numeric" reason, or Undecided.  An irrational direction whose cube
+  most two gives an escape curve and a deeper one ends Undecided.  A chain
+  that needs an irrational cube root switches to floats and ends NonProper
+  with a "-numeric" reason, or Undecided.  An irrational direction whose cube
   root lies in the image gets a numeric fallback that can only refute.
   """
   an = _analysis(A)
@@ -913,7 +915,8 @@ def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
   the search found inside the image, or, when that direction is irrational
   (no image vector), by the numeric fallback.  A wider kernel goes through
   the sweep of cube-root directions inside the image, where only a witness
-  decides.  Every NonProper passes the witness validation.
+  decides.  Every NonProper passes the witness validation, against the
+  image this Analysis holds.
   """
   A = an.A
   audit = [AuditEntry(
@@ -933,9 +936,9 @@ def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
                             "primitive generator (" +
                             ", ".join(str(x) for x in g) + ")"))
     if search.image_vector is None:
-      return _validated(A, _corank1_irrational(A, g, an.image, audit))
+      return _validated(an, _corank1_irrational(A, g, an.image, audit))
     decided = _decide_direction(an, search.image_vector)
-    return _validated(A, replace(decided, audit=tuple(audit) + decided.audit))
+    return _validated(an, replace(decided, audit=tuple(audit) + decided.audit))
 
   # a direction outside Im A can only end Proper, which the sweep ignores
   candidates = kernel_cuberoot_candidates(an)
@@ -948,7 +951,7 @@ def _after_search(an: Analysis, search: EscapeSearch) -> Certificate:
     audit.extend(decided.audit)
     # a kernel combination is not the whole kernel, so only a witness decides
     if decided.verdict == NONPROPER:
-      return _validated(A, replace(decided, audit=tuple(audit)))
+      return _validated(an, replace(decided, audit=tuple(audit)))
   return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
                      evidence={"note": "no screen fired and the candidate "
                                "sweep was not decisive"},
@@ -963,28 +966,18 @@ def _search_proof(search: EscapeSearch) -> dict | None:
   return None
 
 
-def _refutation(A: RatMatrix, recipe: WitnessRecipe, audit) -> Certificate:
-  """The NonProper certificate a witness recipe of A gives, read off the
-  recipe alone.  The reason is its kind's, with NUMERIC_SUFFIX for a
-  numeric recipe.  An exact simple recipe also shows its direction and u.
-  A chain recipe shows the summary of the satisfied chain it came from:
-  one solve, or two when it has a v; a deeper chain gives no recipe, so
-  none is extrapolated.
+def _refutation(A: RatMatrix, curve: EscapeCurve, audit) -> Certificate:
+  """The NonProper certificate an escape curve of A gives, read off the
+  curve alone: its evidence is the curve, and its reason escape-direction
+  when the curve's top vector, its limit direction, has no zero entry and
+  escape-chain otherwise, with NUMERIC_SUFFIX for a numeric curve.  Every
+  curve `certify` builds has its top vector at t^3.
   """
-  evidence = {"recipe": recipe}
-  if recipe.kind == "corank-chain":
-    reason = REASON_CHAIN
-    evidence["chain"] = {"type": "chain", "satisfied": True,
-                         "depth": 1 if recipe.v is None else 2,
-                         "numeric_only": recipe.numeric,
-                         "extrapolated": False, "failure": None}
-  else:
-    reason = REASON_ESCAPE
-    if not recipe.numeric:
-      evidence["direction"], evidence["u"] = recipe.x_inf, recipe.u
-  if recipe.numeric:
+  top = next(iter(curve.coefficients.values()))
+  reason = REASON_ESCAPE if all(top) else REASON_CHAIN
+  if curve.numeric:
     reason += NUMERIC_SUFFIX
-  return Certificate(NONPROPER, reason, A, evidence=evidence,
+  return Certificate(NONPROPER, reason, A, evidence={"curve": curve},
                      audit=tuple(audit))
 
 
@@ -1001,7 +994,7 @@ def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
                                  "zeros is outside the decidable screens"},
                        audit=tuple(audit))
   # the true direction g^(1/3) is irrational: work with a rational stand-in
-  # so close (10^-48) that the recipe's residuals keep decaying well past
+  # so close (10^-48) that the curve's residuals keep decaying well past
   # the largest validation gamma
   x_tilde = RatVector.of([rational_kth_root_approx(a, 3) for a in g])
   cols = [hprod(b, hpow(x_tilde, 2)) for b in V.basis]
@@ -1021,8 +1014,7 @@ def _corank1_irrational(A: RatMatrix, g: RatVector, V: Subspace,
   if c is not None and resid_norm <= FLOAT_TOL * max(1.0, scale):
     audit.append(AuditEntry("escape-direction", "satisfied numerically",
                             f"residual {resid_norm:.2e}"))
-    return _refutation(A, WitnessRecipe(kind="simple", x_inf=x_tilde, u=u,
-                                        numeric=True), audit)
+    return _refutation(A, simple_curve(x_tilde, u, numeric=True), audit)
   audit.append(AuditEntry("escape-direction", "unsatisfied numerically",
                           f"residual {resid_norm:.2e}"))
   return Certificate(UNDECIDED, REASON_OUT_OF_SCOPE, A,
@@ -1065,12 +1057,14 @@ def certify(A: RatMatrix) -> Certificate:
                  + cert.audit[1:])
 
 
-def _validated(A: RatMatrix, cert: Certificate) -> Certificate:
-  """Run the witness validation over any NonProper witness before returning.
-  Every NonProper comes from `_refutation`, which always carries a recipe."""
+def _validated(an: Analysis, cert: Certificate) -> Certificate:
+  """Run the witness validation over any NonProper curve before returning,
+  against the Im A the Analysis already holds.  Every NonProper comes from
+  `_refutation`, which always carries a curve."""
   if cert.verdict != NONPROPER:
     return cert
-  rep = validate_witness(A, cert.witness())
+  A = an.A
+  rep = validate_witness(A, cert.witness(), image=an.image)
   if rep.passed:
     return cert
   audit = cert.audit + (AuditEntry("witness-validation", "failed",
@@ -1108,13 +1102,15 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
   certificate is its reason's screen in `_SCREENS`, or else the exact path
   of `certify` past the screens, run on a fresh Analysis of A: the escape
   search's `_search_proof`, then the kernel line's `_decide_direction`.
-  A NonProper certificate needs a recipe for R^m at its own k that passes
-  the witness validation, and its writer is `_refutation` of that recipe.
-  A rational recipe passes only if its curve lies in Im B and x + B(x^k)
-  keeps no positive power of t, both checked exactly; a numeric one only
-  if its equations hold within tolerance.  Any other power or verdict
-  fails.  A chain summary's constant "mode": "S", which older certificates
-  carry, is ignored.
+  A NonProper certificate needs an escape curve in R^m at its own k that
+  passes the witness validation, run here with an elimination of its own,
+  and its writer is `_refutation` of that curve, which reads the reason
+  off it.  A rational curve passes only if its top exponent is positive
+  with a nonzero vector, it lies in Im A, and x + A(x^k) keeps no
+  positive power of t, all checked exactly; a numeric one only if its
+  positive-order residuals are within tolerance.  Any other power or
+  verdict fails.  A chain summary's constant "mode": "S", which older
+  certificates carry, is ignored.
   """
   if cert.matrix._integer_rows != A._integer_rows:
     return False
@@ -1130,11 +1126,11 @@ def verify_certificate(A: RatMatrix, cert: Certificate) -> bool:
       return True
     written = _after_search(an, necessary_escape_search(an))
   elif cert.verdict == NONPROPER:
-    recipe = cert.witness()
-    if (recipe is None or recipe.k != cert.k or not _recipe_fits(recipe, A.m)
-        or not validate_witness(A, recipe).passed):
+    curve = cert.witness()
+    if (curve is None or curve.k != cert.k or curve.dim != A.n_cols
+        or not validate_witness(A, curve).passed):
       return False
-    written = _refutation(A, recipe, ())
+    written = _refutation(A, curve, ())
   else:
     return False
   return (written.verdict == cert.verdict and written.reason == cert.reason
@@ -1162,10 +1158,3 @@ def _same(a, b) -> bool:
     return len(a) == len(b) and all(map(_same, a, b))
   return a == b
 
-
-def _recipe_fits(recipe: WitnessRecipe, m: int) -> bool:
-  """Whether the recipe lives in R^m: its x_inf has length m, which the
-  recipe's own check extends to every vector, and its frame, if any, has
-  size m."""
-  return (len(recipe.x_inf) == m
-          and (recipe.frame is None or len(recipe.frame.perm) == m))

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: analyze (properness certificate), druzkowski (exact test of
-det JF == 1), witness (validate a recipe's escape points), probe (numeric
+det JF == 1), witness (validate an escape curve), probe (numeric
 minimum-norm scan), forge (built-in example matrices), density (seeded random
 rank-stratified experiment, CSV), signs (sign-pattern search).
 
@@ -59,7 +59,8 @@ def _build_parser() -> _Parser:
   p = sub.add_parser("druzkowski", help="decide whether det JF is identically 1")
   add_common(p, k=True)
 
-  p = sub.add_parser("witness", help="validate a witness recipe numerically")
+  p = sub.add_parser("witness", help="check an escape curve and replay its "
+                                     "points")
   add_common(p)
   p.add_argument("--schedule",
                  help="comma-separated increasing gammas, e.g. 10,100,1000")
@@ -160,23 +161,25 @@ def _cmd_witness(args) -> int:
     if not verify_certificate(cert.matrix, cert):
       raise ValueError("certificate does not verify against its own matrix")
     A = cert.matrix
-    recipe = cert.witness()
-    if recipe is None:
-      raise ValueError("certificate carries no witness recipe to validate")
-  elif "matrix" in obj and "recipe" in obj:
-    extra = set(obj) - {"matrix", "recipe"}
+    curve = cert.witness()
+    if curve is None:
+      raise ValueError("certificate carries no escape curve to validate")
+  elif "recipe" in obj:
+    raise ValueError(jsonio.RETIRED_RECIPE)
+  elif "matrix" in obj and "curve" in obj:
+    extra = set(obj) - {"matrix", "curve"}
     if extra:
       raise ValueError(f"witness input has unexpected field {min(extra)!r}")
     A = jsonio.matrix_from_json(obj["matrix"])
-    recipe = jsonio.recipe_from_json(obj["recipe"])
+    curve = jsonio.curve_from_json(obj["curve"], A.m)
   else:
     raise ValueError("witness input needs either certificate fields or "
-                     "'matrix' plus 'recipe'")
+                     "'matrix' plus 'curve'")
   gammas = None
   if args.schedule:
     gammas = _parse_float_list(args.schedule, "--schedule")
-  report = (validate_witness(A, recipe, gammas=gammas) if gammas
-            else validate_witness(A, recipe))
+  report = (validate_witness(A, curve, gammas=gammas) if gammas
+            else validate_witness(A, curve))
   _emit(jsonio.dumps(jsonio.validation_report_to_json(report)), args.out)
   return 0
 

@@ -112,7 +112,7 @@ def golden_3x3_params() -> Family3x3Params:
 
   Searches [-GOLDEN_BOX, GOLDEN_BOX]^4 in (max-norm, 1-norm, lex) order
   and returns the first member that passes construction, certifies
-  NonProper, and whose witness recipe validates numerically.
+  NonProper, and whose escape curve validates.
   """
   for t in _free_parameter_search_order(GOLDEN_BOX):
     try:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .linalg import RatVector, Subspace, orthogonal_complement
 
 # rational_kth_root_approx is within 10^-APPROX_DIGITS of the true root, so
-# a recipe built on it keeps decaying well past the largest validation gamma
+# a curve built on it keeps decaying well past the largest validation gamma
 APPROX_DIGITS = 48
 
 

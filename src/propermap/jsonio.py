@@ -1,4 +1,4 @@
-"""JSON serialization for matrices, certificates, recipes, and reports.
+"""JSON serialization for matrices, certificates, escape curves, and reports.
 
 Rationals always cross the boundary as strings ("p/q" or a plain integer
 literal), never as floats, so parsing back is exact.  Parsers are strict:
@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .certify import AuditEntry, Certificate
 from .linalg import RatMatrix, RatVector, as_rat
-from .recipes import ConjugationFrame, WitnessRecipe
+from .recipes import EscapeCurve
 from .witness import MuProbeReport, WitnessValidationReport
 
 
@@ -121,63 +121,57 @@ def _vector_from_list(value, where: str) -> RatVector:
   return RatVector(_rat_entries(value, "{}[{}]", where))
 
 
-def frame_to_json(frame: ConjugationFrame) -> dict:
-  return {"perm": list(frame.perm), "diag": [rat_str(d) for d in frame.diag]}
+# the error for the witness recipes NonProper certificates carried before
+# they carried their escape curve
+RETIRED_RECIPE = ("field 'recipe' holds a witness recipe, a format no longer "
+                  "read: NonProper evidence is its escape 'curve'")
 
 
-def frame_from_json(obj) -> ConjugationFrame:
-  _require_keys(obj, {"perm", "diag"}, {"perm", "diag"}, "frame JSON")
-  perm = obj["perm"]
-  if not isinstance(perm, list) or \
-     any(isinstance(p, bool) or not isinstance(p, int) for p in perm):
-    raise ValueError("field 'perm' must be a list of integers")
-  diag = obj["diag"]
-  if not isinstance(diag, list):
-    raise ValueError("field 'diag' must be a list")
-  # the frame itself rejects a perm that is not a permutation, a diag of
-  # another length and a zero diag entry
-  return ConjugationFrame(tuple(perm), _rat_entries(diag, "diag[{}]"))
+def curve_to_json(curve: EscapeCurve) -> dict:
+  return {"k": curve.k,
+          "numeric": curve.numeric,
+          "coefficients": {str(e): _vector_list(v)
+                           for e, v in curve.coefficients.items()}}
 
 
-def recipe_to_json(recipe: WitnessRecipe) -> dict:
-  out = {"kind": recipe.kind,
-         "k": recipe.k,
-         "x_inf": _vector_list(recipe.x_inf),
-         "u": _vector_list(recipe.u),
-         "numeric": recipe.numeric}
-  for name in ("v", "u1", "v1", "u_hat_root"):
-    value = getattr(recipe, name)
-    if value is not None:
-      out[name] = _vector_list(value)
-  if recipe.frame is not None:
-    out["frame"] = frame_to_json(recipe.frame)
-  return out
-
-
-def recipe_from_json(obj) -> WitnessRecipe:
-  allowed = {"kind", "k", "x_inf", "u", "v", "u1", "v1", "u_hat_root",
-             "frame", "numeric"}
-  _require_keys(obj, allowed, {"kind", "x_inf", "u"}, "recipe JSON")
-  kind = obj["kind"]
-  if kind not in ("simple", "corank-chain"):
-    raise ValueError(f"field 'kind' must be 'simple' or 'corank-chain', "
-                     f"got {kind!r}")
-  k = obj.get("k", 3)
-  if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-    raise ValueError("field 'k' must be a positive integer")
+def curve_from_json(obj, m: int, k: int | None = None) -> EscapeCurve:
+  """An escape curve in R^m, read strictly: "coefficients" is a non-empty
+  object whose keys are integer exponents in canonical form and whose
+  values are lists of m rational entries, "k" a positive integer (equal to
+  k when that is given) and "numeric" a boolean, false when absent.  A
+  "type" field, which certificate evidence carries, must be "curve".
+  Errors name the field."""
+  _require_keys(obj, {"type", "k", "numeric", "coefficients"},
+                {"k", "coefficients"}, "curve JSON")
+  if obj.get("type", "curve") != "curve":
+    raise ValueError("curve field 'type' must be 'curve'")
+  ck = obj["k"]
+  if isinstance(ck, bool) or not isinstance(ck, int) or ck < 1:
+    raise ValueError("curve field 'k' must be a positive integer")
+  if k is not None and ck != k:
+    raise ValueError(f"curve field 'k' is {ck}, its certificate's k is {k}")
   numeric = obj.get("numeric", False)
   if not isinstance(numeric, bool):
-    raise ValueError("field 'numeric' must be a boolean")
-  kwargs = {}
-  for name in ("v", "u1", "v1", "u_hat_root"):
-    if name in obj:
-      kwargs[name] = _vector_from_list(obj[name], f"field '{name}'")
-  if "frame" in obj:
-    kwargs["frame"] = frame_from_json(obj["frame"])
-  return WitnessRecipe(kind=kind,
-                       x_inf=_vector_from_list(obj["x_inf"], "field 'x_inf'"),
-                       u=_vector_from_list(obj["u"], "field 'u'"),
-                       k=k, numeric=numeric, **kwargs)
+    raise ValueError("curve field 'numeric' must be a boolean")
+  terms = obj["coefficients"]
+  if not isinstance(terms, dict) or not terms:
+    raise ValueError("curve field 'coefficients' must be a non-empty object")
+  coefficients = {}
+  for key, value in terms.items():
+    try:
+      e = int(key)
+    except ValueError:
+      e = None
+    if e is None or str(e) != key:
+      raise ValueError(f"curve field 'coefficients' has key {key!r}, "
+                       f"which is no integer exponent")
+    where = f"curve field 'coefficients' entry {key!r}"
+    vec = _vector_from_list(value, where)
+    if len(vec) != m:
+      raise ValueError(f"{where} has length {len(vec)}, the matrix is "
+                       f"{m}x{m}")
+    coefficients[e] = vec
+  return EscapeCurve(ck, coefficients, numeric)
 
 
 def _encode_evidence(value):
@@ -191,8 +185,8 @@ def _encode_evidence(value):
     return {"type": "vector", "entries": _vector_list(value)}
   if isinstance(value, RatMatrix):
     return {"type": "matrix", **matrix_to_json(value)}
-  if isinstance(value, WitnessRecipe):
-    return {"type": "recipe", **recipe_to_json(value)}
+  if isinstance(value, EscapeCurve):
+    return {"type": "curve", **curve_to_json(value)}
   if isinstance(value, (list, tuple)):
     return [_encode_evidence(x) for x in value]
   if isinstance(value, dict):
@@ -210,7 +204,7 @@ def _decode_evidence(value):
     if tag == "matrix":
       return matrix_from_json({k: v for k, v in value.items() if k != "type"})
     if tag == "recipe":
-      return recipe_from_json({k: v for k, v in value.items() if k != "type"})
+      raise ValueError(RETIRED_RECIPE)
     return {k: _decode_evidence(v) for k, v in value.items()}
   if isinstance(value, list):
     return [_decode_evidence(x) for x in value]
@@ -264,12 +258,15 @@ def certificate_from_json(obj) -> Certificate:
   if not isinstance(audit_raw, list):
     raise ValueError("field 'audit' must be a list")
   audit = [_audit_entry(entry, i) for i, entry in enumerate(audit_raw)]
+  matrix = matrix_from_json(obj["matrix"])
+  # the curve is read against the certificate's matrix size and power
   return Certificate(verdict=_str_field(obj, "verdict"),
                      reason=_str_field(obj, "reason"),
-                     matrix=matrix_from_json(obj["matrix"]),
+                     matrix=matrix,
                      k=k,
-                     evidence={str(k2): _decode_evidence(v)
-                               for k2, v in evidence.items()},
+                     evidence={str(key): curve_from_json(v, matrix.m, k)
+                               if key == "curve" else _decode_evidence(v)
+                               for key, v in evidence.items()},
                      audit=tuple(audit))
 
 

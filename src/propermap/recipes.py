@@ -1,38 +1,36 @@
-"""Witness recipes: the data needed to generate concrete escape points.
+"""Escape curves: the evidence of a NonProper certificate, and their builders.
 
-A witness recipe encodes an explicit unbounded sequence x_n whose images
-under the relevant map stay bounded, refuting properness.  Two construction
-kinds exist:
+An escape curve is an explicit unbounded family of points
 
-* "simple": x_inf has no zero coordinate.  Points are
-      x_n = gamma x_inf + (1/(k gamma^(k-2))) u * x_inf^(-(k-1)),
-  which makes x_n^k = gamma^k x_inf^k + gamma u + lower order, so with
-  A(x_inf^k) = 0 and A u = -x_inf the image under x + A(x^k) decays like
-  1/gamma^(k-2).  Those equations alone refute nothing: the points must
-  also lie in Im A, so u * x_inf^(-(k-1)) must too.
+    x(t) = sum over e of t^e c_e,    t = gamma^(1/3),
 
-* "corank-chain": x_inf is a 0/1 pattern (kernel direction with zeros).
-  Points follow the two-stage construction
-      x_n = gamma x_inf + (1/(3 gamma^2)) (gamma u1 + gamma^(1/3) v1)
-            + gamma^(1/3) r + (1/(3 gamma^(1/3))) w,
-  where r is the coordinatewise cube root of the off-support part of u and
-  w pairs the second solve v against r^(-2) on r's support.  The image
-  under x + A(x^3) decays like gamma^(-1/3).
+given by its Laurent coefficient vectors c_e in the matrix's own
+coordinates.  It refutes properness of x + (Ax)^k when its top exponent is
+positive with a nonzero vector, every c_e lies in Im A, and x + A(x^k)
+keeps no positive power of t: the one rule `witness.validate_witness`
+checks.  `laurent_coords` reads a curve as one Laurent polynomial per
+coordinate, which is the form a replay expands.
 
-Recipes carry exact rational data (floats only appear for recipes flagged
-numeric) plus an optional diagonal-and-permutation frame: when the matrix
-under analysis was conjugated to bring its kernel direction to a leading
-0/1 pattern, the recipe refers to the conjugated matrix, and the frame says
-how to rebuild it from the original.
+The decider builds curves by two constructions:
 
-`laurent_coords` is the one curve model: each coordinate of x_n as a
-Laurent polynomial in t = gamma^(1/3) with rational coefficients.  A
-validation expands it once and takes from that expansion the escape
-points, each coefficient read as a float once, the residuals x + B(x^k),
-which `witness` computes as exact integer polynomials, and the one exact
-rule a rational recipe must keep: the curve lies in Im B, and the
-residuals keep no positive power of t.  The formulas above are how the
-recipes are built; the rule, not these equations, is what is checked.
+* `simple_curve`, for a direction x_inf with no zero coordinate:
+      x = t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)),
+  which makes x^k = t^(3k) x_inf^k + t^3 u + lower order, so with
+  A(x_inf^k) = 0 and A u = -x_inf no positive power is left.
+
+* `chain_curve`, for a 0/1 pattern x_inf and its escape chain:
+      x = t^3 x_inf + t^(-3) u1 / 3 + t^(-5) v1 / 3 + t r + t^(-1) w / 3,
+  where r is the coordinatewise cube root of the off-support part of the
+  first solve u, w pairs the second solve v against r^(-2) on r's support,
+  and u1 and v1 lift the support parts of u and v into the image.
+
+A chain may be found on a conjugate B = P D A D^(-3) P^T of A (a
+`ConjugationFrame`).  With G_M(w) = w + M(w^3), G_B(P D w) = P D G_A(w)
+and Im B = P D Im A, so the curve z built for B is the curve
+w = D^(-1) P^T z for A, with rational coefficients still.  Every curve
+therefore lives in A's coordinates, and no checker sees a frame.  The
+formulas above are how curves are built; the rule, not these equations,
+is what is checked.
 """
 
 from __future__ import annotations
@@ -83,73 +81,93 @@ class ConjugationFrame:
                          for a, (p3, q3) in zip(row, cubes)]))
     return RatMatrix(tuple(rows))
 
+  def pull_back(self, z: RatVector) -> RatVector:
+    """w = D^(-1) P^T z, the point of A's map that z is for B's:
+    w[perm[i]] = z[i] / diag[perm[i]]."""
+    w = [Fraction(0)] * len(z)
+    for zi, o in zip(z, self.perm):
+      w[o] = zi / self.diag[o]
+    return RatVector(tuple(w))
+
 
 @dataclass(frozen=True)
-class WitnessRecipe:
-  """Everything needed to produce escape points x_n at any gamma."""
+class EscapeCurve:
+  """x(t) = sum over e of t^e coefficients[e], t = gamma^(1/3), offered as
+  a refutation of properness of x + (Ax)^k.
 
-  kind: str                      # "simple" or "corank-chain"
-  x_inf: RatVector
-  u: RatVector
-  k: int = 3
-  v: RatVector | None = None
-  u1: RatVector | None = None
-  v1: RatVector | None = None
-  u_hat_root: RatVector | None = None
-  frame: ConjugationFrame | None = None
+  The exponents are ints and the coefficients RatVectors of one length,
+  kept highest exponent first whatever order they come in, so a replay
+  sums every coordinate's terms in one order.  `numeric` marks a curve
+  whose coefficients were rounded from floats.
+  """
+
+  k: int
+  coefficients: dict
   numeric: bool = False
 
   def __post_init__(self):
-    if self.kind not in ("simple", "corank-chain"):
-      raise ValueError(f"unknown recipe kind {self.kind!r}")
     if self.k < 1:
       raise ValueError("power k must be >= 1")
-    n = len(self.x_inf)
-    for name in ("u", "v", "u1", "v1", "u_hat_root"):
-      vec = getattr(self, name)
-      if vec is not None and len(vec) != n:
-        raise ValueError(f"recipe field '{name}' lives in dimension "
-                         f"{len(vec)}, x_inf in dimension {n}")
+    if not self.coefficients:
+      raise ValueError("an escape curve needs at least one term")
+    if len({len(v) for v in self.coefficients.values()}) != 1:
+      raise ValueError("the coefficient vectors of a curve must have one "
+                       "length")
+    object.__setattr__(self, "coefficients",
+                       dict(sorted(self.coefficients.items(), reverse=True)))
+
+  @property
+  def dim(self) -> int:
+    return len(next(iter(self.coefficients.values())))
 
 
-def laurent_coords(recipe: WitnessRecipe) -> list[dict]:
-  """Each coordinate of x_n as a Laurent polynomial in t = gamma^(1/3).
+def _curve(k: int, terms: dict, numeric: bool) -> EscapeCurve:
+  """The curve of the nonzero vectors among terms."""
+  return EscapeCurve(k, {e: v for e, v in terms.items() if not v.is_zero()},
+                     numeric)
 
-  The polynomials map exponents to rational coefficients, so the dominant
-  orders of x + B(x^k) can cancel exactly instead of in floating point,
-  where they would drown the residual at large gamma.  A simple recipe's
-  coordinate is t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)), the second
-  coefficient built as one Fraction from the integer parts of u and x_inf.
-  """
-  m = len(recipe.x_inf)
-  coords: list[dict] = [{} for _ in range(m)]
 
-  def add(i, e, c):
-    # the exponents of one coordinate are distinct, so nothing accumulates
-    if c:
-      coords[i][e] = c
+def simple_curve(x_inf: RatVector, u: RatVector, k: int = 3,
+                 numeric: bool = False) -> EscapeCurve:
+  """t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)) for x_inf with no zero
+  coordinate and k >= 2, each low coefficient built as one Fraction from
+  the integer parts of u and x_inf."""
+  low = RatVector(tuple(
+    Fraction(ui.numerator * xi.denominator ** (k - 1),
+             ui.denominator * k * xi.numerator ** (k - 1))
+    for xi, ui in zip(x_inf, u)))
+  return _curve(k, {3: x_inf, -3 * (k - 2): low}, numeric)
 
-  if recipe.kind == "simple":
-    k = recipe.k
-    low = -3 * (k - 2)
-    for i, (xi, ui) in enumerate(zip(recipe.x_inf, recipe.u)):
-      add(i, 3, xi)
-      if ui:
-        add(i, low, Fraction(ui.numerator * xi.denominator ** (k - 1),
-                             ui.denominator * k * xi.numerator ** (k - 1)))
-    return coords
-  u1 = recipe.u1 if recipe.u1 is not None else recipe.u
-  for i in range(m):
-    add(i, 3, recipe.x_inf[i])
-    add(i, -3, u1[i] / 3)
-    if recipe.v1 is not None:
-      add(i, -5, recipe.v1[i] / 3)
-    if recipe.u_hat_root is not None:
-      ri = recipe.u_hat_root[i]
-      add(i, 1, ri)
-      if ri != 0 and recipe.v is not None:
-        add(i, -1, recipe.v[i] / (3 * ri ** 2))
-  return coords
+
+def chain_curve(x_inf: RatVector, u1: RatVector, v1: RatVector | None = None,
+                root: RatVector | None = None, v: RatVector | None = None,
+                frame: ConjugationFrame | None = None,
+                numeric: bool = False) -> EscapeCurve:
+  """t^3 x_inf + t^(-3) u1 / 3 + t^(-5) v1 / 3 + t root + t^(-1) w / 3
+  with w = v / root^2 where root is nonzero and 0 elsewhere, each vector
+  pulled back through the frame the chain was found in, if any."""
+  third = Fraction(1, 3)
+  terms = {3: x_inf, -3: u1.scale(third)}
+  if v1 is not None:
+    terms[-5] = v1.scale(third)
+  if root is not None:
+    terms[1] = root
+    if v is not None:
+      terms[-1] = RatVector(tuple(b / (3 * r * r) if r else Fraction(0)
+                                  for b, r in zip(v, root)))
+  if frame is not None:
+    terms = {e: frame.pull_back(z) for e, z in terms.items()}
+  return _curve(3, terms, numeric)
+
+
+def laurent_coords(curve: EscapeCurve) -> list[dict]:
+  """Each coordinate of the curve as a Laurent polynomial in t: a dict
+  from exponent to its nonzero Fraction coefficient, highest exponent
+  first.  With rational coefficients the dominant orders of x + A(x^k)
+  can cancel exactly instead of in floating point, where they would drown
+  the residual at large gamma."""
+  return [{e: c[i] for e, c in curve.coefficients.items() if c[i]}
+          for i in range(curve.dim)]
 
 
 def _float_polys(coords: list[dict]) -> list[dict]:
@@ -159,53 +177,26 @@ def _float_polys(coords: list[dict]) -> list[dict]:
           for p in coords]
 
 
-def _evaluate(polys: list[dict], powers: dict) -> list[float]:
-  """Float Laurent polynomials at t, given powers[e] = t ** e for each of
-  their exponents, each a sum in its exponents' order."""
-  return [sum([c * powers[e] for e, c in p.items()]) for p in polys]
+def _replay(polys: list[dict], ts: list[float]) -> list[tuple[float, ...]]:
+  """Float Laurent polynomials at every t of ts, one point per t.  Each
+  polynomial is evaluated at all of them in one pass over its terms, so
+  every sum starts from 0 and adds the terms in the polynomial's order;
+  each power t ** e is taken once."""
+  tpow = {e: [t ** e for t in ts] for e in set().union(*polys)}
+  columns = []
+  for p in polys:
+    acc = [0] * len(ts)
+    for e, c in p.items():
+      acc = [a + c * w for a, w in zip(acc, tpow[e])]
+    columns.append(acc)
+  return list(zip(*columns))
 
 
-def _check_recipe(recipe: WitnessRecipe) -> None:
-  """Recipe-internal sanity, raising ValueError: a simple recipe needs a
-  fully nonzero x_inf, a nonzero u and k >= 2, a chain recipe a cubic
-  nonzero 0/1 pattern x_inf.  Either way the curve's t^3 term x_inf is
-  not zero, so its points grow without bound."""
-  if recipe.kind == "simple":
-    if any(a == 0 for a in recipe.x_inf):
-      raise ValueError("simple recipe requires x_inf with no zero coordinate")
-    if recipe.u.is_zero():
-      raise ValueError("simple recipe with u = 0 is impossible unless x_inf = 0")
-    if recipe.k < 2:
-      raise ValueError("simple recipe needs k >= 2")
-  else:
-    support = recipe.x_inf.support()
-    if not support or any(recipe.x_inf[i] != 1 for i in support):
-      raise ValueError("chain recipe requires a nonzero 0/1 pattern x_inf")
-    if recipe.k != 3:
-      raise ValueError("chain recipes are cubic only")
-
-
-def witness_points(recipe: WitnessRecipe, gammas) -> list[tuple[float, ...]]:
-  """Concrete escape points at the given gammas, in float coordinates.
-
-  Only recipe-internal sanity is enforced here (matrix equations are the
-  validator's job): gammas must be positive, a simple recipe needs a fully
-  nonzero x_inf, a nonzero u and k >= 2, a chain recipe needs a cubic
-  nonzero 0/1 pattern x_inf (`_check_recipe`).  Each point is `laurent_coords` at
-  t = gamma^(1/3).
-  """
-  if not all(g > 0 for g in gammas):
+def build_witness_point(curve: EscapeCurve, gamma: float) -> tuple[float, ...]:
+  """The escape point of the curve at a positive gamma, in float
+  coordinates: `laurent_coords` at t = gamma^(1/3).  Nothing about a
+  matrix is checked here; that is the validator's job."""
+  if not gamma > 0:
     raise ValueError("gamma must be positive")
-  _check_recipe(recipe)
-  polys = _float_polys(laurent_coords(recipe))
-  exponents = set().union(*polys)
-  points = []
-  for g in gammas:
-    t = g ** (1.0 / 3.0)
-    points.append(tuple(_evaluate(polys, {e: t ** e for e in exponents})))
-  return points
-
-
-def build_witness_point(recipe: WitnessRecipe, gamma: float) -> tuple[float, ...]:
-  """The escape point of `witness_points` at one gamma."""
-  return witness_points(recipe, (gamma,))[0]
+  t = gamma ** (1.0 / 3.0)
+  return _replay(_float_polys(laurent_coords(curve)), [t])[0]

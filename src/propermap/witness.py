@@ -1,17 +1,17 @@
 """Witness validation, the sphere-minimum probe, and general powers.
 
-A NonProper certificate is only as good as its escape points, so this
-module regenerates them at a geometric schedule of scales and measures,
-in floating point, everything the refutation claims: image residuals
-decaying, point norms growing, directions converging.  One validation
-expands the recipe's Laurent curve once.  The points come from it, and so
-do the residuals x + B(x^k): exact integer Laurent polynomials, whose
-growing orders cancel before any coefficient is read as a float.  For a
-rational recipe the same expansion decides, exactly, the one rule that
-makes the curve a refutation: it lies in Im B, and its residuals keep no
-positive power of t.  The module also hosts the general-power witness
-constructor and a numeric properness probe that minimizes the map norm
-over spheres of growing radius.
+A NonProper certificate is only as good as its escape curve, so this
+module checks the curve's one exact rule and regenerates its points at a
+geometric schedule of scales, measuring in floating point everything the
+refutation claims: residuals decaying, point norms growing, directions
+converging.  One validation expands the curve once.  The points come from
+it, and so do the residuals x + A(x^k): exact integer Laurent polynomials,
+whose growing orders cancel before any coefficient is read as a float.
+For a rational curve the same expansion decides, exactly, the rule that
+makes it a refutation: it lies in Im A, and its residuals keep no positive
+power of t.  The module also hosts the general-power witness constructor
+and a numeric properness probe that minimizes the map norm over spheres
+of growing radius.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import RatMatrix, RatVector, image_basis, kernel_basis
+from .linalg import RatMatrix, RatVector, Subspace, image_basis, kernel_basis
 from .recipes import (
-  WitnessRecipe,
-  _check_recipe,
-  _evaluate,
+  EscapeCurve,
   _float_polys,
+  _replay,
   laurent_coords,
+  simple_curve,
 )
 
 DEFAULT_GAMMAS = tuple(10.0 ** e for e in range(1, 7))
@@ -36,12 +35,12 @@ DEFAULT_GAMMAS = tuple(10.0 ** e for e in range(1, 7))
 PROBE_RANDOM_STARTS = 8
 PROBE_ITERATIONS = 150
 
-# relative tolerance of the recipe equations of a float-born recipe
+# relative tolerance of a numeric curve's positive-order residuals
 NUMERIC_REL_TOL = 1e-6
 
-# the report note of a recipe whose equations fail: for an exact recipe,
-# its residuals keep a growing order
-EQUATIONS_FAIL = "recipe equations do not hold"
+# the report notes of a curve that breaks the witness rule
+EQUATIONS_FAIL = "x + A(x^k) keeps a positive power of t"
+LEAVES_IMAGE = "the escape curve leaves Im A"
 
 
 def _loglog_slope(xs, ys) -> float | None:
@@ -61,7 +60,7 @@ def _loglog_slope(xs, ys) -> float | None:
 
 @dataclass(frozen=True)
 class WitnessValidationReport:
-  """Measured behaviour of a recipe's escape points along a gamma schedule."""
+  """Measured behaviour of a curve's escape points along a gamma schedule."""
 
   gammas: tuple[float, ...]
   residuals: tuple[float, ...]
@@ -88,18 +87,11 @@ def _norm(x) -> float:
   return math.sqrt(sum([t * t for t in x]))
 
 
-def _laurent_residuals(B: RatMatrix, coords: list[dict], k: int
-                       ) -> list[dict]:
-  """Coordinates of x + B(x^k) as Laurent polynomials in t = gamma^(1/3),
-  for x given by its `laurent_coords`, with float coefficients.
-
-  The expansion is exact and runs on ints.  With D the common denominator
-  of every coefficient, P_i = D x_i has integer coefficients, and with
-  row i of B equal to b_i / d_i (B's integer rows), residual i is the
-  integer polynomial D^(k-1) d_i P_i + sum_j b_ij P_j^k over D^k d_i.
-  Each nonzero coefficient is then read as a float once, by int true
-  division, which rounds correctly.
-  """
+def _integer_powers(coords: list[dict], k: int
+                    ) -> tuple[int, list[dict], list[dict]]:
+  """(D, P, P^k): D the common denominator of every coefficient, P_i = D x_i
+  with integer coefficients, and the k-th power of each P_i, by k - 1
+  convolutions on ints."""
   D = math.lcm(*(c.denominator for p in coords for c in p.values()))
   ints = [{e: c.numerator * (D // c.denominator) for e, c in p.items()}
           for p in coords]
@@ -113,90 +105,99 @@ def _laurent_residuals(B: RatMatrix, coords: list[dict], k: int
           prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
       acc = prod
     pows.append(acc)
-  int_rows, denoms = B._integer_rows
+  return D, ints, pows
+
+
+def _laurent_residuals(A: RatMatrix, coords: list[dict], k: int
+                       ) -> list[dict]:
+  """Coordinates of x + A(x^k) as Laurent polynomials in t = gamma^(1/3),
+  for x given by its `laurent_coords`, with float coefficients.
+
+  The expansion is exact and runs on ints.  With `_integer_powers`' D and
+  P, and row i of A equal to a_i / d_i (A's integer rows), residual i is
+  the integer polynomial D^(k-1) d_i P_i + sum_j a_ij P_j^k over D^k d_i.
+  Each nonzero coefficient is then read as a float once, by int true
+  division, which rounds correctly.
+  """
+  D, ints, pows = _integer_powers(coords, k)
+  int_rows, denoms = A._integer_rows
   out = []
   for p, row, d in zip(ints, int_rows, denoms):
     scale = D ** (k - 1) * d
     acc = {e: scale * c for e, c in p.items()}
-    for bij, pk in zip(row, pows):
-      if bij:
+    for aij, pk in zip(row, pows):
+      if aij:
         for e, c in pk.items():
-          acc[e] = acc.get(e, 0) + bij * c
+          acc[e] = acc.get(e, 0) + aij * c
     q = D * scale
     out.append({e: n / q for e, n in acc.items() if n})
   return out
 
 
-def _numeric_equations_ok(B: RatMatrix, recipe: WitnessRecipe) -> bool:
-  """Tolerance version of the recipe equations, for float-born recipes, on
-  the matrix B the recipe refers to."""
-  Bf = _float_matrix(B)
-  x_inf = [float(t) for t in recipe.x_inf]
-  u = [float(t) for t in recipe.u]
-  xk = [t ** recipe.k for t in x_inf]
-  r1 = _apply_f(Bf, xk)
-  if _norm(r1) > NUMERIC_REL_TOL * max(1.0, _norm(xk)):
-    return False
-  r2 = [a + b for a, b in zip(_apply_f(Bf, u), x_inf)]
-  if _norm(r2) > NUMERIC_REL_TOL * max(1.0, _norm(x_inf)):
-    return False
-  if recipe.u_hat_root is not None and recipe.v is not None:
-    root = [float(t) for t in recipe.u_hat_root]
-    v = [float(t) for t in recipe.v]
-    r3 = [a + b for a, b in zip(_apply_f(Bf, v), root)]
-    if _norm(r3) > NUMERIC_REL_TOL * max(1.0, _norm(root)):
+def _numeric_rule_ok(coords: list[dict], resid_polys: list[dict],
+                     k: int) -> bool:
+  """The tolerance rule of a numeric curve: at each positive order e its
+  residual coefficient r_e = x_e + A (x^k)_e is at most NUMERIC_REL_TOL
+  times max(1, |x_e|, |(x^k)_e|), the sizes of the two terms that must
+  cancel.  Im A is not checked."""
+  D, _, pows = _integer_powers(coords, k)
+  Dk = D ** k
+  for e in {e for p in resid_polys for e in p if e > 0}:
+    scale = max(1.0, _norm([float(p.get(e, 0)) for p in coords]),
+                _norm([p.get(e, 0) / Dk for p in pows]))
+    if _norm([p.get(e, 0.0) for p in resid_polys]) > NUMERIC_REL_TOL * scale:
       return False
   return True
 
 
-def _curve_defect(B: RatMatrix, coords: list[dict], resid_polys: list[dict]
-                  ) -> tuple[int, bool] | None:
-  """Where an exact curve, given by its `laurent_coords` and the
-  `_laurent_residuals` of x + B(x^k), breaks the witness rule; None when it
-  keeps it.
+def _curve_defect(A: RatMatrix, curve: EscapeCurve, resid_polys: list[dict],
+                  image: Subspace | None = None) -> tuple[int, bool] | None:
+  """Where an exact curve, with the `_laurent_residuals` of x + A(x^k),
+  breaks the witness rule; None when it keeps it.
 
-  The rule: no residual keeps a term of positive order in t, and for each
-  exponent e the coefficient vector (coords[i][e])_i lies in Im B.  The
-  first failure found is returned as (e, True) for the highest order e > 0
-  the residuals keep, else as (e, False) for the highest exponent whose
-  coefficient vector leaves Im B.
+  The rule: no residual keeps a term of positive order in t, and every
+  coefficient vector of the curve lies in Im A (`image`, or one
+  `image_basis(A)` when it is not given).  The first failure found is
+  returned as (e, True) for the highest order e > 0 the residuals keep,
+  else as (e, False) for the highest exponent whose vector leaves Im A.
 
-  Why the rule refutes properness: write the curve x = B y with y in B's
-  row space, and put z = y - pi_ker(F(y)) for F(y) = y + (B y)^k.  Then
-  B F(y) = x + B(x^k) stays bounded, so pi_row F(y) does, and F(z) =
+  Why the rule refutes properness: write the curve x = A y with y in A's
+  row space, and put z = y - pi_ker(F(y)) for F(y) = y + (A y)^k.  Then
+  A F(y) = x + A(x^k) stays bounded, so pi_row F(y) does, and F(z) =
   pi_row F(y) stays bounded while |z| >= |y| grows without bound.
   """
   kept = [e for p in resid_polys for e in p if e > 0]
   if kept:
     return max(kept), True
-  V = image_basis(B)
-  zero = Fraction(0)
-  for e in sorted(set().union(*coords), reverse=True):
-    if not V.contains(RatVector(tuple(p.get(e, zero) for p in coords))):
+  V = image if image is not None else image_basis(A)
+  for e, c in curve.coefficients.items():
+    if not V.contains(c):
       return e, False
   return None
 
 
-def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
-                     gammas: tuple[float, ...] = DEFAULT_GAMMAS
+def validate_witness(A: RatMatrix, curve: EscapeCurve,
+                     gammas: tuple[float, ...] = DEFAULT_GAMMAS,
+                     image: Subspace | None = None
                      ) -> WitnessValidationReport:
-  """Regenerate escape points and measure whether the refutation holds up.
+  """Check an escape curve's rule, then regenerate its points and measure
+  whether the refutation holds up.
 
-  The map measured is x + B(x^k) where B is the (possibly conjugated)
-  matrix the recipe refers to; boundedness of those images along a curve
-  in Im B transfers to non-properness of the original map.  A recipe
-  passes when its invariants hold, point norms strictly grow, direction
-  errors shrink, and residuals decay with a fitted log-log slope at most
-  -0.2 (or stay within twice their small-gamma level).  Structurally
-  impossible recipes are reported rejected, with invariant_ok false: they
-  have no curve.  Recipes whose invariants fail are still evaluated so the
-  report shows the residual growth.
-
-  The invariants of a rational recipe are the exact witness rule of
-  `_curve_defect`, read off the one expansion: the curve lies in Im B and
-  no residual keeps a positive power of t.  A float-born recipe's
-  equations are checked within tolerance instead.  A recipe whose vectors
-  do not fit B's size raises ValueError.
+  The curve is in A's own coordinates and the map measured is
+  x + A(x^k); boundedness of those images along a curve in Im A transfers
+  to non-properness of x + (Ax)^k.  A curve whose top exponent is not
+  positive, or whose top vector is zero, does not grow: it is reported
+  rejected, with invariant_ok false, and not replayed.  Otherwise its
+  invariants are the witness rule of `_curve_defect`, read off one
+  expansion: for a rational curve, exactly, every coefficient vector lies
+  in Im A (`image`, when the caller already holds it) and no residual keeps
+  a positive power of t; for a numeric one, every positive-order residual
+  coefficient is within tolerance (`_numeric_rule_ok`).  A curve passes
+  when its invariants hold, point norms strictly grow, direction errors
+  shrink, and residuals decay with a fitted log-log slope at most -0.2 (or
+  stay within twice their small-gamma level).  Curves whose invariants
+  fail are still evaluated so the report shows the residual growth.  A
+  curve whose vectors do not fit A's size raises ValueError.
   """
   if len(gammas) < 2:
     raise ValueError("need at least two gammas to judge a trend")
@@ -208,60 +209,52 @@ def validate_witness(A: RatMatrix, recipe: WitnessRecipe,
   if any(a == b for a, b in zip(gammas, gammas[1:])):
     # a repeated scale cannot show the point norms strictly growing
     raise ValueError("gammas must be distinct")
+  if curve.dim != A.n_cols:
+    raise ValueError(f"matrix is {A.n_rows}x{A.n_cols}, curve vectors have "
+                     f"length {curve.dim}")
 
-  B = recipe.frame.conjugate(A) if recipe.frame is not None else A
-  if len(recipe.x_inf) != B.n_cols:
-    raise ValueError(f"matrix is {B.n_rows}x{B.n_cols}, recipe vectors have "
-                     f"length {len(recipe.x_inf)}")
-  try:
-    _check_recipe(recipe)
-  except ValueError as err:
+  top = next(iter(curve.coefficients))
+  x_top = curve.coefficients[top]
+  if top <= 0 or x_top.is_zero():
     return WitnessValidationReport(
       gammas=gammas, residuals=(), point_norms=(), direction_errors=(),
       invariant_ok=False, rejected=True,
       fitted_decay_exponent=None, negative_image_coordinates=False,
-      passed=False, note=f"recipe rejected: {err}")
+      passed=False, note="curve rejected: " + (
+        f"its top exponent {top} is not positive" if top <= 0
+        else f"its top vector, at t^{top}, is zero"))
 
-  k = recipe.k
-  # only even powers have an image sign to watch
-  Bf = _float_matrix(B) if k % 2 == 0 else None
-  x_ref = [float(t) for t in recipe.x_inf]
+  k = curve.k
+  x_ref = [float(t) for t in x_top]
   ref_norm = _norm(x_ref)
   x_hat = [t / ref_norm for t in x_ref]
 
   # one expansion gives the points and, in closed form, the residual
   # coordinates: the gamma^k-order terms cancel exactly in the integer
   # coefficients, so evaluation stays accurate at scales where the direct
-  # float computation of x + B(x^k) loses every significant digit to
+  # float computation of x + A(x^k) loses every significant digit to
   # cancellation
-  coords = laurent_coords(recipe)
-  point_polys = _float_polys(coords)
-  resid_polys = _laurent_residuals(B, coords, k)
-  if recipe.numeric:
-    note = "" if _numeric_equations_ok(B, recipe) else EQUATIONS_FAIL
+  coords = laurent_coords(curve)
+  resid_polys = _laurent_residuals(A, coords, k)
+  if curve.numeric:
+    note = "" if _numeric_rule_ok(coords, resid_polys, k) else EQUATIONS_FAIL
   else:
-    defect = _curve_defect(B, coords, resid_polys)
+    defect = _curve_defect(A, curve, resid_polys, image)
     note = ("" if defect is None else EQUATIONS_FAIL if defect[1]
-            else "the escape curve leaves Im B")
+            else LEAVES_IMAGE)
   invariant_ok = not note
-  exponents = set().union(*point_polys, *resid_polys)
 
-  residuals = []
-  norms = []
-  dir_errors = []
+  ts = [g ** (1.0 / 3.0) for g in gammas]
+  points = _replay(_float_polys(coords), ts)
+  residuals = [_norm(r) for r in _replay(resid_polys, ts)]
+  norms = [_norm(x) for x in points]
+  dir_errors = [_norm([a / n - b for a, b in zip(x, x_hat)])
+                for x, n in zip(points, norms)]
+  # only even powers have an image sign to watch
   negative_image = False
-  for g in gammas:
-    t13 = g ** (1.0 / 3.0)
-    powers = {e: t13 ** e for e in exponents}
-    x = _evaluate(point_polys, powers)
-    residuals.append(_norm(_evaluate(resid_polys, powers)))
-    n = _norm(x)
-    norms.append(n)
-    dir_errors.append(_norm([a / n - b for a, b in zip(x, x_hat)]))
-    if k % 2 == 0:
-      ax = _apply_f(Bf, x)
-      if any(t < -1e-12 for t in ax):
-        negative_image = True
+  if k % 2 == 0:
+    Af = _float_matrix(A)
+    negative_image = any(t < -1e-12 for x in points for t in _apply_f(Af, x))
 
   slope = _loglog_slope(gammas, residuals)
 
@@ -668,11 +661,11 @@ def probe_mu(A: RatMatrix, k: int = 3, seed: int = 0,
 
 
 def general_k_witness(A: RatMatrix, x_inf: RatVector, u: RatVector,
-                      k: int) -> WitnessRecipe:
-  """Escape recipe for x + (Ax)^k from a fully nonzero limit direction.
+                      k: int) -> EscapeCurve:
+  """Escape curve of x + (Ax)^k from a fully nonzero limit direction.
 
-  The points are gamma x_inf + u * x_inf^(1-k) / (k gamma^(k-2)), and the
-  recipe must keep the exact witness rule `validate_witness` checks
+  The curve is `simple_curve`: t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)),
+  and it must keep the exact witness rule `validate_witness` checks
   (`_curve_defect`).  Its residuals keep t^(3k) unless A(x_inf^k) = 0 and
   t^3 unless A u + x_inf = 0; then both x_inf and u * x_inf^(1-k) must lie
   in Im A.  A failure raises ValueError naming the failed equation or the
@@ -681,15 +674,16 @@ def general_k_witness(A: RatMatrix, x_inf: RatVector, u: RatVector,
   """
   if not isinstance(k, int) or k < 2:
     raise ValueError("power k must be an integer >= 2")
-  if len(x_inf) != A.n_cols:
-    raise ValueError(f"matrix is {A.n_rows}x{A.n_cols}, x_inf has length "
-                     f"{len(x_inf)}")
-  recipe = WitnessRecipe(kind="simple", x_inf=x_inf, u=u, k=k)
-  _check_recipe(recipe)
-  coords = laurent_coords(recipe)
-  defect = _curve_defect(A, coords, _laurent_residuals(A, coords, k))
+  if len(x_inf) != A.n_cols or len(u) != A.n_cols:
+    raise ValueError(f"matrix is {A.n_rows}x{A.n_cols}, x_inf and u have "
+                     f"lengths {len(x_inf)} and {len(u)}")
+  if any(a == 0 for a in x_inf):
+    raise ValueError("x_inf must have no zero coordinate")
+  curve = simple_curve(x_inf, u, k)
+  defect = _curve_defect(A, curve, _laurent_residuals(
+    A, laurent_coords(curve), k))
   if defect is None:
-    return recipe
+    return curve
   e, kept = defect
   if kept:
     equation = "A(x_inf^k) = 0" if e == 3 * k else "A u + x_inf = 0"

@@ -23,7 +23,7 @@ import propermap
 from propermap.certify import NONPROPER, Certificate
 from propermap.forge import golden_3x3
 from propermap.linalg import RatMatrix, RatVector
-from propermap.recipes import WitnessRecipe
+from propermap.recipes import EscapeCurve
 
 
 def src_env() -> dict[str, str]:
@@ -161,13 +161,9 @@ def f_exact(A: RatMatrix, x: RatVector, k: int = 3) -> RatVector:
   return RatVector.of([x[i] + ax[i] ** k for i in range(A.m)])
 
 
-def laurent_residual_oracle(B: RatMatrix, coords: list[dict], k: int
-                            ) -> list[dict]:
-  """x + B(x^k) as Laurent polynomials with Fraction coefficients, for x
-  given by one {exponent: coefficient} dict per coordinate.  Each
-  coordinate's k-th power is k convolutions in Fractions, starting from the
-  constant 1, and B is applied entry by entry.  Exponents keep the order in
-  which the sums first meet them; zero coefficients are dropped."""
+def naive_powers(coords: list[dict], k: int) -> list[dict]:
+  """Each coordinate's k-th power as a Laurent polynomial: k convolutions
+  in Fractions, starting from the constant 1."""
   def mul(p, q):
     out = {}
     for e1, c1 in p.items():
@@ -181,6 +177,17 @@ def laurent_residual_oracle(B: RatMatrix, coords: list[dict], k: int
     for _ in range(k):
       acc = mul(acc, p)
     pows.append(acc)
+  return pows
+
+
+def laurent_residual_oracle(B: RatMatrix, coords: list[dict], k: int
+                            ) -> list[dict]:
+  """x + B(x^k) as Laurent polynomials with Fraction coefficients, for x
+  given by one {exponent: coefficient} dict per coordinate.  The powers are
+  `naive_powers`, and B is applied entry by entry.  Exponents keep the
+  order in which the sums first meet them; zero coefficients are
+  dropped."""
+  pows = naive_powers(coords, k)
   out = []
   for i, p in enumerate(coords):
     acc = dict(p)
@@ -194,94 +201,125 @@ def laurent_residual_oracle(B: RatMatrix, coords: list[dict], k: int
 
 
 # the planted_pattern(Random(s), 3 + s % 2) seeds in 0..2999 that certify
-# escape-direction: full-support kernel lines refuted by a simple recipe
+# escape-direction: full-support kernel lines refuted by a simple curve
 ESCAPE_DIRECTION_SEEDS = (92, 298, 346, 622, 1240, 1614, 1778, 2348, 2812,
                           2910)
 
 
-def reference_coords(recipe) -> list[dict]:
-  """The escape curve of a recipe as one {exponent of t: Fraction} dict per
-  coordinate, t = gamma^(1/3), written out from the recipe's formulas:
-  t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)) for a simple recipe, and
+def reference_coords(kind, x_inf, u, k=3, u1=None, v1=None, u_hat_root=None,
+                     v=None) -> list[dict]:
+  """An escape curve as one {exponent of t: Fraction} dict per coordinate,
+  t = gamma^(1/3), written out from its construction's formula:
+  t^3 x_inf + t^(-3(k-2)) u / (k x_inf^(k-1)) for a "simple" one, and
   t^3 x_inf + t^(-3) u1 / 3 + t^(-5) v1 / 3 + t r + t^(-1) v / (3 r^2) for
-  a chain (u1 defaults to u, r is the hat cube root)."""
+  a chain (u1 defaults to u, r is the hat cube root u_hat_root)."""
   coords = []
-  for i in range(len(recipe.x_inf)):
-    terms = {3: recipe.x_inf[i]}
-    if recipe.kind == "simple":
-      k = recipe.k
-      terms[-3 * (k - 2)] = recipe.u[i] / (k * recipe.x_inf[i] ** (k - 1))
+  for i in range(len(x_inf)):
+    terms = {3: Fraction(x_inf[i])}
+    if kind == "simple":
+      terms[-3 * (k - 2)] = Fraction(u[i]) / (k * Fraction(x_inf[i]) ** (k - 1))
     else:
-      terms[-3] = (recipe.u1 if recipe.u1 is not None else recipe.u)[i] / 3
-      if recipe.v1 is not None:
-        terms[-5] = recipe.v1[i] / 3
-      if recipe.u_hat_root is not None:
-        r = recipe.u_hat_root[i]
+      terms[-3] = Fraction((u1 if u1 is not None else u)[i]) / 3
+      if v1 is not None:
+        terms[-5] = Fraction(v1[i]) / 3
+      if u_hat_root is not None:
+        r = Fraction(u_hat_root[i])
         terms[1] = r
-        if r != 0 and recipe.v is not None:
-          terms[-1] = recipe.v[i] / (3 * r ** 2)
+        if r != 0 and v is not None:
+          terms[-1] = Fraction(v[i]) / (3 * r ** 2)
     coords.append({e: c for e, c in terms.items() if c != 0})
   return coords
 
 
-def naive_equations_hold(B: RatMatrix, recipe) -> bool:
-  """The equations of an exact recipe's curve, entry by entry in Fractions:
-  B x_inf^k = 0 and B u + x_inf = 0 for a simple recipe; for a chain, that
-  `laurent_residual_oracle` of its `reference_coords` keeps no positive
-  power of t."""
+def curve_coords(curve) -> list[dict]:
+  """The curve's coefficient vectors read as one {exponent: Fraction}
+  dict per coordinate, zero coefficients left out."""
+  return [{e: Fraction(c[i]) for e, c in curve.coefficients.items()
+           if c[i] != 0} for i in range(len(next(iter(
+             curve.coefficients.values()))))]
+
+
+def curve_of(coords, k=3, numeric=False) -> EscapeCurve:
+  """The curve whose coordinate i is the Laurent polynomial coords[i]."""
+  exponents = set().union(*coords)
+  return EscapeCurve(k, {e: RatVector.of([p.get(e, 0) for p in coords])
+                         for e in exponents}, numeric)
+
+
+def naive_equations_hold(B: RatMatrix, x_inf, u, k: int = 3) -> bool:
+  """The equations of a simple curve's data, entry by entry in Fractions:
+  B x_inf^k = 0 and B u + x_inf = 0."""
   m = B.m
-  if recipe.kind != "simple":
-    resid = laurent_residual_oracle(B, reference_coords(recipe), recipe.k)
-    return all(e <= 0 for p in resid for e in p)
-  xk = [a ** recipe.k for a in recipe.x_inf]
+  xk = [a ** k for a in x_inf]
   return all(
     sum(B.entry(i, j) * xk[j] for j in range(m)) == 0
-    and sum(B.entry(i, j) * recipe.u[j] for j in range(m))
-    + recipe.x_inf[i] == 0 for i in range(m))
+    and sum(B.entry(i, j) * u[j] for j in range(m)) + x_inf[i] == 0
+    for i in range(m))
 
 
-def naive_curve_in_image(B: RatMatrix, recipe) -> bool:
-  """Whether the recipe's curve lies in Im B: for every exponent of
-  `reference_coords`, appending its coefficient vector to B's columns
-  leaves their `naive_rank` unchanged."""
-  coords = reference_coords(recipe)
+def naive_rule_holds(B: RatMatrix, curve) -> bool:
+  """Whether `laurent_residual_oracle` of the curve keeps no positive
+  power of t."""
+  resid = laurent_residual_oracle(B, curve_coords(curve), curve.k)
+  return all(e <= 0 for p in resid for e in p)
+
+
+def naive_numeric_rule_holds(B: RatMatrix, curve, tol: float = 1e-6) -> bool:
+  """The tolerance rule of a numeric curve: at each positive order e of
+  `laurent_residual_oracle`, the residual coefficient vector r_e has
+  |r_e| <= tol max(1, |x_e|, |(x^k)_e|), norms taken in floats of the
+  Fraction vectors."""
+  coords = curve_coords(curve)
+  pows = naive_powers(coords, curve.k)
+  resid = laurent_residual_oracle(B, coords, curve.k)
+
+  def norm(polys, e):
+    return math.sqrt(sum(float(p.get(e, 0)) ** 2 for p in polys))
+
+  return all(norm(resid, e) <= tol * max(1.0, norm(coords, e), norm(pows, e))
+             for e in {e for p in resid for e in p if e > 0})
+
+
+def naive_curve_in_image(B: RatMatrix, curve) -> bool:
+  """Whether the curve lies in Im B: for every exponent of its
+  `curve_coords`, appending its coefficient vector to B's columns leaves
+  their `naive_rank` unchanged."""
+  coords = curve_coords(curve)
   cols = [[B.entry(i, j) for i in range(B.n_rows)] for j in range(B.n_cols)]
   r = naive_rank(cols)
   return all(naive_rank(cols + [[p.get(e, 0) for p in coords]]) == r
              for e in set().union(*coords))
 
 
-def reference_replay(B: RatMatrix, recipe, gammas, invariant_ok=None) -> dict:
-  """What `validate_witness` reports for a recipe on the matrix B it refers
-  to (its frame is not applied), field by field, computed naively.
+def reference_replay(B: RatMatrix, curve, gammas) -> dict:
+  """What `validate_witness` reports for a curve on the matrix B, field by
+  field, computed naively.
 
   Each residual coordinate is `laurent_residual_oracle`'s Fraction
-  polynomial, each point coordinate `reference_coords`' one, and both are
-  evaluated term by term in floats.  An exact recipe's invariants are
-  `naive_equations_hold` and `naive_curve_in_image`; pass `invariant_ok`
-  for a numeric one.  A rejected recipe has no curve, and its invariants
-  fail.  The pass rule is the documented one: the invariants hold, point
-  norms strictly grow, direction errors do not grow, and the residuals'
-  log-log slope is at most -0.2 or they stay within twice their early
-  level.
+  polynomial, each point coordinate `curve_coords`' one, and both are
+  evaluated term by term in floats.  An exact curve's invariants are
+  `naive_rule_holds` and `naive_curve_in_image`, a numeric one's
+  `naive_numeric_rule_holds`.  A curve whose highest exponent is not positive or carries
+  a zero vector is rejected: it does not grow, and its invariants fail.
+  The pass rule is the documented one: the invariants hold, point norms
+  strictly grow, direction errors do not grow, and the residuals' log-log
+  slope is at most -0.2 or they stay within twice their early level.
   """
-  k, x_inf, m = recipe.k, recipe.x_inf, B.m
+  k, m = curve.k, B.m
   gammas = tuple(sorted(float(g) for g in gammas))
-  if recipe.kind == "simple":
-    rejected = (any(a == 0 for a in x_inf) or all(a == 0 for a in recipe.u)
-                or k < 2)
-  else:
-    rejected = (any(a not in (0, 1) for a in x_inf)
-                or all(a == 0 for a in x_inf) or k != 3)
-  if rejected:
+  top = max(curve.coefficients)
+  x_inf = curve.coefficients[top]
+  if top <= 0 or all(a == 0 for a in x_inf):
     return dict(gammas=gammas, residuals=(), point_norms=(),
                 direction_errors=(), invariant_ok=False, rejected=True,
                 fitted_decay_exponent=None, negative_image_coordinates=False,
                 passed=False)
-  if invariant_ok is None:
-    invariant_ok = (naive_equations_hold(B, recipe)
-                    and naive_curve_in_image(B, recipe))
-  coords = reference_coords(recipe)
+  if curve.numeric:
+    invariant_ok = naive_numeric_rule_holds(B, curve)
+  else:
+    invariant_ok = (naive_rule_holds(B, curve)
+                    and naive_curve_in_image(B, curve))
+  coords = curve_coords(curve)
   resid = laurent_residual_oracle(B, coords, k)
 
   def at(polys, t):
@@ -626,25 +664,22 @@ def reference_kernel_directions(basis, table, count: int) -> list[RatVector]:
 
 def forged_rank_one_refutation():
   """A hand-made escape-direction certificate for the proper map of
-  [[1, -1], [1, -1]] (F1 - F2 = x1 - x2): A x_inf^3 = 0 and A u = -x_inf
-  hold, but the curve's low term u / (3 x_inf^2) = (-1/3, 0) leaves
-  Im A = span(1, 1)."""
+  [[1, -1], [1, -1]] (F1 - F2 = x1 - x2): the curve t^3 x_inf +
+  t^(-3) u / (3 x_inf^2) with x_inf = (1, 1) and u = (-1, 0) has
+  A x_inf^3 = 0 and A u = -x_inf, so its residuals keep no positive power,
+  but its low term (-1/3, 0) leaves Im A = span(1, 1)."""
   A = RatMatrix.of([[1, -1], [1, -1]])
-  x_inf, u = RatVector.of([1, 1]), RatVector.of([-1, 0])
-  recipe = WitnessRecipe(kind="simple", x_inf=x_inf, u=u)
-  return A, Certificate(
-    NONPROPER, "escape-direction", A,
-    evidence={"recipe": recipe, "direction": x_inf, "u": u})
+  curve = EscapeCurve(3, {3: RatVector.of([1, 1]),
+                          -3: RatVector.of([Fraction(-1, 3), 0])})
+  return A, Certificate(NONPROPER, "escape-direction", A,
+                        evidence={"curve": curve})
 
 
 def zero_pattern_chain_refutation():
-  """An escape-chain certificate for golden_3x3 whose chain recipe has an
-  all-zero x_inf, so its curve does not grow."""
+  """An escape-chain certificate for golden_3x3 whose curve's top vector,
+  at t^3, is zero, so the curve does not grow."""
   A = golden_3x3()
-  recipe = WitnessRecipe(kind="corank-chain", x_inf=RatVector.zero(3),
-                         u=RatVector.of([1, 0, 0]))
-  return A, Certificate(
-    NONPROPER, "escape-chain", A,
-    evidence={"recipe": recipe, "chain": {
-      "type": "chain", "satisfied": True, "depth": 1, "numeric_only": False,
-      "extrapolated": False, "failure": None}})
+  curve = EscapeCurve(3, {3: RatVector.zero(3),
+                          -3: RatVector.of([Fraction(1, 3), 0, 0])})
+  return A, Certificate(NONPROPER, "escape-chain", A,
+                        evidence={"curve": curve})

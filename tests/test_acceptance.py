@@ -79,13 +79,13 @@ def test_criterion_2_family_refutations_validate():
     A = forge_3x3(p)
     cert = corank1_decide(A)
     assert cert.verdict == NONPROPER
-    recipe = cert.witness()
-    report = validate_witness(A, recipe)
+    curve = cert.witness()
+    report = validate_witness(A, curve)
     assert report.passed
     assert report.fitted_decay_exponent <= -0.2
     gamma = report.gammas[-1]
     assert gamma == 1e6
-    ray_norm = gamma * float(sum(a * a for a in recipe.x_inf)) ** 0.5
+    ray_norm = gamma * float(sum(a * a for a in curve.coefficients[3])) ** 0.5
     assert abs(report.point_norms[-1] - ray_norm) <= 0.01 * ray_norm
     worst = max(worst, time.perf_counter() - started)
   assert worst < 1.0

@@ -42,7 +42,7 @@ def test_every_declared_call_count_names_a_traced_span(monkeypatch):
 
 def test_the_trace_sees_every_elimination(monkeypatch):
   # certify, JSON round trip and verify, as a bench request runs them: the
-  # eight eliminations `test_elimination_budget_of_a_request` pins for
+  # seven eliminations `test_elimination_budget_of_a_request` pins for
   # golden_3x3 all go through the public `linalg.rref`
   spans, workloads = _bench_modules(monkeypatch)
   A = golden_3x3()
@@ -51,5 +51,5 @@ def test_the_trace_sees_every_elimination(monkeypatch):
     back = jsonio.certificate_from_json(
       json.loads(jsonio.dumps(jsonio.certificate_to_json(cert))))
     assert verify_certificate(A, back)
-  assert trace.calls("linalg.rref") == 8
+  assert trace.calls("linalg.rref") == 7
   assert trace.max_coeff_bits > 0

@@ -21,9 +21,9 @@ from propermap.cli import main
 from propermap.forge import Family3x3Params, forge_3x3, golden_3x3, shift_5x5
 from propermap.jsonio import (
   certificate_to_json,
+  curve_to_json,
   dumps,
   matrix_to_json,
-  recipe_to_json,
 )
 from propermap.linalg import RatMatrix
 
@@ -52,13 +52,17 @@ def test_analyze_proper_exits_zero(tmp_path, capsys):
 
 
 def test_analyze_non_proper_exits_zero_with_recipe(tmp_path, capsys):
+  # the evidence is the escape curve alone
   path = write_matrix(tmp_path / "g.json", golden_3x3())
   code, out, _ = run(capsys, ["analyze", "--input", path])
   assert code == 0
   payload = json.loads(out)
   assert payload["verdict"] == "NonProper"
   assert payload["reason"] == "escape-direction"
-  assert payload["evidence"]["recipe"]["kind"] == "simple"
+  assert list(payload["evidence"]) == ["curve"]
+  curve = payload["evidence"]["curve"]
+  assert curve["type"] == "curve" and curve["k"] == 3
+  assert curve["coefficients"]["3"] == ["1", "1", "1"]
 
 
 def test_analyze_undecided_exits_two(tmp_path, capsys):
@@ -140,12 +144,20 @@ def test_witness_from_certificate(tmp_path, capsys):
 
 def test_witness_refuses_a_certificate_that_does_not_verify(tmp_path, capsys):
   # the certificate must be exactly what certify writes for its matrix: a
-  # passing recipe does not carry another reason or direction
+  # passing curve does not carry another reason, and an edited coefficient
+  # or an added term leaving Im A fails the curve's rule
   obj = certificate_to_json(certify(golden_3x3()))
   relabelled = dict(obj, reason="triangular")
   edited = json.loads(json.dumps(obj))
-  edited["evidence"]["direction"]["entries"] = ["5", "5", "5"]
-  for payload, want in ((obj, 0), (relabelled, 1), (edited, 1)):
+  edited["evidence"]["curve"]["coefficients"]["-3"] = ["1/3", "1", "0"]
+  added = json.loads(json.dumps(obj))
+  added["evidence"]["curve"]["coefficients"]["-6"] = ["0", "1", "0"]
+  # a lower term inside Im A = span((1, 1, 1), (1, 0, 0)) keeps a curve
+  # that refutes properness just as well
+  inside = json.loads(json.dumps(obj))
+  inside["evidence"]["curve"]["coefficients"]["-6"] = ["1", "0", "0"]
+  for payload, want in ((obj, 0), (relabelled, 1), (edited, 1), (added, 1),
+                        (inside, 0)):
     path = tmp_path / "cert.json"
     path.write_text(dumps(payload))
     code, out, err = run(capsys, ["witness", "--input", str(path)])
@@ -155,7 +167,7 @@ def test_witness_refuses_a_certificate_that_does_not_verify(tmp_path, capsys):
 
 
 def test_witness_refuses_a_curve_outside_the_image(tmp_path, capsys):
-  # the recipe's equations hold but its curve leaves Im A: the map is proper
+  # the curve keeps no positive power of t but leaves Im A: the map is proper
   _, forged = forged_rank_one_refutation()
   path = tmp_path / "cert.json"
   path.write_text(dumps(certificate_to_json(forged)))
@@ -165,16 +177,17 @@ def test_witness_refuses_a_curve_outside_the_image(tmp_path, capsys):
 
 
 def test_witness_rejects_a_zero_pattern_chain(tmp_path, capsys):
-  # an all-zero chain x_inf used to end in a ZeroDivisionError traceback
+  # an all-zero chain x_inf used to end in a ZeroDivisionError traceback;
+  # a curve whose top vector is zero does not grow
   A, forged = zero_pattern_chain_refutation()
   pair = tmp_path / "pair.json"
   pair.write_text(dumps({"matrix": matrix_to_json(A),
-                         "recipe": recipe_to_json(forged.witness())}))
+                         "curve": curve_to_json(forged.witness())}))
   code, out, _ = run(capsys, ["witness", "--input", str(pair)])
   assert code == 0
   report = json.loads(out)
   assert report["rejected"] is True and report["passed"] is False
-  assert "nonzero 0/1 pattern" in report["note"]
+  assert report["note"] == "curve rejected: its top vector, at t^3, is zero"
   cert = tmp_path / "cert.json"
   cert.write_text(dumps(certificate_to_json(forged)))
   code, out, err = run(capsys, ["witness", "--input", str(cert)])
@@ -193,22 +206,31 @@ def test_witness_schedule_override(tmp_path, capsys):
 
 
 def test_witness_from_matrix_and_recipe_payload(tmp_path, capsys):
+  # a {"matrix", "curve"} pair, the curve with or without the "type" its
+  # certificate gives it; a pair in the retired recipe format exits 1,
+  # naming the field
   A = golden_3x3()
-  recipe = certify(A).witness()
+  curve = curve_to_json(certify(A).witness())
   path = tmp_path / "pair.json"
-  path.write_text(dumps({"matrix": matrix_to_json(A),
-                         "recipe": recipe_to_json(recipe)}))
-  code, out, _ = run(capsys, ["witness", "--input", str(path)])
-  assert code == 0
-  assert json.loads(out)["passed"] is True
+  for payload in (curve, {**curve, "type": "curve"}):
+    path.write_text(dumps({"matrix": matrix_to_json(A), "curve": payload}))
+    code, out, _ = run(capsys, ["witness", "--input", str(path)])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+  recipe = {"kind": "simple", "k": 3, "numeric": False,
+            "x_inf": ["1", "1", "1"], "u": ["1", "0", "0"]}
+  path.write_text(dumps({"matrix": matrix_to_json(A), "recipe": recipe}))
+  code, out, err = run(capsys, ["witness", "--input", str(path)])
+  assert (code, out) == (1, "")
+  assert err.startswith("error: field 'recipe' holds a witness recipe")
 
 
 def test_witness_rejects_extra_fields(tmp_path, capsys):
   A = golden_3x3()
-  recipe = certify(A).witness()
+  curve = certify(A).witness()
   path = tmp_path / "pair.json"
   path.write_text(dumps({"matrix": matrix_to_json(A),
-                         "recipe": recipe_to_json(recipe),
+                         "curve": curve_to_json(curve),
                          "note": "hi"}))
   code, _, err = run(capsys, ["witness", "--input", str(path)])
   assert code == 1
@@ -221,33 +243,44 @@ def test_witness_rejects_extra_fields(tmp_path, capsys):
 ])
 def test_witness_rejects_a_frame_that_cannot_conjugate(tmp_path, capsys,
                                                        frame, field):
+  # a curve is in its matrix's own coordinates, so no frame is read: a
+  # frame in the curve, beside it, or in a retired recipe is refused by
+  # name before its broken field is looked at
   A = planted_pattern(random.Random(57), 4)
-  recipe = recipe_to_json(certify(A).witness())
-  assert recipe["kind"] == "corank-chain"
-  recipe["frame"] = frame
+  curve = curve_to_json(certify(A).witness())
+  recipe = {"kind": "corank-chain", "x_inf": ["1", "1", "0", "1"],
+            "u": ["0", "0", "0", "0"], "frame": frame}
   path = tmp_path / "pair.json"
-  path.write_text(dumps({"matrix": matrix_to_json(A), "recipe": recipe}))
-  code, out, err = run(capsys, ["witness", "--input", str(path)])
-  assert (code, out) == (1, "")
-  assert err.startswith("error: ") and f"'{field}'" in err
-  assert "Traceback" not in err
+  for payload, named in (
+      ({"matrix": matrix_to_json(A), "curve": {**curve, "frame": frame}},
+       "frame"),
+      ({"matrix": matrix_to_json(A), "curve": curve, "frame": frame}, "frame"),
+      ({"matrix": matrix_to_json(A), "recipe": recipe}, "recipe")):
+    path.write_text(dumps(payload))
+    code, out, err = run(capsys, ["witness", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"'{named}'" in err
+    assert f"'{field}'" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("change", ["short", "long"])
 @pytest.mark.parametrize("field", ["v", "u1", "v1", "u_hat_root"])
 def test_witness_rejects_a_recipe_vector_of_another_length(tmp_path, capsys,
                                                            field, change):
-  # a short vector used to fail with an IndexError, and a long u1, v1 or
-  # u_hat_root used to pass: the float equations zip the vectors short
+  # a short recipe vector used to fail with an IndexError, and a long u1,
+  # v1 or u_hat_root used to pass: the float equations zipped the vectors
+  # short.  Each field is now the curve term it gave planted-57's depth-two
+  # chain, whose vectors must have the matrix's length
+  term = {"u1": "-3", "v1": "-5", "u_hat_root": "1", "v": "-1"}[field]
   A = planted_pattern(random.Random(57), 4)
-  recipe = recipe_to_json(certify(A).witness())
-  recipe[field] = (recipe[field][:-1] if change == "short"
-                   else recipe[field] + ["0"])
+  curve = curve_to_json(certify(A).witness())
+  vec = curve["coefficients"][term]
+  curve["coefficients"][term] = vec[:-1] if change == "short" else vec + ["0"]
   path = tmp_path / "pair.json"
-  path.write_text(dumps({"matrix": matrix_to_json(A), "recipe": recipe}))
+  path.write_text(dumps({"matrix": matrix_to_json(A), "curve": curve}))
   code, out, err = run(capsys, ["witness", "--input", str(path)])
   assert (code, out) == (1, "")
-  assert err.startswith("error: ") and f"'{field}'" in err
+  assert err.startswith("error: ") and f"entry '{term}' has length" in err
   assert "Traceback" not in err
 
 
@@ -256,7 +289,7 @@ def test_witness_requires_a_recipe(tmp_path, capsys):
   path.write_text(dumps(certificate_to_json(certify(shift_5x5()))))
   code, _, err = run(capsys, ["witness", "--input", str(path)])
   assert code == 1
-  assert "no witness recipe" in err
+  assert "no escape curve" in err
 
 
 def test_witness_bad_schedule_exits_one(tmp_path, capsys):
@@ -449,37 +482,22 @@ ANALYZE_GOLDEN_3X3 = """\
     }
   ],
   "evidence": {
-    "direction": {
-      "entries": [
-        "1",
-        "1",
-        "1"
-      ],
-      "type": "vector"
-    },
-    "recipe": {
+    "curve": {
+      "coefficients": {
+        "-3": [
+          "1/3",
+          "0",
+          "0"
+        ],
+        "3": [
+          "1",
+          "1",
+          "1"
+        ]
+      },
       "k": 3,
-      "kind": "simple",
       "numeric": false,
-      "type": "recipe",
-      "u": [
-        "1",
-        "0",
-        "0"
-      ],
-      "x_inf": [
-        "1",
-        "1",
-        "1"
-      ]
-    },
-    "u": {
-      "entries": [
-        "1",
-        "0",
-        "0"
-      ],
-      "type": "vector"
+      "type": "curve"
     }
   },
   "k": 3,

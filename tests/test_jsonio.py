@@ -20,21 +20,24 @@ from propermap.jsonio import (
   _INT_VALUES,
   certificate_from_json,
   certificate_to_json,
+  curve_from_json,
+  curve_to_json,
   dumps,
-  frame_from_json,
-  frame_to_json,
   matrix_from_json,
   matrix_to_json,
   probe_report_to_json,
   rat_str,
-  recipe_from_json,
-  recipe_to_json,
   validation_report_to_json,
   vector_from_json,
   vector_to_json,
 )
 from propermap.linalg import RatMatrix, RatVector, _integerized_rows, as_rat
-from propermap.recipes import ConjugationFrame, WitnessRecipe
+from propermap.recipes import (
+  ConjugationFrame,
+  EscapeCurve,
+  chain_curve,
+  simple_curve,
+)
 from propermap.witness import probe_mu, validate_witness
 
 
@@ -84,12 +87,18 @@ def test_vector_round_trip():
 
 
 def test_frame_round_trip():
+  # a chain found on a conjugate is pulled back when its curve is built,
+  # w[perm[i]] = z[i] / diag[perm[i]], so the curve's JSON holds A's
+  # coordinates and no frame
   frame = ConjugationFrame((2, 0, 1), (Fraction(1, 2), Fraction(3), Fraction(-1)))
-  assert frame_from_json(frame_to_json(frame)) == frame
-  with pytest.raises(ValueError, match="perm"):
-    frame_from_json({"perm": ["a"], "diag": ["1"]})
-  with pytest.raises(ValueError, match="diag"):
-    frame_from_json({"perm": [0, 1], "diag": ["1"]})
+  curve = chain_curve(RatVector.of([1, 1, 0]), RatVector.of([1, 0, 0]),
+                      frame=frame)
+  obj = curve_to_json(curve)
+  assert obj == {"k": 3, "numeric": False,
+                 "coefficients": {"3": ["2", "0", "-1"],
+                                  "-3": ["0", "0", "-1/3"]}}
+  assert curve_from_json(obj, 3) == curve
+  assert curve_from_json({**obj, "type": "curve"}, 3) == curve
 
 
 @pytest.mark.parametrize("perm, diag, field", [
@@ -101,55 +110,99 @@ def test_frame_round_trip():
   ([0, 1, 2, 3], ["1", "-2", "0/5", "1"], "diag"),
 ])
 def test_frame_rejects_what_cannot_conjugate(perm, diag, field):
-  with pytest.raises(ValueError, match=f"'{field}'"):
-    frame_from_json({"perm": perm, "diag": diag})
+  # frames no longer cross JSON, but the decider's frame still names the
+  # field that cannot conjugate
   with pytest.raises(ValueError, match=f"'{field}'"):
     ConjugationFrame(tuple(perm), tuple(Fraction(d) for d in diag))
 
 
 def test_recipe_round_trip_simple():
-  rec = WitnessRecipe(kind="simple", x_inf=RatVector.of([1, 1, 1]),
-                      u=RatVector.of([1, 0, 0]))
-  obj = recipe_to_json(rec)
-  assert recipe_from_json(obj) == rec
-  assert obj["kind"] == "simple"
-  assert obj["x_inf"] == ["1", "1", "1"]
+  curve = simple_curve(RatVector.of([1, 1, 1]), RatVector.of([1, 0, 0]))
+  obj = curve_to_json(curve)
+  assert curve_from_json(obj, 3) == curve
+  assert obj == {"k": 3, "numeric": False,
+                 "coefficients": {"3": ["1", "1", "1"],
+                                  "-3": ["1/3", "0", "0"]}}
+  # the text sorts the exponent keys as strings; the parse keeps the
+  # curve's own order, highest exponent first
+  back = curve_from_json(json.loads(dumps(obj)), 3)
+  assert list(back.coefficients) == [3, -3]
 
 
 def test_recipe_round_trip_with_frame_and_chain_fields():
-  rec = WitnessRecipe(
-    kind="corank-chain",
-    x_inf=RatVector.of([1, 1, 0]),
-    u=RatVector.of([1, 0, 0]),
-    u1=RatVector.of([1, 0, 0]),
+  curve = chain_curve(
+    RatVector.of([1, 1, 0]),
+    RatVector.of([1, 0, 0]),
     v1=RatVector.of([0, 1, 0]),
-    u_hat_root=RatVector.of([0, 0, 1]),
+    root=RatVector.of([0, 0, 1]),
     v=RatVector.of([0, 0, 2]),
     frame=ConjugationFrame((1, 0, 2), (Fraction(2), Fraction(1), Fraction(1))),
     numeric=True)
-  assert recipe_from_json(recipe_to_json(rec)) == rec
+  assert list(curve.coefficients) == [3, 1, -1, -3, -5]
+  assert curve_from_json(curve_to_json(curve), 3) == curve
+  assert curve_from_json(json.loads(dumps(curve_to_json(curve))), 3) == curve
 
 
 def test_recipe_parse_rejects_bad_fields():
-  base = {"kind": "simple", "x_inf": ["1"], "u": ["1"]}
-  with pytest.raises(ValueError, match="kind"):
-    recipe_from_json({**base, "kind": "other"})
-  with pytest.raises(ValueError, match="'k'"):
-    recipe_from_json({**base, "k": 0})
-  with pytest.raises(ValueError, match="numeric"):
-    recipe_from_json({**base, "numeric": "yes"})
-  with pytest.raises(ValueError, match="unexpected field"):
-    recipe_from_json({**base, "gamma": 10})
+  base = {"k": 3, "coefficients": {"3": ["1", "1"], "-3": ["0", "1/3"]}}
+  assert curve_from_json(base, 2) == EscapeCurve(
+    3, {3: RatVector.of([1, 1]), -3: RatVector.of([0, Fraction(1, 3)])})
+  cases = [
+    # exponent keys are integers in canonical form
+    ({**base, "coefficients": {"3": ["1", "1"], "1.5": ["0", "1"]}},
+     "key '1.5', which is no integer exponent"),
+    ({**base, "coefficients": {"03": ["1", "1"]}}, "key '03'"),
+    ({**base, "coefficients": {"+3": ["1", "1"]}}, "key '\\+3'"),
+    ({**base, "coefficients": {" 3": ["1", "1"]}}, "key ' 3'"),
+    ({**base, "coefficients": {"-0": ["1", "1"]}}, "key '-0'"),
+    ({**base, "coefficients": {"t3": ["1", "1"]}}, "key 't3'"),
+    # an empty coefficient map, or none
+    ({**base, "coefficients": {}}, "'coefficients' must be a non-empty"),
+    ({**base, "coefficients": [["1", "1"]]}, "'coefficients' must be a non-empty"),
+    ({"k": 3}, "missing field 'coefficients'"),
+    # entries are rational strings or integers, never floats or booleans
+    ({**base, "coefficients": {"3": [1.0, "1"]}},
+     "entry '3'\\[0\\] must be a rational string or integer, got float"),
+    ({**base, "coefficients": {"3": ["1", True]}},
+     "entry '3'\\[1\\] must be a rational string or integer, got bool"),
+    ({**base, "coefficients": {"3": []}}, "entry '3' must be a non-empty list"),
+    ({**base, "k": 0}, "'k' must be a positive integer"),
+    ({**base, "k": True}, "'k' must be a positive integer"),
+    ({**base, "k": "3"}, "'k' must be a positive integer"),
+    ({**base, "numeric": "yes"}, "'numeric' must be a boolean"),
+    ({**base, "type": "recipe"}, "'type' must be 'curve'"),
+    ({**base, "gamma": 10}, "unexpected field 'gamma'"),
+    ({**base, "frame": {"perm": [0, 1], "diag": ["1", "1"]}},
+     "unexpected field 'frame'"),
+  ]
+  for obj, match in cases:
+    with pytest.raises(ValueError, match=match):
+      curve_from_json(obj, 2)
+  with pytest.raises(ValueError, match="curve field 'k' is 3, its "
+                                       "certificate's k is 5"):
+    curve_from_json(base, 2, k=5)
 
 
 @pytest.mark.parametrize("change", ["short", "long"])
 @pytest.mark.parametrize("field", ["u", "v", "u1", "v1", "u_hat_root"])
 def test_recipe_parse_rejects_a_vector_of_another_length(field, change):
-  obj = recipe_to_json(certify(planted_pattern(random.Random(57), 4)).witness())
-  assert obj["kind"] == "corank-chain" and field in obj
-  obj[field] = obj[field][:-1] if change == "short" else obj[field] + ["0"]
-  with pytest.raises(ValueError, match=f"'{field}'"):
-    recipe_from_json(obj)
+  # planted-57's depth-two numeric chain: each recipe field it once carried
+  # is now the curve term it gives (u1 = u in a numeric chain), and that
+  # term's vector must have the matrix's length
+  term = {"u": "-3", "u1": "-3", "v1": "-5", "u_hat_root": "1", "v": "-1"}
+  cert = certify(planted_pattern(random.Random(57), 4))
+  obj = curve_to_json(cert.witness())
+  assert sorted(obj["coefficients"], key=int) == ["-5", "-3", "-1", "1", "3"]
+  vec = obj["coefficients"][term[field]]
+  obj["coefficients"][term[field]] = vec[:-1] if change == "short" else vec + ["0"]
+  want = 3 if change == "short" else 5
+  with pytest.raises(ValueError, match=f"entry '{term[field]}' has length "
+                                       f"{want}, the matrix is 4x4"):
+    curve_from_json(obj, 4)
+  text = certificate_to_json(cert)
+  text["evidence"]["curve"]["coefficients"] = obj["coefficients"]
+  with pytest.raises(ValueError, match=f"entry '{term[field]}' has length"):
+    certificate_from_json(json.loads(dumps(text)))
 
 
 def test_certificate_round_trip_preserves_verification():
@@ -167,15 +220,27 @@ def test_certificate_round_trip_keeps_witness_recipe():
   A = golden_3x3()
   cert = certify(A)
   back = certificate_from_json(certificate_to_json(cert))
-  rec = back.witness()
-  assert rec == cert.witness()
-  assert validate_witness(A, rec).passed
+  curve = back.witness()
+  assert curve == cert.witness() and isinstance(curve, EscapeCurve)
+  assert back.evidence == {"curve": curve}
+  assert validate_witness(A, curve).passed
+  # a certificate of the recipe format, as it was written before
+  # certificates carried their curve, is refused, naming the field
+  old = certificate_to_json(cert)
+  old["evidence"] = {
+    "recipe": {"type": "recipe", "kind": "simple", "k": 3, "numeric": False,
+               "x_inf": ["1", "1", "1"], "u": ["1", "0", "0"]},
+    "direction": {"type": "vector", "entries": ["1", "1", "1"]},
+    "u": {"type": "vector", "entries": ["1", "0", "0"]}}
+  with pytest.raises(ValueError, match="^field 'recipe' holds a witness "
+                                       "recipe"):
+    certificate_from_json(old)
 
 
 def test_chain_evidence_with_the_old_mode_key_still_verifies():
   # chain summaries once carried a constant "mode": "S"; a certificate
   # written then still parses, and the extra key changes no verdict
-  for seed, m in ((1, 4), (70, 3), (837, 4)):
+  for seed, m in ((1, 4), (35, 4), (83, 4)):
     A = planted_pattern(random.Random(seed), m)
     obj = json.loads(dumps(certificate_to_json(certify(A))))
     chain = obj["evidence"]["chain"]
@@ -358,19 +423,10 @@ def test_entry_fast_path_matches_general_parser(x):
               x, "entry (1,1)", lambda q: RatMatrix.of([[1, 2], [0, q]]))
   check_entry(lambda: vector_from_json({"entries": ["1", x]}), x, "entry 1",
               lambda q: RatVector.of([1, q]))
-  check_entry(lambda: recipe_from_json({"kind": "simple", "x_inf": [x],
-                                        "u": ["1"]}),
-              x, "field 'x_inf'[0]",
-              lambda q: WitnessRecipe(kind="simple", x_inf=RatVector.of([q]),
-                                      u=RatVector.of([1])))
-  frame = {"perm": [0, 1], "diag": ["2", x]}
-  if expected_entry(x, "diag[1]")[0] == 0:
-    # the entry parses, and the frame refuses a zero scale
-    with pytest.raises(ValueError, match="'diag' has a zero entry at 1$"):
-      frame_from_json(frame)
-  else:
-    check_entry(lambda: frame_from_json(frame), x, "diag[1]",
-                lambda q: ConjugationFrame((0, 1), (Fraction(2), q)))
+  check_entry(lambda: curve_from_json({"k": 3, "coefficients": {"3": [x]}},
+                                      1),
+              x, "curve field 'coefficients' entry '3'[0]",
+              lambda q: EscapeCurve(3, {3: RatVector.of([q])}))
 
 
 def test_entry_table_holds_exact_fractions():

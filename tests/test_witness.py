@@ -1,6 +1,5 @@
 """Witness validation, the sphere-minimum probe, and the linear fast path."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -15,21 +14,26 @@ import pytest
 from helpers import (
   ESCAPE_DIRECTION_SEEDS,
   conjugate_oracle,
+  curve_coords,
+  curve_of,
   family_member,
   laurent_residual_oracle,
   naive_curve_in_image,
   naive_det,
   naive_equations_hold,
   naive_rref,
+  naive_rule_holds,
   ones_kernel_sample,
   planted_pattern,
   rand_int_matrix,
   rand_rat_matrix,
+  reference_coords,
   reference_replay,
   rows_of,
   sphere_grid_min,
   src_env,
   two_class_kernel,
+  two_pattern_kernel,
 )
 import propermap.witness as witness_module
 from propermap.certify import NONPROPER, PROPER, certify, k1_properness
@@ -43,15 +47,18 @@ from propermap.forge import (
 from propermap.linalg import RatMatrix, RatVector
 from propermap.recipes import (
   ConjugationFrame,
-  WitnessRecipe,
+  EscapeCurve,
   build_witness_point,
+  chain_curve,
   laurent_coords,
+  simple_curve,
 )
 from propermap.witness import (
   DEFAULT_GAMMAS,
+  EQUATIONS_FAIL,
+  LEAVES_IMAGE,
   _laurent_residuals,
   _newton_table,
-  _numeric_equations_ok,
   general_k_witness,
   probe_mu,
   validate_witness,
@@ -63,8 +70,8 @@ E1 = RatVector.of([1, 0, 0])
 
 def test_golden_recipe_validates():
   A = golden_3x3()
-  recipe = certify(A).witness()
-  rep = validate_witness(A, recipe)
+  curve = certify(A).witness()
+  rep = validate_witness(A, curve)
   assert rep.passed
   assert rep.invariant_ok
   assert not rep.rejected
@@ -81,62 +88,71 @@ def test_corrupted_recipe_fails_loudly():
   # perturbing u off the kernel breaks A u = -x_inf, and the residuals grow
   # linearly instead of decaying
   A = golden_3x3()
-  bad = WitnessRecipe(kind="simple", x_inf=ONES, u=RatVector.of([1, 1, 0]))
+  bad = simple_curve(ONES, RatVector.of([1, 1, 0]))
   rep = validate_witness(A, bad)
   assert not rep.passed
   assert not rep.invariant_ok
-  assert rep.note == "recipe equations do not hold"
+  assert rep.note == EQUATIONS_FAIL == "x + A(x^k) keeps a positive power of t"
   assert rep.fitted_decay_exponent >= 0.8
 
 
 def test_fabricated_recipe_on_identity_is_refused():
   # A u = -x_inf holds but A(x_inf^3) = 0 does not: the identity is proper
   A = RatMatrix.identity(2)
-  fake = WitnessRecipe(kind="simple", x_inf=RatVector.of([1, 1]),
-                       u=RatVector.of([-1, -1]))
+  fake = simple_curve(RatVector.of([1, 1]), RatVector.of([-1, -1]))
   rep = validate_witness(A, fake)
   assert not rep.invariant_ok
   assert not rep.passed
 
 
 def test_zero_u_recipe_is_rejected_not_crashed():
+  # u = 0 leaves the bare ray t^3 x_inf, whose residual keeps t^3 x_inf; a
+  # curve that does not grow, with its top vector zero or its top exponent
+  # not positive, is rejected and never expanded
   A = golden_3x3()
-  rec = WitnessRecipe(kind="simple", x_inf=ONES, u=RatVector.of([0, 0, 0]))
-  with pytest.raises(ValueError, match="u = 0"):
-    build_witness_point(rec, 10.0)
-  rep = validate_witness(A, rec)
-  assert rep.rejected
-  assert not rep.passed
-  assert "rejected" in rep.note
+  ray = simple_curve(ONES, RatVector.zero(3))
+  assert ray == EscapeCurve(3, {3: ONES})
+  assert build_witness_point(ray, 8.0) == pytest.approx((8.0, 8.0, 8.0))
+  rep = validate_witness(A, ray)
+  assert not rep.rejected and not rep.passed and rep.note == EQUATIONS_FAIL
+  flat = EscapeCurve(3, {0: ONES, -3: E1})
+  dead = EscapeCurve(3, {3: RatVector.zero(3), -3: E1})
+  for curve, why in ((flat, "top exponent 0 is not positive"),
+                     (dead, "top vector, at t^3, is zero")):
+    assert len(build_witness_point(curve, 10.0)) == 3
+    rep = validate_witness(A, curve)
+    assert rep.rejected and not rep.passed and not rep.invariant_ok
+    assert rep.note == "curve rejected: its " + why
+    assert rep.residuals == rep.point_norms == ()
 
 
 def test_recipe_of_another_size_is_refused():
   # checked before the expansion, which would pair entries silently
   A = golden_3x3()
-  short = WitnessRecipe(kind="simple", x_inf=RatVector.of([1, 1]),
-                        u=RatVector.of([1, 0]))
-  for recipe in (short, dataclasses.replace(short, numeric=True)):
+  for numeric in (False, True):
+    short = EscapeCurve(3, {3: RatVector.of([1, 1]),
+                            -3: RatVector.of([1, 0])}, numeric)
     with pytest.raises(ValueError, match="length 2"):
-      validate_witness(A, recipe)
+      validate_witness(A, short)
 
 
 def test_gamma_schedule_is_validated():
   A = golden_3x3()
-  recipe = certify(A).witness()
+  curve = certify(A).witness()
   with pytest.raises(ValueError):
-    validate_witness(A, recipe, gammas=(10.0,))
+    validate_witness(A, curve, gammas=(10.0,))
   with pytest.raises(ValueError):
-    validate_witness(A, recipe, gammas=(-1.0, 10.0, 100.0))
+    validate_witness(A, curve, gammas=(-1.0, 10.0, 100.0))
   # a repeated scale would leave the point norms unable to strictly grow
   with pytest.raises(ValueError, match="gammas must be distinct"):
-    validate_witness(A, recipe, gammas=(10, 10, 100))
+    validate_witness(A, curve, gammas=(10, 10, 100))
   with pytest.raises(ValueError, match="gammas must be distinct"):
-    validate_witness(A, recipe, gammas=(100.0, 10.0, 1e2))
+    validate_witness(A, curve, gammas=(100.0, 10.0, 1e2))
   # NaN passes every ordering test, so non-finite scales are named outright
   for bad in (float("nan"), float("inf")):
     with pytest.raises(ValueError, match="gammas must be finite"):
-      validate_witness(A, recipe, gammas=(10.0, bad, 100.0))
-  assert validate_witness(A, recipe, gammas=(100.0, 10.0, 1000.0)).passed
+      validate_witness(A, curve, gammas=(10.0, bad, 100.0))
+  assert validate_witness(A, curve, gammas=(100.0, 10.0, 1000.0)).passed
 
 
 def _unconjugated(frame: ConjugationFrame, B: RatMatrix) -> RatMatrix:
@@ -151,13 +167,24 @@ def _unconjugated(frame: ConjugationFrame, B: RatMatrix) -> RatMatrix:
   return A
 
 
+def _pulled_back(frame: ConjugationFrame, curve: EscapeCurve) -> EscapeCurve:
+  """The curve w = D^(-1) P^T z of A for the curve z of B, entry by entry:
+  w[perm[i]] = z[i] / diag[perm[i]]."""
+  def back(z):
+    w = [None] * len(z)
+    for i, o in enumerate(frame.perm):
+      w[o] = z[i] / frame.diag[o]
+    return RatVector.of(w)
+  return EscapeCurve(curve.k, {e: back(z) for e, z in
+                               curve.coefficients.items()}, curve.numeric)
+
+
 def _framed_golden():
-  """golden_3x3's recipe with a frame, on the matrix the frame conjugates
-  to golden_3x3."""
+  """golden_3x3's curve pulled back through a frame, on the matrix the
+  frame conjugates to golden_3x3."""
   G = golden_3x3()
   frame = ConjugationFrame((2, 0, 1), (Fraction(1, 2), Fraction(3), Fraction(-1)))
-  return (_unconjugated(frame, G),
-          dataclasses.replace(certify(G).witness(), frame=frame))
+  return _unconjugated(frame, G), _pulled_back(frame, certify(G).witness())
 
 
 def test_integer_conjugate_matches_the_fraction_formula():
@@ -171,14 +198,21 @@ def test_integer_conjugate_matches_the_fraction_formula():
     diag = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                           rng.randint(1, 5)) for _ in range(m))
     signs |= {d < 0 for d in diag}
-    B = ConjugationFrame(tuple(perm), diag).conjugate(A)
+    frame = ConjugationFrame(tuple(perm), diag)
+    B = frame.conjugate(A)
     assert B == conjugate_oracle(perm, diag, A)
     assert all(type(x) is Fraction for row in B.rows for x in row)
+    z = RatVector.of([_rat(rng) for _ in range(m)])
+    assert frame.pull_back(z) == _pulled_back(
+      frame, EscapeCurve(3, {3: z})).coefficients[3]
   assert signs == {True, False}
 
 
 def test_framed_recipe_replays_once_as_its_conjugate(monkeypatch):
-  A, framed = _framed_golden()
+  # a curve found for B = P D A D^-3 P^T is pulled back to A's coordinates
+  # once, when it is built: the validation never conjugates, expands the
+  # curve once, and sees x + A(x^k) = (P D)^-1 (z + B(z^k))
+  A, curve = _framed_golden()
   calls = Counter()
 
   def counted(name, fn):
@@ -190,11 +224,16 @@ def test_framed_recipe_replays_once_as_its_conjugate(monkeypatch):
                       counted("conjugate", ConjugationFrame.conjugate))
   monkeypatch.setattr(witness_module, "laurent_coords",
                       counted("laurent_coords", laurent_coords))
-  rep = validate_witness(A, framed)
-  assert calls == {"conjugate": 1, "laurent_coords": 1}
-  assert rep.passed
-  plain = dataclasses.replace(framed, frame=None)
-  assert repr(rep) == repr(validate_witness(golden_3x3(), plain))
+  rep = validate_witness(A, curve)
+  assert calls == {"laurent_coords": 1}
+  assert rep.passed and rep.invariant_ok
+  G, z = golden_3x3(), certify(golden_3x3()).witness()
+  frame = ConjugationFrame((2, 0, 1), (Fraction(1, 2), Fraction(3), Fraction(-1)))
+  want = laurent_residual_oracle(G, curve_coords(z), 3)
+  got = laurent_residual_oracle(A, curve_coords(curve), 3)
+  for e in set().union(*want, *got):
+    r = RatVector.of([p.get(e, 0) for p in want])
+    assert RatVector.of([p.get(e, 0) for p in got]) == frame.pull_back(r)
 
 
 def _rat(rng, nonzero=False):
@@ -202,9 +241,15 @@ def _rat(rng, nonzero=False):
   return Fraction(num, rng.choice([1, 2, 3, 5, 9]))
 
 
+# the framed curve among the corpus certificates: an escape-chain-numeric
+# chain found on a conjugate, pulled back to A's coordinates
+FRAMED_CHAIN_SEED = 10323
+
+
 def _oracle_cases():
-  """(B, recipe) pairs: seeded random recipes and matrices, whose residuals
-  keep every order, and certified recipes, whose leading orders cancel."""
+  """(B, curve) pairs: seeded random curves of both constructions and
+  matrices, whose residuals keep every order, and certified curves, whose
+  leading orders cancel."""
   rng = random.Random(18)
   cases = []
   for k in range(2, 6):
@@ -213,7 +258,9 @@ def _oracle_cases():
       B = RatMatrix.of([[_rat(rng) for _ in range(m)] for _ in range(m)])
       x_inf = RatVector.of([_rat(rng, nonzero=True) for _ in range(m)])
       u = RatVector.of([_rat(rng) for _ in range(m)])
-      cases.append((B, WitnessRecipe(kind="simple", x_inf=x_inf, u=u, k=k)))
+      curve = simple_curve(x_inf, u, k)
+      assert curve_coords(curve) == reference_coords("simple", x_inf, u, k)
+      cases.append((B, curve))
   for depth in (1, 2):
     for _ in range(4):
       m = rng.randint(3, 5)
@@ -224,42 +271,45 @@ def _oracle_cases():
       if depth == 2:
         extra = dict(v=vec(), v1=vec(), u_hat_root=RatVector.of(
           [0 if p else _rat(rng) for p in pattern]))
-      cases.append((B, WitnessRecipe(kind="corank-chain",
-                                     x_inf=RatVector.of(pattern), u=vec(),
-                                     u1=vec(), **extra)))
+      x_inf, u1 = RatVector.of(pattern), vec()
+      curve = chain_curve(x_inf, u1, v1=extra.get("v1"),
+                          root=extra.get("u_hat_root"), v=extra.get("v"))
+      assert curve_coords(curve) == reference_coords(
+        "corank-chain", x_inf, None, u1=u1, **extra)
+      cases.append((B, curve))
   certified = [golden_3x3(), planted_pattern(random.Random(70), 3),
                planted_pattern(random.Random(837), 4),
                planted_pattern(random.Random(57), 4),
-               two_class_kernel(random.Random(119))]
-  recipes = [(A, certify(A).witness()) for A in certified] + [_framed_golden()]
-  kinds = {(r.kind, r.u_hat_root is not None, r.frame is not None, r.numeric)
-           for _, r in recipes}
-  assert kinds == {("simple", False, False, False),
-                   ("corank-chain", False, False, False),
-                   ("corank-chain", True, False, False),
-                   ("corank-chain", True, False, True),
-                   ("simple", False, False, True),
-                   ("simple", False, True, False)}
-  for A, r in recipes:
-    cases.append((r.frame.conjugate(A) if r.frame is not None else A, r))
-  return cases
+               two_class_kernel(random.Random(119)),
+               two_pattern_kernel(random.Random(FRAMED_CHAIN_SEED))]
+  curves = [(A, certify(A).witness()) for A in certified] + [_framed_golden()]
+  kinds = {(certify(A).reason, 1 in c.coefficients)
+           for A, c in curves[:-1]}
+  assert kinds == {("escape-direction", False), ("escape-chain", False),
+                   ("escape-chain", True), ("escape-chain-numeric", True),
+                   ("escape-direction-numeric", False)}
+  # the framed chain: its 0/1 pattern, scaled by the frame, is no pattern
+  top = curves[5][1].coefficients[3]
+  assert any(a not in (0, 1) for a in top) and 0 in top
+  return cases + curves
 
 
 def test_laurent_residuals_match_the_fraction_oracle():
   cases = _oracle_cases()
-  for B, recipe in cases:
-    coords = laurent_coords(recipe)
-    got = _laurent_residuals(B, coords, recipe.k)
-    want = laurent_residual_oracle(B, coords, recipe.k)
+  for B, curve in cases:
+    coords = laurent_coords(curve)
+    assert coords == curve_coords(curve)
+    got = _laurent_residuals(B, coords, curve.k)
+    want = laurent_residual_oracle(B, coords, curve.k)
     assert [list(p.items()) for p in got] == \
         [[(e, float(c)) for e, c in p.items()] for p in want]
   # x = t^3 x_inf + ..., so B(x^k) starts at order t^(3k); a certified
-  # recipe whose equations hold exactly cancels every order down to t^0
-  exact = [(B, r) for B, r in cases[-6:] if not r.numeric]
+  # curve whose rule holds exactly cancels every order down to t^0
+  exact = [(B, c) for B, c in cases[-7:] if not c.numeric]
   assert len(exact) == 4
-  for B, recipe in exact:
-    for p in _laurent_residuals(B, laurent_coords(recipe), recipe.k):
-      assert all(e < 0 for e in p), recipe
+  for B, curve in exact:
+    for p in _laurent_residuals(B, laurent_coords(curve), curve.k):
+      assert all(e < 0 for e in p), curve
 
 
 def _solve_on(cons, cols, targets):
@@ -277,13 +327,13 @@ def _solve_on(cons, cols, targets):
 
 
 def _simple_case(rng, x_inf, k, eq1, eq2, inside=False):
-  """A matrix B and a simple recipe on it for which B x_inf^k = 0 holds
-  exactly when eq1 and B u + x_inf = 0 exactly when eq2: each row of B is
-  a random row moved onto both equations, then row 0 is moved off the
-  ones that should fail.  With `inside` every row also keeps B p = c for
-  a random p and the curve's low term c = u / (k x_inf^(k-1)), so the
-  curve lies in Im B when eq2 puts x_inf = -B u there too; without it
-  a generic B of rank below m leaves c outside."""
+  """A matrix B and simple-curve data x_inf, u on it for which
+  B x_inf^k = 0 holds exactly when eq1 and B u + x_inf = 0 exactly when
+  eq2: each row of B is a random row moved onto both equations, then row 0
+  is moved off the ones that should fail.  With `inside` every row also
+  keeps B p = c for a random p and the curve's low term c = u / (k
+  x_inf^(k-1)), so the curve lies in Im B when eq2 puts x_inf = -B u there
+  too; without it a generic B of rank below m leaves c outside."""
   m = len(x_inf)
   w = [a ** k for a in x_inf]
   dot = lambda r, v: sum(a * b for a, b in zip(r, v))
@@ -307,14 +357,13 @@ def _simple_case(rng, x_inf, k, eq1, eq2, inside=False):
   for i, row in enumerate(rows):
     assert (dot(row, w) == 0) == (eq1 or i > 0)
     assert (dot(row, u) + x_inf[i] == 0) == (eq2 or i > 0)
-  return RatMatrix.of(rows), WitnessRecipe(
-    kind="simple", x_inf=RatVector.of(x_inf), u=RatVector.of(u), k=k)
+  return RatMatrix.of(rows), RatVector.of(x_inf), RatVector.of(u)
 
 
 def test_expansion_invariants_equal_the_exact_check():
-  # an exact recipe's invariants are the witness rule read off its
+  # an exact curve's invariants are the witness rule read off its
   # residual expansion: x + B(x^k) keeps no positive power of t, and the
-  # curve lies in Im B.  A simple recipe's residual i carries
+  # curve lies in Im B.  A simple curve's residual i carries
   # (B x_inf^k)_i at t^(3k) and (x_inf + B u)_i at t^3; the equations
   # alone refute nothing once the curve leaves Im B
   rng = random.Random(26)
@@ -324,37 +373,43 @@ def test_expansion_invariants_equal_the_exact_check():
       for n in range(30):
         x_inf = [_rat(rng, nonzero=True)
                  for _ in range(rng.randint(3 if inside else 2, 4))]
-        B, recipe = _simple_case(rng, x_inf, k, eq1, eq2, inside)
-        equations = naive_equations_hold(B, recipe)
-        assert equations == (eq1 and eq2)
-        exact = equations and naive_curve_in_image(B, recipe)
-        if n % 3 == 0:
-          # the same recipe with a frame, on the matrix it conjugates to B
+        B, x, u = _simple_case(rng, x_inf, k, eq1, eq2, inside)
+        curve = simple_curve(x, u, k)
+        equations = naive_equations_hold(B, x, u, k)
+        assert equations == (eq1 and eq2) == naive_rule_holds(B, curve)
+        exact = equations and naive_curve_in_image(B, curve)
+        rep = validate_witness(B, curve)
+        assert not rep.rejected
+        assert rep.invariant_ok == exact
+        assert rep.passed == exact
+        assert rep.note == ("" if exact else LEAVES_IMAGE if equations
+                            else EQUATIONS_FAIL)
+        if k == 3 and n % 2 == 0:
+          # the curve pulled back through a frame, on the matrix the frame
+          # conjugates to B: the rule and the verdict of the replay carry.
+          # A frame scales by D^-3, so it conjugates the cubic map only
           perm = list(range(len(x_inf)))
           rng.shuffle(perm)
           frame = ConjugationFrame(tuple(perm), tuple(
             _rat(rng, nonzero=True) for _ in perm))
-          rep = validate_witness(_unconjugated(frame, B),
-                                 dataclasses.replace(recipe, frame=frame))
-          assert repr(rep) == repr(validate_witness(B, recipe))
-        else:
-          rep = validate_witness(B, recipe)
-        assert not rep.rejected
-        assert rep.invariant_ok == exact
-        assert rep.passed == exact
-        assert rep.note == (
-          "" if exact else "the escape curve leaves Im B" if equations
-          else "recipe equations do not hold")
+          framed = validate_witness(_unconjugated(frame, B),
+                                    _pulled_back(frame, curve))
+          assert (framed.invariant_ok, framed.note, framed.passed) == \
+              (rep.invariant_ok, rep.note, rep.passed)
         combos[equations, exact] += 1
   assert len(combos) == 3 and min(combos.values()) >= 100
-  # a rejected recipe is not expanded: it has no curve, so its invariants
-  # fail whatever its equations say
+  # a curve that does not grow is not expanded: its invariants fail
+  # whatever its rule says
   for holds in (True, False):
-    B, recipe = _simple_case(rng, [Fraction(1), Fraction(0), Fraction(2)], 3,
-                             holds, holds)
-    assert naive_equations_hold(B, recipe) == holds
-    rep = validate_witness(B, recipe)
-    assert rep.rejected and not rep.passed and not rep.invariant_ok
+    B, x, u = _simple_case(rng, [Fraction(1), Fraction(-2), Fraction(2)], 3,
+                           holds, holds, inside=True)
+    curve = simple_curve(x, u)
+    assert naive_rule_holds(B, curve) == holds
+    for dead in (EscapeCurve(3, {**curve.coefficients, 3: RatVector.zero(3)}),
+                 EscapeCurve(3, {e - 3: c
+                                 for e, c in curve.coefficients.items()})):
+      rep = validate_witness(B, dead)
+      assert rep.rejected and not rep.passed and not rep.invariant_ok
 
 
 def _assert_matches_reference(rep, ref):
@@ -372,27 +427,38 @@ def _assert_matches_reference(rep, ref):
 
 
 def test_replay_matches_the_naive_reference():
-  cases = [(B, dataclasses.replace(r, frame=None)) for B, r in _oracle_cases()]
+  cases = _oracle_cases()
   cases += [(A, certify(A).witness()) for A in
             (planted_pattern(random.Random(s), 3 + s % 2)
              for s in ESCAPE_DIRECTION_SEEDS)]
+  # curves that do not grow, and one off by one coefficient
+  B, curve = cases[0]
+  top = max(curve.coefficients)
+  cases += [(B, EscapeCurve(curve.k, {**curve.coefficients,
+                                      top: RatVector.zero(B.m)})),
+            (B, EscapeCurve(curve.k, {-1: curve.coefficients[top]}))]
   passed = Counter()
-  for B, recipe in cases:
-    rep = validate_witness(B, recipe)
-    invariant = _numeric_equations_ok(B, recipe) if recipe.numeric else None
-    _assert_matches_reference(rep, reference_replay(B, recipe, DEFAULT_GAMMAS,
-                                                    invariant))
+  for B, curve in cases:
+    rep = validate_witness(B, curve)
+    _assert_matches_reference(rep, reference_replay(B, curve, DEFAULT_GAMMAS))
     passed[rep.passed] += 1
-  assert passed[True] >= len(ESCAPE_DIRECTION_SEEDS) + 5 and passed[False]
+  assert passed[True] >= len(ESCAPE_DIRECTION_SEEDS) + 6 and passed[False]
 
 
 def test_recipe_shape_errors():
-  with pytest.raises(ValueError, match="kind"):
-    WitnessRecipe(kind="mystery", x_inf=ONES, u=E1)
-  with pytest.raises(ValueError, match="dimension"):
-    WitnessRecipe(kind="simple", x_inf=ONES, u=RatVector.of([1, 0]))
+  with pytest.raises(ValueError, match="at least one term"):
+    EscapeCurve(3, {})
+  with pytest.raises(ValueError, match="one length"):
+    EscapeCurve(3, {3: ONES, -3: RatVector.of([1, 0])})
+  with pytest.raises(ValueError, match=">= 1"):
+    EscapeCurve(0, {3: ONES})
   with pytest.raises(ValueError, match="positive"):
-    build_witness_point(WitnessRecipe(kind="simple", x_inf=ONES, u=E1), -3.0)
+    build_witness_point(EscapeCurve(3, {3: ONES, -3: E1}), -3.0)
+  # the coefficients are kept highest exponent first, whatever their order
+  curve = EscapeCurve(3, {-5: E1, 1: E1, 3: ONES, -3: E1})
+  assert list(curve.coefficients) == [3, 1, -3, -5]
+  assert curve == EscapeCurve(3, dict(reversed(curve.coefficients.items())))
+  assert curve_of(curve_coords(curve)) == curve
 
 
 def test_probe_identity_reports_growth():
